@@ -136,14 +136,17 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     header = sio.provenance_lines(seed=seed, scenario=str(args.scenario),
                                   score=args.score, chains=args.chains,
                                   integrator=args.integrator)
+    cfg_final = DiffusionConfig(t=float(scn.schedule.t[-1]), r=scn.config.r, L=scn.config.L)
+    q_final = np.stack([res.final.r.q for res in results])
+    p_final = np.stack([res.final.p for res in results])
+    # (chains, demos) kernel log densities, one call per demo over all chains
+    logdens = np.stack([kernel_log_density(q_final, p_final, g0, scene, grasp, cfg_final)
+                        for g0 in demos], axis=1)
+    m = np.max(logdens, axis=1)
+    mixes = m + np.log(np.sum(np.exp(logdens - m[:, None]), axis=1) / len(demos))
     finals = []
-    for res in results:
+    for res, mix in zip(results, mixes):
         rot, tr = _nearest_demo_distance(res.final, demos)
-        t_final = float(scn.schedule.t[-1])
-        cfg_final = DiffusionConfig(t=t_final, r=scn.config.r, L=scn.config.L)
-        logdens = [kernel_log_density(res.final, g0, scene, grasp, cfg_final) for g0 in demos]
-        m = max(logdens)
-        mix = m + math.log(sum(math.exp(v - m) for v in logdens) / len(logdens))
         status = f"failed at step {res.failed_step}: {res.error}" if res.failed else "ok"
         header.append(
             f"# chain {res.index}: status = {status}; rot_to_demo_rad = {sio.fmt_float(rot)}; "
@@ -162,8 +165,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = {
         "suite": args.suite,
         "checks": [
-            {"name": r.name, "max_error": r.max_error, "tolerance": r.tolerance,
-             "pass": r.passed}
+            {"name": r.name, "max_error": float(r.max_error), "tolerance": r.tolerance,
+             "pass": bool(r.passed)}
             for r in results
         ],
         "pass": all(r.passed for r in results),

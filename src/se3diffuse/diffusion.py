@@ -28,6 +28,7 @@ from .lie import (
     Pose,
     Twist,
     compose,
+    cross,
     inverse,
     quat_canonical,
     quat_conj,
@@ -200,7 +201,7 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     """
     h = _conjugated_kernel_pose(g, g0, np.asarray(p_de, dtype=np.float64))
     base = brownian_score(h, t)
-    return Twist(base.nu, base.omega + np.cross(p_de, base.nu))
+    return Twist(base.nu, base.omega + cross(p_de, base.nu))
 
 
 def frame_target_score(g: Pose, g0: Pose, g_de: Pose, t: float) -> Twist:
@@ -226,27 +227,61 @@ def _component_log_weights(g0: Pose, scene: PointCloud, grasp: PointCloud, cfg: 
     return grasp.positions[keep], np.log(w[keep])
 
 
+def _kernel_frames(q: np.ndarray, p: np.ndarray, q0inv: np.ndarray, p0inv: np.ndarray,
+                   points: np.ndarray):
+    """Kernel arguments h = T(-p_k) g0^-1 g T(p_k) for pose stacks and grasp points.
+
+    Returns the rotation qm of g0^-1 g (shared by every component), its
+    rotation vector and angle, each (N, ...), and the (N, K, 3)
+    translations p_h = p_m + R_m p_k - p_k.
+    """
+    qm = quat_mul(q0inv[None, :], q)
+    pm = quat_rotate(q0inv[None, :], p) + p0inv[None, :]
+    rotvec = quat_log(qm)
+    theta = np.linalg.norm(rotvec, axis=-1)
+    rp = quat_rotate(qm[:, None, :], points[None, :, :])
+    ph = pm[:, None, :] + rp - points[None, :, :]
+    return qm, rotvec, theta, ph
+
+
+def _component_log_terms(theta: np.ndarray, ph: np.ndarray, logw: np.ndarray, t: float,
+                         params: IgParams) -> np.ndarray:
+    """(N, K) log w_k + log N(p_h; 0, tI) + log f(theta_h).
+
+    Rotational densities that underflow saturate at LOG_DENSITY_FLOOR,
+    as in brownian_log_density.
+    """
+    dens = igso3.igso3_density(np.minimum(theta, math.pi), params)
+    log_f = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-320)), LOG_DENSITY_FLOOR)
+    p2 = np.sum(ph * ph, axis=-1)
+    log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
+    return logw[None, :] + log_gauss + log_f[:, None]
+
+
 def kernel_log_density(
-    g: Pose,
+    q: np.ndarray,
+    p: np.ndarray,
     g0: Pose,
     scene: PointCloud,
     grasp: PointCloud,
     cfg: DiffusionConfig,
-) -> float:
-    """log sum_p w_p B_t((g0 <| p)^-1 (g <| p)), evaluated via log-sum-exp.
+) -> np.ndarray:
+    """log sum_p w_p B_t((g0 <| p)^-1 (g <| p)) for a stack of poses g.
 
-    ``<|`` is right multiplication by the pure translation T(p); the sum
-    runs over grasp points with nonzero contact weight.
+    ``q`` is an (N, 4) quaternion stack and ``p`` the (N, 3) translations;
+    returns the (N,) log densities.  ``<|`` is right multiplication by the
+    pure translation T(p); the sum runs over grasp points with nonzero
+    contact weight and is taken by log-sum-exp.  The demo's contact
+    weights are computed once per call, so pass every pose at once.
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
     points, logw = _component_log_weights(g0, scene, grasp, cfg)
-    vals = np.array([
-        logw[k] + brownian_log_density(_conjugated_kernel_pose(g, g0, points[k]), cfg.t)
-        for k in range(points.shape[0])
-    ])
-    m = float(np.max(vals))
-    return m + math.log(float(np.sum(np.exp(vals - m))))
+    inv0 = inverse(g0)
+    _, _, theta, ph = _kernel_frames(q, p, inv0.r.q, inv0.p, points)
+    logs = _component_log_terms(theta, ph, logw, cfg.t, _ig_params(cfg.t))
+    m = np.max(logs, axis=1)
+    return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
 
 class MixtureScore:
@@ -282,25 +317,15 @@ class MixtureScore:
         params = IgParams(eps=0.5 * t)
         log_parts, nu_parts, om_parts = [], [], []
         for demo in self._demo_data:
-            qm = quat_mul(demo["q0inv"][None, :], q)
-            pm = quat_rotate(demo["q0inv"][None, :], p) + demo["p0inv"][None, :]
-            rotvec = quat_log(qm)
-            theta = np.linalg.norm(rotvec, axis=-1)
+            pts = demo["points"]  # (K, 3)
+            qm, rotvec, theta, ph = _kernel_frames(q, p, demo["q0inv"], demo["p0inv"], pts)
             ratio = igso3.score_ratio(theta, params, clamp=clamp)
             axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
             s_om_base = ratio[:, None] * axis
-            dens = igso3.igso3_density(np.minimum(theta, math.pi), params)
-            log_f = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-320)), LOG_DENSITY_FLOOR)
-            pts = demo["points"]  # (K, 3)
-            # h translation per component: p_m + R_m p_k - p_k
-            rp = quat_rotate(qm[:, None, :], pts[None, :, :])
-            ph = pm[:, None, :] + rp - pts[None, :, :]
-            p2 = np.sum(ph * ph, axis=-1)
-            log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
-            log_parts.append(demo["logw"][None, :] + log_gauss + log_f[:, None])
+            log_parts.append(_component_log_terms(theta, ph, demo["logw"], t, params))
             s_nu = -quat_rotate(quat_conj(qm)[:, None, :], ph) / t
             nu_parts.append(s_nu)
-            om_parts.append(np.cross(pts[None, :, :], s_nu) + s_om_base[:, None, :])
+            om_parts.append(cross(pts[None, :, :], s_nu) + s_om_base[:, None, :])
         logs = np.concatenate(log_parts, axis=1)
         nus = np.concatenate(nu_parts, axis=1)
         oms = np.concatenate(om_parts, axis=1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irreps import IrrepsLayout, IrrepsVector, cg_paths, cg_tensor, rep_apply_batch, sh_batch
-from .lie import Pose, Twist, apply
+from .lie import Pose, Twist, apply, cross
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -304,7 +304,7 @@ def assemble_score_parts(g: Pose, scene: PointCloud, grasp: PointCloud, t: float
     inv_sqrt_t = 1.0 / math.sqrt(t)
     s_nu = (inv_sqrt_t / length_unit) * np.sum(w[:, None] * f_nu, axis=0)
     spin = inv_sqrt_t * np.sum(w[:, None] * f_om, axis=0)
-    orbital = inv_sqrt_t * np.sum(w[:, None] * np.cross(qs / length_unit, f_nu), axis=0)
+    orbital = inv_sqrt_t * np.sum(w[:, None] * cross(qs / length_unit, f_nu), axis=0)
     return s_nu, spin, orbital
 
 
@@ -355,7 +355,7 @@ def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     lin = inv_sqrt_t / length_unit * np.einsum("q,kqa->ka", w, f_nu)
     out[:3, :n_nu] = lin.T
     orbital = inv_sqrt_t * np.einsum("q,kqa->ka", w,
-                                     np.cross(qs[None, :, :] / length_unit, f_nu))
+                                     cross(qs[None, :, :] / length_unit, f_nu))
     out[3:, :n_nu] = orbital.T
     spin = inv_sqrt_t * np.einsum("q,kqa->ka", w, f_om)
     out[3:, n_nu:] = spin.T

@@ -189,9 +189,11 @@ def angle_cdf_quadrature(params: IgParams, nodes: int = 20001) -> tuple[np.ndarr
     """Independent dense-quadrature CDF of the angle marginal.
 
     Used as the oracle for Kolmogorov-Smirnov checks against the sampler's
-    coarser inverse-CDF table.
+    coarser inverse-CDF table.  The grid ends at min(pi, 30 sqrt(2 eps)),
+    as in the sampler's table, so that strongly concentrated marginals
+    span many nodes; the CDF is 1 beyond its end.
     """
-    grid = np.linspace(0.0, math.pi, nodes)
+    grid = np.linspace(0.0, min(math.pi, 30.0 * math.sqrt(2.0 * params.eps)), nodes)
     pdf = angle_pdf(grid, params)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
     return grid, cdf / cdf[-1]

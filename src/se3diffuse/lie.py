@@ -38,6 +38,7 @@ __all__ = [
     "identity_pose",
     "random_rotation",
     "skew",
+    "cross",
     "quat_mul",
     "quat_conj",
     "quat_rotate",
@@ -58,6 +59,23 @@ PI_BRANCH_TOL = 1e-6
 # (..., 3) and are pure; they do not canonicalize unless stated.
 # ---------------------------------------------------------------------------
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of broadcasting 3-vector stacks.
+
+    Explicit component arithmetic in ``np.cross``'s operation order, so
+    results are bit-identical to it without its per-call overhead.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion stacks."""
     a = np.asarray(a, dtype=np.float64)
@@ -65,7 +83,7 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
     w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + np.cross(av, bv)
+    v = aw * bv + bw * av + cross(av, bv)
     return np.concatenate([w, v], axis=-1)
 
 
@@ -81,8 +99,8 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     qv = q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[..., :1] * t + np.cross(qv, t)
+    t = 2.0 * cross(qv, v)
+    return v + q[..., :1] * t + cross(qv, t)
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
@@ -339,8 +357,8 @@ def exp_se3(xi: Twist) -> Pose:
     w = xi.omega
     theta = float(np.linalg.norm(w))
     a, b = _v_coeffs(theta)
-    wx = np.cross(w, xi.nu)
-    p = xi.nu + a * wx + b * np.cross(w, wx)
+    wx = cross(w, xi.nu)
+    p = xi.nu + a * wx + b * cross(w, wx)
     return Pose(p, exp_so3(w))
 
 
@@ -355,8 +373,8 @@ def log_se3(g: Pose) -> Twist:
         raise ValueError(f"rotation angle {theta:.9f} too close to pi for a principal logarithm")
     w = log_so3(g.r)
     c = _v_inv_coeff(theta)
-    wx = np.cross(w, g.p)
-    nu = g.p - 0.5 * wx + c * np.cross(w, wx)
+    wx = cross(w, g.p)
+    nu = g.p - 0.5 * wx + c * cross(w, wx)
     return Twist(nu, w)
 
 

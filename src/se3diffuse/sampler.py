@@ -30,6 +30,7 @@ from .lie import (
     Pose,
     Rotation,
     Twist,
+    cross,
     quat_exp,
     quat_mul,
     quat_normalize,
@@ -104,8 +105,8 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
             a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
             b = np.where(small, 1.0 / 6.0 - t2 / 120.0,
                          (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta))
-        wx = np.cross(omega, nu)
-        body = nu + a[:, None] * wx + b[:, None] * np.cross(omega, wx)
+        wx = cross(omega, nu)
+        body = nu + a[:, None] * wx + b[:, None] * cross(omega, wx)
         p_new = p + quat_rotate(q, body)
         q_new = quat_normalize(quat_mul(q, quat_exp(omega)))
     elif integrator == "quat-trans":
@@ -164,11 +165,13 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
                   integrator: str = "exact", record: str = "full") -> list[ChainResult]:
     """Run annealed Langevin chains and return their trajectories.
 
-    ``score_fn(g, t)`` must be total on the visited region; a failure
-    freezes only the offending chain (with the step and message recorded)
-    while the others continue.  Score functions exposing
-    ``supports_batch`` and ``score_batch(q, p, t) -> (N, 6)`` are
-    evaluated vectorized over chains.  ``record`` is ``"full"`` for whole
+    ``score_fn(g, t)`` must be total on the visited region; a failure (an
+    exception, a non-finite score, or a step that overflows) freezes only
+    the offending chain, with the step and reason recorded, while the
+    others continue.  Score functions exposing ``supports_batch`` and
+    ``score_batch(q, p, t) -> (N, 6)`` are evaluated vectorized over
+    chains; a step whose batch call raises is re-evaluated chain by chain,
+    and the next step batches again.  ``record`` is ``"full"`` for whole
     trajectories or ``"final"`` to keep only the endpoint.
     """
     if chains < 1:
@@ -197,12 +200,14 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
         scores = np.zeros((chains, 6))
         idx = np.nonzero(alive)[0]
         if idx.size:
+            done = False
             if batched:
                 try:
                     scores[idx] = score_fn.score_batch(q[idx], p[idx], t_n)
+                    done = True
                 except Exception:
-                    batched = False  # isolate the failing chain below
-            if not batched:
+                    pass  # re-evaluate this step chain by chain to isolate the fault
+            if not done:
                 for i in idx:
                     try:
                         scores[i] = score_fn(Pose(p[i], Rotation(q[i])), t_n).as_array()
@@ -210,8 +215,17 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
                         alive[i] = False
                         errors[i] = (n, f"{type(exc).__name__}: {exc}")
                         scores[i] = 0.0
-        q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
-                                   float(schedule.temperature[n]), noise, integrator)
+            for i in idx[~np.all(np.isfinite(scores[idx]), axis=1)]:
+                alive[i] = False
+                errors[i] = (n, "non-finite score")
+                scores[i] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported per chain below
+            q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
+                                       float(schedule.temperature[n]), noise, integrator)
+        finite = np.all(np.isfinite(q_new), axis=1) & np.all(np.isfinite(p_new), axis=1)
+        for i in np.nonzero(alive & ~finite)[0]:  # a finite score too large to integrate
+            alive[i] = False
+            errors[i] = (n, "non-finite step")
         q = np.where(alive[:, None], q_new, q)
         p = np.where(alive[:, None], p_new, p)
         if traj is not None:

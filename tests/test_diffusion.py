@@ -262,24 +262,81 @@ def test_kernel_reduces_to_brownian_for_single_origin_at_zero(rng):
     g0 = Pose.identity()
     cfg = DiffusionConfig(t=0.5, r=1.0, L=1.0)
     g = random_pose(rng, scale=0.3)
-    lhs = kernel_log_density(g, g0, scene, grasp, cfg)
+    lhs = kernel_log_density(g.r.q[None], g.p[None], g0, scene, grasp, cfg)[0]
     rhs = brownian_log_density(compose(inverse(g0), g), cfg.t)
     assert abs(lhs - rhs) < 1e-12
+
+
+def _kernel_log_density_reference(g, g0, scene, grasp, cfg):
+    """Scalar loop: log-sum-exp over components of logw + brownian_log_density."""
+    from se3diffuse.diffusion import _component_log_weights
+
+    pts, logw = _component_log_weights(g0, scene, grasp, cfg)
+    vals = []
+    for k in range(pts.shape[0]):
+        tp = translation_pose(pts[k])
+        h = compose(compose(compose(inverse(tp), inverse(g0)), g), tp)
+        vals.append(logw[k] + brownian_log_density(h, cfg.t))
+    m = max(vals)
+    return m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def _poses_around(g0, rng, n):
+    """Poses whose rotation relative to g0 is near 0 (first third), near pi
+    (second third) or random (last third)."""
+    poses = []
+    for i in range(n):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        small = 10.0 ** rng.uniform(-9.0, -2.0)
+        angle = (small, math.pi - small, rng.uniform(0.0, math.pi))[3 * i // n]
+        poses.append(compose(g0, Pose(0.2 * rng.standard_normal(3), exp_so3(angle * axis))))
+    return poses
+
+
+def test_kernel_log_density_batch_matches_scalar_reference(toy, rng):
+    for t in (0.5, 1.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        for g0 in toy.demo_poses[:2]:
+            poses = _poses_around(g0, rng, 60)
+            q = np.stack([g.r.q for g in poses])
+            p = np.stack([g.p for g in poses])
+            batch = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+            assert batch.shape == (60,)
+            ref = np.array([_kernel_log_density_reference(g, g0, toy.scene, toy.grasp, cfg)
+                            for g in poses])
+            assert np.max(np.abs(batch - ref)) < 1e-12
+
+
+def test_kernel_log_density_batch_of_one_matches_row(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    g0 = toy.demo_poses[1]
+    poses = _poses_around(g0, rng, 30)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    full = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+    for i in range(len(poses)):
+        one = kernel_log_density(q[i:i + 1], p[i:i + 1], g0, toy.scene, toy.grasp, cfg)
+        # not bitwise: the series' matrix-vector product rounds differently
+        # for one row than for many (about 1e-14 relative)
+        assert one.shape == (1,) and abs(one[0] - full[i]) < 1e-12
 
 
 def test_kernel_bi_equivariance(toy, rng):
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
     g0 = toy.demo_poses[0]
     g = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
-    base = kernel_log_density(g, g0, toy.scene, toy.grasp, cfg)
+    base = kernel_log_density(g.r.q[None], g.p[None], g0, toy.scene, toy.grasp, cfg)[0]
     for _ in range(100):
         dg = random_pose(rng, scale=0.7)
-        left = kernel_log_density(compose(dg, g), compose(dg, g0),
-                                  transform(toy.scene, dg), toy.grasp, cfg)
+        g_left = compose(dg, g)
+        left = kernel_log_density(g_left.r.q[None], g_left.p[None], compose(dg, g0),
+                                  transform(toy.scene, dg), toy.grasp, cfg)[0]
         assert abs(left - base) < 1e-9
         dgi = inverse(dg)
-        right = kernel_log_density(compose(g, dgi), compose(g0, dgi),
-                                   toy.scene, transform(toy.grasp, dg), cfg)
+        g_right = compose(g, dgi)
+        right = kernel_log_density(g_right.r.q[None], g_right.p[None], compose(g0, dgi),
+                                   toy.scene, transform(toy.grasp, dg), cfg)[0]
         assert abs(right - base) < 1e-9
 
 
@@ -302,7 +359,7 @@ def test_oracle_matches_mixture_finite_differences(toy, rng):
                 exp_se3(Twist(0.2 * rng.standard_normal(3), 0.2 * rng.standard_normal(3))))
 
     def mixture_log_density(gg):
-        vals = [kernel_log_density(gg, g0, toy.scene, toy.grasp, cfg)
+        vals = [kernel_log_density(gg.r.q[None], gg.p[None], g0, toy.scene, toy.grasp, cfg)[0]
                 for g0 in toy.demo_poses]
         m = max(vals)
         return m + math.log(sum(math.exp(v - m) for v in vals) / len(vals))

@@ -254,6 +254,35 @@ def test_cmd_sample_igso3_uniform_limit(tmp_path):
     assert ks_haar < 0.01
 
 
+def test_cmd_sample_igso3_ks_at_small_eps(tmp_path):
+    # At eps = 1e-5 the angles spread over ~5e-3 rad; the reported KS must
+    # resolve that spread.  For small eps, angle / sqrt(2 eps) ~ chi(3).
+    from scipy import stats
+
+    eps = 1e-5
+    out = tmp_path / "rots.txt"
+    assert main(["sample-igso3", "--eps", str(eps), "--n", "20000",
+                 "--out", str(out), "--seed", "4"]) == 0
+    text = out.read_text().splitlines()
+    ks = float(next(l for l in text if l.startswith("# ks_statistic")).split("=")[1])
+    quats = np.array([json.loads(l.split(":", 1)[1]) for l in text if l.startswith("quat:")])
+    angles = 2.0 * np.arctan2(np.linalg.norm(quats[:, 1:], axis=1), np.abs(quats[:, 0]))
+    ref = stats.kstest(angles / math.sqrt(2.0 * eps), stats.chi(3).cdf).statistic
+    assert abs(ks - ref) < 1e-5
+
+
+def test_cmd_check_report_is_plain_json(capsys, monkeypatch):
+    from se3diffuse import checks
+
+    results = [checks.CheckResult("a", np.float64(1e-12), 1e-9),
+               checks.CheckResult("b", np.float64(1.0), 1e-9)]
+    monkeypatch.setattr(checks, "run_suite", lambda *args, **kwargs: results)
+    assert main(["check", "--suite", "lie"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [type(c["max_error"]) for c in report["checks"]] == [float, float]
+    assert [c["pass"] for c in report["checks"]] == [True, False]
+
+
 def test_cmd_sample_igso3_deterministic(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -11,6 +11,7 @@ from se3diffuse.lie import (
     adjoint_inv_transpose,
     apply,
     compose,
+    cross,
     exp_se3,
     exp_so3,
     inverse,
@@ -193,3 +194,15 @@ def test_rotation_from_matrix_near_pi(rng):
         r = exp_so3((math.pi - 1e-8) * axis)
         r2 = Rotation.from_matrix(r.matrix())
         assert r2.allclose(r, atol=1e-6)
+
+
+def test_cross_matches_numpy_bitwise_on_broadcast_stacks(rng):
+    shapes = [((3,), (3,)), ((50, 3), (50, 3)), ((50, 1, 3), (1, 7, 3)),
+              ((3,), (20, 3)), ((4, 5, 3), (5, 3))]
+    for sa, sb in shapes:
+        a = rng.standard_normal(sa) * 10.0 ** rng.integers(-8, 8, size=sa)
+        b = rng.standard_normal(sb) * 10.0 ** rng.integers(-8, 8, size=sb)
+        ref = np.cross(a, b)
+        out = cross(a, b)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se3diffuse.diffusion import DemoSet, DiffusionConfig, MixtureScore
+from se3diffuse.diffusion import BrownianScoreFn, DemoSet, DiffusionConfig, MixtureScore
 from se3diffuse.lie import Pose, Rotation, Twist, compose, random_rotation
 from se3diffuse.pointcloud import transform
 from se3diffuse.sampler import AnnealSchedule, build_schedule, langevin_step, run_denoising
@@ -135,6 +135,72 @@ def test_run_denoising_isolates_failing_chain():
     assert res[1].failed and "score blew up" in res[1].error
     assert res[1].failed_step == 0
     assert np.allclose(res[1].final.p, [1.0, 0.0, 0.0])  # frozen at failure
+
+
+def _far_chain_inits(chains, far):
+    """Chains start at the identity except chain ``far``, which starts at x = 10."""
+    return [Pose(np.array([10.0 if i == far else 0.0, 0.0, 0.0]), Rotation.identity())
+            for i in range(chains)]
+
+
+def test_run_denoising_freezes_chain_with_non_finite_score():
+    class NanForFarChain(BrownianScoreFn):
+        def score_batch(self, q, p, t):
+            out = super().score_batch(q, p, t)
+            if t < 0.8:
+                out[p[:, 0] > 5.0] = np.nan
+            return out
+
+    sched = build_schedule([(1.0, 0.5, 50)], eps=0.01)
+    res = run_denoising(NanForFarChain(), _far_chain_inits(10, 3), sched,
+                        np.random.default_rng(0), 10)
+    step = int(np.argmax(sched.t < 0.8))
+    assert [r.index for r in res if r.failed] == [3]
+    assert res[3].error == "non-finite score" and res[3].failed_step == step
+    assert np.all(res[3].trajectory[step:] == res[3].trajectory[step])
+    assert np.all(np.isfinite(res[3].trajectory))
+
+
+def test_run_denoising_freezes_chain_with_non_finite_step():
+    class HugeForFarChain(BrownianScoreFn):
+        def score_batch(self, q, p, t):
+            out = super().score_batch(q, p, t)
+            out[p[:, 0] > 5.0] = 1e300  # finite, but the step overflows
+            return out
+
+    sched = build_schedule([(1.0, 0.5, 20)], eps=0.01)
+    inits = _far_chain_inits(4, 1)
+    res = run_denoising(HugeForFarChain(), inits, sched, np.random.default_rng(0), 4)
+    assert [r.index for r in res if r.failed] == [1]
+    assert res[1].error == "non-finite step" and res[1].failed_step == 0
+    assert res[1].final.allclose(inits[1], atol=0.0)
+
+
+def test_run_denoising_batch_exception_retries_one_step_per_chain():
+    class FlakyOnce(BrownianScoreFn):
+        def __init__(self):
+            self.batch_calls = 0
+            self.scalar_calls = 0
+
+        def score_batch(self, q, p, t):
+            self.batch_calls += 1
+            if self.batch_calls == 2:
+                raise RuntimeError("transient")
+            return super().score_batch(q, p, t)
+
+        def __call__(self, g, t):
+            self.scalar_calls += 1
+            return super().__call__(g, t)
+
+    sched = build_schedule([(1.0, 0.5, 50)], eps=0.01)
+    flaky = FlakyOnce()
+    res = run_denoising(flaky, Pose.identity(), sched, np.random.default_rng(4), 10)
+    ref = run_denoising(BrownianScoreFn(), Pose.identity(), sched, np.random.default_rng(4), 10)
+    assert flaky.scalar_calls == 10  # only the failed step, once per chain
+    assert flaky.batch_calls == 50
+    assert not any(r.failed for r in res)
+    for a, b in zip(res, ref):
+        assert np.allclose(a.trajectory, b.trajectory, atol=1e-12)
 
 
 def test_run_denoising_record_final_only(toy):
