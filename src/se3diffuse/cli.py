@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, io as sio
 from .diffusion import DemoSet, DiffusionConfig, MixtureScore, forward_diffuse, kernel_log_density
-from .fields import assemble_score, build_query_set
+# assemble_score is unused here; perfbench/ traces and calls it as cli.assemble_score
+from .fields import ModelScore, assemble_score, build_query_set  # noqa: F401
 from .igso3 import IgParams, angle_cdf_quadrature, igso3_sample_quats
 from .lie import Pose, quat_angle, quat_conj, quat_mul
 from .pointcloud import PointCloud
@@ -123,10 +124,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             print("error: --score model requires model parameters "
                   "(scenario model_params or --params)", file=sys.stderr)
             return 2
-        query = build_query_set(grasp, model)
-
-        def score_fn(g: Pose, t: float):
-            return assemble_score(g, scene, grasp, t, 1.0, query, model)
+        score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 
     rng = np.random.default_rng(seed)
     inits = sample_initial_poses(scn, rng, args.chains)

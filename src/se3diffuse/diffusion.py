@@ -311,15 +311,19 @@ class MixtureScore:
                 "logw": logw + logn,
             })
 
-    def score_batch(self, q: np.ndarray, p: np.ndarray, t: float, clamp: bool = True) -> np.ndarray:
-        """(N, 6) scores for quaternion/translation stacks at time t."""
+    def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+        """(N, 6) scores for quaternion/translation stacks at time t.
+
+        Kernel angles within 1e-6 of pi are clamped to that boundary (see
+        ``igso3.score_ratio``), where the rotational score vanishes smoothly.
+        """
         n = q.shape[0]
         params = IgParams(eps=0.5 * t)
         log_parts, nu_parts, om_parts = [], [], []
         for demo in self._demo_data:
             pts = demo["points"]  # (K, 3)
             qm, rotvec, theta, ph = _kernel_frames(q, p, demo["q0inv"], demo["p0inv"], pts)
-            ratio = igso3.score_ratio(theta, params, clamp=clamp)
+            ratio = igso3.score_ratio(theta, params, clamp=True)
             axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
             s_om_base = ratio[:, None] * axis
             log_parts.append(_component_log_terms(theta, ph, demo["logw"], t, params))
@@ -338,7 +342,7 @@ class MixtureScore:
         return out
 
     def __call__(self, g: Pose, t: float) -> Twist:
-        arr = self.score_batch(g.r.q[None, :], g.p[None, :], t, clamp=False)
+        arr = self.score_batch(g.r.q[None, :], g.p[None, :], t)
         return Twist.from_array(arr[0])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irreps import IrrepsLayout, IrrepsVector, cg_paths, cg_tensor, rep_apply_batch, sh_batch
-from .lie import Pose, Twist, apply, cross
+from .lie import Pose, Rotation, Twist, cross, quat_conj, quat_rotate
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "fps_select",
     "synthetic_edf",
     "score_field",
+    "ModelScore",
     "assemble_score",
     "assemble_score_parts",
     "query_weights",
@@ -199,6 +200,30 @@ def _contract_batch(layout_a: IrrepsLayout, a: np.ndarray,
     return out
 
 
+def _scene_fields_body(q: np.ndarray, p: np.ndarray, qs: np.ndarray, scene: PointCloud,
+                       params: SyntheticEdfParams, t: float) -> np.ndarray:
+    """(N, Q, dim) back-rotated scene fields D(R^-1) phi_t(g x | O_s).
+
+    One field evaluation over all N x Q world points g x for the pose
+    stacks (q, p) and query points qs, then one rotation per pose.
+    """
+    n, m = q.shape[0], qs.shape[0]
+    xs = quat_rotate(q[:, None, :], qs[None, :, :]) + p[:, None, :]
+    phi = _edf_batch(xs.reshape(-1, 3), scene, params, t).reshape(n, m, params.layout.dim)
+    for i in range(n):
+        phi[i] = rep_apply_batch(params.layout, Rotation(quat_conj(q[i])), phi[i])
+    return phi
+
+
+def _pose_fields(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointCloud, t: float,
+                 params_scene: SyntheticEdfParams,
+                 params_grasp: SyntheticEdfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Grasp field psi(x | O_e) and back-rotated scene field at g x, each (Q, dim)."""
+    psi = _edf_batch(qs, grasp, params_grasp, None)
+    phi_body = _scene_fields_body(g.r.q[None, :], g.p[None, :], qs, scene, params_scene, t)[0]
+    return psi, phi_body
+
+
 def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
                 t: float, params_scene: SyntheticEdfParams,
                 params_grasp: SyntheticEdfParams, path_weights: np.ndarray) -> np.ndarray:
@@ -208,9 +233,8 @@ def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
     back-rotated scene descriptor at g x:
     psi(x | O_e) x->1 D(R^-1) phi_t(g x | O_s).
     """
-    psi = _edf_batch(np.reshape(x, (1, 3)), grasp, params_grasp, None)
-    phi = _edf_batch(apply(g, np.reshape(x, (1, 3))), scene, params_scene, t)
-    phi_body = rep_apply_batch(params_scene.layout, g.r.inverse(), phi)
+    psi, phi_body = _pose_fields(g, np.reshape(x, (1, 3)), scene, grasp, t,
+                                 params_scene, params_grasp)
     return _contract_batch(params_grasp.layout, psi,
                            params_scene.layout, phi_body,
                            path_weights)[0]
@@ -273,47 +297,92 @@ def build_query_set(grasp: PointCloud, model: ScoreModelParams) -> QuerySet:
     return QuerySet(pts, w)
 
 
-def _field_batch(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointCloud,
-                 t: float, model: ScoreModelParams, branch: str,
-                 weights: np.ndarray) -> np.ndarray:
-    p_scene = model.scene_for(branch)
-    p_grasp = model.grasp_for(branch)
-    psi = _edf_batch(qs, grasp, p_grasp, None)
-    phi = _edf_batch(apply(g, qs), scene, p_scene, t)
-    phi_body = rep_apply_batch(p_scene.layout, g.r.inverse(), phi)
-    return _contract_batch(p_grasp.layout, psi, p_scene.layout, phi_body, weights)
+class ModelScore:
+    """Assembled model score, vectorized over pose stacks.
+
+    The grasp field psi carries no time input and sits on the fixed query
+    points, so it is evaluated here, once per distinct grasp-parameter
+    object.  Each ``score_batch`` call evaluates the scene field once per
+    distinct scene-parameter object over every pose and query point, and
+    contracts each branch in one call.  A scalar call is a batch of one.
+    """
+
+    supports_batch = True
+
+    def __init__(self, scene: PointCloud, grasp: PointCloud, length_unit: float,
+                 query: QuerySet, model: ScoreModelParams):
+        self.scene = scene
+        self.length_unit = length_unit
+        self.query = query
+        self.model = model
+        grasp_nu, grasp_om = model.grasp_for("nu"), model.grasp_for("omega")
+        self._psi_nu = _edf_batch(query.points, grasp, grasp_nu, None)
+        self._psi_om = (self._psi_nu if grasp_om is grasp_nu
+                        else _edf_batch(query.points, grasp, grasp_om, None))
+
+    def score_parts(self, q: np.ndarray, p: np.ndarray,
+                    t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s_nu, spin, orbital), each (N, 3), for quaternion/translation stacks.
+
+        s_nu = 1/(L sqrt(t)) sum_q w(q) field_nu(g, q)
+        spin = 1/sqrt(t)     sum_q w(q) field_omega(g, q)
+        orbital = 1/sqrt(t)  sum_q w(q) (q / L) x field_nu(g, q)
+        """
+        if t <= 0.0:
+            raise ValueError("t must be positive")
+        q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+        p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+        n = q.shape[0]
+        if len(self.query) == 0:
+            warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
+            return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3))
+        model, qs, w = self.model, self.query.points, self.query.weights
+        scene_nu, scene_om = model.scene_for("nu"), model.scene_for("omega")
+        phi_nu = _scene_fields_body(q, p, qs, self.scene, scene_nu, t)
+        phi_om = (phi_nu if scene_om is scene_nu
+                  else _scene_fields_body(q, p, qs, self.scene, scene_om, t))
+        f_nu = self._contract("nu", self._psi_nu, phi_nu, model.weights_nu)
+        f_om = self._contract("omega", self._psi_om, phi_om, model.weights_omega)
+        inv_sqrt_t = 1.0 / math.sqrt(t)
+        wq = w[None, :, None]
+        s_nu = (inv_sqrt_t / self.length_unit) * np.sum(wq * f_nu, axis=1)
+        spin = inv_sqrt_t * np.sum(wq * f_om, axis=1)
+        orbital = inv_sqrt_t * np.sum(wq * cross(qs / self.length_unit, f_nu), axis=1)
+        return s_nu, spin, orbital
+
+    def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+        """(N, Q, 3) score fields of one branch: psi x->1 phi_body over all N x Q rows."""
+        n, m, dim = phi_body.shape
+        rows = _contract_batch(self.model.grasp_for(branch).layout,
+                               np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
+                               self.model.scene_for(branch).layout,
+                               phi_body.reshape(n * m, dim), weights)
+        return rows.reshape(n, m, 3)
+
+    def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+        """(N, 6) scores, linear part first, for quaternion/translation stacks."""
+        s_nu, spin, orbital = self.score_parts(q, p, t)
+        return np.concatenate([s_nu, spin + orbital], axis=1)
+
+    def __call__(self, g: Pose, t: float) -> Twist:
+        return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])
 
 
 def assemble_score_parts(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
                          length_unit: float, query: QuerySet,
                          model: ScoreModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s_nu, spin, orbital) pieces of the assembled score.
-
-    s_nu = 1/(L sqrt(t)) sum_q w(q) field_nu(g, q)
-    spin = 1/sqrt(t)     sum_q w(q) field_omega(g, q)
-    orbital = 1/sqrt(t)  sum_q w(q) (q / L) x field_nu(g, q)
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if len(query) == 0:
-        warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
-        return np.zeros(3), np.zeros(3), np.zeros(3)
-    qs, w = query.points, query.weights
-    f_nu = _field_batch(g, qs, scene, grasp, t, model, "nu", model.weights_nu)
-    f_om = _field_batch(g, qs, scene, grasp, t, model, "omega", model.weights_omega)
-    inv_sqrt_t = 1.0 / math.sqrt(t)
-    s_nu = (inv_sqrt_t / length_unit) * np.sum(w[:, None] * f_nu, axis=0)
-    spin = inv_sqrt_t * np.sum(w[:, None] * f_om, axis=0)
-    orbital = inv_sqrt_t * np.sum(w[:, None] * cross(qs / length_unit, f_nu), axis=0)
-    return s_nu, spin, orbital
+    """(s_nu, spin, orbital) pieces of the assembled score at one pose."""
+    s_nu, spin, orbital = ModelScore(scene, grasp, length_unit, query, model).score_parts(
+        g.r.q[None, :], g.p[None, :], t)
+    return s_nu[0], spin[0], orbital[0]
 
 
 def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
                    length_unit: float, query: QuerySet,
                    model: ScoreModelParams) -> Twist:
     """Full bi-equivariant model score: linear part plus spin + orbital."""
-    s_nu, spin, orbital = assemble_score_parts(g, scene, grasp, t, length_unit, query, model)
-    return Twist(s_nu, spin + orbital)
+    return ModelScore(scene, grasp, length_unit, query, model)(g, t)
 
 
 def _per_path_fields(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointCloud,
@@ -321,9 +390,7 @@ def _per_path_fields(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointClo
     """(n_paths, n_queries, 3) per-path score-field contributions."""
     p_scene = model.scene_for(branch)
     p_grasp = model.grasp_for(branch)
-    psi = _edf_batch(qs, grasp, p_grasp, None)
-    phi = _edf_batch(apply(g, qs), scene, p_scene, t)
-    phi_body = rep_apply_batch(p_scene.layout, g.r.inverse(), phi)
+    psi, phi_body = _pose_fields(g, qs, scene, grasp, t, p_scene, p_grasp)
     paths = cg_paths(p_grasp.layout, p_scene.layout)
     offs_a = p_grasp.layout.slot_offsets()
     offs_b = p_scene.layout.slot_offsets()

@@ -405,3 +405,15 @@ def test_criterion_14_cli_determinism(tmp_path):
     ok = pairs[0][0] == pairs[1][0] and pairs[0][1] == pairs[1][1]
     report(14, "CLI byte-determinism (diffuse and denoise)", ok,
            "two seeded runs byte-identical" if ok else "outputs differ")
+
+
+def test_cli_model_score_determinism(tmp_path):
+    scn_dir = tmp_path / "scn"
+    assert main(["gen-scenario", "--out", str(scn_dir), "--seed", "7"]) == 0
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"model{k}.txt"
+        assert main(["denoise", "--scenario", str(scn_dir / "scenario.txt"), "--score", "model",
+                     "--chains", "3", "--out", str(out), "--seed", "5"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

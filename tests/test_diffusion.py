@@ -483,3 +483,22 @@ def test_frame_target_score_full_frame_matches_finite_differences(rng):
         s = frame_target_score(g, g0, g_de, t).as_array()
         fd = fd_score(log_density, g)
         assert np.linalg.norm(s - fd) / np.linalg.norm(fd) < 1e-4
+
+
+def test_mixture_score_scalar_call_clamps_near_pi_like_batch(toy, rng):
+    """The scalar call is a batch of one, so both clamp kernel angles near pi."""
+    demos = DemoSet(toy.demo_set().demos[:1])
+    g0 = demos.demos[0][0]
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    oracle = MixtureScore(demos, cfg)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    g = compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - 1e-7) * axis)))
+    assert quat_angle(compose(inverse(g0), g).r.q) > math.pi - 1e-6
+    others = _poses_around(g0, rng, 6)
+    poses = others[:3] + [g] + others[3:]
+    batch = oracle.score_batch(np.stack([h.r.q for h in poses]),
+                               np.stack([h.p for h in poses]), cfg.t)
+    one = oracle(g, cfg.t).as_array()
+    assert np.all(np.isfinite(one))
+    assert np.allclose(one, batch[3], rtol=1e-12, atol=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from se3diffuse.fields import (
+    ModelScore,
     QuerySet,
     ScoreModelParams,
     assemble_score,
@@ -261,6 +262,113 @@ def test_separate_omega_fields_supported(toy, rng):
     b = assemble_score(g, toy.scene, toy.grasp, 0.5, 1.0, query, split).as_array()
     assert np.allclose(a[:3], b[:3])  # shared nu branch
     assert not np.allclose(a[3:], b[3:])  # distinct omega branch
+
+
+def _poses_near_demos(toy, rng, n):
+    return [compose(toy.demo_poses[k % len(toy.demo_poses)],
+                    exp_se3(Twist(0.2 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
+            for k in range(n)]
+
+
+def _stacks(poses):
+    return np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+
+
+def _split_model(model, rng):
+    """The toy model with un-shared omega-branch scene and grasp fields."""
+    layout = model.scene.layout
+    return ScoreModelParams(
+        scene=model.scene, grasp=model.grasp,
+        weights_nu=model.weights_nu, weights_omega=model.weights_omega,
+        weight_field=model.weight_field,
+        scene_omega=random_edf_params(layout, rng, cutoff=model.scene.cutoff),
+        grasp_omega=random_edf_params(layout, rng, cutoff=model.grasp.cutoff),
+        query_count=model.query_count)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
+def test_model_score_batch_matches_assembled_score(toy, rng, split):
+    from se3diffuse.fields import score_design_matrix
+
+    model = _split_model(toy.model, rng) if split else toy.model
+    query = build_query_set(toy.grasp, model)
+    score = ModelScore(toy.scene, toy.grasp, 0.8, query, model)
+    stacked = np.concatenate([model.weights_nu, model.weights_omega])
+    for t in rng.uniform(0.01, 1.0, size=6):
+        poses = _poses_near_demos(toy, rng, 8)
+        batch = score.score_batch(*_stacks(poses), float(t))
+        assert batch.shape == (8, 6)
+        for g, row in zip(poses, batch):
+            ref = assemble_score(g, toy.scene, toy.grasp, float(t), 0.8, query, model).as_array()
+            assert np.linalg.norm(ref) > 0.0
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # the design matrix contracts per path, apart from the branch sharing
+            design = score_design_matrix(g, toy.scene, toy.grasp, float(t), 0.8, query, model)
+            assert np.max(np.abs(design @ stacked - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_model_score_batch_of_one_equals_row(toy, rng):
+    query = build_query_set(toy.grasp, toy.model)
+    score = ModelScore(toy.scene, toy.grasp, 1.0, query, toy.model)
+    poses = _poses_near_demos(toy, rng, 5)
+    batch = score.score_batch(*_stacks(poses), 0.3)
+    for g, row in zip(poses, batch):
+        one = score.score_batch(g.r.q[None], g.p[None], 0.3)
+        assert one.shape == (1, 6)
+        assert np.allclose(one[0], row, rtol=1e-12, atol=0.0)
+        assert np.allclose(score(g, 0.3).as_array(), row, rtol=1e-12, atol=0.0)
+
+
+def test_model_score_batch_bi_equivariance(toy, rng):
+    model = toy.model
+    query = build_query_set(toy.grasp, model)
+    poses = _poses_near_demos(toy, rng, 6)
+    base = ModelScore(toy.scene, toy.grasp, 1.0, query, model).score_batch(*_stacks(poses), 0.5)
+    for _ in range(10):
+        dg = random_pose(rng, scale=0.6)
+        left = ModelScore(transform(toy.scene, dg), toy.grasp, 1.0, query, model).score_batch(
+            *_stacks([compose(dg, g) for g in poses]), 0.5)
+        assert np.max(np.abs(left - base)) < 1e-8
+        grasp_moved = transform(toy.grasp, dg)
+        moved = ModelScore(toy.scene, grasp_moved, 1.0, build_query_set(grasp_moved, model), model)
+        right = moved.score_batch(*_stacks([compose(g, inverse(dg)) for g in poses]), 0.5)
+        assert np.max(np.abs(right - base @ adjoint_inv_transpose(dg).T)) < 1e-8
+
+
+def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch):
+    import se3diffuse.fields as fields
+
+    calls = []
+    real = fields._edf_batch
+
+    def counting(xs, pc, params, t):
+        calls.append((pc is toy.grasp, params))
+        return real(xs, pc, params, t)
+
+    monkeypatch.setattr(fields, "_edf_batch", counting)
+    for model, distinct in ((toy.model, 1), (_split_model(toy.model, rng), 2)):
+        query = build_query_set(toy.grasp, model)
+        calls.clear()
+        score = ModelScore(toy.scene, toy.grasp, 1.0, query, model)
+        for t in (0.9, 0.5, 0.1):
+            score.score_batch(*_stacks(_poses_near_demos(toy, rng, 4)), t)
+        grasp_params = [params for on_grasp, params in calls if on_grasp]
+        assert len(grasp_params) == distinct
+        assert len({id(p) for p in grasp_params}) == distinct
+        assert len(calls) - len(grasp_params) == 3 * distinct  # one scene field per call
+
+
+def test_model_score_validation(toy):
+    query = build_query_set(toy.grasp, toy.model)
+    score = ModelScore(toy.scene, toy.grasp, 1.0, query, toy.model)
+    g = toy.demo_poses[0]
+    with pytest.raises(ValueError, match="t must be positive"):
+        score.score_batch(g.r.q[None], g.p[None], 0.0)
+    empty = ModelScore(toy.scene, toy.grasp, 1.0, QuerySet(np.zeros((0, 3)), np.zeros(0)),
+                       toy.model)
+    with pytest.warns(RuntimeWarning, match="empty query set"):
+        out = empty.score_batch(np.stack([g.r.q] * 3), np.stack([g.p] * 3), 0.5)
+    assert out.shape == (3, 6) and np.all(out == 0.0)
 
 
 def test_score_design_matrix_matches_assembled_score(toy, rng):

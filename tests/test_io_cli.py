@@ -205,6 +205,27 @@ def test_cmd_denoise_model_source_runs(scenario_dir, tmp_path):
     assert len(read_poses(out)) == 1
 
 
+def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, monkeypatch):
+    import se3diffuse.fields as fields
+
+    scn = read_scenario(scenario_dir / "scenario.txt")
+    assert len(scn.scene) != len(scn.grasp)  # so the cloud size tells them apart
+    calls = {}
+    real = fields._edf_batch
+
+    def counting(xs, pc, params, t):
+        if len(pc) == len(scn.grasp):
+            calls[id(params)] = calls.get(id(params), 0) + 1
+        return real(xs, pc, params, t)
+
+    monkeypatch.setattr(fields, "_edf_batch", counting)
+    assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),
+                 "--score", "model", "--chains", "2", "--out", str(tmp_path / "m.txt"),
+                 "--seed", "3"]) == 0
+    # one query-weight field and one grasp field, each evaluated once per run
+    assert sorted(calls.values()) == [1, 1]
+
+
 def test_cmd_denoise_missing_model_params_is_usage_error(tmp_path):
     scn = make_toy_scenario(seed=4)
     scn_no_model = type(scn)(scene=scn.scene, grasp=scn.grasp, demo_poses=scn.demo_poses,

@@ -118,6 +118,26 @@ def test_run_denoising_batched_equals_scalar(toy):
         assert np.allclose(ra.trajectory, rb.trajectory, atol=1e-12)
 
 
+def test_run_denoising_model_score_batched_equals_scalar(toy):
+    from se3diffuse.fields import ModelScore, build_query_set
+
+    model = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                       toy.model)
+
+    class ScalarOnly:
+        def __call__(self, g, t):
+            return model(g, t)
+
+    sched = build_schedule([(1.0, 0.05, 40)], eps=0.05)
+    inits = sample_initial_poses(toy, np.random.default_rng(4), 3)
+    a = run_denoising(model, inits, sched, np.random.default_rng(8), 3)
+    b = run_denoising(ScalarOnly(), inits, sched, np.random.default_rng(8), 3)
+    for ra, rb in zip(a, b):
+        assert not ra.failed and not rb.failed
+        assert np.allclose(ra.trajectory, rb.trajectory, rtol=0.0, atol=1e-12)
+        assert not np.allclose(ra.trajectory[-1], ra.trajectory[0])
+
+
 def test_run_denoising_isolates_failing_chain():
     calls = {"n": 0}
 
