@@ -1,31 +1,16 @@
-"""Backend selection for the heat-kernel series loops.
+"""NumPy kernels of the rotational heat kernel.
 
-Prefers the compiled Cython extension and falls back to the NumPy
-implementation when it is not built.  Set ``SE3DIFFUSE_FORCE_NUMPY=1`` to
-force the fallback (used by the benchmark and the backend-agreement
-tests).
+``series`` sums the truncated character series, which converges in a
+handful of terms at large eps; ``closed_form`` sums its Poisson
+resummation, which converges in a handful of images at small eps.
+``igso3`` picks one by eps.  ``BACKEND`` names the implementation.
 """
 
 from __future__ import annotations
 
-import os
+from .closed_form import closed_f, closed_moment, closed_ratio
+from .series import series_df, series_f, series_moment
 
-from . import series_np
+BACKEND = "numpy"
 
-if os.environ.get("SE3DIFFUSE_FORCE_NUMPY"):
-    _impl = series_np
-    BACKEND = "numpy"
-else:
-    try:
-        from . import _series_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = series_np
-        BACKEND = "numpy"
-
-series_f = _impl.series_f
-series_df = _impl.series_df
-series_moment = _impl.series_moment
-
-__all__ = ["BACKEND", "series_f", "series_df", "series_moment", "series_np"]
+__all__ = ["BACKEND", "series_f", "series_df", "series_moment", "closed_f", "closed_ratio", "closed_moment"]

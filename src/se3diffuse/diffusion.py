@@ -37,7 +37,7 @@ from .lie import (
     quat_rotate,
     translation_pose,
 )
-from .pointcloud import PointCloud, radius_count, transform
+from .pointcloud import PointCloud, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
 
 __all__ = [
     "DiffusionConfig",
@@ -107,13 +107,14 @@ def _ig_params(t: float) -> IgParams:
 
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest subnormal double
+_PAIR_CHUNK = 1 << 18  # cap on grasp-by-scene pairs per contact-weight pass
 
 
 def brownian_log_density(h: Pose, t: float) -> float:
     """log B_t(h) = log N(p; 0, tI) + log IG(R; t/2).
 
-    Rotational densities that underflow the series' numerical floor
-    saturate at LOG_DENSITY_FLOOR.
+    Rotational densities that underflow the double range saturate at
+    LOG_DENSITY_FLOOR.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -135,7 +136,7 @@ def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
 def brownian_score(h: Pose, t: float) -> Twist:
     """Score of B_t along right perturbations of h.
 
-    Angular part: the rotational series score.  Linear part: -R^T p / t.
+    Angular part: the IGSO(3) score.  Linear part: -R^T p / t.
     Verified against finite differences of brownian_log_density.
     """
     if t <= 0.0:
@@ -148,13 +149,22 @@ def brownian_score(h: Pose, t: float) -> Twist:
 def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: float) -> np.ndarray:
     """Per-grasp-point weights proportional to scene contact counts.
 
-    A scene point contributes when its distance is <= r (inclusive).
-    When no grasp point has any contact the distribution degenerates and
-    falls back to uniform.
+    A scene point contributes when its distance is <= r (inclusive), with
+    the squared distance formed as in ``radius_count``, so the counts are
+    the ones it returns.  When no grasp point has any contact the
+    distribution degenerates and falls back to uniform.
     """
     if len(grasp) == 0:
         raise ValueError("empty grasp cloud")
-    counts = np.array([radius_count(p, scene_in_body, r) for p in grasp.positions], dtype=np.float64)
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    scene = scene_in_body.positions
+    counts = np.zeros(len(grasp))
+    rows = max(1, _PAIR_CHUNK // max(len(scene), 1))
+    for i in range(0, len(grasp), rows):
+        d = scene[None, :, :] - grasp.positions[i:i + rows, None, :]
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        counts[i:i + rows] = np.count_nonzero(d2 <= r * r, axis=1)
     total = counts.sum()
     if total == 0.0:
         return np.full(len(grasp), 1.0 / len(grasp))
@@ -357,26 +367,32 @@ def score_matching_loss(model_score: Twist, g: Pose, g0: Pose, p_de: np.ndarray,
     return 0.5 * float(np.dot(diff, diff))
 
 
+def _brownian_score_rows(q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+    """(N, 6) Brownian kernel scores; kernel angles near pi are clamped."""
+    params = IgParams(eps=0.5 * t)
+    rotvec = quat_log(quat_canonical(q))
+    theta = np.linalg.norm(rotvec, axis=-1)
+    ratio = igso3.score_ratio(theta, params, clamp=True)
+    axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
+    out = np.empty((q.shape[0], 6))
+    out[:, :3] = -quat_rotate(quat_conj(q), p) / t
+    out[:, 3:] = ratio[:, None] * axis
+    return out
+
+
 class BrownianScoreFn:
     """Score function of the plain Brownian kernel, batch-capable.
 
     Useful as a stationary-distribution test target for the Langevin
     sampler: with constant schedule time t the chain should equilibrate
-    to B_t.
+    to B_t.  The scalar call is a batch of one, so both clamp kernel
+    angles within 1e-6 of pi (``brownian_score`` raises there instead).
     """
 
     supports_batch = True
 
     def __call__(self, g: Pose, t: float) -> Twist:
-        return brownian_score(g, t)
+        return Twist.from_array(_brownian_score_rows(g.r.q[None, :], g.p[None, :], t)[0])
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-        params = IgParams(eps=0.5 * t)
-        rotvec = quat_log(quat_canonical(q))
-        theta = np.linalg.norm(rotvec, axis=-1)
-        ratio = igso3.score_ratio(theta, params, clamp=True)
-        axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
-        out = np.empty((q.shape[0], 6))
-        out[:, :3] = -quat_rotate(quat_conj(q), p) / t
-        out[:, 3:] = ratio[:, None] * axis
-        return out
+        return _brownian_score_rows(q, p, t)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from se3diffuse.diffusion import (
     BrownianScoreFn,
@@ -32,7 +33,7 @@ from se3diffuse.lie import (
     random_rotation,
     translation_pose,
 )
-from se3diffuse.pointcloud import PointCloud, transform
+from se3diffuse.pointcloud import PointCloud, radius_count, transform
 
 
 def random_pose(rng, scale=1.0):
@@ -85,6 +86,14 @@ def test_brownian_sample_small_time_near_identity():
     assert np.linalg.norm(g.p) < 1e-3 and g.r.angle < 1e-3
 
 
+def test_brownian_sample_tiny_time_angles_are_chi3():
+    # at t = 1e-8 the rotation vector is N(0, t I), so angle / sqrt(t) ~ chi(3)
+    t = 1e-8
+    rng = np.random.default_rng(3)
+    angles = np.array([brownian_sample(t, rng).r.angle for _ in range(4000)])
+    assert stats.kstest(angles / math.sqrt(t), stats.chi(3).cdf).pvalue > 1e-3
+
+
 def test_brownian_sample_moments_and_angle_marginal():
     rng = np.random.default_rng(1)
     n = 100_000
@@ -123,6 +132,22 @@ def test_brownian_score_matches_finite_differences(rng):
             checked += 1
 
 
+def test_brownian_score_fn_scalar_call_clamps_near_pi_like_batch(rng):
+    """The scalar call is a batch of one; brownian_score itself still raises."""
+    fn = BrownianScoreFn()
+    t = 0.5
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    g = Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - 1e-7) * axis))
+    poses = [brownian_sample(t, rng) for _ in range(3)] + [g]
+    batch = fn.score_batch(np.stack([h.r.q for h in poses]), np.stack([h.p for h in poses]), t)
+    one = fn(g, t).as_array()
+    assert np.all(np.isfinite(one))
+    assert np.allclose(one, batch[3], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="pi"):
+        brownian_score(g, t)
+
+
 def test_brownian_score_batch_matches_scalar(rng):
     fn = BrownianScoreFn()
     t = 0.4
@@ -156,6 +181,22 @@ def test_contact_weights_uniform_fallback():
     grasp = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     scene = PointCloud(np.array([[100.0, 0.0, 0.0]]))
     assert np.allclose(contact_origin_weights(grasp, scene, 0.1), 1.0 / 3.0)
+
+
+def test_contact_weights_equal_radius_count_loop(toy, rng):
+    r = 0.5
+    grasp = PointCloud(np.vstack([[[0.25, 0.0, 0.0]], rng.uniform(-1.0, 1.0, (40, 3))]))
+    # one scene point exactly at distance r from the first grasp point
+    scene = PointCloud(np.vstack([[[0.75, 0.0, 0.0]], rng.uniform(-1.5, 1.5, (300, 3))]))
+    assert radius_count(grasp.positions[0], scene, r) >= 1
+    toy_scene = transform(toy.scene, inverse(toy.demo_poses[0]))
+    for grasp_pc, scene_pc, radius in ((grasp, scene, r), (toy.grasp, toy_scene, toy.config.r)):
+        counts = np.array([radius_count(x, scene_pc, radius) for x in grasp_pc.positions], dtype=np.float64)
+        expected = counts / counts.sum()
+        got = contact_origin_weights(grasp_pc, scene_pc, radius)
+        assert np.array_equal(got, expected)
+    at_boundary = contact_origin_weights(PointCloud(grasp.positions[:1]), PointCloud(scene.positions[:1]), r)
+    assert np.array_equal(at_boundary, [1.0])
 
 
 def test_contact_weights_empty_grasp_errors():
@@ -320,6 +361,21 @@ def test_kernel_log_density_batch_of_one_matches_row(toy, rng):
         # not bitwise: the series' matrix-vector product rounds differently
         # for one row than for many (about 1e-14 relative)
         assert one.shape == (1,) and abs(one[0] - full[i]) < 1e-12
+
+
+def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
+    g0 = toy.demo_poses[0]
+    poses = _poses_around(g0, rng, 12)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        oracle = MixtureScore(toy.demo_set(), cfg)
+        dens = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+        scores = oracle.score_batch(q, p, t)
+        for i in range(len(poses)):
+            assert kernel_log_density(q[i:i + 1], p[i:i + 1], g0, toy.scene, toy.grasp, cfg)[0] == dens[i]
+            assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
 
 
 def test_kernel_bi_equivariance(toy, rng):

@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from se3diffuse import _kernels
 from se3diffuse.igso3 import (
+    EPS_SERIES,
+    THETA_SMALL_DENSITY,
+    THETA_SMALL_SCORE,
     IgParams,
     angle_cdf_quadrature,
     angle_pdf,
@@ -12,6 +17,7 @@ from se3diffuse.igso3 import (
     igso3_sample,
     igso3_sample_quats,
     igso3_score,
+    score_ratio,
 )
 from se3diffuse.lie import exp_so3, log_so3, quat_angle, random_rotation
 
@@ -82,7 +88,7 @@ def test_truncation_stability():
 
 
 def test_lmax_autoraise_for_tiny_eps():
-    # tiny concentrations converge only well past the default order
+    # the series would need an order well past the default here; the closed form needs none
     params = IgParams(eps=1e-4, l_max=2000)
     val = igso3_density(0.05, params)
     assert np.isfinite(val) and val > 0.0
@@ -172,14 +178,139 @@ def test_score_rejects_angle_near_pi():
         igso3_score(r, params)
 
 
-def test_kernel_backends_agree():
-    thetas = np.linspace(1e-6, math.pi, 513)
-    for eps in (0.05, 0.5, 2.0):
-        f_c = _kernels.series_f(thetas, eps, 300)
-        f_np = _kernels.series_np.series_f(thetas, eps, 300)
-        assert np.allclose(f_c, f_np, rtol=1e-12, atol=1e-12)
-        df_c = _kernels.series_df(thetas[thetas > 1e-3], eps, 300)
-        df_np = _kernels.series_np.series_df(thetas[thetas > 1e-3], eps, 300)
-        assert np.allclose(df_c, df_np, rtol=1e-11, atol=1e-11)
-    assert abs(_kernels.series_moment(0.5, 300)
-               - _kernels.series_np.series_moment(0.5, 300)) < 1e-12
+# ---------------------------------------------------------------------------
+# Accuracy against a direct sum of the series in mpmath
+# ---------------------------------------------------------------------------
+
+def mp_series(theta, eps):
+    """(f, f'/f) at theta > 0 by direct summation of the series in mpmath.
+
+    The series' terms are up to e^{theta^2/(4 eps)} times larger than its
+    sum, so precision and truncation order grow with theta^2/(4 eps).
+    """
+    decay = theta * theta / (4.0 * eps)
+    dps = 30 + int(decay / math.log(10.0))
+    lmax = int(math.sqrt((decay + 60.0 + 2.31 * dps) / eps)) + 10
+    with mpmath.workdps(dps):
+        th, e = mpmath.mpf(theta), mpmath.mpf(eps)
+        sin_half, cos_half = mpmath.sin(th / 2), mpmath.cos(th / 2)
+        s = ds = mpmath.mpf(0)
+        for l in range(lmax + 1):
+            w = (2 * l + 1) * mpmath.exp(-e * l * (l + 1))
+            a = l + mpmath.mpf(1) / 2
+            s += w * mpmath.sin(a * th)
+            ds += w * (a * mpmath.cos(a * th) * sin_half - mpmath.sin(a * th) * cos_half / 2)
+        return float(s / sin_half), float(ds / (s * sin_half))
+
+
+# eps on both sides of the regime switch at EPS_SERIES = 0.5, and at it
+ACCURACY_EPS = (1e-4, 0.005, 0.1, 0.49, 0.5, 1.0, 3.0)
+ACCURACY_THETAS = (1e-7, 1e-4, 1e-3, 0.05, 0.3, 1.0, 1.35, 2.0, 3.1, math.pi - 1e-6, math.pi)
+
+
+def test_density_matches_mpmath_series():
+    """Relative 1e-12 wherever the true density exceeds 1e-300.
+
+    The series regime returns its theta = 0 value below
+    THETA_SMALL_DENSITY; there the bound is the documented c(eps) theta^2/2.
+    """
+    for eps in ACCURACY_EPS:
+        params = IgParams(eps=eps)
+        for theta in ACCURACY_THETAS:
+            if theta * theta / (4.0 * eps) > 720.0:  # true density below 1e-300
+                continue
+            true, _ = mp_series(theta, eps)
+            if true < 1e-300:
+                continue
+            rel = abs(igso3_density(theta, params) / true - 1.0)
+            if eps >= EPS_SERIES and theta < THETA_SMALL_DENSITY:
+                assert rel < 1e-8, (eps, theta, rel)
+            else:
+                assert rel < 1e-12, (eps, theta, rel)
+
+
+def test_density_far_tail_is_the_true_value():
+    # the direct sum of the series returned cancellation noise here
+    true, _ = mp_series(1.35, 0.005)
+    assert 1e-36 < true < 2e-36
+    assert abs(igso3_density(1.35, IgParams(eps=0.005)) / true - 1.0) < 1e-12
+
+
+def mp_images(theta, eps, k_max=10):
+    """f'/f from the Poisson-resummed image sum in mpmath.
+
+    f is proportional to sum_k (-1)^k u_k e^{-u_k^2/(4 eps)} / sin(theta/2)
+    with u_k = theta + 2 pi k; mpmath's exponent range keeps every image
+    where a double would underflow.
+    """
+    with mpmath.workdps(60):
+        th, e = mpmath.mpf(theta), mpmath.mpf(eps)
+        s = ds = mpmath.mpf(0)
+        for k in range(-k_max, k_max + 1):
+            u = th + 2 * mpmath.pi * k
+            g = (-1) ** k * mpmath.exp(-u * u / (4 * e))
+            s += u * g
+            ds += (1 - u * u / (2 * e)) * g
+        return float(ds / s - mpmath.cot(th / 2) / 2)
+
+
+def test_score_ratio_matches_mpmath_series():
+    """Relative 1e-12 on [1e-3, pi - 1e-6].
+
+    Where the density is above 1e-300 the oracle is the direct series sum;
+    further out the series would need thousands of digits, and the image
+    sum, which the series equals, is the oracle.
+    """
+    thetas = np.array([1e-3, 0.01, 0.3, 1.0, 1.5, 2.0, 3.1, math.pi - 1e-5, math.pi - 1e-6])
+    for eps in ACCURACY_EPS:
+        ratio = score_ratio(thetas, IgParams(eps=eps))
+        assert np.all(np.isfinite(ratio))
+        for theta, r in zip(thetas, ratio):
+            theta = float(theta)
+            if theta * theta / (4.0 * eps) <= 720.0:
+                _, true = mp_series(theta, eps)
+            else:
+                true = mp_images(theta, eps)
+            assert abs(r / true - 1.0) < 1e-12, (eps, theta, r, true)
+
+
+def test_image_sum_oracle_matches_series_oracle():
+    for eps, theta in ((0.005, 3.1), (0.1, 2.0), (1e-4, 0.3), (1.0, 1.0)):
+        assert abs(mp_images(theta, eps) / mp_series(theta, eps)[1] - 1.0) < 1e-13
+
+
+def test_score_ratio_finite_where_density_underflows():
+    ratio = score_ratio(np.array([3.1]), IgParams(eps=0.005))[0]
+    assert np.isfinite(ratio) and ratio < 0.0
+
+
+def test_small_angle_slope_matches_mpmath_series():
+    for eps in ACCURACY_EPS:
+        theta = 1e-7
+        _, true = mp_series(theta, eps)
+        got = score_ratio(np.array([theta]), IgParams(eps=eps))[0]
+        assert abs(got / true - 1.0) < 1e-10, (eps, got, true)
+
+
+def test_density_batch_of_one_is_bitwise_its_row():
+    thetas = np.linspace(0.0, math.pi, 37)
+    for eps in (0.005, 0.5, 2.0):
+        params = IgParams(eps=eps)
+        batch = igso3_density(thetas, params)
+        ratio = score_ratio(thetas, params, clamp=True)
+        for i, theta in enumerate(thetas):
+            assert igso3_density(np.array([theta]), params)[0] == batch[i]
+            assert score_ratio(np.array([theta]), params, clamp=True)[0] == ratio[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_eps=st.floats(math.log(1e-5), math.log(5.0)), u=st.floats(0.05, 4.0))
+def test_score_ratio_matches_log_density_finite_differences(log_eps, u):
+    eps = math.exp(log_eps)
+    theta = min(max(u * math.sqrt(2.0 * eps), 2.0 * THETA_SMALL_SCORE), math.pi - 1e-3)
+    params = IgParams(eps=eps)
+    h = 1e-5 * min(theta, math.sqrt(eps))
+    fd = (math.log(igso3_density(theta + h, params))
+          - math.log(igso3_density(theta - h, params))) / (2.0 * h)
+    r = float(score_ratio(np.array([theta]), params)[0])
+    assert abs(r - fd) <= 1e-6 * abs(fd) + 1e-9, (eps, theta, r, fd)
