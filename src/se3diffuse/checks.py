@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import igso3
+from . import _kernels, igso3
 from .diffusion import DemoSet, DiffusionConfig, MixtureScore, kernel_log_density
 from .fields import assemble_score, build_query_set
 from .irreps import (
@@ -159,12 +159,13 @@ def _check_igso3(rng: np.random.Generator) -> list[CheckResult]:
     params = igso3.IgParams(eps=0.5)
     limit = sum((2 * l + 1) ** 2 * math.exp(-0.5 * l * (l + 1)) for l in range(40))
     err_limit = abs(igso3.igso3_density(0.0, params) - limit)
-    err_trunc = 0.0
+    # the two regimes meet at EPS_SERIES: closed form just below, series at and above
     thetas = np.linspace(0.05, math.pi, 64)
-    for eps in (0.05, 0.5, 2.0):
-        d1 = igso3.igso3_density(thetas, igso3.IgParams(eps=eps, l_max=1000))
-        d2 = igso3.igso3_density(thetas, igso3.IgParams(eps=eps, l_max=2000))
-        err_trunc = max(err_trunc, float(np.max(np.abs(d1 - d2))))
+    eps, lmax = igso3.EPS_SERIES, igso3.SERIES_LMAX
+    f_series = _kernels.series_f(thetas, eps, lmax)
+    ratio_series = _kernels.series_df(thetas, eps, lmax) / f_series
+    err_regimes = max(float(np.max(np.abs(_kernels.closed_f(thetas, eps) / f_series - 1.0))),
+                      float(np.max(np.abs(_kernels.closed_ratio(thetas, eps) / ratio_series - 1.0))))
     err_fd = 0.0
     for _ in range(20):
         r = random_rotation(rng)
@@ -176,7 +177,7 @@ def _check_igso3(rng: np.random.Generator) -> list[CheckResult]:
     return [
         CheckResult("angle-marginal normalization", err_norm, 1e-5),
         CheckResult("density continuity at zero angle", err_limit, 1e-7),
-        CheckResult("truncation stability (lmax 1000 vs 2000)", err_trunc, 1e-10),
+        CheckResult("closed form and series agree at EPS_SERIES", err_regimes, 1e-12),
         CheckResult("score vs finite differences", err_fd, 1e-4),
     ]
 

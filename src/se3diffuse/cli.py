@@ -9,7 +9,10 @@
 
 Every command takes ``--seed`` and is bit-deterministic given it; all
 output files embed the configuration, seed, and library version in their
-provenance header.  Scenario geometry on disk is in scene units; the
+provenance header.  Times and ``--eps`` must be positive and finite,
+counts positive (``diffuse --n`` may be 0), seeds nonnegative, and
+``--t-max`` at least the diffusion time; anything else exits with status
+2 and a usage message.  Scenario geometry on disk is in scene units; the
 commands divide by the configured length unit on load and scale back on
 output.
 """
@@ -44,6 +47,33 @@ from .scenario import (
 __all__ = ["main"]
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1)
+_seed = _int_at_least(0)
+
+
 def _scale_pose(g: Pose, factor: float) -> Pose:
     return Pose(g.p * factor, g.r)
 
@@ -73,6 +103,10 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     scene, grasp, demos = _nondimensionalize(scn)
     t_lo = args.t if args.t is not None else scn.config.t
+    if args.t_max is not None and args.t_max < t_lo:
+        print(f"error: --t-max {args.t_max!r} is below the diffusion time {t_lo!r}",
+              file=sys.stderr)
+        return 2
     cfg_template = dict(r=scn.config.r, L=scn.config.L)
     lines = sio.provenance_lines(seed=seed, scenario=str(args.scenario), t=t_lo,
                                  t_max=args.t_max if args.t_max else t_lo, n=args.n)
@@ -174,9 +208,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_igso3(args: argparse.Namespace) -> int:
-    if args.eps <= 0.0:
-        print("error: --eps must be positive", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     params = IgParams(eps=args.eps)
@@ -207,25 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenario", help="write the bundled toy scenario")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.set_defaults(func=cmd_gen_scenario)
 
     p = sub.add_parser("diffuse", help="forward-diffuse demo poses")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--t", type=float, default=None, help="diffusion time (default: scenario)")
-    p.add_argument("--t-max", type=float, default=None,
+    p.add_argument("--t", type=_positive_float, default=None,
+                   help="diffusion time (default: scenario)")
+    p.add_argument("--t-max", type=_positive_float, default=None,
                    help="if set, sample t log-uniformly in [t, t-max] per sample")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("denoise", help="run annealed Langevin denoising")
     p.add_argument("--scenario", required=True)
     p.add_argument("--score", choices=("oracle", "model"), default="oracle")
-    p.add_argument("--chains", type=int, required=True)
+    p.add_argument("--chains", type=_count, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--integrator", choices=("exact", "quat-trans"), default="exact")
     p.add_argument("--params", default=None, help="score-model parameter file")
     p.set_defaults(func=cmd_denoise)
@@ -233,22 +265,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run invariant suites")
     p.add_argument("--suite", choices=("lie", "irreps", "igso3", "equivariance", "all"),
                    default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--perturb-adjoint", action="store_true",
                    help="negative control: inject a perturbed adjoint (suite must fail)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sample-igso3", help="sample the rotational kernel")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_sample_igso3)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit status (2 for a usage error)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help, --version and bad arguments
+        return exc.code
     return args.func(args)
 
 

@@ -30,7 +30,6 @@ from .lie import (
     compose,
     cross,
     inverse,
-    quat_canonical,
     quat_conj,
     quat_log,
     quat_mul,
@@ -108,20 +107,25 @@ def _ig_params(t: float) -> IgParams:
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest subnormal double
 _PAIR_CHUNK = 1 << 18  # cap on grasp-by-scene pairs per contact-weight pass
+# The plain kernel B_t(h) is the one-component kernel of an identity demo
+# with its diffusion origin at 0 (contact weight 1).
+_IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+_ZERO = np.zeros(3)
+_ORIGIN = np.zeros((1, 3))
 
 
 def brownian_log_density(h: Pose, t: float) -> float:
     """log B_t(h) = log N(p; 0, tI) + log IG(R; t/2).
 
-    Rotational densities that underflow the double range saturate at
+    A batch of one of the kernel terms of ``kernel_log_density``, for an
+    identity demo with one grasp point at the origin.  Rotational
+    densities that underflow the double range saturate at
     LOG_DENSITY_FLOOR.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    p2 = float(np.dot(h.p, h.p))
-    gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
-    rot = igso3.igso3_density(h.r.angle, _ig_params(t))
-    return gauss + (math.log(rot) if rot > 0.0 else LOG_DENSITY_FLOOR)
+    _, _, theta, ph = _kernel_frames(h.r.q[None, :], h.p[None, :], _IDENTITY_Q, _ZERO, _ORIGIN)
+    return float(_component_log_terms(theta, ph, np.zeros(1), t, _ig_params(t))[0, 0])
 
 
 def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
@@ -136,14 +140,12 @@ def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
 def brownian_score(h: Pose, t: float) -> Twist:
     """Score of B_t along right perturbations of h.
 
-    Angular part: the IGSO(3) score.  Linear part: -R^T p / t.
-    Verified against finite differences of brownian_log_density.
+    Angular part: the IGSO(3) score.  Linear part: -R^T p / t.  A batch
+    of one of ``BrownianScoreFn.score_batch``, except that it raises for
+    rotation angles within 1e-6 of pi.  Verified against finite
+    differences of brownian_log_density.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    omega = igso3.igso3_score(h.r, _ig_params(t))
-    nu = -h.r.inverse().apply(h.p) / t
-    return Twist(nu, omega)
+    return _pose_kernel_score(h, _IDENTITY_Q, _ZERO, _ZERO, t)
 
 
 def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: float) -> np.ndarray:
@@ -197,30 +199,25 @@ def forward_diffuse(
     return g_t, p_de, dg
 
 
-def _conjugated_kernel_pose(g: Pose, g0: Pose, p_de: np.ndarray) -> Pose:
-    """h = T(-p_de) g0^-1 g T(p_de)."""
-    t_p = translation_pose(p_de)
-    return compose(compose(compose(inverse(t_p), inverse(g0)), g), t_p)
-
-
 def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     """Analytic score target: [Ad_{T(p_de)}]^-T applied to the kernel score.
 
     For a pure translation the inverse-transpose adjoint keeps the linear
-    part and adds the lever-arm term p_de x s_nu to the angular part.
+    part and adds the lever-arm term p_de x s_nu to the angular part.  A
+    batch of one of the component scores of ``MixtureScore``; raises for
+    kernel angles within 1e-6 of pi, where the batch clamps.
     """
-    h = _conjugated_kernel_pose(g, g0, np.asarray(p_de, dtype=np.float64))
-    base = brownian_score(h, t)
-    return Twist(base.nu, base.omega + cross(p_de, base.nu))
+    inv0 = inverse(g0)
+    return _pose_kernel_score(g, inv0.r.q, inv0.p, p_de, t)
 
 
 def frame_target_score(g: Pose, g0: Pose, g_de: Pose, t: float) -> Twist:
     """Score target for a general SE(3) diffusion frame g_de.
 
     The shipped origin selection only ever produces pure-translation
-    frames (target_score is the fast path for those); this is the
-    extension surface for frame mechanisms with a rotational part:
-    [Ad_{g_de}]^-T applied to the kernel score of g_de^-1 g0^-1 g g_de.
+    frames, which ``target_score`` covers; this is the extension surface
+    for frame mechanisms with a rotational part: [Ad_{g_de}]^-T applied
+    to the kernel score of g_de^-1 g0^-1 g g_de.
     """
     from .lie import adjoint_inv_transpose
 
@@ -252,6 +249,34 @@ def _kernel_frames(q: np.ndarray, p: np.ndarray, q0inv: np.ndarray, p0inv: np.nd
     rp = quat_rotate(qm[:, None, :], points[None, :, :])
     ph = pm[:, None, :] + rp - points[None, :, :]
     return qm, rotvec, theta, ph
+
+
+def _kernel_scores(q: np.ndarray, p: np.ndarray, q0inv: np.ndarray, p0inv: np.ndarray,
+                   points: np.ndarray, t: float):
+    """Kernel frames and adjoint-transported kernel scores of every component.
+
+    Returns the (N,) kernel angles and (N, K, 3) translations of
+    ``_kernel_frames`` and the linear and angular parts, each (N, K, 3),
+    of [Ad_{T(p_k)}]^-T grad log B_t(h_k): s_nu = -R_h^T p_h / t, and the
+    IGSO(3) score of R_h plus the lever-arm term p_k x s_nu.  Kernel
+    angles within 1e-6 of pi are clamped (``igso3.score_ratio``).
+    """
+    qm, rotvec, theta, ph = _kernel_frames(q, p, q0inv, p0inv, points)
+    s_nu = -quat_rotate(quat_conj(qm)[:, None, :], ph) / t
+    s_rot = igso3.igso3_score_batch(rotvec, _ig_params(t))
+    s_om = cross(points[None, :, :], s_nu) + s_rot[:, None, :]
+    return theta, ph, s_nu, s_om
+
+
+def _pose_kernel_score(g: Pose, q0inv: np.ndarray, p0inv: np.ndarray, p_de: np.ndarray,
+                       t: float) -> Twist:
+    """``_kernel_scores`` for one pose and one origin; raises near pi."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    points = np.asarray(p_de, dtype=np.float64).reshape(1, 3)
+    theta, _, s_nu, s_om = _kernel_scores(g.r.q[None, :], g.p[None, :], q0inv, p0inv, points, t)
+    igso3.check_score_angle(float(theta[0]))
+    return Twist(s_nu[0, 0], s_om[0, 0])
 
 
 def _component_log_terms(theta: np.ndarray, ph: np.ndarray, logw: np.ndarray, t: float,
@@ -328,18 +353,14 @@ class MixtureScore:
         ``igso3.score_ratio``), where the rotational score vanishes smoothly.
         """
         n = q.shape[0]
-        params = IgParams(eps=0.5 * t)
+        params = _ig_params(t)
         log_parts, nu_parts, om_parts = [], [], []
         for demo in self._demo_data:
-            pts = demo["points"]  # (K, 3)
-            qm, rotvec, theta, ph = _kernel_frames(q, p, demo["q0inv"], demo["p0inv"], pts)
-            ratio = igso3.score_ratio(theta, params, clamp=True)
-            axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
-            s_om_base = ratio[:, None] * axis
+            theta, ph, s_nu, s_om = _kernel_scores(q, p, demo["q0inv"], demo["p0inv"],
+                                                   demo["points"], t)
             log_parts.append(_component_log_terms(theta, ph, demo["logw"], t, params))
-            s_nu = -quat_rotate(quat_conj(qm)[:, None, :], ph) / t
             nu_parts.append(s_nu)
-            om_parts.append(cross(pts[None, :, :], s_nu) + s_om_base[:, None, :])
+            om_parts.append(s_om)
         logs = np.concatenate(log_parts, axis=1)
         nus = np.concatenate(nu_parts, axis=1)
         oms = np.concatenate(om_parts, axis=1)
@@ -368,16 +389,9 @@ def score_matching_loss(model_score: Twist, g: Pose, g0: Pose, p_de: np.ndarray,
 
 
 def _brownian_score_rows(q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    """(N, 6) Brownian kernel scores; kernel angles near pi are clamped."""
-    params = IgParams(eps=0.5 * t)
-    rotvec = quat_log(quat_canonical(q))
-    theta = np.linalg.norm(rotvec, axis=-1)
-    ratio = igso3.score_ratio(theta, params, clamp=True)
-    axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
-    out = np.empty((q.shape[0], 6))
-    out[:, :3] = -quat_rotate(quat_conj(q), p) / t
-    out[:, 3:] = ratio[:, None] * axis
-    return out
+    """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
+    _, _, s_nu, s_om = _kernel_scores(q, p, _IDENTITY_Q, _ZERO, _ORIGIN, t)
+    return np.concatenate([s_nu[:, 0], s_om[:, 0]], axis=1)
 
 
 class BrownianScoreFn:

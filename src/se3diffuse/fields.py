@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irreps import IrrepsLayout, IrrepsVector, cg_paths, cg_tensor, rep_apply_batch, sh_batch
+from .irreps import IrrepsLayout, IrrepsVector, cg_paths, rep_apply_batch, sh_batch
+from .irreps import cg_contract_batch as _contract_batch
 from .lie import Pose, Rotation, Twist, cross, quat_conj, quat_rotate
 from .pointcloud import PointCloud
 
@@ -178,28 +179,6 @@ def synthetic_edf(x: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     return IrrepsVector(params.layout, coeffs)
 
 
-def _contract_batch(layout_a: IrrepsLayout, a: np.ndarray,
-                    layout_b: IrrepsLayout, b: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Batched weighted CG contraction to type 1: (M, dim_a) x (M, dim_b) -> (M, 3)."""
-    paths = cg_paths(layout_a, layout_b)
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if weights.size != len(paths):
-        raise ValueError(f"expected {len(paths)} path weights, got {weights.size}")
-    offs_a = layout_a.slot_offsets()
-    offs_b = layout_b.slot_offsets()
-    out = np.zeros((a.shape[0], 3))
-    for weight, (i, j) in zip(weights, paths):
-        if weight == 0.0:
-            continue
-        la, oa = offs_a[i]
-        lb, ob = offs_b[j]
-        c = cg_tensor(la, lb)
-        out += weight * np.einsum("aij,mi,mj->ma", c, a[:, oa:oa + 2 * la + 1],
-                                  b[:, ob:ob + 2 * lb + 1])
-    return out
-
-
 def _scene_fields_body(q: np.ndarray, p: np.ndarray, qs: np.ndarray, scene: PointCloud,
                        params: SyntheticEdfParams, t: float) -> np.ndarray:
     """(N, Q, dim) back-rotated scene fields D(R^-1) phi_t(g x | O_s).
@@ -215,15 +194,6 @@ def _scene_fields_body(q: np.ndarray, p: np.ndarray, qs: np.ndarray, scene: Poin
     return phi
 
 
-def _pose_fields(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointCloud, t: float,
-                 params_scene: SyntheticEdfParams,
-                 params_grasp: SyntheticEdfParams) -> tuple[np.ndarray, np.ndarray]:
-    """Grasp field psi(x | O_e) and back-rotated scene field at g x, each (Q, dim)."""
-    psi = _edf_batch(qs, grasp, params_grasp, None)
-    phi_body = _scene_fields_body(g.r.q[None, :], g.p[None, :], qs, scene, params_scene, t)[0]
-    return psi, phi_body
-
-
 def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
                 t: float, params_scene: SyntheticEdfParams,
                 params_grasp: SyntheticEdfParams, path_weights: np.ndarray) -> np.ndarray:
@@ -233,10 +203,10 @@ def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
     back-rotated scene descriptor at g x:
     psi(x | O_e) x->1 D(R^-1) phi_t(g x | O_s).
     """
-    psi, phi_body = _pose_fields(g, np.reshape(x, (1, 3)), scene, grasp, t,
-                                 params_scene, params_grasp)
-    return _contract_batch(params_grasp.layout, psi,
-                           params_scene.layout, phi_body,
+    xs = np.reshape(x, (1, 3))
+    psi = _edf_batch(xs, grasp, params_grasp, None)
+    phi_body = _scene_fields_body(g.r.q[None, :], g.p[None, :], xs, scene, params_scene, t)[0]
+    return _contract_batch(params_grasp.layout, psi, params_scene.layout, phi_body,
                            path_weights)[0]
 
 
@@ -337,10 +307,7 @@ class ModelScore:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
             return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3))
         model, qs, w = self.model, self.query.points, self.query.weights
-        scene_nu, scene_om = model.scene_for("nu"), model.scene_for("omega")
-        phi_nu = _scene_fields_body(q, p, qs, self.scene, scene_nu, t)
-        phi_om = (phi_nu if scene_om is scene_nu
-                  else _scene_fields_body(q, p, qs, self.scene, scene_om, t))
+        phi_nu, phi_om = self._scene_fields(q, p, t)
         f_nu = self._contract("nu", self._psi_nu, phi_nu, model.weights_nu)
         f_om = self._contract("omega", self._psi_om, phi_om, model.weights_omega)
         inv_sqrt_t = 1.0 / math.sqrt(t)
@@ -349,6 +316,37 @@ class ModelScore:
         spin = inv_sqrt_t * np.sum(wq * f_om, axis=1)
         orbital = inv_sqrt_t * np.sum(wq * cross(qs / self.length_unit, f_nu), axis=1)
         return s_nu, spin, orbital
+
+    def _path_fields(self, q: np.ndarray, p: np.ndarray,
+                     t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(n_paths, N, Q, 3) score fields of every path, for the nu and omega branches.
+
+        The scene fields are evaluated once; a path's fields are the
+        branch contraction with that path's one-hot weights.
+        """
+        phi_nu, phi_om = self._scene_fields(q, p, t)
+
+        def per_path(branch, psi, phi, n_paths):
+            out = np.zeros((n_paths,) + phi.shape[:2] + (3,))
+            for k, onehot in enumerate(np.eye(n_paths)):
+                out[k] = self._contract(branch, psi, phi, onehot)
+            return out
+
+        return (per_path("nu", self._psi_nu, phi_nu, self.model.weights_nu.size),
+                per_path("omega", self._psi_om, phi_om, self.model.weights_omega.size))
+
+    def _scene_fields(self, q: np.ndarray, p: np.ndarray,
+                      t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(N, Q, dim) back-rotated scene fields of the nu and omega branches.
+
+        One evaluation per distinct scene-parameter object.
+        """
+        qs = self.query.points
+        scene_nu, scene_om = self.model.scene_for("nu"), self.model.scene_for("omega")
+        phi_nu = _scene_fields_body(q, p, qs, self.scene, scene_nu, t)
+        phi_om = (phi_nu if scene_om is scene_nu
+                  else _scene_fields_body(q, p, qs, self.scene, scene_om, t))
+        return phi_nu, phi_om
 
     def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
@@ -385,25 +383,6 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     return ModelScore(scene, grasp, length_unit, query, model)(g, t)
 
 
-def _per_path_fields(g: Pose, qs: np.ndarray, scene: PointCloud, grasp: PointCloud,
-                     t: float, model: ScoreModelParams, branch: str) -> np.ndarray:
-    """(n_paths, n_queries, 3) per-path score-field contributions."""
-    p_scene = model.scene_for(branch)
-    p_grasp = model.grasp_for(branch)
-    psi, phi_body = _pose_fields(g, qs, scene, grasp, t, p_scene, p_grasp)
-    paths = cg_paths(p_grasp.layout, p_scene.layout)
-    offs_a = p_grasp.layout.slot_offsets()
-    offs_b = p_scene.layout.slot_offsets()
-    out = np.zeros((len(paths), qs.shape[0], 3))
-    for k, (i, j) in enumerate(paths):
-        la, oa = offs_a[i]
-        lb, ob = offs_b[j]
-        c = cg_tensor(la, lb)
-        out[k] = np.einsum("aij,mi,mj->ma", c, psi[:, oa:oa + 2 * la + 1],
-                           phi_body[:, ob:ob + 2 * lb + 1])
-    return out
-
-
 def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
                         length_unit: float, query: QuerySet,
                         model: ScoreModelParams) -> np.ndarray:
@@ -414,8 +393,9 @@ def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     against oracle scores reduces to linear least squares.
     """
     qs, w = query.points, query.weights
-    f_nu = _per_path_fields(g, qs, scene, grasp, t, model, "nu")
-    f_om = _per_path_fields(g, qs, scene, grasp, t, model, "omega")
+    f_nu, f_om = ModelScore(scene, grasp, length_unit, query, model)._path_fields(
+        g.r.q[None, :], g.p[None, :], t)
+    f_nu, f_om = f_nu[:, 0], f_om[:, 0]
     inv_sqrt_t = 1.0 / math.sqrt(t)
     n_nu, n_om = f_nu.shape[0], f_om.shape[0]
     out = np.zeros((6, n_nu + n_om))

@@ -9,8 +9,9 @@ density of the rotation angle carries the Haar weight (1-cos theta)/pi.
 
 Two regimes, split at the fixed concentration EPS_SERIES:
 
-- eps >= EPS_SERIES: the series itself, truncated where
-  (2l+1)^2 e^{-eps l(l+1)} drops below 1e-15 (at most l = 10).  Below
+- eps >= EPS_SERIES: the series itself, truncated at the fixed order
+  SERIES_LMAX = 9.  The first term left out, (2l+1)^2 e^{-eps l(l+1)} at
+  l = 10, is 5.7e-22 at EPS_SERIES and only shrinks as eps grows.  Below
   THETA_SMALL_DENSITY the density takes its theta = 0 value, a relative
   error below 1e-8 there.
 - eps < EPS_SERIES: the exact Poisson resummation of the series over the
@@ -40,6 +41,7 @@ __all__ = [
     "igso3_sample",
     "igso3_sample_quats",
     "igso3_score",
+    "igso3_score_batch",
     "angle_pdf",
     "angle_cdf_quadrature",
 ]
@@ -49,60 +51,39 @@ THETA_SMALL_SCORE = 1e-3
 THETA_MAX_SCORE = math.pi - 1e-6
 CDF_NODES = 4096
 EPS_SERIES = 0.5
+SERIES_LMAX = 9
 
 
 @dataclass(frozen=True)
 class IgParams:
-    """Concentration eps > 0 and series truncation order."""
+    """Concentration eps > 0; the series order is the fixed SERIES_LMAX."""
 
     eps: float
-    l_max: int = 2000
 
     def __post_init__(self) -> None:
         if not (self.eps > 0.0):
             raise ValueError("eps must be positive")
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
-
-
-def _first_below(eps: float, log_tol: float) -> int:
-    """Smallest l past the series peak with (2l+1)^2 e^{-eps l(l+1)} < tol."""
-    hi = 64
-    while True:
-        ls = np.arange(hi + 1, dtype=np.float64)
-        logterm = 2.0 * np.log(2.0 * ls + 1.0) - eps * ls * (ls + 1.0)
-        peak = int(np.argmax(logterm))
-        idx = np.nonzero((ls >= peak) & (logterm < log_tol))[0]
-        if idx.size:
-            return int(idx[0])
-        hi *= 4
-
-
-@lru_cache(maxsize=256)
-def _lmax_effective(eps: float, l_max: int) -> int:
-    return min(l_max, _first_below(eps, math.log(1e-15)))
 
 
 def _f(theta: np.ndarray, params: IgParams) -> np.ndarray:
     if params.eps < EPS_SERIES:
         return _kernels.closed_f(theta, params.eps)
-    lm = _lmax_effective(params.eps, params.l_max)
-    return _kernels.series_f(theta, params.eps, lm, THETA_SMALL_DENSITY)
+    return _kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY)
 
 
 def _ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
     """f'(theta)/f(theta) for theta in (0, pi]."""
     if params.eps < EPS_SERIES:
         return _kernels.closed_ratio(theta, params.eps)
-    lm = _lmax_effective(params.eps, params.l_max)
-    return _kernels.series_df(theta, params.eps, lm) / _kernels.series_f(theta, params.eps, lm)
+    return (_kernels.series_df(theta, params.eps, SERIES_LMAX)
+            / _kernels.series_f(theta, params.eps, SERIES_LMAX))
 
 
 def _moment(params: IgParams) -> float:
     """Small-angle score slope c(eps): f'/f -> -c(eps) theta as theta -> 0."""
     if params.eps < EPS_SERIES:
         return _kernels.closed_moment(params.eps)
-    return _kernels.series_moment(params.eps, _lmax_effective(params.eps, params.l_max))
+    return _kernels.series_moment(params.eps, SERIES_LMAX)
 
 
 def igso3_density(theta, params: IgParams):
@@ -164,36 +145,45 @@ def igso3_sample(params: IgParams, rng: np.random.Generator) -> Rotation:
     return Rotation(igso3_sample_quats(params, rng, 1)[0])
 
 
-def score_ratio(theta: np.ndarray, params: IgParams, clamp: bool = False) -> np.ndarray:
+def score_ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
     """f'(theta)/f(theta) with the small-angle slope below 1e-3 rad.
 
-    With clamp=True, angles at or beyond pi - 1e-6 are pulled back to the
-    boundary instead of raising; the sampler uses this since the
-    derivative vanishes smoothly at pi.
+    Angles at or beyond THETA_MAX_SCORE = pi - 1e-6 are pulled back to
+    that boundary, where the derivative vanishes smoothly.
     """
-    th = np.asarray(theta, dtype=np.float64)
-    if clamp:
-        th = np.minimum(th, THETA_MAX_SCORE)
-    elif np.any(th > THETA_MAX_SCORE):
-        raise ValueError("rotation angle too close to pi for the score series")
+    th = np.minimum(np.asarray(theta, dtype=np.float64), THETA_MAX_SCORE)
     small = th < THETA_SMALL_SCORE
     ratio = _ratio(np.where(small, 1.0, th), params)
     return np.where(small, -_moment(params) * th, ratio)
 
 
-def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
-    """Lie-derivative score: (f'(theta)/f(theta)) * axis, as a 3-vector.
+def igso3_score_batch(rotvec: np.ndarray, params: IgParams) -> np.ndarray:
+    """(N, 3) Lie-derivative scores (f'(theta)/f(theta)) * axis of rotation vectors.
 
-    Points back toward the identity since the density decreases in theta.
-    Raises for rotation angles within 1e-6 of pi where the contract
-    declares the series ratio out of range.
+    Angles are clamped as in ``score_ratio``; a zero rotation vector has
+    a zero score.
+    """
+    theta = np.linalg.norm(rotvec, axis=-1)
+    axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
+    return score_ratio(theta, params)[:, None] * axis
+
+
+def check_score_angle(theta: float) -> None:
+    """Raise for a rotation angle within 1e-6 of pi, where the scalar scores refuse."""
+    if theta > THETA_MAX_SCORE:
+        raise ValueError("rotation angle too close to pi for the score series")
+
+
+def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
+    """Lie-derivative score (f'(theta)/f(theta)) * axis, as a 3-vector.
+
+    A batch of one of ``igso3_score_batch``.  Points back toward the
+    identity since the density decreases in theta.  Raises for rotation
+    angles within 1e-6 of pi, where the batch clamps instead.
     """
     rotvec = quat_log(r.q)
-    theta = float(np.linalg.norm(rotvec))
-    if theta < THETA_SMALL_SCORE:
-        return -_moment(params) * rotvec
-    ratio = float(score_ratio(np.array([theta]), params)[0])
-    return (ratio / theta) * rotvec
+    check_score_angle(float(np.linalg.norm(rotvec)))
+    return igso3_score_batch(rotvec[None, :], params)[0]
 
 
 def angle_cdf_quadrature(params: IgParams, nodes: int = 20001) -> tuple[np.ndarray, np.ndarray]:

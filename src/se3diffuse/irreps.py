@@ -42,6 +42,7 @@ __all__ = [
     "spherical_harmonics",
     "sh_batch",
     "cg_contract_to1",
+    "cg_contract_batch",
     "cg_tensor",
     "cg_paths",
     "generators",
@@ -262,21 +263,13 @@ def spherical_harmonics(l: int, u: np.ndarray) -> np.ndarray:
     """Real spherical harmonics with unit Euclidean norm per l.
 
     ``u`` must be a unit vector (within 1e-9).  Consistent with wigner_d:
-    Y_l(R u) = D_l(R) Y_l(u), and Y_1(u) = u.
+    Y_l(R u) = D_l(R) Y_l(u), and Y_1(u) = u.  A batch of one of
+    ``sh_batch``.
     """
     u = np.asarray(u, dtype=np.float64).reshape(3)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    return _sh_matrix(l) @ _mono_values(l, u)
-
-
-def _sh_matrix(l: int) -> np.ndarray:
-    return _basis_coeffs(l)
-
-
-def _mono_values(l: int, u: np.ndarray) -> np.ndarray:
-    monos = _monomials(l)
-    return np.array([u[0] ** a * u[1] ** b * u[2] ** c for a, b, c in monos])
+    return sh_batch(l, u[None, :])[0]
 
 
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
@@ -350,26 +343,33 @@ def cg_paths(layout_a: IrrepsLayout, layout_b: IrrepsLayout) -> list[tuple[int, 
             if abs(sa[i] - sb[j]) <= 1 <= sa[i] + sb[j]]
 
 
-def cg_contract_to1(v: IrrepsVector, w: IrrepsVector, path_weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of all type-1 CG contractions between the slot pairs.
+def cg_contract_batch(layout_a: IrrepsLayout, a: np.ndarray,
+                      layout_b: IrrepsLayout, b: np.ndarray,
+                      path_weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of all type-1 CG contractions, row by row.
 
-    Equivariant: cg(D v, D w) = R cg(v, w).  One weight per path in the
-    order produced by :func:`cg_paths`.
+    (M, dim_a) x (M, dim_b) coefficient rows -> (M, 3).  Equivariant:
+    cg(D a, D b) = R cg(a, b).  One weight per path in the order produced
+    by :func:`cg_paths`; paths with weight 0 are skipped.
     """
-    paths = cg_paths(v.layout, w.layout)
+    paths = cg_paths(layout_a, layout_b)
     weights = np.asarray(path_weights, dtype=np.float64).reshape(-1)
     if weights.size != len(paths):
         raise ValueError(f"expected {len(paths)} path weights, got {weights.size}")
-    offs_a = v.layout.slot_offsets()
-    offs_b = w.layout.slot_offsets()
-    out = np.zeros(3)
+    offs_a = layout_a.slot_offsets()
+    offs_b = layout_b.slot_offsets()
+    out = np.zeros((a.shape[0], 3))
     for weight, (i, j) in zip(weights, paths):
         if weight == 0.0:
             continue
         la, oa = offs_a[i]
         lb, ob = offs_b[j]
-        c = cg_tensor(la, lb)
-        va = v.coeffs[oa:oa + 2 * la + 1]
-        wb = w.coeffs[ob:ob + 2 * lb + 1]
-        out += weight * np.einsum("aij,i,j->a", c, va, wb)
+        out += weight * np.einsum("aij,mi,mj->ma", cg_tensor(la, lb),
+                                  a[:, oa:oa + 2 * la + 1], b[:, ob:ob + 2 * lb + 1])
     return out
+
+
+def cg_contract_to1(v: IrrepsVector, w: IrrepsVector, path_weights: np.ndarray) -> np.ndarray:
+    """``cg_contract_batch`` of one pair of irreps vectors, as a 3-vector."""
+    return cg_contract_batch(v.layout, v.coeffs[None, :], w.layout, w.coeffs[None, :],
+                             path_weights)[0]

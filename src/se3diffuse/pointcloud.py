@@ -62,54 +62,19 @@ def voxel_downsample(pc: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(positions, colors)
 
 
-def _dist2(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    d = points - x
-    return d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
-
-
-def radius_count(x: np.ndarray, pc: PointCloud, r: float, method: str = "grid") -> int:
+def radius_count(x: np.ndarray, pc: PointCloud, r: float) -> int:
     """Number of cloud points with ||p - x|| <= r (inclusive boundary).
 
-    ``method`` selects the brute-force reference or the grid-accelerated
-    path; both evaluate the identical comparison and agree exactly.
+    Brute force over the cloud.  ``diffusion.contact_origin_weights``
+    makes the same comparison for every grasp point in one pass; this
+    single-point count is its reference.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if len(pc) == 0:
         return 0
-    x = np.asarray(x, dtype=np.float64).reshape(3)
-    if method == "brute":
-        return int(np.sum(_dist2(pc.positions, x) <= r * r))
-    if method != "grid":
-        raise ValueError("method must be 'grid' or 'brute'")
-    cells = _grid_index(pc, r)
-    cx, cy, cz = np.floor(x / r).astype(np.int64)
-    total = 0
-    for ix in (cx - 1, cx, cx + 1):
-        for iy in (cy - 1, cy, cy + 1):
-            for iz in (cz - 1, cz, cz + 1):
-                idx = cells.get((ix, iy, iz))
-                if idx is not None:
-                    total += int(np.sum(_dist2(pc.positions[idx], x) <= r * r))
-    return total
-
-
-def _grid_index(pc: PointCloud, r: float) -> dict:
-    # cached on the instance so the cache lifetime matches the cloud
-    caches = getattr(pc, "_grid_cache", None)
-    if caches is None:
-        caches = {}
-        object.__setattr__(pc, "_grid_cache", caches)
-    cached = caches.get(r)
-    if cached is not None:
-        return cached
-    cells: dict = {}
-    idx = np.floor(pc.positions / r).astype(np.int64)
-    for i, cell in enumerate(map(tuple, idx)):
-        cells.setdefault(cell, []).append(i)
-    cells = {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
-    caches[r] = cells
-    return cells
+    d = pc.positions - np.asarray(x, dtype=np.float64).reshape(3)
+    return int(np.count_nonzero(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 <= r * r))
 
 
 def bounding_box(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -378,6 +378,52 @@ def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
             assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
 
 
+def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
+    """brownian_log_density, brownian_score and target_score are batches of one.
+
+    Their stack forms: kernel_log_density of an identity demo with one grasp
+    point at the origin, BrownianScoreFn.score_batch, and MixtureScore with
+    a single grasp point (one component of weight 1).
+    """
+    g0 = toy.demo_poses[0]
+    p_de = toy.grasp.positions[5]
+    origin = PointCloud(np.zeros((1, 3)))
+
+    def poses_and_stacks(base):
+        # the scalar calls raise within 1e-6 of pi, so keep a margin there
+        poses = [g for g in _poses_around(base, rng, 15)
+                 if quat_angle(compose(inverse(base), g).r.q) < math.pi - 2e-6]
+        return poses, np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        hs, q, p = poses_and_stacks(Pose.identity())
+        dens = kernel_log_density(q, p, Pose.identity(), toy.scene, origin, cfg)
+        scores = BrownianScoreFn().score_batch(q, p, t)
+        for i, h in enumerate(hs):
+            assert brownian_log_density(h, t) == dens[i]
+            assert np.array_equal(brownian_score(h, t).as_array(), scores[i])
+        gs, q, p = poses_and_stacks(g0)
+        oracle = MixtureScore(DemoSet(((g0, toy.scene, PointCloud(p_de[None])),)), cfg)
+        scores = oracle.score_batch(q, p, t)
+        for i, g in enumerate(gs):
+            assert np.array_equal(target_score(g, g0, p_de, t).as_array(), scores[i])
+
+
+def test_target_score_raises_within_1e6_of_pi(rng):
+    g0 = random_pose(rng)
+    p_de = rng.standard_normal(3)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    for gap in (1e-7, 5e-7, 2e-6):
+        g = compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - gap) * axis)))
+        if gap < 1e-6:
+            with pytest.raises(ValueError, match="pi"):
+                target_score(g, g0, p_de, 0.5)
+        else:
+            assert np.all(np.isfinite(target_score(g, g0, p_de, 0.5).as_array()))
+
+
 def test_kernel_bi_equivariance(toy, rng):
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
     g0 = toy.demo_poses[0]

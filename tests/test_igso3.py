@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from se3diffuse import _kernels
 from se3diffuse.igso3 import (
     EPS_SERIES,
+    SERIES_LMAX,
     THETA_SMALL_DENSITY,
     THETA_SMALL_SCORE,
     IgParams,
@@ -17,9 +19,10 @@ from se3diffuse.igso3 import (
     igso3_sample,
     igso3_sample_quats,
     igso3_score,
+    igso3_score_batch,
     score_ratio,
 )
-from se3diffuse.lie import exp_so3, log_so3, quat_angle, random_rotation
+from se3diffuse.lie import exp_so3, log_so3, quat_angle, quat_log, random_rotation
 
 
 def series_limit_at_zero(eps, lmax=60):
@@ -36,8 +39,6 @@ def ks_statistic(sorted_samples, cdf_values):
 def test_params_validation():
     with pytest.raises(ValueError):
         IgParams(eps=0.0)
-    with pytest.raises(ValueError):
-        IgParams(eps=1.0, l_max=0)
 
 
 def test_density_uniform_limit():
@@ -79,17 +80,29 @@ def test_density_is_class_function_of_angle(rng):
         assert abs(igso3_density(r.angle, params) - igso3_density(conj.angle, params)) < 1e-9
 
 
-def test_truncation_stability():
+def test_closed_form_and_series_agree_at_eps_series():
+    # the regimes meet at EPS_SERIES; measured 3.2e-15 (density) and 3.6e-15 (f'/f)
     thetas = np.linspace(0.05, math.pi, 64)
-    for eps in (0.05, 0.5, 2.0):
-        d1 = igso3_density(thetas, IgParams(eps=eps, l_max=1000))
-        d2 = igso3_density(thetas, IgParams(eps=eps, l_max=2000))
-        assert np.max(np.abs(d1 - d2)) < 1e-10
+    f_series = _kernels.series_f(thetas, EPS_SERIES, SERIES_LMAX)
+    ratio_series = _kernels.series_df(thetas, EPS_SERIES, SERIES_LMAX) / f_series
+    assert np.max(np.abs(_kernels.closed_f(thetas, EPS_SERIES) / f_series - 1.0)) < 1e-12
+    assert np.max(np.abs(_kernels.closed_ratio(thetas, EPS_SERIES) / ratio_series - 1.0)) < 1e-12
+
+
+def test_series_truncation_bound_at_eps_series():
+    # |sin((l+1/2) theta) / sin(theta/2)| <= 2l+1, so the terms past SERIES_LMAX
+    # change the density by at most their (2l+1)^2 e^{-eps l(l+1)} sum, which
+    # only shrinks as eps grows above EPS_SERIES
+    ls = np.arange(SERIES_LMAX + 1, 60, dtype=np.float64)
+    terms = (2.0 * ls + 1.0) ** 2 * np.exp(-EPS_SERIES * ls * (ls + 1.0))
+    assert terms[0] < 1e-15
+    f_min = np.min(igso3_density(np.linspace(0.0, math.pi, 2001), IgParams(eps=EPS_SERIES)))
+    assert np.sum(terms) < 1e-15 * f_min
 
 
 def test_lmax_autoraise_for_tiny_eps():
-    # the series would need an order well past the default here; the closed form needs none
-    params = IgParams(eps=1e-4, l_max=2000)
+    # the series would need hundreds of terms here; the closed form needs none
+    params = IgParams(eps=1e-4)
     val = igso3_density(0.05, params)
     assert np.isfinite(val) and val > 0.0
 
@@ -297,10 +310,32 @@ def test_density_batch_of_one_is_bitwise_its_row():
     for eps in (0.005, 0.5, 2.0):
         params = IgParams(eps=eps)
         batch = igso3_density(thetas, params)
-        ratio = score_ratio(thetas, params, clamp=True)
+        ratio = score_ratio(thetas, params)
         for i, theta in enumerate(thetas):
             assert igso3_density(np.array([theta]), params)[0] == batch[i]
-            assert score_ratio(np.array([theta]), params, clamp=True)[0] == ratio[i]
+            assert score_ratio(np.array([theta]), params)[0] == ratio[i]
+
+
+def test_score_is_bitwise_a_row_of_the_batch(rng):
+    rots = [random_rotation(rng) for _ in range(20)]
+    rots += [exp_so3(theta * np.array([0.6, 0.0, 0.8])) for theta in (0.0, 1e-5, 2e-3, math.pi - 2e-6)]
+    rotvecs = np.stack([quat_log(r.q) for r in rots])
+    for eps in (0.005, 0.3, EPS_SERIES, 2.0):
+        params = IgParams(eps=eps)
+        batch = igso3_score_batch(rotvecs, params)
+        for i, r in enumerate(rots):
+            assert np.array_equal(igso3_score(r, params), batch[i])
+
+
+def test_score_batch_clamps_where_the_scalar_call_raises():
+    rotvec = (math.pi - 1e-7) * np.array([[0.0, 0.6, 0.8]])
+    params = IgParams(eps=0.5)
+    near = igso3_score_batch(rotvec, params)[0]
+    edge = igso3_score_batch(rotvec / np.linalg.norm(rotvec) * (math.pi - 1e-6), params)[0]
+    assert np.all(np.isfinite(near))
+    assert np.allclose(near, edge, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="pi"):
+        igso3_score(exp_so3(rotvec[0]), params)
 
 
 @settings(max_examples=60, deadline=None)

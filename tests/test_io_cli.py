@@ -316,3 +316,40 @@ def test_cmd_sample_igso3_deterministic(tmp_path):
 def test_cmd_sample_igso3_rejects_bad_eps(tmp_path):
     assert main(["sample-igso3", "--eps", "-1.0", "--n", "10",
                  "--out", str(tmp_path / "x.txt"), "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diffuse", "--t", "-1", "--n", "2"], "--t: must be a positive finite number"),
+    (["diffuse", "--t", "nan", "--n", "2"], "--t: must be a positive finite number"),
+    (["diffuse", "--t", "0.1", "--t-max", "-1", "--n", "2"], "--t-max: must be a positive finite number"),
+    (["diffuse", "--t", "0.1", "--t-max", "0.01", "--n", "2"], "--t-max 0.01 is below the diffusion time 0.1"),
+    (["diffuse", "--t-max", "0.5", "--n", "2"], "below the diffusion time 1.0"),  # scenario t = 1
+    (["diffuse", "--n", "-3"], "--n: must be an integer >= 0"),
+    (["diffuse", "--n", "2", "--seed", "-1"], "--seed: must be an integer >= 0"),
+    (["denoise", "--chains", "0"], "--chains: must be an integer >= 1"),
+    (["sample-igso3", "--eps", "0.5", "--n", "0"], "--n: must be an integer >= 1"),
+    (["sample-igso3", "--eps", "nan", "--n", "2"], "--eps: must be a positive finite number"),
+    (["sample-igso3", "--eps", "inf", "--n", "2"], "--eps: must be a positive finite number"),
+])
+def test_cli_rejects_bad_arguments_as_usage_errors(scenario_dir, tmp_path, capsys, argv, message):
+    out = tmp_path / "x.txt"
+    scenario = [] if argv[0] == "sample-igso3" else ["--scenario", str(scenario_dir / "scenario.txt")]
+    assert main(argv + scenario + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_usage_error_exits_2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import se3diffuse
+
+    env = dict(os.environ, PYTHONPATH=str(Path(se3diffuse.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "se3diffuse", "sample-igso3", "--eps", "nan",
+                           "--n", "2", "--out", str(tmp_path / "x.txt")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "must be a positive finite number" in proc.stderr and "Traceback" not in proc.stderr

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from se3diffuse.irreps import (
+    L_MAX_IRREPS,
     IrrepsLayout,
     IrrepsVector,
+    cg_contract_batch,
     cg_contract_to1,
     cg_paths,
     cg_tensor,
@@ -125,6 +127,35 @@ def test_sh_batch_matches_scalar(rng):
         batch = sh_batch(l, us)
         for i, u in enumerate(us):
             assert np.allclose(batch[i], spherical_harmonics(l, u), atol=1e-13)
+
+
+def test_spherical_harmonics_is_a_batch_of_one(rng):
+    us = rng.standard_normal((20, 3))
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    for l in range(L_MAX_IRREPS + 1):
+        batch = sh_batch(l, us)
+        for i, u in enumerate(us):
+            one = spherical_harmonics(l, u)
+            assert np.array_equal(one, sh_batch(l, us[i:i + 1])[0])
+            # NumPy multiplies a one-row stack by BLAS gemv and a taller one by
+            # gemm, which round differently from l = 2 on (by at most 4e-16)
+            if l <= 1:
+                assert np.array_equal(one, batch[i])
+            assert np.max(np.abs(one - batch[i])) < 1e-15
+
+
+def test_cg_contract_to1_is_bitwise_a_row_of_the_batch(rng):
+    lay_a = IrrepsLayout(((0, 2), (1, 2), (2, 1)))
+    lay_b = IrrepsLayout(((1, 1), (2, 1), (3, 1)))
+    a = rng.standard_normal((30, lay_a.dim))
+    b = rng.standard_normal((30, lay_b.dim))
+    weights = rng.standard_normal(len(cg_paths(lay_a, lay_b)))
+    weights[3] = 0.0
+    batch = cg_contract_batch(lay_a, a, lay_b, b, weights)
+    assert batch.shape == (30, 3)
+    for i in range(30):
+        one = cg_contract_to1(IrrepsVector(lay_a, a[i]), IrrepsVector(lay_b, b[i]), weights)
+        assert np.array_equal(one, batch[i])
 
 
 def test_cg_selection_rule_and_zero_weights(rng):

@@ -1,0 +1,54 @@
+"""The benchmark's tracing hooks still find every function they wrap.
+
+``perfbench/layers.py`` replaces functions by name under ``--trace 1``;
+a renamed or deleted function would break the traced run, so install and
+uninstall the hooks here and check that the wrapped names are the ones
+the program calls.
+"""
+
+import importlib.util
+import time
+from pathlib import Path
+
+import numpy as np
+
+from se3diffuse import cli, fields, igso3, irreps
+from se3diffuse.diffusion import MixtureScore
+from se3diffuse.fields import ModelScore, build_query_set
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_hooks_install_wrap_the_called_functions_and_uninstall(toy):
+    layers = _load_layers()
+    originals = (cli.run_denoising, fields._contract_batch, irreps.wigner_d,
+                 MixtureScore.score_batch)
+    tracer = layers.Tracer(time.perf_counter)
+    layers.install(tracer)
+    try:
+        assert fields._contract_batch is not originals[1]
+        demos = toy.demo_set()
+        q = np.stack([g.r.q for g in toy.demo_poses])
+        p = np.stack([g.p for g in toy.demo_poses])
+        # t = 1 puts eps at EPS_SERIES, so the oracle sums the series
+        cfg = cli.DiffusionConfig(t=1.0, r=toy.config.r, L=1.0)
+        MixtureScore(demos, cfg).score_batch(q, p, 1.0)
+        ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                   toy.model).score_batch(q, p, 0.5)
+        for name in ("diffusion.mixture_score", "igso3.series", "fields.contract",
+                     "fields.edf", "irreps.wigner_d"):
+            assert tracer.stats[name].calls > 0, name
+        assert tracer.stats["diffusion.mixture_score"].count == len(q)
+        # the hook reads the series order from the third positional argument
+        assert tracer.stats["igso3.series"].peak == igso3.SERIES_LMAX
+    finally:
+        tracer.uninstall()
+    assert (cli.run_denoising, fields._contract_batch, irreps.wigner_d,
+            MixtureScore.score_batch) == originals

@@ -80,14 +80,6 @@ def test_radius_count_inclusive_boundary():
     assert radius_count(np.zeros(3), pc, 1.0) == 1
 
 
-def test_radius_count_grid_equals_brute(rng):
-    pc = PointCloud(2.0 * rng.standard_normal((500, 3)))
-    for _ in range(1000):
-        x = 2.5 * rng.standard_normal(3)
-        r = rng.uniform(0.05, 1.5)
-        assert radius_count(x, pc, r, method="grid") == radius_count(x, pc, r, method="brute")
-
-
 def test_radius_count_rigid_invariance(rng):
     pc = PointCloud(rng.standard_normal((200, 3)))
     for _ in range(50):
