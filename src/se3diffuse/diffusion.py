@@ -329,8 +329,6 @@ class MixtureScore:
     evaluation over pose batches (used by the annealed sampler).
     """
 
-    supports_batch = True
-
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
         scene, grasp = demos.shared_clouds()
         self.cfg = cfg
@@ -402,8 +400,6 @@ class BrownianScoreFn:
     to B_t.  The scalar call is a batch of one, so both clamp kernel
     angles within 1e-6 of pi (``brownian_score`` raises there instead).
     """
-
-    supports_batch = True
 
     def __call__(self, g: Pose, t: float) -> Twist:
         return Twist.from_array(_brownian_score_rows(g.r.q[None, :], g.p[None, :], t)[0])

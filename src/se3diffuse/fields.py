@@ -277,8 +277,6 @@ class ModelScore:
     contracts each branch in one call.  A scalar call is a batch of one.
     """
 
-    supports_batch = True
-
     def __init__(self, scene: PointCloud, grasp: PointCloud, length_unit: float,
                  query: QuerySet, model: ScoreModelParams):
         self.scene = scene
@@ -383,18 +381,10 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     return ModelScore(scene, grasp, length_unit, query, model)(g, t)
 
 
-def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
-                        length_unit: float, query: QuerySet,
-                        model: ScoreModelParams) -> np.ndarray:
-    """Jacobian of the assembled score in the stacked path weights.
-
-    The assembled score is linear in (weights_nu, weights_omega); this
-    returns the (6, n_nu + n_omega) matrix so gradient-free fitting
-    against oracle scores reduces to linear least squares.
-    """
-    qs, w = query.points, query.weights
-    f_nu, f_om = ModelScore(scene, grasp, length_unit, query, model)._path_fields(
-        g.r.q[None, :], g.p[None, :], t)
+def _design_matrix(score: ModelScore, g: Pose, t: float) -> np.ndarray:
+    """(6, n_nu + n_omega) Jacobian of ``score`` at (g, t) in its stacked path weights."""
+    qs, w, length_unit = score.query.points, score.query.weights, score.length_unit
+    f_nu, f_om = score._path_fields(g.r.q[None, :], g.p[None, :], t)
     f_nu, f_om = f_nu[:, 0], f_om[:, 0]
     inv_sqrt_t = 1.0 / math.sqrt(t)
     n_nu, n_om = f_nu.shape[0], f_om.shape[0]
@@ -409,6 +399,18 @@ def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     return out
 
 
+def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
+                        length_unit: float, query: QuerySet,
+                        model: ScoreModelParams) -> np.ndarray:
+    """Jacobian of the assembled score in the stacked path weights.
+
+    The assembled score is linear in (weights_nu, weights_omega); this
+    returns the (6, n_nu + n_omega) matrix so gradient-free fitting
+    against oracle scores reduces to linear least squares.
+    """
+    return _design_matrix(ModelScore(scene, grasp, length_unit, query, model), g, t)
+
+
 def fit_path_weights(poses_times: list[tuple[Pose, float]], targets: np.ndarray,
                      scene: PointCloud, grasp: PointCloud, length_unit: float,
                      query: QuerySet, model: ScoreModelParams,
@@ -417,13 +419,12 @@ def fit_path_weights(poses_times: list[tuple[Pose, float]], targets: np.ndarray,
 
     Because the model is linear in its path weights, fitting against a
     batch of (pose, time) -> twist targets (e.g. the exact mixture
-    oracle) needs no gradients.  Returns a copy of ``model`` with the
-    fitted weights.
+    oracle) needs no gradients.  The grasp field is evaluated once per
+    fit.  Returns a copy of ``model`` with the fitted weights.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(len(poses_times), 6)
-    rows = [score_design_matrix(g, scene, grasp, t, length_unit, query, model)
-            for g, t in poses_times]
-    a = np.concatenate(rows, axis=0)
+    score = ModelScore(scene, grasp, length_unit, query, model)
+    a = np.concatenate([_design_matrix(score, g, t) for g, t in poses_times], axis=0)
     b = targets.reshape(-1)
     ata = a.T @ a + ridge * np.eye(a.shape[1])
     sol = np.linalg.solve(ata, a.T @ b)

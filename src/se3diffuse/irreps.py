@@ -8,17 +8,17 @@ sphere.  Components are ordered ``[c0, c1, s1, ..., cl, sl]`` (cosine /
 sine sectors), except l = 1 which is permuted to plain ``(x, y, z)`` so
 that the degree-1 Wigner matrix is the rotation matrix itself.
 
-Wigner-D matrices are built as ``expm(theta * (n . G))`` from real
-angular-momentum generators ``G`` obtained by applying the operator
-``(e_i x r) . grad`` to the basis polynomials; steerability
-``Y_l(R u) = D_l(R) Y_l(u)`` then holds by construction.
+Wigner-D matrices come from that same basis by steerability,
+``Y_l(R u) = D_l(R) Y_l(u)``: D_0 = [[1]], D_1 is the rotation matrix,
+and for l >= 2, ``D_l(R) = (pinv(Y_l(U)) Y_l(U R^T))^T`` over a fixed,
+seeded set U of 64 unit directions (``cond(Y_l(U)) < 2`` for l <= 6).
 
 Clebsch-Gordan contraction to type 1 uses coefficient tensors solved
 numerically from the equivariance linear system over random rotations
-(unit Frobenius norm, deterministic sign); each tensor is verified
-against the equivariance identity before being cached.  In this
-normalization the 0 x 1 -> 1 path contracts a scalar a and a vector u to
-``a * u / sqrt(3)``.
+(unit Frobenius norm, the last of the largest entries positive); each
+tensor is verified against the equivariance identity before being
+cached.  In this normalization the 0 x 1 -> 1 path contracts a scalar a
+and a vector u to ``a * u / sqrt(3)``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .lie import Rotation, quat_log
+from .lie import Rotation, quat_to_matrix
 
 __all__ = [
     "L_MAX_IRREPS",
@@ -45,10 +44,11 @@ __all__ = [
     "cg_contract_batch",
     "cg_tensor",
     "cg_paths",
-    "generators",
 ]
 
 L_MAX_IRREPS = 6
+_N_STEER = 64  # directions that pin D_l down by steerability
+_STEER_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,40 +131,15 @@ def _basis_coeffs(l: int) -> np.ndarray:
     return out
 
 
-def _angular_momentum_matrix(l: int, axis: int) -> np.ndarray:
-    """Matrix of (e_axis x r) . grad on degree-l monomials."""
-    monos = _monomials(l)
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    out = np.zeros((n, n))
-    # L_x = -z d/dy + y d/dz ; L_y = z d/dx - x d/dz ; L_z = -y d/dx + x d/dy
-    terms = {
-        0: [((0, -1, 1), -1.0, 1), ((0, 1, -1), 1.0, 2)],
-        1: [((-1, 0, 1), 1.0, 0), ((1, 0, -1), -1.0, 2)],
-        2: [((-1, 1, 0), -1.0, 0), ((1, -1, 0), 1.0, 1)],
-    }[axis]
-    for col, (a, b, c) in enumerate(monos):
-        exps = (a, b, c)
-        for delta, sign, daxis in terms:
-            if exps[daxis] == 0:
-                continue
-            tgt = (a + delta[0], b + delta[1], c + delta[2])
-            out[index[tgt], col] += sign * exps[daxis]
-    return out
-
-
 @lru_cache(maxsize=None)
-def generators(l: int) -> np.ndarray:
-    """Real so(3) generators (3, 2l+1, 2l+1) for the type-l representation."""
-    basis = _basis_coeffs(l)  # (d, n_mono)
-    pinv = np.linalg.pinv(basis.T)  # solves basis.T @ g = target
-    gens = np.empty((3, 2 * l + 1, 2 * l + 1))
-    for axis in range(3):
-        lmat = _angular_momentum_matrix(l, axis)
-        # row mu of G = coefficients of L Y_mu in the basis
-        gens[axis] = (pinv @ (lmat @ basis.T)).T
-    gens.setflags(write=False)
-    return gens
+def _steering(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed unit directions U (N, 3) and pinv(Y_l(U)) (2l+1, N)."""
+    u = np.random.default_rng(_STEER_SEED).standard_normal((_N_STEER, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pinv = np.linalg.pinv(sh_batch(l, u))
+    u.setflags(write=False)
+    pinv.setflags(write=False)
+    return u, pinv
 
 
 def wigner_d(l: int, r: Rotation) -> np.ndarray:
@@ -173,9 +148,12 @@ def wigner_d(l: int, r: Rotation) -> np.ndarray:
         raise ValueError(f"l={l} exceeds L_MAX_IRREPS={L_MAX_IRREPS}")
     if l == 0:
         return np.array([[1.0]])
-    rotvec = quat_log(r.q)
-    g = generators(l)
-    return expm(rotvec[0] * g[0] + rotvec[1] * g[1] + rotvec[2] * g[2])
+    m = quat_to_matrix(r.q)
+    if l == 1:
+        return m
+    u, pinv = _steering(l)
+    # rows of Y_l(U R^T) are Y_l(R u) = D_l(R) Y_l(u), i.e. Y_l(U) D_l(R)^T
+    return (pinv @ sh_batch(l, u @ m.T)).T
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +290,14 @@ def cg_tensor(l1: int, l2: int) -> np.ndarray:
         raise RuntimeError(f"CG null space dimension {null_dim} != 1 for ({l1},{l2})")
     c = vt[-1].reshape(3, d1, d2)
     c /= np.linalg.norm(c)
+    # l1 = l2 tensors have opposite-signed entries of equal magnitude, so a
+    # plain argmax would let last-bit noise pick the sign; take the last
+    # entry within 1e-9 of the maximum (the next smaller one is at most 0.986
+    # of it up to L_MAX_IRREPS)
     flat = c.reshape(-1)
-    lead = flat[np.argmax(np.abs(flat))]
-    if lead < 0:
+    mag = np.abs(flat)
+    lead = np.nonzero(mag >= (1.0 - 1e-9) * mag.max())[0][-1]
+    if flat[lead] < 0:
         c = -c
     _verify_cg(c, l1, l2, rng)
     c.setflags(write=False)

@@ -143,23 +143,6 @@ class ChainResult:
     failed_step: int | None = None
 
 
-class _ChainNoise:
-    """Blocked standard-normal stream; fixed consumption pattern per chain."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = np.empty((0, 6))
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self._rng.standard_normal((NOISE_BLOCK, 6))
-            self._pos = 0
-        out = self._buf[self._pos]
-        self._pos += 1
-        return out
-
-
 def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
                   schedule: AnnealSchedule, rng: np.random.Generator, chains: int,
                   integrator: str = "exact", record: str = "full") -> list[ChainResult]:
@@ -168,11 +151,12 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
     ``score_fn(g, t)`` must be total on the visited region; a failure (an
     exception, a non-finite score, or a step that overflows) freezes only
     the offending chain, with the step and reason recorded, while the
-    others continue.  Score functions exposing ``supports_batch`` and
-    ``score_batch(q, p, t) -> (N, 6)`` are evaluated vectorized over
-    chains; a step whose batch call raises is re-evaluated chain by chain,
-    and the next step batches again.  ``record`` is ``"full"`` for whole
-    trajectories or ``"final"`` to keep only the endpoint.
+    others continue.  Score functions with a ``score_batch(q, p, t) ->
+    (N, 6)`` method are evaluated vectorized over chains; a step whose
+    batch call raises is re-evaluated chain by chain, and the next step
+    batches again.  Each chain draws its noise from its own spawned
+    generator, ``NOISE_BLOCK`` steps at a time.  ``record`` is ``"full"``
+    for whole trajectories or ``"final"`` to keep only the endpoint.
     """
     if chains < 1:
         raise ValueError("need at least one chain")
@@ -181,7 +165,8 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
     inits = [g_init] * chains if isinstance(g_init, Pose) else list(g_init)
     if len(inits) != chains:
         raise ValueError(f"got {len(inits)} initial poses for {chains} chains")
-    noise_streams = [_ChainNoise(child) for child in rng.spawn(chains)]
+    streams = rng.spawn(chains)
+    noise_block = np.empty((chains, NOISE_BLOCK, 6))
     q = np.stack([g.r.q for g in inits])
     p = np.stack([g.p for g in inits])
     alive = np.ones(chains, dtype=bool)
@@ -193,10 +178,13 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
         traj[:, 0, :4] = q
         traj[:, 0, 4:] = p
 
-    batched = getattr(score_fn, "supports_batch", False)
+    batched = hasattr(score_fn, "score_batch")
     for n in range(steps):
         t_n = float(schedule.t[n])
-        noise = np.stack([ns.next() for ns in noise_streams])
+        if n % NOISE_BLOCK == 0:  # every chain refills at the same step
+            for stream, block in zip(streams, noise_block):
+                stream.standard_normal(out=block)
+        noise = noise_block[:, n % NOISE_BLOCK]
         scores = np.zeros((chains, 6))
         idx = np.nonzero(alive)[0]
         if idx.size:

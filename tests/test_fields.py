@@ -411,3 +411,36 @@ def test_fit_path_weights_recovers_model_scores(toy, rng):
         a = assemble_score(g, toy.scene, toy.grasp, t, 1.0, query, fitted).as_array()
         b = assemble_score(g, toy.scene, toy.grasp, t, 1.0, query, truth).as_array()
         assert np.max(np.abs(a - b)) < 1e-6
+
+
+def test_fit_path_weights_evaluates_the_grasp_field_once(toy, rng, monkeypatch):
+    import se3diffuse.fields as fields
+
+    model = toy.model
+    query = build_query_set(toy.grasp, model)
+    poses_times = [(random_pose(rng), float(rng.uniform(0.1, 1.0))) for _ in range(6)]
+    calls = {"grasp": 0}
+    real = fields._edf_batch
+
+    def counting(xs, pc, params, t):
+        calls["grasp"] += pc is toy.grasp
+        return real(xs, pc, params, t)
+
+    monkeypatch.setattr(fields, "_edf_batch", counting)
+    fields.fit_path_weights(poses_times, rng.standard_normal((6, 6)), toy.scene, toy.grasp,
+                            1.0, query, model)
+    assert calls["grasp"] == 1
+
+
+def test_fit_path_weights_solves_on_the_design_matrix_rows(toy, rng):
+    from se3diffuse.fields import fit_path_weights, score_design_matrix
+
+    model = toy.model
+    query = build_query_set(toy.grasp, model)
+    poses_times = [(random_pose(rng), float(rng.uniform(0.1, 1.0))) for _ in range(4)]
+    targets = rng.standard_normal((4, 6))
+    fitted = fit_path_weights(poses_times, targets, toy.scene, toy.grasp, 1.0, query, model)
+    a = np.concatenate([score_design_matrix(g, toy.scene, toy.grasp, t, 1.0, query, model)
+                        for g, t in poses_times])
+    sol = np.linalg.solve(a.T @ a + 1e-10 * np.eye(a.shape[1]), a.T @ targets.reshape(-1))
+    assert np.array_equal(np.concatenate([fitted.weights_nu, fitted.weights_omega]), sol)

@@ -353,3 +353,19 @@ def test_cli_usage_error_exits_2_without_traceback(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "must be a positive finite number" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import se3diffuse
+
+    env = dict(os.environ, PYTHONPATH=str(Path(se3diffuse.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, se3diffuse.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

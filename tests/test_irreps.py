@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from se3diffuse import irreps
 from se3diffuse.irreps import (
     L_MAX_IRREPS,
     IrrepsLayout,
@@ -23,6 +24,12 @@ def test_wigner_d_degree_zero_and_one(rng):
     r = random_rotation(rng)
     assert np.array_equal(wigner_d(0, r), [[1.0]])
     assert np.allclose(wigner_d(1, r), r.matrix(), atol=1e-13)
+
+
+def test_wigner_d_degree_one_is_bitwise_the_rotation_matrix(rng):
+    for _ in range(20):
+        r = random_rotation(rng)
+        assert np.array_equal(wigner_d(1, r), r.matrix())
 
 
 def test_wigner_d_identity_is_identity():
@@ -114,7 +121,7 @@ def test_spherical_harmonics_steerability(rng):
         r = random_rotation(rng)
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
-        for l in (2, 3):
+        for l in range(L_MAX_IRREPS + 1):
             lhs = spherical_harmonics(l, r.apply(u))
             rhs = wigner_d(l, r) @ spherical_harmonics(l, u)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -188,11 +195,44 @@ def test_cg_scalar_vector_path():
     assert np.allclose(out, 5.0 * 2.0 * u / math.sqrt(3.0), atol=1e-12)
 
 
+def test_cg_vector_vector_path_sign():
+    l1 = IrrepsLayout(((1, 1),))
+    u = np.array([0.3, -0.2, 0.9])
+    v = np.array([-0.5, 0.4, 0.1])
+    out = cg_contract_to1(IrrepsVector(l1, u), IrrepsVector(l1, v), [1.0])
+    # the tensor is -epsilon / sqrt(6): the last of its tied largest entries is positive
+    assert np.allclose(out, np.cross(v, u) / math.sqrt(6.0), atol=1e-12)
+
+
 def test_cg_tensor_rejects_forbidden_pairs():
     with pytest.raises(ValueError):
         cg_tensor(0, 0)
     with pytest.raises(ValueError):
         cg_tensor(0, 2)
+
+
+def test_cg_tensors_are_stable_under_last_bit_noise(monkeypatch):
+    # l1 = l2 tensors have opposite-signed entries of equal magnitude; noise of
+    # 1e-14 in the Wigner-D matrices must not decide the sign
+    pairs = [(l1, l2) for l1 in range(L_MAX_IRREPS + 1) for l2 in range(L_MAX_IRREPS + 1)
+             if abs(l1 - l2) <= 1 <= l1 + l2]
+    ref = {pair: cg_tensor(*pair).copy() for pair in pairs}
+    exact = irreps.wigner_d
+    for seed in range(3):
+        noise = np.random.default_rng(seed)
+
+        def perturbed(l, r):
+            d = exact(l, r)
+            return d + 1e-14 * noise.standard_normal(d.shape)
+
+        monkeypatch.setattr(irreps, "wigner_d", perturbed)
+        cg_tensor.cache_clear()
+        try:
+            for pair in pairs:
+                assert np.max(np.abs(cg_tensor(*pair) - ref[pair])) < 1e-12, (seed, pair)
+        finally:
+            monkeypatch.setattr(irreps, "wigner_d", exact)
+            cg_tensor.cache_clear()
 
 
 def test_cg_equivariance(rng):

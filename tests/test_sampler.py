@@ -4,7 +4,14 @@ import pytest
 from se3diffuse.diffusion import BrownianScoreFn, DemoSet, DiffusionConfig, MixtureScore
 from se3diffuse.lie import Pose, Rotation, Twist, compose, random_rotation
 from se3diffuse.pointcloud import transform
-from se3diffuse.sampler import AnnealSchedule, build_schedule, langevin_step, run_denoising
+from se3diffuse.sampler import (
+    NOISE_BLOCK,
+    AnnealSchedule,
+    _step_batch,
+    build_schedule,
+    langevin_step,
+    run_denoising,
+)
 from se3diffuse.scenario import sample_initial_poses
 
 
@@ -89,6 +96,22 @@ def test_run_denoising_constant_with_zero_score():
         assert np.allclose(r.final.p, g0.p)
         assert r.trajectory.shape == (21, 7)
         assert np.allclose(r.trajectory[:, 4:], g0.p)
+
+
+def test_run_denoising_draws_each_chains_spawned_stream_in_blocks():
+    chains, steps = 3, 2 * NOISE_BLOCK + 6  # crosses two refills
+    sched = build_schedule([(1.0, 0.5, steps)], eps=0.05)
+    res = run_denoising(BrownianScoreFn(), Pose.identity(), sched, np.random.default_rng(6), chains)
+    children = np.random.default_rng(6).spawn(chains)
+    draws = [np.concatenate([c.standard_normal((NOISE_BLOCK, 6)) for _ in range(3)])
+             for c in children]
+    q, p = np.tile([1.0, 0.0, 0.0, 0.0], (chains, 1)), np.zeros((chains, 3))
+    for n in range(steps):
+        scores = BrownianScoreFn().score_batch(q, p, float(sched.t[n]))
+        q, p = _step_batch(q, p, scores, float(sched.alpha[n]), float(sched.temperature[n]),
+                           np.stack([d[n] for d in draws]), "exact")
+        for i in range(chains):
+            assert np.array_equal(res[i].trajectory[n + 1], np.concatenate([q[i], p[i]]))
 
 
 def test_run_denoising_deterministic(toy):
