@@ -97,16 +97,22 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+def _error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_diffuse(args: argparse.Namespace) -> int:
-    scn = read_scenario(args.scenario)
+    try:
+        scn = read_scenario(args.scenario)
+    except (sio.ParseError, OSError) as exc:
+        return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
     rng = np.random.default_rng(seed)
     scene, grasp, demos = _nondimensionalize(scn)
     t_lo = args.t if args.t is not None else scn.config.t
     if args.t_max is not None and args.t_max < t_lo:
-        print(f"error: --t-max {args.t_max!r} is below the diffusion time {t_lo!r}",
-              file=sys.stderr)
-        return 2
+        return _error(f"--t-max {args.t_max!r} is below the diffusion time {t_lo!r}")
     cfg_template = dict(r=scn.config.r, L=scn.config.L)
     lines = sio.provenance_lines(seed=seed, scenario=str(args.scenario), t=t_lo,
                                  t_max=args.t_max if args.t_max else t_lo, n=args.n)
@@ -144,20 +150,20 @@ def _nearest_demo_distance(g: Pose, demos: list[Pose]) -> tuple[float, float]:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    scn = read_scenario(args.scenario)
+    try:
+        scn = read_scenario(args.scenario)
+        model = read_model_params(args.params) if args.params else scn.model
+    except (sio.ParseError, OSError) as exc:
+        return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
     scene, grasp, demos = _nondimensionalize(scn)
     cfg = DiffusionConfig(t=scn.config.t, r=scn.config.r, L=scn.config.L)
     if args.score == "oracle":
         score_fn = MixtureScore(DemoSet(tuple((g, scene, grasp) for g in demos)), cfg)
+    elif model is None:
+        return _error("--score model requires model parameters "
+                      "(scenario model_params or --params)")
     else:
-        model = scn.model
-        if args.params:
-            model = read_model_params(args.params)
-        if model is None:
-            print("error: --score model requires model parameters "
-                  "(scenario model_params or --params)", file=sys.stderr)
-            return 2
         score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 
     rng = np.random.default_rng(seed)

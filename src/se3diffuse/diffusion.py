@@ -36,7 +36,7 @@ from .lie import (
     quat_rotate,
     translation_pose,
 )
-from .pointcloud import PointCloud, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
+from .pointcloud import PointCloud, pair_offsets, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
 
 __all__ = [
     "DiffusionConfig",
@@ -106,7 +106,6 @@ def _ig_params(t: float) -> IgParams:
 
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest subnormal double
-_PAIR_CHUNK = 1 << 18  # cap on grasp-by-scene pairs per contact-weight pass
 # The plain kernel B_t(h) is the one-component kernel of an identity demo
 # with its diffusion origin at 0 (contact weight 1).
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -160,13 +159,10 @@ def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: floa
         raise ValueError("empty grasp cloud")
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    scene = scene_in_body.positions
     counts = np.zeros(len(grasp))
-    rows = max(1, _PAIR_CHUNK // max(len(scene), 1))
-    for i in range(0, len(grasp), rows):
-        d = scene[None, :, :] - grasp.positions[i:i + rows, None, :]
+    for rows, d in pair_offsets(grasp.positions, scene_in_body.positions):
         d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-        counts[i:i + rows] = np.count_nonzero(d2 <= r * r, axis=1)
+        counts[rows] = np.count_nonzero(d2 <= r * r, axis=1)
     total = counts.sum()
     if total == 0.0:
         return np.full(len(grasp), 1.0 / len(grasp))

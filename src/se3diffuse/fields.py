@@ -5,6 +5,9 @@ within a cutoff, with radial Gaussian profiles, optional color scalars,
 and Gaussian gates over log-time mixed by a per-slot weight tensor.  The
 construction is translation-invariant and exactly SO(3)-steerable, so it
 satisfies the same equivariance contract as a learned descriptor field.
+Fields are evaluated in one pairwise pass over query-by-cloud pairs,
+chunked under a fixed pair budget, and each query row is summed on its
+own, so a scalar call is bitwise a batch of one.
 
 The assembled score follows the weighted-query-point summation: the
 linear part averages the per-query score field, and the angular part is
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irreps import IrrepsLayout, IrrepsVector, cg_paths, rep_apply_batch, sh_batch
+from .irreps import IrrepsLayout, IrrepsVector, cg_path_batch, cg_paths, rep_apply_batch, sh_batch
 from .irreps import cg_contract_batch as _contract_batch
-from .lie import Pose, Rotation, Twist, cross, quat_conj, quat_rotate
-from .pointcloud import PointCloud
+from .lie import Pose, Twist, cross, quat_conj, quat_rotate
+from .pointcloud import PointCloud, pair_offsets
 
 __all__ = [
     "SyntheticEdfParams",
@@ -70,6 +73,8 @@ class SyntheticEdfParams:
         if not widths or any(w <= 0.0 for w in widths):
             raise ValueError("radial widths must be positive")
         centers = tuple(float(c) for c in self.time_gate_centers)
+        if any(b <= a for a, b in zip(centers, centers[1:])):
+            raise ValueError("time-gate centers must be strictly increasing")
         n_slots = len(self.layout.slots())
         cw = np.asarray(self.channel_weights, dtype=np.float64).reshape(
             n_slots, len(widths), N_COLOR_CHANNELS, len(centers)).copy()
@@ -140,31 +145,27 @@ def _color_features(pc: PointCloud) -> np.ndarray:
 
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
                t: float | None) -> np.ndarray:
-    """Field coefficients (M, layout.dim) at query positions xs."""
+    """Field coefficients (M, layout.dim) at query positions xs, one pairwise pass."""
     xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
     out = np.zeros((xs.shape[0], params.layout.dim))
-    if len(pc) == 0:
-        return out
-    gates = params.gate_values(t)
+    weights = np.einsum("sbcg,g->sbc", params.channel_weights,
+                        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T  # (F, S)
     colors = _color_features(pc)
     widths = np.asarray(params.radial_widths)
-    slot_offsets = params.layout.slot_offsets()
-    for m, x in enumerate(xs):
-        d = pc.positions - x
-        dist = np.linalg.norm(d, axis=1)
+    for rows, d in pair_offsets(xs, pc.positions):
+        dist = np.linalg.norm(d, axis=-1)
         keep = (dist <= params.cutoff) & (dist > 0.0)  # the p = x singular term is skipped
-        if not np.any(keep):
-            continue
+        qi, pi = np.nonzero(keep)
         dist_k = dist[keep]
         dirs = -d[keep] / dist_k[:, None]  # unit vectors from point toward x
         radial = np.exp(-dist_k[:, None] ** 2 / (2.0 * widths[None, :] ** 2))  # (K, B)
-        chan = np.einsum("kb,kc,g->kbcg", radial, colors[keep], gates)
-        per_l: dict[int, np.ndarray] = {}
-        for slot, (l, off) in enumerate(slot_offsets):
-            if l not in per_l:
-                per_l[l] = sh_batch(l, dirs)  # (K, 2l+1)
-            scal = np.einsum("kbcg,bcg->k", chan, params.channel_weights[slot])
-            out[m, off:off + 2 * l + 1] = scal @ per_l[l]
+        feats = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, len(weights))
+        scal = sum(f[:, None] * w for f, w in zip(feats.T, weights))  # (K, S), pair by pair
+        sh = {l: sh_batch(l, dirs) for l, _ in params.layout.blocks}
+        lobes = np.concatenate([scal[:, [s]] * sh[l] for s, l in enumerate(params.layout.slots())],
+                               axis=1)
+        starts = np.flatnonzero(np.diff(qi, prepend=-1))
+        out[rows.start + qi[starts]] = np.add.reduceat(lobes, starts, axis=0)
     return out
 
 
@@ -184,14 +185,12 @@ def _scene_fields_body(q: np.ndarray, p: np.ndarray, qs: np.ndarray, scene: Poin
     """(N, Q, dim) back-rotated scene fields D(R^-1) phi_t(g x | O_s).
 
     One field evaluation over all N x Q world points g x for the pose
-    stacks (q, p) and query points qs, then one rotation per pose.
+    stacks (q, p) and query points qs, then one rotation of all N stacks.
     """
     n, m = q.shape[0], qs.shape[0]
     xs = quat_rotate(q[:, None, :], qs[None, :, :]) + p[:, None, :]
     phi = _edf_batch(xs.reshape(-1, 3), scene, params, t).reshape(n, m, params.layout.dim)
-    for i in range(n):
-        phi[i] = rep_apply_batch(params.layout, Rotation(quat_conj(q[i])), phi[i])
-    return phi
+    return rep_apply_batch(params.layout, quat_conj(q), phi)
 
 
 def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
@@ -273,7 +272,8 @@ class ModelScore:
     The grasp field psi carries no time input and sits on the fixed query
     points, so it is evaluated here, once per distinct grasp-parameter
     object.  Each ``score_batch`` call evaluates the scene field once per
-    distinct scene-parameter object over every pose and query point, and
+    distinct scene-parameter object over every pose and query point,
+    rotates it back with one Wigner-D stack per irrep block, and
     contracts each branch in one call.  A scalar call is a batch of one.
     """
 
@@ -315,30 +315,9 @@ class ModelScore:
         orbital = inv_sqrt_t * np.sum(wq * cross(qs / self.length_unit, f_nu), axis=1)
         return s_nu, spin, orbital
 
-    def _path_fields(self, q: np.ndarray, p: np.ndarray,
-                     t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(n_paths, N, Q, 3) score fields of every path, for the nu and omega branches.
-
-        The scene fields are evaluated once; a path's fields are the
-        branch contraction with that path's one-hot weights.
-        """
-        phi_nu, phi_om = self._scene_fields(q, p, t)
-
-        def per_path(branch, psi, phi, n_paths):
-            out = np.zeros((n_paths,) + phi.shape[:2] + (3,))
-            for k, onehot in enumerate(np.eye(n_paths)):
-                out[k] = self._contract(branch, psi, phi, onehot)
-            return out
-
-        return (per_path("nu", self._psi_nu, phi_nu, self.model.weights_nu.size),
-                per_path("omega", self._psi_om, phi_om, self.model.weights_omega.size))
-
     def _scene_fields(self, q: np.ndarray, p: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(N, Q, dim) back-rotated scene fields of the nu and omega branches.
-
-        One evaluation per distinct scene-parameter object.
-        """
+        """(N, Q, dim) back-rotated scene fields of both branches, one per distinct field."""
         qs = self.query.points
         scene_nu, scene_om = self.model.scene_for("nu"), self.model.scene_for("omega")
         phi_nu = _scene_fields_body(q, p, qs, self.scene, scene_nu, t)
@@ -347,14 +326,18 @@ class ModelScore:
         return phi_nu, phi_om
 
     def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-        """(N, Q, 3) score fields of one branch: psi x->1 phi_body over all N x Q rows."""
+                  weights: np.ndarray | None = None) -> np.ndarray:
+        """psi x->1 phi_body of one branch over all N x Q rows.
+
+        (N, Q, 3) summed with the path weights, (N, Q, n_paths, 3) per path without them.
+        """
         n, m, dim = phi_body.shape
-        rows = _contract_batch(self.model.grasp_for(branch).layout,
-                               np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
-                               self.model.scene_for(branch).layout,
-                               phi_body.reshape(n * m, dim), weights)
-        return rows.reshape(n, m, 3)
+        rows = (self.model.grasp_for(branch).layout,
+                np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
+                self.model.scene_for(branch).layout, phi_body.reshape(n * m, dim))
+        if weights is None:
+            return cg_path_batch(*rows).reshape(n, m, -1, 3)
+        return _contract_batch(*rows, weights).reshape(n, m, 3)
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
@@ -384,19 +367,14 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
 def _design_matrix(score: ModelScore, g: Pose, t: float) -> np.ndarray:
     """(6, n_nu + n_omega) Jacobian of ``score`` at (g, t) in its stacked path weights."""
     qs, w, length_unit = score.query.points, score.query.weights, score.length_unit
-    f_nu, f_om = score._path_fields(g.r.q[None, :], g.p[None, :], t)
-    f_nu, f_om = f_nu[:, 0], f_om[:, 0]
+    phi_nu, phi_om = score._scene_fields(g.r.q[None, :], g.p[None, :], t)
+    f_nu = score._contract("nu", score._psi_nu, phi_nu)[0]  # (Q, n_paths, 3)
+    f_om = score._contract("omega", score._psi_om, phi_om)[0]
     inv_sqrt_t = 1.0 / math.sqrt(t)
-    n_nu, n_om = f_nu.shape[0], f_om.shape[0]
-    out = np.zeros((6, n_nu + n_om))
-    lin = inv_sqrt_t / length_unit * np.einsum("q,kqa->ka", w, f_nu)
-    out[:3, :n_nu] = lin.T
-    orbital = inv_sqrt_t * np.einsum("q,kqa->ka", w,
-                                     cross(qs[None, :, :] / length_unit, f_nu))
-    out[3:, :n_nu] = orbital.T
-    spin = inv_sqrt_t * np.einsum("q,kqa->ka", w, f_om)
-    out[3:, n_nu:] = spin.T
-    return out
+    lin = inv_sqrt_t / length_unit * np.einsum("q,qka->ak", w, f_nu)
+    ang = inv_sqrt_t * np.einsum("q,qka->ak", w, np.concatenate(
+        [cross(qs[:, None, :] / length_unit, f_nu), f_om], axis=1))
+    return np.block([[lin, np.zeros((3, f_om.shape[1]))], [ang]])
 
 
 def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,

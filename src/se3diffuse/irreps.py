@@ -10,15 +10,20 @@ that the degree-1 Wigner matrix is the rotation matrix itself.
 
 Wigner-D matrices come from that same basis by steerability,
 ``Y_l(R u) = D_l(R) Y_l(u)``: D_0 = [[1]], D_1 is the rotation matrix,
-and for l >= 2, ``D_l(R) = (pinv(Y_l(U)) Y_l(U R^T))^T`` over a fixed,
+and for l >= 2, ``D_l(R) = (pinv(Y_l(U)) Y_l(R U))^T`` over a fixed,
 seeded set U of 64 unit directions (``cond(Y_l(U)) < 2`` for l <= 6).
+``wigner_d`` takes a ``Rotation`` or a stack of quaternions.  Harmonics
+and Wigner-D matrices reduce each row on its own instead of through
+BLAS, so a row's bits do not depend on the batch it comes in.
 
 Clebsch-Gordan contraction to type 1 uses coefficient tensors solved
 numerically from the equivariance linear system over random rotations
 (unit Frobenius norm, the last of the largest entries positive); each
 tensor is verified against the equivariance identity before being
-cached.  In this normalization the 0 x 1 -> 1 path contracts a scalar a
-and a vector u to ``a * u / sqrt(3)``.
+cached.  ``cg_path_batch`` contracts every path into one (rows, paths,
+3) tensor; ``cg_contract_batch`` sums it with the path weights.  In
+this normalization the 0 x 1 -> 1 path contracts a scalar a and a
+vector u to ``a * u / sqrt(3)``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie import Rotation, quat_to_matrix
+from .lie import Rotation, quat_normalize, quat_to_matrix
 
 __all__ = [
     "L_MAX_IRREPS",
@@ -42,6 +47,7 @@ __all__ = [
     "sh_batch",
     "cg_contract_to1",
     "cg_contract_batch",
+    "cg_path_batch",
     "cg_tensor",
     "cg_paths",
 ]
@@ -142,18 +148,25 @@ def _steering(l: int) -> tuple[np.ndarray, np.ndarray]:
     return u, pinv
 
 
-def wigner_d(l: int, r: Rotation) -> np.ndarray:
-    """Real Wigner-D matrix of degree l, orthogonal, with D_1(R) = R."""
+def wigner_d(l: int, r: Rotation | np.ndarray) -> np.ndarray:
+    """Real Wigner-D matrices of degree l, orthogonal, with D_1(R) = R.
+
+    ``r`` is a ``Rotation`` (a batch of one) or an (..., 4) quaternion
+    stack; the result is (..., 2l+1, 2l+1).
+    """
     if l > L_MAX_IRREPS:
         raise ValueError(f"l={l} exceeds L_MAX_IRREPS={L_MAX_IRREPS}")
+    q = np.asarray(r.q if isinstance(r, Rotation) else r, dtype=np.float64)
     if l == 0:
-        return np.array([[1.0]])
-    m = quat_to_matrix(r.q)
+        return np.ones(q.shape[:-1] + (1, 1))
+    m = quat_to_matrix(q)
     if l == 1:
         return m
     u, pinv = _steering(l)
-    # rows of Y_l(U R^T) are Y_l(R u) = D_l(R) Y_l(u), i.e. Y_l(U) D_l(R)^T
-    return (pinv @ sh_batch(l, u @ m.T)).T
+    # rows of Y_l(R U) are Y_l(R u) = D_l(R) Y_l(u), i.e. Y_l(U) D_l(R)^T
+    ru = np.sum(m[..., None, :, :] * u[:, None, :], axis=-1)  # (..., N, 3)
+    y = sh_batch(l, ru.reshape(-1, 3)).reshape(ru.shape[:-1] + (2 * l + 1,))
+    return np.sum(np.swapaxes(y, -1, -2)[..., :, None, :] * pinv, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +222,16 @@ class IrrepsVector:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @staticmethod
-    def zero(layout: IrrepsLayout) -> "IrrepsVector":
-        return IrrepsVector(layout, np.zeros(layout.dim))
-
 
 def rep_apply(layout: IrrepsLayout, r: Rotation, v: IrrepsVector) -> IrrepsVector:
     """Block-diagonal action of the rotation on every irrep slot."""
     if v.layout != layout:
         raise ValueError("vector layout does not match")
-    return IrrepsVector(layout, rep_apply_batch(layout, r, v.coeffs[None, :])[0])
+    return IrrepsVector(layout, rep_apply_batch(layout, r.q[None, :], v.coeffs[None, None, :])[0, 0])
 
 
-def rep_apply_batch(layout: IrrepsLayout, r: Rotation, coeffs: np.ndarray) -> np.ndarray:
-    """Rotation action on (M, dim) coefficient rows; one Wigner-D per block."""
+def rep_apply_batch(layout: IrrepsLayout, q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rotation q[i] acting on rows coeffs[i] of (N, M, dim); one Wigner-D stack per block."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape[-1] != layout.dim:
         raise ValueError("coefficient rows do not match the layout dimension")
@@ -230,9 +239,9 @@ def rep_apply_batch(layout: IrrepsLayout, r: Rotation, coeffs: np.ndarray) -> np
     off = 0
     for l, mult in layout.blocks:
         d = 2 * l + 1
-        dm = wigner_d(l, r)
-        block = coeffs[:, off:off + mult * d].reshape(coeffs.shape[0], mult, d)
-        out[:, off:off + mult * d] = (block @ dm.T).reshape(coeffs.shape[0], mult * d)
+        dm_t = np.swapaxes(wigner_d(l, q), -1, -2)[:, None]  # (N, 1, d, d)
+        block = coeffs[..., off:off + mult * d].reshape(coeffs.shape[:2] + (mult, d))
+        out[..., off:off + mult * d] = (block @ dm_t).reshape(coeffs.shape[:2] + (mult * d,))
         off += mult * d
     return out
 
@@ -251,11 +260,11 @@ def spherical_harmonics(l: int, u: np.ndarray) -> np.ndarray:
 
 
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
-    """Vectorized spherical harmonics for (N, 3) unit directions."""
+    """Vectorized spherical harmonics for (N, 3) unit directions, row by row."""
     u = np.asarray(u, dtype=np.float64)
     monos = _monomials(l)
     cols = np.stack([u[:, 0] ** a * u[:, 1] ** b * u[:, 2] ** c for a, b, c in monos], axis=1)
-    return cols @ _basis_coeffs(l).T
+    return np.sum(cols[:, None, :] * _basis_coeffs(l)[None], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +284,10 @@ def cg_tensor(l1: int, l2: int) -> np.ndarray:
     d1, d2 = 2 * l1 + 1, 2 * l2 + 1
     dim = 3 * d1 * d2
     rng = np.random.default_rng(20240331)
-    rows = []
-    for _ in range(3):
-        r = _rand_quat(rng)
-        da = wigner_d(1, r)
-        db = wigner_d(l1, r)
-        dc = wigner_d(l2, r)
-        m = np.kron(np.eye(3), np.kron(db.T, dc.T)) - np.kron(da, np.eye(d1 * d2))
-        rows.append(m)
-    system = np.vstack(rows)
+    q = quat_normalize(rng.standard_normal((3, 4)))
+    da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
+    system = np.vstack([np.kron(np.eye(3), np.kron(db[k].T, dc[k].T))
+                        - np.kron(da[k], np.eye(d1 * d2)) for k in range(3)])
     _, svals, vt = np.linalg.svd(system)
     null_dim = int(np.sum(svals < 1e-10))
     if null_dim != 1:
@@ -304,19 +308,13 @@ def cg_tensor(l1: int, l2: int) -> np.ndarray:
     return c
 
 
-def _rand_quat(rng: np.random.Generator) -> Rotation:
-    q = rng.standard_normal(4)
-    return Rotation(q / np.linalg.norm(q))
-
-
 def _verify_cg(c: np.ndarray, l1: int, l2: int, rng: np.random.Generator) -> None:
-    for _ in range(4):
-        r = _rand_quat(rng)
-        da, db, dc = wigner_d(1, r), wigner_d(l1, r), wigner_d(l2, r)
-        lhs = np.einsum("aij,ik,jl->akl", c, db, dc)
-        rhs = np.einsum("ab,bij->aij", da, c)
-        if not np.allclose(lhs, rhs, atol=1e-10):
-            raise RuntimeError(f"CG tensor ({l1},{l2}) failed equivariance verification")
+    q = quat_normalize(rng.standard_normal((4, 4)))
+    da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
+    lhs = np.einsum("aij,nik,njl->nakl", c, db, dc)
+    rhs = np.einsum("nab,bij->naij", da, c)
+    if not np.allclose(lhs, rhs, atol=1e-10):
+        raise RuntimeError(f"CG tensor ({l1},{l2}) failed equivariance verification")
 
 
 def cg_paths(layout_a: IrrepsLayout, layout_b: IrrepsLayout) -> list[tuple[int, int]]:
@@ -326,6 +324,19 @@ def cg_paths(layout_a: IrrepsLayout, layout_b: IrrepsLayout) -> list[tuple[int, 
             if abs(sa[i] - sb[j]) <= 1 <= sa[i] + sb[j]]
 
 
+def cg_path_batch(layout_a: IrrepsLayout, a: np.ndarray,
+                  layout_b: IrrepsLayout, b: np.ndarray) -> np.ndarray:
+    """(M, n_paths, 3) type-1 contraction of (M, dim_a) x (M, dim_b) rows per path."""
+    offs_a, offs_b = layout_a.slot_offsets(), layout_b.slot_offsets()
+    paths = cg_paths(layout_a, layout_b)
+    out = np.empty((a.shape[0], len(paths), 3))
+    for k, (i, j) in enumerate(paths):
+        (la, oa), (lb, ob) = offs_a[i], offs_b[j]
+        out[:, k] = np.einsum("aij,mi,mj->ma", cg_tensor(la, lb),
+                              a[:, oa:oa + 2 * la + 1], b[:, ob:ob + 2 * lb + 1])
+    return out
+
+
 def cg_contract_batch(layout_a: IrrepsLayout, a: np.ndarray,
                       layout_b: IrrepsLayout, b: np.ndarray,
                       path_weights: np.ndarray) -> np.ndarray:
@@ -333,23 +344,13 @@ def cg_contract_batch(layout_a: IrrepsLayout, a: np.ndarray,
 
     (M, dim_a) x (M, dim_b) coefficient rows -> (M, 3).  Equivariant:
     cg(D a, D b) = R cg(a, b).  One weight per path in the order produced
-    by :func:`cg_paths`; paths with weight 0 are skipped.
+    by :func:`cg_paths`.
     """
-    paths = cg_paths(layout_a, layout_b)
     weights = np.asarray(path_weights, dtype=np.float64).reshape(-1)
-    if weights.size != len(paths):
-        raise ValueError(f"expected {len(paths)} path weights, got {weights.size}")
-    offs_a = layout_a.slot_offsets()
-    offs_b = layout_b.slot_offsets()
-    out = np.zeros((a.shape[0], 3))
-    for weight, (i, j) in zip(weights, paths):
-        if weight == 0.0:
-            continue
-        la, oa = offs_a[i]
-        lb, ob = offs_b[j]
-        out += weight * np.einsum("aij,mi,mj->ma", cg_tensor(la, lb),
-                                  a[:, oa:oa + 2 * la + 1], b[:, ob:ob + 2 * lb + 1])
-    return out
+    per_path = cg_path_batch(layout_a, a, layout_b, b)
+    if weights.size != per_path.shape[1]:
+        raise ValueError(f"expected {per_path.shape[1]} path weights, got {weights.size}")
+    return np.sum(per_path * weights[:, None], axis=1)
 
 
 def cg_contract_to1(v: IrrepsVector, w: IrrepsVector, path_weights: np.ndarray) -> np.ndarray:

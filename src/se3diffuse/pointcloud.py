@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .lie import Pose, apply
 
-__all__ = ["PointCloud", "transform", "voxel_downsample", "radius_count", "bounding_box"]
+__all__ = ["PointCloud", "transform", "voxel_downsample", "radius_count", "pair_offsets",
+           "bounding_box"]
+
+_PAIR_CHUNK = 1 << 18  # cap on query-by-cloud pairs formed at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +70,8 @@ def radius_count(x: np.ndarray, pc: PointCloud, r: float) -> int:
     """Number of cloud points with ||p - x|| <= r (inclusive boundary).
 
     Brute force over the cloud.  ``diffusion.contact_origin_weights``
-    makes the same comparison for every grasp point in one pass; this
-    single-point count is its reference.
+    makes the same comparison for every grasp point through
+    ``pair_offsets``; this single-point count is its reference.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -75,6 +79,16 @@ def radius_count(x: np.ndarray, pc: PointCloud, r: float) -> int:
         return 0
     d = pc.positions - np.asarray(x, dtype=np.float64).reshape(3)
     return int(np.count_nonzero(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2 <= r * r))
+
+
+def pair_offsets(xs: np.ndarray, cloud: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, cloud[None] - xs[rows, None])`` for chunks of query rows.
+
+    Each chunk holds at most ``_PAIR_CHUNK`` query-by-cloud pairs, and at least one row.
+    """
+    rows = max(1, _PAIR_CHUNK // max(len(cloud), 1))
+    for i in range(0, len(xs), rows):
+        yield slice(i, i + rows), cloud[None, :, :] - xs[i:i + rows, None, :]
 
 
 def bounding_box(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -157,19 +157,23 @@ def _params_from(data: dict, prefix: str):
 
 def read_model_params(path: str | Path) -> ScoreModelParams:
     data = sio.read_keyvalue(path)
-    scene = _params_from(data, "scene")
-    grasp = _params_from(data, "grasp")
-    if scene is None or grasp is None:
+    try:
+        model = ScoreModelParams(
+            scene=_params_from(data, "scene"),
+            grasp=_params_from(data, "grasp"),
+            weights_nu=np.asarray(data["path_weights_nu"], dtype=np.float64),
+            weights_omega=np.asarray(data["path_weights_omega"], dtype=np.float64),
+            weight_field=_params_from(data, "weight_field"),
+            query_count=int(data.get("query_count", 8)),
+            query_start_index=int(data.get("query_start_index", 0)),
+        )
+    except KeyError as exc:
+        raise sio.ParseError(f"{path}: missing {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:  # e.g. time-gate centers that do not increase
+        raise sio.ParseError(f"{path}: {exc}") from None
+    if model.scene is None or model.grasp is None:
         raise sio.ParseError(f"{path}: missing scene/grasp descriptor parameters")
-    return ScoreModelParams(
-        scene=scene,
-        grasp=grasp,
-        weights_nu=np.asarray(data["path_weights_nu"], dtype=np.float64),
-        weights_omega=np.asarray(data["path_weights_omega"], dtype=np.float64),
-        weight_field=_params_from(data, "weight_field"),
-        query_count=int(data.get("query_count", 8)),
-        query_start_index=int(data.get("query_start_index", 0)),
-    )
+    return model
 
 
 def write_scenario(directory: str | Path, scenario: Scenario) -> Path:
@@ -206,7 +210,8 @@ def read_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     data = sio.read_keyvalue(path)
     base = path.parent
-    for key in ("scene", "grasp", "demos"):
+    for key in ("scene", "grasp", "demos", "t", "contact_radius", "schedule_segments",
+                "schedule_eps", "seed"):
         if key not in data:
             raise sio.ParseError(f"{path}: missing {key!r} entry")
     scene = sio.read_point_cloud(base / data["scene"])
@@ -217,17 +222,15 @@ def read_scenario(path: str | Path) -> Scenario:
     model = None
     if "model_params" in data:
         model = read_model_params(base / data["model_params"])
-    schedule = build_schedule([tuple(s) for s in data["schedule_segments"]],
-                              eps=float(data["schedule_eps"]),
-                              k1=float(data.get("schedule_k1", 0.5)),
-                              k2=float(data.get("schedule_k2", 1.0)))
-    return Scenario(
-        scene=scene,
-        grasp=grasp,
-        demo_poses=demos,
-        config=DiffusionConfig(t=float(data["t"]), r=float(data["contact_radius"]),
-                               L=float(data.get("length_unit", 1.0))),
-        schedule=schedule,
-        seed=int(data["seed"]),
-        model=model,
-    )
+    try:
+        schedule = build_schedule([tuple(s) for s in data["schedule_segments"]],
+                                  eps=float(data["schedule_eps"]),
+                                  k1=float(data.get("schedule_k1", 0.5)),
+                                  k2=float(data.get("schedule_k2", 1.0)))
+        config = DiffusionConfig(t=float(data["t"]), r=float(data["contact_radius"]),
+                                 L=float(data.get("length_unit", 1.0)))
+        seed = int(data["seed"])
+    except (TypeError, ValueError) as exc:
+        raise sio.ParseError(f"{path}: {exc}") from None
+    return Scenario(scene=scene, grasp=grasp, demo_poses=demos, config=config,
+                    schedule=schedule, seed=seed, model=model)

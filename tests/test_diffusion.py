@@ -199,6 +199,16 @@ def test_contact_weights_equal_radius_count_loop(toy, rng):
     assert np.array_equal(at_boundary, [1.0])
 
 
+def test_contact_weights_chunked_pass_counts_the_same(rng, monkeypatch):
+    import se3diffuse.pointcloud as pointcloud
+
+    grasp = PointCloud(rng.uniform(-1.0, 1.0, (41, 3)))
+    scene = PointCloud(rng.uniform(-1.5, 1.5, (300, 3)))
+    whole = contact_origin_weights(grasp, scene, 0.5)
+    monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", 1000)  # 3 grasp rows per chunk
+    assert np.array_equal(contact_origin_weights(grasp, scene, 0.5), whole)
+
+
 def test_contact_weights_empty_grasp_errors():
     with pytest.raises(ValueError):
         contact_origin_weights(PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((1, 3))), 0.1)

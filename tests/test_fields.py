@@ -130,6 +130,34 @@ def test_edf_time_gates():
     assert gates[1] == 1.0 and gates[0] < 1.0
 
 
+def test_edf_time_gate_centers_must_increase():
+    layout = IrrepsLayout(((0, 1),))
+    from se3diffuse.fields import SyntheticEdfParams
+
+    # equal centers used to give NaN gates at t = 1 and zero fields elsewhere
+    for centers in ((0.0, 0.0), (0.0, -1.0), (-2.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SyntheticEdfParams(layout, 1.0, (0.5,), np.ones((1, 1, 4, len(centers))),
+                               time_gate_centers=centers)
+
+
+@pytest.mark.parametrize("pair_chunk", [None, 100], ids=["one-chunk", "chunked"])
+def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_chunk):
+    import se3diffuse.fields as fields
+    import se3diffuse.pointcloud as pointcloud
+
+    params = random_edf_params(IrrepsLayout(((0, 2), (1, 2), (2, 1), (3, 1))), rng, cutoff=0.9)
+    pc = PointCloud(0.5 * rng.standard_normal((40, 3)), colors=rng.random((40, 3)))
+    # queries on cloud points (the coincident pair is skipped) and one far from the cloud
+    xs = np.concatenate([0.5 * rng.standard_normal((30, 3)), pc.positions[:3], [[9.0, 9.0, 9.0]]])
+    if pair_chunk is not None:  # 2 query rows per chunk
+        monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
+    batch = fields._edf_batch(xs, pc, params, 0.4)
+    assert np.all(np.any(batch[:-1] != 0.0, axis=1)) and np.all(batch[-1] == 0.0)
+    for x, row in zip(xs, batch):
+        assert np.array_equal(row, synthetic_edf(x, pc, params, t=0.4).coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Score field and assembled score
 # ---------------------------------------------------------------------------
@@ -356,6 +384,27 @@ def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch
         assert len(grasp_params) == distinct
         assert len({id(p) for p in grasp_params}) == distinct
         assert len(calls) - len(grasp_params) == 3 * distinct  # one scene field per call
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
+def test_model_score_makes_one_wigner_d_call_per_block(toy, rng, monkeypatch, split):
+    from se3diffuse import irreps
+
+    model = _split_model(toy.model, rng) if split else toy.model
+    score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, model), model)
+    q, p = _stacks(_poses_near_demos(toy, rng, 5))
+    score.score_batch(q, p, 0.5)  # fill the CG-tensor and steering caches
+    calls = []
+    real = irreps.wigner_d
+
+    def counting(l, r):
+        calls.append(l)
+        return real(l, r)
+
+    monkeypatch.setattr(irreps, "wigner_d", counting)
+    score.score_batch(q, p, 0.5)
+    # one Wigner-D stack per block of each distinct scene field, for all poses at once
+    assert calls == [l for l, _ in model.scene.layout.blocks] * (2 if split else 1)
 
 
 def test_model_score_validation(toy):

@@ -135,6 +135,20 @@ def test_model_params_round_trip(tmp_path):
     assert back.query_count == scn.model.query_count
 
 
+def _drop_key(path, key):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith(f"{key} =")) + "\n")
+
+
+@pytest.mark.parametrize("key", ["scene", "grasp", "demos", "t", "contact_radius",
+                                 "schedule_segments", "schedule_eps", "seed"])
+def test_read_scenario_names_each_missing_key(tmp_path, key):
+    path = write_scenario(tmp_path / "scn", make_toy_scenario(seed=3))
+    _drop_key(path, key)
+    with pytest.raises(ParseError, match=f"missing '{key}'"):
+        read_scenario(path)
+
+
 def test_keyvalue_parse_error_names_line(tmp_path):
     path = tmp_path / "kv.txt"
     path.write_text("good = 1\nbad line\n")
@@ -353,6 +367,59 @@ def test_cli_usage_error_exits_2_without_traceback(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "must be a positive finite number" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _bad_input(scenario_dir, tmp_path, case):
+    """(scenario path, extra arguments, expected message) for one broken input file."""
+    import shutil
+
+    scn = tmp_path / "scn"
+    shutil.copytree(scenario_dir, scn)
+    path = scn / "scenario.txt"
+    if case == "missing-file":
+        return scn / "absent.txt", [], "absent.txt"
+    if case == "missing-key":
+        _drop_key(path, "t")
+        return path, [], "missing 't'"
+    if case == "bad-value":
+        _drop_key(path, "t")
+        path.write_text(path.read_text() + 't = "one"\n')
+        return path, [], "could not convert"
+    if case == "malformed-line":
+        path.write_text(path.read_text() + "t 1.0\n")
+        return path, [], "expected 'key = value'"
+    if case == "equal-gate-centers":
+        params = scn / "model_params.txt"
+        _drop_key(params, "scene_time_gate_centers")
+        params.write_text(params.read_text() + "scene_time_gate_centers = [0.0, 0.0]\n")
+        return path, [], "strictly increasing"
+    if case == "missing-params":
+        return path, ["--params", str(scn / "absent.txt")], "absent.txt"
+    (scn / "bad.txt").write_text("path_weights_nu = [1.0,\n")  # malformed-params
+    return path, ["--params", str(scn / "bad.txt")], "bad.txt:1"
+
+
+@pytest.mark.parametrize("argv, case", [
+    (["diffuse", "--n", "2"], "missing-file"),
+    (["diffuse", "--n", "2"], "missing-key"),
+    (["diffuse", "--n", "2"], "bad-value"),
+    (["diffuse", "--n", "2"], "malformed-line"),
+    (["diffuse", "--n", "2"], "equal-gate-centers"),
+    (["denoise", "--score", "model", "--chains", "1"], "missing-file"),
+    (["denoise", "--score", "model", "--chains", "1"], "missing-key"),
+    (["denoise", "--score", "model", "--chains", "1"], "bad-value"),
+    (["denoise", "--score", "model", "--chains", "1"], "malformed-line"),
+    (["denoise", "--score", "model", "--chains", "1"], "equal-gate-centers"),
+    (["denoise", "--score", "model", "--chains", "1"], "missing-params"),
+    (["denoise", "--score", "model", "--chains", "1"], "malformed-params"),
+])
+def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, capsys, argv, case):
+    path, extra, message = _bad_input(scenario_dir, tmp_path, case)
+    out = tmp_path / "x.txt"
+    assert main(argv + ["--scenario", str(path), "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -13,6 +13,7 @@ from se3diffuse.irreps import (
     cg_paths,
     cg_tensor,
     rep_apply,
+    rep_apply_batch,
     sh_batch,
     spherical_harmonics,
     wigner_d,
@@ -63,6 +64,29 @@ def test_wigner_d_full_turn_periodicity(rng):
     full = exp_so3(2.0 * math.pi * axis)
     for l in range(7):
         assert np.max(np.abs(wigner_d(l, full) - np.eye(2 * l + 1))) < 1e-9
+
+
+def test_wigner_d_of_a_quaternion_stack_is_bitwise_per_rotation(rng):
+    rots = [random_rotation(rng) for _ in range(25)]
+    q = np.stack([r.q for r in rots])
+    for l in range(L_MAX_IRREPS + 1):
+        stack = wigner_d(l, q)
+        assert stack.shape == (25, 2 * l + 1, 2 * l + 1)
+        assert wigner_d(l, q.reshape(5, 5, 4)).shape == (5, 5, 2 * l + 1, 2 * l + 1)
+        for i, r in enumerate(rots):
+            assert np.array_equal(stack[i], wigner_d(l, r)), (l, i)
+
+
+def test_rep_apply_batch_on_stacks_matches_rep_apply(rng):
+    lay = IrrepsLayout(((0, 1), (1, 2), (2, 1), (3, 1)))
+    rots = [random_rotation(rng) for _ in range(6)]
+    coeffs = rng.standard_normal((6, 4, lay.dim))
+    out = rep_apply_batch(lay, np.stack([r.q for r in rots]), coeffs)
+    assert out.shape == coeffs.shape
+    for i, r in enumerate(rots):
+        for m in range(4):
+            ref = rep_apply(lay, r, IrrepsVector(lay, coeffs[i, m])).coeffs
+            assert np.max(np.abs(out[i, m] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_layout_dimensions():
@@ -144,11 +168,7 @@ def test_spherical_harmonics_is_a_batch_of_one(rng):
         for i, u in enumerate(us):
             one = spherical_harmonics(l, u)
             assert np.array_equal(one, sh_batch(l, us[i:i + 1])[0])
-            # NumPy multiplies a one-row stack by BLAS gemv and a taller one by
-            # gemm, which round differently from l = 2 on (by at most 4e-16)
-            if l <= 1:
-                assert np.array_equal(one, batch[i])
-            assert np.max(np.abs(one - batch[i])) < 1e-15
+            assert np.array_equal(one, batch[i])
 
 
 def test_cg_contract_to1_is_bitwise_a_row_of_the_batch(rng):
