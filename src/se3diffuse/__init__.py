@@ -16,11 +16,13 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .diffusion import (
     DemoSet,
     DiffusionConfig,
+    ForwardDraws,
     brownian_log_density,
     brownian_sample,
     brownian_score,
     contact_origin_weights,
     forward_diffuse,
+    forward_diffuse_batch,
     kernel_log_density,
     marginal_score_oracle,
     score_matching_loss,
@@ -79,6 +81,8 @@ __all__ = [
     "brownian_score",
     "contact_origin_weights",
     "forward_diffuse",
+    "forward_diffuse_batch",
+    "ForwardDraws",
     "target_score",
     "kernel_log_density",
     "marginal_score_oracle",

@@ -15,6 +15,13 @@ counts positive (``diffuse --n`` may be 0), seeds nonnegative, and
 2 and a usage message.  Scenario geometry on disk is in scene units; the
 commands divide by the configured length unit on load and scale back on
 output.
+
+``diffuse`` makes all its draws in one ``forward_diffuse_batch`` call,
+which takes from the seeded stream, per sample: ``random()`` for a
+log-uniform t when ``--t-max`` is given, ``integers(0, D)`` for the demo
+(nothing for a single demo), ``random(2)`` for the contact-weighted
+diffusion origin and the IGSO(3) angle, and ``standard_normal(6)`` for
+the rotation axis and the translation.
 """
 
 from __future__ import annotations
@@ -28,11 +35,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as sio
-from .diffusion import DemoSet, DiffusionConfig, MixtureScore, forward_diffuse, kernel_log_density
-# assemble_score is unused here; perfbench/ traces and calls it as cli.assemble_score
+# forward_diffuse and assemble_score are unused here; perfbench/ traces and calls them through cli
+from .diffusion import (  # noqa: F401
+    DemoSet,
+    DiffusionConfig,
+    MixtureScore,
+    forward_diffuse,
+    forward_diffuse_batch,
+    kernel_log_density,
+)
 from .fields import ModelScore, assemble_score, build_query_set  # noqa: F401
 from .igso3 import IgParams, angle_cdf_quadrature, igso3_sample_quats
-from .lie import Pose, quat_angle, quat_conj, quat_mul
+from .lie import Pose, Rotation, quat_angle, quat_conj, quat_mul
 from .pointcloud import PointCloud
 from .sampler import run_denoising
 from .scenario import (
@@ -113,29 +127,20 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     t_lo = args.t if args.t is not None else scn.config.t
     if args.t_max is not None and args.t_max < t_lo:
         return _error(f"--t-max {args.t_max!r} is below the diffusion time {t_lo!r}")
-    cfg_template = dict(r=scn.config.r, L=scn.config.L)
     lines = sio.provenance_lines(seed=seed, scenario=str(args.scenario), t=t_lo,
                                  t_max=args.t_max if args.t_max else t_lo, n=args.n)
-    records = []
+    cfg = DiffusionConfig(t=t_lo, r=scn.config.r, L=scn.config.L)
+    d = forward_diffuse_batch(demos, scene, grasp, cfg, rng, args.n, t_max=args.t_max)
+    length = scn.config.L
     for k in range(args.n):
-        if args.t_max:
-            # documented default: log-uniform diffusion time over [t, t_max]
-            u = rng.random()
-            t_k = math.exp(math.log(t_lo) + u * (math.log(args.t_max) - math.log(t_lo)))
-        else:
-            t_k = t_lo
-        cfg = DiffusionConfig(t=t_k, **cfg_template)
-        g0 = demos[int(rng.choice(len(demos)))]
-        g_t, p_de, dg = forward_diffuse(g0, scene, grasp, cfg, rng)
-        records.append((t_k, _scale_pose(g_t, scn.config.L), p_de * scn.config.L, dg))
+        lines.append(f"# sample {k}: t = {sio.fmt_float(d.t[k])}; p_de = "
+                     + "[" + ", ".join(sio.fmt_float(v) for v in d.p_de[k] * length) + "]"
+                     + "; delta_quat = [" + ", ".join(sio.fmt_float(v) for v in d.delta_q[k]) + "]"
+                     + "; delta_pos = [" + ", ".join(sio.fmt_float(v) for v in d.delta_p[k]) + "]")
+    poses = [Pose(p * length, Rotation.from_unit(q)) for q, p in zip(d.q, d.p)]
     out = Path(args.out)
-    for k, (t_k, g_t, p_de, dg) in enumerate(records):
-        lines.append(f"# sample {k}: t = {sio.fmt_float(t_k)}; p_de = "
-                     + "[" + ", ".join(sio.fmt_float(v) for v in p_de) + "]"
-                     + "; delta_quat = [" + ", ".join(sio.fmt_float(v) for v in dg.r.q) + "]"
-                     + "; delta_pos = [" + ", ".join(sio.fmt_float(v) for v in dg.p) + "]")
-    sio.write_poses(out, [g for _, g, _, _ in records], lines)
-    print(f"wrote {out} ({len(records)} poses)")
+    sio.write_poses(out, poses, lines)
+    print(f"wrote {out} ({args.n} poses)")
     return 0
 
 

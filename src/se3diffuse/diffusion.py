@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from . import igso3
 from .igso3 import IgParams
 from .lie import (
     Pose,
+    Rotation,
     Twist,
     compose,
     cross,
@@ -34,7 +36,8 @@ from .lie import (
     quat_log,
     quat_mul,
     quat_rotate,
-    translation_pose,
+    quat_to_matrix,
+    quat_unit,
 )
 from .pointcloud import PointCloud, pair_offsets, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
 
@@ -46,6 +49,8 @@ __all__ = [
     "brownian_score",
     "contact_origin_weights",
     "forward_diffuse",
+    "forward_diffuse_batch",
+    "ForwardDraws",
     "target_score",
     "frame_target_score",
     "kernel_log_density",
@@ -106,11 +111,36 @@ def _ig_params(t: float) -> IgParams:
 
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest subnormal double
+_IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+# the rotation of inverse(T(p)), signed zeros included
+_IDENTITY_CONJ = quat_conj(_IDENTITY_Q)
+_ZERO = np.zeros(3)
+
+
+class _Components(NamedTuple):
+    """Kernel components: (demo, grasp point) pairs.
+
+    ``q0inv`` (D, 4) and ``p0inv`` (D, 3) are the inverse demo poses,
+    ``points`` (C, 3) the grasp point of each component, ``demo`` (C,) the
+    index of its demo and ``logw`` (C,) its log weight.
+    """
+
+    q0inv: np.ndarray
+    p0inv: np.ndarray
+    points: np.ndarray
+    demo: np.ndarray
+    logw: np.ndarray
+
+
+def _single_component(q0inv: np.ndarray, p0inv: np.ndarray, point: np.ndarray) -> _Components:
+    return _Components(q0inv[None, :], p0inv[None, :],
+                       np.asarray(point, dtype=np.float64).reshape(1, 3),
+                       np.zeros(1, dtype=np.intp), np.zeros(1))
+
+
 # The plain kernel B_t(h) is the one-component kernel of an identity demo
 # with its diffusion origin at 0 (contact weight 1).
-_IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
-_ZERO = np.zeros(3)
-_ORIGIN = np.zeros((1, 3))
+_BROWNIAN = _single_component(_IDENTITY_Q, _ZERO, _ZERO)
 
 
 def brownian_log_density(h: Pose, t: float) -> float:
@@ -123,8 +153,8 @@ def brownian_log_density(h: Pose, t: float) -> float:
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    _, _, theta, ph = _kernel_frames(h.r.q[None, :], h.p[None, :], _IDENTITY_Q, _ZERO, _ORIGIN)
-    return float(_component_log_terms(theta, ph, np.zeros(1), t, _ig_params(t))[0, 0])
+    _, _, theta, ph = _kernel_frames(h.r.q[None, :], h.p[None, :], _BROWNIAN)
+    return float(_component_log_terms(theta, ph, _BROWNIAN, t, _ig_params(t))[0, 0])
 
 
 def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
@@ -169,6 +199,96 @@ def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: floa
     return counts / total
 
 
+class ForwardDraws(NamedTuple):
+    """n forward-diffusion draws as stacks, in draw order."""
+
+    t: np.ndarray  # (n,) diffusion times
+    demo: np.ndarray  # (n,) index of the demo pose g0 each draw starts from
+    q: np.ndarray  # (n, 4) rotations of g_t
+    p: np.ndarray  # (n, 3) translations of g_t
+    p_de: np.ndarray  # (n, 3) diffusion origins
+    delta_q: np.ndarray  # (n, 4) rotations of the Brownian displacement
+    delta_p: np.ndarray  # (n, 3) translations of the Brownian displacement
+
+
+def forward_diffuse_batch(
+    demo_poses: Sequence[Pose],
+    scene: PointCloud,
+    grasp: PointCloud,
+    cfg: DiffusionConfig,
+    rng: np.random.Generator,
+    n: int,
+    t_max: float | None = None,
+) -> ForwardDraws:
+    """n forward-diffusion draws g_t = g0 T(p_de) delta_g T(p_de)^-1.
+
+    Each demo's contact weights against its body-frame scene g0^-1 . O_s
+    are computed once per call.  Sample k then draws from ``rng``, in
+    this order:
+
+    1. ``rng.random()`` for t, only when ``t_max`` is set: t is
+       log-uniform on [cfg.t, t_max], else t = cfg.t;
+    2. ``rng.integers(0, D)`` for the demo g0 among the D demo poses (the
+       draw of ``rng.choice(D)``; a single demo draws nothing);
+    3. ``rng.random(2)``: the first uniform picks the diffusion origin
+       p_de, the grasp point at ``searchsorted(cdf, u, side="right")`` of
+       the normalized cumulative contact weights (the draw of
+       ``rng.choice(K, p=w)``); the second is the inverse-CDF uniform of
+       the IGSO(3)(t/2) rotation angle of delta_g;
+    4. ``rng.standard_normal(6)``: the rotation axis of delta_g, then its
+       N(0, tI) translation.
+
+    The draws stay one sample at a time because ``integers`` takes 32-bit
+    halves of a buffered 64-bit output, so drawing whole arrays would
+    change the stream.  delta_g's rotation is built from the angle and
+    axis draws as ``igso3_sample_quats`` builds it, and the poses are
+    composed on quaternion/translation stacks, renormalized after each
+    product as ``compose`` does, so that row k is bitwise the k-th draw of
+    this order made one pose at a time.
+    """
+    if len(scene) == 0 or len(grasp) == 0:
+        raise ValueError("empty point cloud")
+    if len(demo_poses) == 0:
+        raise ValueError("no demo poses")
+    if t_max is not None and not t_max >= cfg.t:
+        raise ValueError("t_max must be at least cfg.t")
+    cdf = np.stack([np.cumsum(contact_origin_weights(grasp, transform(scene, inverse(g0)), cfg.r_nd))
+                    for g0 in demo_poses])
+    cdf /= cdf[:, -1:]
+
+    t = np.full(n, cfg.t)
+    demo = np.empty(n, dtype=np.intp)
+    u = np.empty((n, 2))
+    z = np.empty((n, 6))
+    if t_max is not None:
+        log_lo = math.log(cfg.t)
+        span = math.log(t_max) - log_lo
+    for k in range(n):
+        if t_max is not None:
+            t[k] = math.exp(log_lo + rng.random() * span)
+        demo[k] = rng.integers(0, len(demo_poses))
+        u[k] = rng.random(2)
+        z[k] = rng.standard_normal(6)
+
+    p_de = grasp.positions[np.count_nonzero(cdf[demo] <= u[:, :1], axis=1)]
+    if t_max is None:
+        theta = igso3._angles_from_uniforms(_ig_params(cfg.t), u[:, 1])
+    else:  # the lookup is elementwise, so each draw reads its own t's table
+        theta = np.array([igso3._angles_from_uniforms(_ig_params(t_k), u_k)
+                          for t_k, u_k in zip(t.tolist(), u[:, 1].tolist())])
+    delta_q = quat_unit(igso3._quats_from(theta, z[:, :3]))
+    delta_p = np.sqrt(t)[:, None] * z[:, 3:]
+
+    q0 = np.stack([g0.r.q for g0 in demo_poses])[demo]
+    p_t = np.stack([g0.p for g0 in demo_poses])[demo] + quat_rotate(q0, p_de)
+    q_t = quat_unit(quat_mul(q0, _IDENTITY_Q))
+    p_t = p_t + quat_rotate(q_t, delta_p)
+    q_t = quat_unit(quat_mul(q_t, delta_q))
+    p_t = p_t + quat_rotate(q_t, -quat_rotate(_IDENTITY_CONJ, p_de))
+    q_t = quat_unit(quat_mul(q_t, _IDENTITY_CONJ))
+    return ForwardDraws(t, demo, q_t, p_t, p_de, delta_q, delta_p)
+
+
 def forward_diffuse(
     g0: Pose,
     scene: PointCloud,
@@ -176,23 +296,15 @@ def forward_diffuse(
     cfg: DiffusionConfig,
     rng: np.random.Generator,
 ) -> tuple[Pose, np.ndarray, Pose]:
-    """One forward-diffusion draw: returns (g_t, p_de, delta_g).
+    """One forward-diffusion draw from g0: returns (g_t, p_de, delta_g).
 
-    The diffusion origin p_de is a grasp point sampled from the contact
-    weights against the body-frame scene g0^-1 . O_s; the displacement is
-    a Brownian draw applied in the translated frame:
-    g_t = g0 T(p_de) delta_g T(p_de)^-1.
+    A batch of one of ``forward_diffuse_batch`` with the single demo g0,
+    so it draws no demo index: the origin and angle uniforms, then the
+    axis and translation normals.
     """
-    if len(scene) == 0 or len(grasp) == 0:
-        raise ValueError("empty point cloud")
-    scene_in_body = transform(scene, inverse(g0))
-    weights = contact_origin_weights(grasp, scene_in_body, cfg.r_nd)
-    idx = int(rng.choice(len(grasp), p=weights))
-    p_de = grasp.positions[idx].copy()
-    dg = brownian_sample(cfg.t, rng)
-    t_p = translation_pose(p_de)
-    g_t = compose(compose(compose(g0, t_p), dg), inverse(t_p))
-    return g_t, p_de, dg
+    d = forward_diffuse_batch((g0,), scene, grasp, cfg, rng, 1)
+    return (Pose(d.p[0], Rotation.from_unit(d.q[0])), d.p_de[0],
+            Pose(d.delta_p[0], Rotation.from_unit(d.delta_q[0])))
 
 
 def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
@@ -230,37 +342,60 @@ def _component_log_weights(g0: Pose, scene: PointCloud, grasp: PointCloud, cfg: 
     return grasp.positions[keep], np.log(w[keep])
 
 
-def _kernel_frames(q: np.ndarray, p: np.ndarray, q0inv: np.ndarray, p0inv: np.ndarray,
-                   points: np.ndarray):
-    """Kernel arguments h = T(-p_k) g0^-1 g T(p_k) for pose stacks and grasp points.
+def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: PointCloud,
+                     cfg: DiffusionConfig, log_demo_weight: float = 0.0) -> _Components:
+    """Every (demo, grasp point) component with nonzero contact weight."""
+    inv = [inverse(g0) for g0 in demo_poses]
+    parts = [_component_log_weights(g0, scene, grasp, cfg) for g0 in demo_poses]
+    return _Components(
+        np.stack([g.r.q for g in inv]),
+        np.stack([g.p for g in inv]),
+        np.concatenate([points for points, _ in parts]),
+        np.concatenate([np.full(len(points), d, dtype=np.intp)
+                        for d, (points, _) in enumerate(parts)]),
+        np.concatenate([logw for _, logw in parts]) + log_demo_weight,
+    )
 
-    Returns the rotation qm of g0^-1 g (shared by every component), its
-    rotation vector and angle, each (N, ...), and the (N, K, 3)
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v over stacks of 3x3 matrices and 3-vectors, elementwise (no BLAS)."""
+    return (m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
+            + m[..., 2] * v[..., None, 2])
+
+
+def _kernel_frames(q: np.ndarray, p: np.ndarray, comps: _Components):
+    """Kernel arguments h = T(-p_k) g0^-1 g T(p_k) for pose stacks and components.
+
+    The rotation R_m of g0^-1 g is formed once per pose and demo.  Returns
+    its matrices for every component, (N, C, 3, 3), its rotation vectors
+    and angles per demo, (N, D, 3) and (N, D), and the (N, C, 3)
     translations p_h = p_m + R_m p_k - p_k.
     """
-    qm = quat_mul(q0inv[None, :], q)
-    pm = quat_rotate(q0inv[None, :], p) + p0inv[None, :]
+    qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
+    pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
     rotvec = quat_log(qm)
     theta = np.linalg.norm(rotvec, axis=-1)
-    rp = quat_rotate(qm[:, None, :], points[None, :, :])
-    ph = pm[:, None, :] + rp - points[None, :, :]
-    return qm, rotvec, theta, ph
+    # take() keeps C order; indexing axis 1 would put it outermost in memory,
+    # and the row sums of score_batch would then add in another order for a
+    # stack than for one pose
+    rm = quat_to_matrix(qm).take(comps.demo, axis=1)
+    ph = pm.take(comps.demo, axis=1) + _matvec(rm, comps.points) - comps.points
+    return rm, rotvec, theta, ph
 
 
-def _kernel_scores(q: np.ndarray, p: np.ndarray, q0inv: np.ndarray, p0inv: np.ndarray,
-                   points: np.ndarray, t: float):
+def _kernel_scores(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     """Kernel frames and adjoint-transported kernel scores of every component.
 
-    Returns the (N,) kernel angles and (N, K, 3) translations of
-    ``_kernel_frames`` and the linear and angular parts, each (N, K, 3),
+    Returns the (N, D) kernel angles and (N, C, 3) translations of
+    ``_kernel_frames`` and the linear and angular parts, each (N, C, 3),
     of [Ad_{T(p_k)}]^-T grad log B_t(h_k): s_nu = -R_h^T p_h / t, and the
     IGSO(3) score of R_h plus the lever-arm term p_k x s_nu.  Kernel
     angles within 1e-6 of pi are clamped (``igso3.score_ratio``).
     """
-    qm, rotvec, theta, ph = _kernel_frames(q, p, q0inv, p0inv, points)
-    s_nu = -quat_rotate(quat_conj(qm)[:, None, :], ph) / t
-    s_rot = igso3.igso3_score_batch(rotvec, _ig_params(t))
-    s_om = cross(points[None, :, :], s_nu) + s_rot[:, None, :]
+    rm, rotvec, theta, ph = _kernel_frames(q, p, comps)
+    s_nu = -_matvec(np.swapaxes(rm, -1, -2), ph) / t
+    s_rot = igso3.igso3_score_batch(rotvec.reshape(-1, 3), _ig_params(t)).reshape(rotvec.shape)
+    s_om = cross(comps.points[None, :, :], s_nu) + s_rot.take(comps.demo, axis=1)
     return theta, ph, s_nu, s_om
 
 
@@ -269,24 +404,25 @@ def _pose_kernel_score(g: Pose, q0inv: np.ndarray, p0inv: np.ndarray, p_de: np.n
     """``_kernel_scores`` for one pose and one origin; raises near pi."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    points = np.asarray(p_de, dtype=np.float64).reshape(1, 3)
-    theta, _, s_nu, s_om = _kernel_scores(g.r.q[None, :], g.p[None, :], q0inv, p0inv, points, t)
-    igso3.check_score_angle(float(theta[0]))
+    comps = _single_component(q0inv, p0inv, p_de)
+    theta, _, s_nu, s_om = _kernel_scores(g.r.q[None, :], g.p[None, :], comps, t)
+    igso3.check_score_angle(float(theta[0, 0]))
     return Twist(s_nu[0, 0], s_om[0, 0])
 
 
-def _component_log_terms(theta: np.ndarray, ph: np.ndarray, logw: np.ndarray, t: float,
+def _component_log_terms(theta: np.ndarray, ph: np.ndarray, comps: _Components, t: float,
                          params: IgParams) -> np.ndarray:
-    """(N, K) log w_k + log N(p_h; 0, tI) + log f(theta_h).
+    """(N, C) log w_k + log N(p_h; 0, tI) + log f(theta_h).
 
-    Rotational densities that underflow saturate at LOG_DENSITY_FLOOR,
-    as in brownian_log_density.
+    ``theta`` holds the (N, D) kernel angles per demo, so the rotational
+    density is evaluated once per pose and demo.  Densities that
+    underflow saturate at LOG_DENSITY_FLOOR, as in brownian_log_density.
     """
     dens = igso3.igso3_density(np.minimum(theta, math.pi), params)
     log_f = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-320)), LOG_DENSITY_FLOOR)
     p2 = np.sum(ph * ph, axis=-1)
     log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
-    return logw[None, :] + log_gauss + log_f[:, None]
+    return comps.logw[None, :] + log_gauss + log_f.take(comps.demo, axis=1)
 
 
 def kernel_log_density(
@@ -307,10 +443,9 @@ def kernel_log_density(
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
-    points, logw = _component_log_weights(g0, scene, grasp, cfg)
-    inv0 = inverse(g0)
-    _, _, theta, ph = _kernel_frames(q, p, inv0.r.q, inv0.p, points)
-    logs = _component_log_terms(theta, ph, logw, cfg.t, _ig_params(cfg.t))
+    comps = _demo_components((g0,), scene, grasp, cfg)
+    _, _, theta, ph = _kernel_frames(q, p, comps)
+    logs = _component_log_terms(theta, ph, comps, cfg.t, _ig_params(cfg.t))
     m = np.max(logs, axis=1)
     return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
@@ -321,49 +456,35 @@ class MixtureScore:
     Components are (demo, grasp point) pairs weighted by uniform demo
     weights times contact weights; the score is the density-weighted
     average of the adjoint-transported kernel scores, assembled in log
-    space.  Instances precompute per-demo data and support vectorized
-    evaluation over pose batches (used by the annealed sampler).
+    space.  Every demo's components are stacked once, at construction,
+    and ``score_batch`` evaluates them all in one pass over a pose batch
+    (used by the annealed sampler).
     """
 
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
         scene, grasp = demos.shared_clouds()
         self.cfg = cfg
-        self._demo_data = []
-        logn = -math.log(len(demos))
-        for g0, _, _ in demos.demos:
-            points, logw = _component_log_weights(g0, scene, grasp, cfg)
-            inv0 = inverse(g0)
-            self._demo_data.append({
-                "q0inv": inv0.r.q.copy(),
-                "p0inv": inv0.p.copy(),
-                "points": points,
-                "logw": logw + logn,
-            })
+        self._components = _demo_components([g0 for g0, _, _ in demos.demos], scene, grasp,
+                                            cfg, -math.log(len(demos)))
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores for quaternion/translation stacks at time t.
 
-        Kernel angles within 1e-6 of pi are clamped to that boundary (see
-        ``igso3.score_ratio``), where the rotational score vanishes smoothly.
+        One pass over every component: the rotations of g0^-1 g are formed
+        once per pose and demo, and the IGSO(3) density and score are each
+        evaluated once per call.  Kernel angles within 1e-6 of pi are
+        clamped to that boundary (see ``igso3.score_ratio``), where the
+        rotational score vanishes smoothly.  Each row depends on its pose
+        only, bitwise.
         """
-        n = q.shape[0]
-        params = _ig_params(t)
-        log_parts, nu_parts, om_parts = [], [], []
-        for demo in self._demo_data:
-            theta, ph, s_nu, s_om = _kernel_scores(q, p, demo["q0inv"], demo["p0inv"],
-                                                   demo["points"], t)
-            log_parts.append(_component_log_terms(theta, ph, demo["logw"], t, params))
-            nu_parts.append(s_nu)
-            om_parts.append(s_om)
-        logs = np.concatenate(log_parts, axis=1)
-        nus = np.concatenate(nu_parts, axis=1)
-        oms = np.concatenate(om_parts, axis=1)
+        theta, ph, s_nu, s_om = _kernel_scores(q, p, self._components, t)
+        logs = _component_log_terms(theta, ph, self._components, t, _ig_params(t))
         m = np.max(logs, axis=1, keepdims=True)
         w = np.exp(logs - m)
         w /= np.sum(w, axis=1, keepdims=True)
-        out = np.empty((n, 6))
-        out[:, :3] = np.sum(w[:, :, None] * nus, axis=1)
-        out[:, 3:] = np.sum(w[:, :, None] * oms, axis=1)
+        out = np.empty((q.shape[0], 6))
+        out[:, :3] = np.sum(w[:, :, None] * s_nu, axis=1)
+        out[:, 3:] = np.sum(w[:, :, None] * s_om, axis=1)
         return out
 
     def __call__(self, g: Pose, t: float) -> Twist:
@@ -384,7 +505,7 @@ def score_matching_loss(model_score: Twist, g: Pose, g0: Pose, p_de: np.ndarray,
 
 def _brownian_score_rows(q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
     """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
-    _, _, s_nu, s_om = _kernel_scores(q, p, _IDENTITY_Q, _ZERO, _ORIGIN, t)
+    _, _, s_nu, s_om = _kernel_scores(q, p, _BROWNIAN, t)
     return np.concatenate([s_nu[:, 0], s_om[:, 0]], axis=1)
 
 

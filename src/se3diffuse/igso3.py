@@ -123,8 +123,12 @@ def _cdf_table(params: IgParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_angles(params: IgParams, rng: np.random.Generator, n: int) -> np.ndarray:
+    return _angles_from_uniforms(params, rng.random(n))
+
+
+def _angles_from_uniforms(params: IgParams, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF angles of uniforms u, elementwise (a row does not depend on the batch)."""
     grid, cdf = _cdf_table(params)
-    u = rng.random(n)
     hi = np.searchsorted(cdf, u, side="right")
     hi = np.clip(hi, 1, cdf.size - 1)
     lo = hi - 1
@@ -136,9 +140,12 @@ def _sample_angles(params: IgParams, rng: np.random.Generator, n: int) -> np.nda
 def igso3_sample_quats(params: IgParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """n quaternions sampled by inverse-CDF angle plus a uniform axis."""
     theta = _sample_angles(params, rng, n)
-    axes = rng.standard_normal((n, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    return quat_exp(theta[:, None] * axes)
+    return _quats_from(theta, rng.standard_normal((n, 3)))
+
+
+def _quats_from(theta: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Quaternions of the angles theta about the directions of the (n, 3) normal draws, row by row."""
+    return quat_exp(theta[:, None] * (normals / np.linalg.norm(normals, axis=1, keepdims=True)))
 
 
 def igso3_sample(params: IgParams, rng: np.random.Generator) -> Rotation:

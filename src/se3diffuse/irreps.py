@@ -260,11 +260,17 @@ def spherical_harmonics(l: int, u: np.ndarray) -> np.ndarray:
 
 
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
-    """Vectorized spherical harmonics for (N, 3) unit directions, row by row."""
+    """Vectorized spherical harmonics for (N, 3) unit directions, row by row.
+
+    The monomial terms are added one at a time as (N, 2l+1) products, so
+    a row's bits do not depend on the batch it comes in.
+    """
     u = np.asarray(u, dtype=np.float64)
-    monos = _monomials(l)
-    cols = np.stack([u[:, 0] ** a * u[:, 1] ** b * u[:, 2] ** c for a, b, c in monos], axis=1)
-    return np.sum(cols[:, None, :] * _basis_coeffs(l)[None], axis=-1)
+    coeffs = _basis_coeffs(l)
+    out = np.zeros((u.shape[0], coeffs.shape[0]))
+    for (a, b, c), col in zip(_monomials(l), coeffs.T):
+        out += (u[:, 0] ** a * u[:, 1] ** b * u[:, 2] ** c)[:, None] * col
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
     "quat_log",
     "quat_angle",
     "quat_canonical",
+    "quat_unit",
     "quat_to_matrix",
     "quat_from_matrix",
 ]
@@ -143,6 +144,22 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return np.where(flip, -q, q)
 
 
+def quat_unit(q: np.ndarray) -> np.ndarray:
+    """Rows normalized and sign-canonicalized; the ``Rotation`` constructor's rule.
+
+    Divides by ``sqrt(q . q)``, which equals ``float(np.linalg.norm(q))``
+    of a single row bit for bit (``np.linalg.norm(q, axis=-1)`` does not),
+    then flips each row to w >= 0, and for w == 0 to a positive first
+    nonzero vector component.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    q = q / np.sqrt(np.vecdot(q, q))[..., None]
+    v = q[..., 1:]
+    first = np.take_along_axis(v, np.argmax(v != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
+    flip = (q[..., 0] < 0.0) | ((q[..., 0] == 0.0) & (first < 0.0))
+    return np.where(flip[..., None], -q, q)
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
@@ -215,20 +232,24 @@ class Rotation:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64).reshape(4).copy()
-        if not np.all(np.isfinite(q)):
-            raise ValueError("non-finite quaternion")
-        n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > 1e-3:
-            raise ValueError(f"quaternion norm {n:.6g} deviates from 1 by more than 1e-3")
-        q /= n
-        if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_negative(q[1:])):
-            q = -q
-        object.__setattr__(self, "q", _frozen(q))
+        object.__setattr__(self, "q", _frozen(quat_unit(_checked_quat(self.q))))
 
     @staticmethod
     def identity() -> "Rotation":
         return Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
+
+    @staticmethod
+    def from_unit(q: np.ndarray) -> "Rotation":
+        """Wrap a row of ``quat_unit`` as is, checked as the constructor checks.
+
+        The constructor would divide by the norm again, which moves about a
+        third of once-normalized quaternions by an ulp; stack code hands its
+        rows out through this so that a scalar result is bitwise a row of
+        the stack.
+        """
+        r = object.__new__(Rotation)
+        object.__setattr__(r, "q", _frozen(_checked_quat(q)))
+        return r
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Rotation":
@@ -258,11 +279,15 @@ class Rotation:
                     np.allclose(self.q, -other.q, atol=atol))
 
 
-def _first_nonzero_negative(v: np.ndarray) -> bool:
-    for c in v:
-        if c != 0.0:
-            return c < 0.0
-    return False
+def _checked_quat(q: np.ndarray) -> np.ndarray:
+    """A float64 copy of the 4-vector q; raises if it is non-finite or its norm is off 1 by more than 1e-3."""
+    q = np.array(q, dtype=np.float64).reshape(4)
+    n = math.hypot(*q.tolist())  # nan or inf for a non-finite entry
+    if not math.isfinite(n):
+        raise ValueError("non-finite quaternion")
+    if abs(n - 1.0) > 1e-3:
+        raise ValueError(f"quaternion norm {n:.6g} deviates from 1 by more than 1e-3")
+    return q
 
 
 @dataclass(frozen=True, eq=False)

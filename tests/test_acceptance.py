@@ -22,6 +22,7 @@ from se3diffuse.diffusion import (
     brownian_sample,
     brownian_score,
     forward_diffuse,
+    forward_diffuse_batch,
     kernel_log_density,
     marginal_score_oracle,
     target_score,
@@ -366,15 +367,14 @@ def test_criterion_13_loss_sanity(toy):
     exact = target_score(g_t, g0, p_de, t)
     zero_loss = score_matching_loss(exact, g_t, g0, p_de, t)
 
-    # empirical batch loss over forward draws, probed along fixed directions
-    draws = []
-    for _ in range(4000):
-        g0 = toy.demo_poses[int(rng.choice(2))]
-        g_t, p_de, _ = forward_diffuse(g0, toy.scene, toy.grasp, cfg, rng)
-        residual = (oracle(g_t, t).as_array()
-                    - target_score(g_t, g0, p_de, t).as_array())
-        draws.append(residual)
-    residuals = np.stack(draws)
+    # empirical batch loss over forward draws, probed along fixed directions;
+    # the batch draws each demo as rng.choice(2) does, on the same stream
+    d = forward_diffuse_batch(toy.demo_poses[:2], toy.scene, toy.grasp, cfg, rng, 4000)
+    targets = np.stack([
+        target_score(Pose(d.p[k], Rotation.from_unit(d.q[k])), toy.demo_poses[d.demo[k]],
+                     d.p_de[k], t).as_array()
+        for k in range(len(d.t))])
+    residuals = oracle.score_batch(d.q, d.p, t) - targets
 
     lambdas = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     ok_probes = True

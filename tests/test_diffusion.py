@@ -14,6 +14,7 @@ from se3diffuse.diffusion import (
     brownian_score,
     contact_origin_weights,
     forward_diffuse,
+    forward_diffuse_batch,
     kernel_log_density,
     marginal_score_oracle,
     score_matching_loss,
@@ -244,6 +245,93 @@ def test_forward_diffuse_conjugation_formula(toy):
     assert g_t.r.allclose(ref.r, atol=1e-14)
 
 
+def _sequential_draws(demo_poses, scene, grasp, cfg, rng, n, t_max=None):
+    """Reference stream, one pose at a time with Pose composition: t, demo,
+    origin by ``rng.choice(K, p=w)``, then ``brownian_sample``."""
+    rows = []
+    for _ in range(n):
+        t = cfg.t
+        if t_max is not None:
+            t = math.exp(math.log(cfg.t) + rng.random() * (math.log(t_max) - math.log(cfg.t)))
+        g0 = demo_poses[int(rng.choice(len(demo_poses)))]
+        w = contact_origin_weights(grasp, transform(scene, inverse(g0)), cfg.r_nd)
+        p_de = grasp.positions[int(rng.choice(len(grasp), p=w))]
+        dg = brownian_sample(t, rng)
+        tp = translation_pose(p_de)
+        rows.append((t, compose(compose(compose(g0, tp), dg), inverse(tp)), p_de, dg))
+    return rows
+
+
+def _assert_rows_are(d, rows):
+    assert len(d.t) == len(rows)
+    for k, (t, g_t, p_de, dg) in enumerate(rows):
+        assert d.t[k] == t
+        assert np.array_equal(d.q[k], g_t.r.q) and np.array_equal(d.p[k], g_t.p)
+        assert np.array_equal(d.p_de[k], p_de)
+        assert np.array_equal(d.delta_q[k], dg.r.q) and np.array_equal(d.delta_p[k], dg.p)
+
+
+@pytest.mark.parametrize("t, t_max", [(0.5, None), (1e-4, 1.0)])
+def test_forward_diffuse_batch_is_the_sequential_stream(toy, t, t_max):
+    # the toy demos and nearby poses whose quaternions were normalized once
+    # from raw values, so that normalizing them again moves bits in about a
+    # third of them: the batch must renormalize exactly where Pose does
+    rng = np.random.default_rng(5)
+    demos = list(toy.demo_poses) + [
+        Pose(toy.demo_poses[k % 3].p + 0.01 * rng.standard_normal(3),
+             Rotation(toy.demo_poses[k % 3].r.q + 1e-4 * rng.standard_normal(4)))
+        for k in range(9)]
+    cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    d = forward_diffuse_batch(demos, toy.scene, toy.grasp, cfg, a, 100, t_max=t_max)
+    _assert_rows_are(d, _sequential_draws(demos, toy.scene, toy.grasp, cfg, b, 100, t_max))
+    assert set(d.demo) == set(range(len(demos)))
+    assert a.random() == b.random()
+
+
+def test_forward_diffuse_is_a_batch_of_one(toy):
+    cfg = toy.config
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        g0 = toy.demo_poses[seed % 3]
+        g_t, p_de, dg = forward_diffuse(g0, toy.scene, toy.grasp, cfg, a)
+        d = forward_diffuse_batch((g0,), toy.scene, toy.grasp, cfg, b, 1)
+        assert np.array_equal(g_t.r.q, d.q[0]) and np.array_equal(g_t.p, d.p[0])
+        assert np.array_equal(p_de, d.p_de[0])
+        assert np.array_equal(dg.r.q, d.delta_q[0]) and np.array_equal(dg.p, d.delta_p[0])
+        assert d.demo[0] == 0 and a.random() == b.random()
+
+
+def test_forward_diffuse_batch_contact_free_demo_draws_uniform_origins(toy):
+    """A demo whose body-frame scene is out of reach falls back to uniform weights."""
+    far = compose(translation_pose(np.array([100.0, 0.0, 0.0])), toy.demo_poses[0])
+    demos = (toy.demo_poses[0], far)
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    d = forward_diffuse_batch(demos, toy.scene, toy.grasp, cfg, a, 200)
+    _assert_rows_are(d, _sequential_draws(demos, toy.scene, toy.grasp, cfg, b, 200))
+    w = contact_origin_weights(toy.grasp, transform(toy.scene, inverse(demos[0])), cfg.r_nd)
+    in_contact = {tuple(x) for x in toy.grasp.positions[w > 0.0]}
+    near = {tuple(x) for x in d.p_de[d.demo == 0]}
+    far_origins = {tuple(x) for x in d.p_de[d.demo == 1]}
+    assert near <= in_contact and len(in_contact) < len(toy.grasp)
+    assert len(far_origins - in_contact) > 0 and len(far_origins) > 25
+
+
+def test_forward_diffuse_batch_empty_and_invalid(toy):
+    cfg = toy.config
+    rng = np.random.default_rng(0)
+    d = forward_diffuse_batch(toy.demo_poses, toy.scene, toy.grasp, cfg, rng, 0, t_max=2.0)
+    assert d.q.shape == (0, 4) and d.p.shape == (0, 3) and d.t.shape == (0,)
+    assert rng.random() == np.random.default_rng(0).random()
+    with pytest.raises(ValueError):
+        forward_diffuse_batch((), toy.scene, toy.grasp, cfg, rng, 1)
+    with pytest.raises(ValueError):
+        forward_diffuse_batch(toy.demo_poses, toy.scene, toy.grasp, cfg, rng, 1, t_max=0.5 * cfg.t)
+    with pytest.raises(ValueError):
+        forward_diffuse_batch(toy.demo_poses, PointCloud(np.zeros((0, 3))), toy.grasp, cfg, rng, 1)
+
+
 def test_pure_translation_displacement_cancels_origin(rng):
     # g0 T(p) (d, I) T(p)^-1 = g0 (d, I): same rotation, translation p0 + R0 d
     g0 = random_pose(rng)
@@ -386,6 +474,70 @@ def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
         for i in range(len(poses)):
             assert kernel_log_density(q[i:i + 1], p[i:i + 1], g0, toy.scene, toy.grasp, cfg)[0] == dens[i]
             assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
+
+
+def _uneven_demo_set(toy):
+    """Demos whose contact filtering keeps 15, 13 and 4 grasp points."""
+    from se3diffuse.diffusion import _component_log_weights
+
+    poses = [compose(toy.demo_poses[0], translation_pose(np.array([dx, 0.0, 0.0])))
+             for dx in (0.0, 0.06, 0.1)]
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    kept = [len(_component_log_weights(g, toy.scene, toy.grasp, cfg)[0]) for g in poses]
+    assert len(set(kept)) == 3
+    return DemoSet(tuple((g, toy.scene, toy.grasp) for g in poses))
+
+
+def _pose_stack(demos, rng, n):
+    poses = [compose(demos.demos[k % len(demos)][0],
+                     exp_se3(Twist(0.3 * rng.standard_normal(3), 0.8 * rng.standard_normal(3))))
+             for k in range(n)]
+    return np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+
+
+def _score_by_demo(demos, cfg, q, p, t):
+    """Reference: the kernel scores and log terms of one demo at a time."""
+    from se3diffuse.diffusion import (_component_log_terms, _demo_components, _ig_params,
+                                      _kernel_scores)
+
+    scene, grasp = demos.shared_clouds()
+    logs, nus, oms = [], [], []
+    for g0, _, _ in demos.demos:
+        comps = _demo_components((g0,), scene, grasp, cfg, -math.log(len(demos)))
+        theta, ph, s_nu, s_om = _kernel_scores(q, p, comps, t)
+        logs.append(_component_log_terms(theta, ph, comps, t, _ig_params(t)))
+        nus.append(s_nu)
+        oms.append(s_om)
+    logs = np.concatenate(logs, axis=1)
+    w = np.exp(logs - logs.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return np.concatenate([np.einsum("nc,nci->ni", w, np.concatenate(nus, axis=1)),
+                           np.einsum("nc,nci->ni", w, np.concatenate(oms, axis=1))], axis=1)
+
+
+@pytest.mark.parametrize("which", ["toy", "uneven", "single"])
+def test_fused_oracle_matches_a_loop_over_demos(toy, rng, which):
+    demos = {"toy": toy.demo_set(), "uneven": _uneven_demo_set(toy),
+             "single": DemoSet(((toy.demo_poses[2], toy.scene, toy.grasp),))}[which]
+    q, p = _pose_stack(demos, rng, 60)
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        got = MixtureScore(demos, cfg).score_batch(q, p, t)
+        ref = _score_by_demo(demos, cfg, q, p, t)
+        rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(rel) < 1e-14, (t, np.max(rel))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
+    for demos in (_uneven_demo_set(toy), DemoSet(((toy.demo_poses[1], toy.scene, toy.grasp),))):
+        q, p = _pose_stack(demos, rng, n)
+        for t in (0.01, 1.0):
+            oracle = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))
+            full = oracle.score_batch(q, p, t)
+            assert full.shape == (n, 6) and np.all(np.isfinite(full))
+            for i in range(n):
+                assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
 
 
 def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):

@@ -192,6 +192,22 @@ def test_cmd_diffuse_empty_output_has_header(scenario_dir, tmp_path):
     assert read_poses(out) == []
 
 
+@pytest.mark.parametrize("times", [["--t", "0.5"], ["--t", "1e-4", "--t-max", "1"]])
+def test_cmd_diffuse_one_draw_is_the_first_of_many(scenario_dir, tmp_path, times):
+    """The seeded stream is drawn sample by sample, so --n 1 is a prefix of --n 3."""
+    runs = {}
+    for n in ("1", "3"):
+        out = tmp_path / f"d{n}.txt"
+        assert main(["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), *times,
+                     "--n", n, "--out", str(out), "--seed", "4"]) == 0
+        runs[n] = out.read_text().splitlines()
+    one, three = runs["1"], runs["3"]
+    sample0 = [line for line in one if line.startswith("# sample ")]
+    assert len(sample0) == 1 and sample0[0] in three
+    assert one[-2:] == [line for line in three if not line.startswith("#")][:2]
+    assert len(read_poses(tmp_path / "d3.txt")) == 3
+
+
 def test_cmd_diffuse_logs_provenance(scenario_dir, tmp_path):
     out = tmp_path / "d.txt"
     assert main(["diffuse", "--scenario", str(scenario_dir / "scenario.txt"),

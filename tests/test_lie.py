@@ -17,6 +17,7 @@ from se3diffuse.lie import (
     inverse,
     log_se3,
     log_so3,
+    quat_unit,
     random_rotation,
     skew,
     translation_pose,
@@ -206,3 +207,33 @@ def test_cross_matches_numpy_bitwise_on_broadcast_stacks(rng):
         out = cross(a, b)
         assert out.shape == ref.shape
         assert np.array_equal(out, ref)
+
+
+def test_quat_unit_rows_are_the_rotation_constructor_bitwise(rng):
+    q = rng.standard_normal((3000, 4))
+    q *= (1.0 + 1e-4 * rng.standard_normal((3000, 1))) / np.linalg.norm(q, axis=1, keepdims=True)
+    # the sign rule's edges: w = 0 with leading zero components, and signed zeros
+    q[:6] = [[0.0, 0.0, -0.6, 0.8], [-0.0, -0.0, 0.6, 0.8], [0.0, 0.0, 0.0, -1.0],
+             [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0]]
+    rows = quat_unit(q)
+    for k in range(len(q)):
+        # the scalar rule: divide by float(norm), then flip so the first nonzero entry is positive
+        ref = q[k] / float(np.linalg.norm(q[k]))
+        if next(c for c in ref if c != 0.0) < 0.0:
+            ref = -ref
+        for got in (rows[k], Rotation(q[k]).q):
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(Rotation.from_unit(rows[7]).q, rows[7])
+    assert quat_unit(q[:7].reshape(7, 1, 4)).shape == (7, 1, 4)
+
+
+def test_from_unit_checks_rows_like_the_constructor():
+    for bad in ([np.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.01, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            Rotation.from_unit(np.array(bad))
+        with pytest.raises(ValueError):
+            Rotation(np.array(bad))
+    row = np.array([0.5, 0.5, -0.5, 0.5])
+    r = Rotation.from_unit(row)
+    row[0] = 2.0
+    assert r.q[0] == 0.5 and not r.q.flags.writeable

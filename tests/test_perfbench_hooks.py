@@ -15,6 +15,7 @@ import numpy as np
 from se3diffuse import cli, fields, igso3, irreps
 from se3diffuse.diffusion import MixtureScore
 from se3diffuse.fields import ModelScore, build_query_set
+from se3diffuse.lie import Pose
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -52,3 +53,27 @@ def test_tracing_hooks_install_wrap_the_called_functions_and_uninstall(toy):
         tracer.uninstall()
     assert (cli.run_denoising, fields._contract_batch, irreps.wigner_d,
             MixtureScore.score_batch) == originals
+
+
+def test_diffuse_hooks_still_find_their_names_and_count_weights_per_demo(tmp_path):
+    # perfbench/probe.py readies a diffuse workload with the scalar call
+    scn_dir = tmp_path / "scn"
+    assert cli.main(["gen-scenario", "--out", str(scn_dir), "--seed", "7"]) == 0
+    scn = cli.read_scenario(scn_dir / "scenario.txt")
+    scene, grasp, demos = cli._nondimensionalize(scn)
+    cfg = cli.DiffusionConfig(t=0.5, r=scn.config.r, L=scn.config.L)
+    g_t, p_de, dg = cli.forward_diffuse(demos[0], scene, grasp, cfg, np.random.default_rng(0))
+    assert isinstance(g_t, Pose) and isinstance(dg, Pose) and p_de.shape == (3,)
+    # perfbench/layers.py counts inverse-CDF table builds from the cache statistics
+    assert callable(igso3._cdf_table.cache_info)
+
+    layers = _load_layers()
+    tracer = layers.Tracer(time.perf_counter)
+    layers.install(tracer)
+    try:
+        assert cli.main(["diffuse", "--scenario", str(scn_dir / "scenario.txt"), "--t", "0.5",
+                         "--n", "40", "--out", str(tmp_path / "d.txt"), "--seed", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["diffusion.contact_weights"].calls == len(demos)
+    assert tracer.stats["io.write_poses"].calls == 1
