@@ -46,7 +46,7 @@ from .diffusion import (  # noqa: F401
 )
 from .fields import ModelScore, assemble_score, build_query_set  # noqa: F401
 from .igso3 import IgParams, angle_cdf_quadrature, igso3_sample_quats
-from .lie import Pose, Rotation, quat_angle, quat_conj, quat_mul
+from .lie import Pose, quat_angle, quat_conj, quat_mul
 from .pointcloud import PointCloud
 from .sampler import run_denoising
 from .scenario import (
@@ -116,6 +116,11 @@ def _error(message: object) -> int:
     return 2
 
 
+_SAMPLE_LINE = ("# sample {}: t = {:.16e}; p_de = [{:.16e}, {:.16e}, {:.16e}]; "
+                "delta_quat = [{:.16e}, {:.16e}, {:.16e}, {:.16e}]; "
+                "delta_pos = [{:.16e}, {:.16e}, {:.16e}]")
+
+
 def cmd_diffuse(args: argparse.Namespace) -> int:
     try:
         scn = read_scenario(args.scenario)
@@ -132,14 +137,10 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     cfg = DiffusionConfig(t=t_lo, r=scn.config.r, L=scn.config.L)
     d = forward_diffuse_batch(demos, scene, grasp, cfg, rng, args.n, t_max=args.t_max)
     length = scn.config.L
-    for k in range(args.n):
-        lines.append(f"# sample {k}: t = {sio.fmt_float(d.t[k])}; p_de = "
-                     + "[" + ", ".join(sio.fmt_float(v) for v in d.p_de[k] * length) + "]"
-                     + "; delta_quat = [" + ", ".join(sio.fmt_float(v) for v in d.delta_q[k]) + "]"
-                     + "; delta_pos = [" + ", ".join(sio.fmt_float(v) for v in d.delta_p[k]) + "]")
-    poses = [Pose(p * length, Rotation.from_unit(q)) for q, p in zip(d.q, d.p)]
+    lines.extend(_SAMPLE_LINE.format(k, t, *pde, *dq, *dp) for k, (t, pde, dq, dp) in enumerate(
+        zip(d.t.tolist(), (d.p_de * length).tolist(), d.delta_q.tolist(), d.delta_p.tolist())))
     out = Path(args.out)
-    sio.write_poses(out, poses, lines)
+    sio.write_poses(out, d.p * length, d.q, lines)
     print(f"wrote {out} ({args.n} poses)")
     return 0
 
@@ -187,7 +188,6 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                         for g0 in demos], axis=1)
     m = np.max(logdens, axis=1)
     mixes = m + np.log(np.sum(np.exp(logdens - m[:, None]), axis=1) / len(demos))
-    finals = []
     for res, mix in zip(results, mixes):
         rot, tr = _nearest_demo_distance(res.final, demos)
         status = f"failed at step {res.failed_step}: {res.error}" if res.failed else "ok"
@@ -195,9 +195,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             f"# chain {res.index}: status = {status}; rot_to_demo_rad = {sio.fmt_float(rot)}; "
             f"trans_to_demo = {sio.fmt_float(tr * scn.config.L)}; "
             f"log_mixture_density = {sio.fmt_float(mix)}")
-        finals.append(_scale_pose(res.final, scn.config.L))
-    sio.write_poses(args.out, finals, header)
-    print(f"wrote {args.out} ({len(finals)} chains)")
+    sio.write_poses(args.out, p_final * scn.config.L, q_final, header)
+    print(f"wrote {args.out} ({len(results)} chains)")
     return 0
 
 
@@ -218,6 +217,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
+_QUAT_LINE = "quat: [{:.16e}, {:.16e}, {:.16e}, {:.16e}]"
+
+
 def cmd_sample_igso3(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
@@ -235,7 +237,7 @@ def cmd_sample_igso3(args: argparse.Namespace) -> int:
     header.append("# angle_histogram_counts = [" + ", ".join(str(int(c)) for c in hist) + "]")
     header.append("# angle_histogram_edges = ["
                   + ", ".join(sio.fmt_float(e) for e in edges) + "]")
-    lines = header + ["quat: [" + ", ".join(sio.fmt_float(v) for v in q) + "]" for q in quats]
+    lines = header + [_QUAT_LINE.format(*q) for q in quats.tolist()]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} (n={args.n}, KS={ks:.5f})")
     return 0

@@ -6,8 +6,10 @@ and Gaussian gates over log-time mixed by a per-slot weight tensor.  The
 construction is translation-invariant and exactly SO(3)-steerable, so it
 satisfies the same equivariance contract as a learned descriptor field.
 Fields are evaluated in one pairwise pass over query-by-cloud pairs,
-chunked under a fixed pair budget, and each query row is summed on its
-own, so a scalar call is bitwise a batch of one.
+chunked under a fixed pair budget: the channels are mixed in one
+contraction, each distinct degree's harmonics are computed once, and
+every lobe comes from one gather-multiply.  Each query row is summed on
+its own, so a scalar call is bitwise a batch of one.
 
 The assembled score follows the weighted-query-point summation: the
 linear part averages the per-query score field, and the angular part is
@@ -15,6 +17,14 @@ the spin term plus the orbital lever-arm term, with the 1/(L sqrt(t))
 and 1/sqrt(t) non-dimensionalization factors.  Inputs (poses, clouds,
 queries, cutoffs) are in scene units; the returned twist is the score of
 the non-dimensionalized diffusion process.
+
+The grasp field on the fixed query points does not depend on the pose or
+t, so the score is linear in the back-rotated scene field phi_body, an
+(N, Q, dim) stack.  ``ModelScore`` therefore folds the CG contraction,
+the path weights, the query weights and the lever arms into two
+read-out operators when it is built: (Q*dim, 6) for the linear and
+orbital columns and (Q*dim, 3) for the spin.  A score call is the scene
+field pass, the Wigner-D rotation and one contraction per operator.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,13 +154,36 @@ def _color_features(pc: PointCloud) -> np.ndarray:
     return feats
 
 
+@lru_cache(maxsize=None)
+def _lobe_gather(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Distinct degrees, and per output column its slot and its harmonic column.
+
+    The harmonics of the distinct degrees are concatenated in that order,
+    so column c of the field is ``scal[:, slot[c]] * harmonics[:, harm[c]]``.
+    """
+    degrees = tuple(sorted({l for l, _ in layout.blocks}))
+    first = {l: sum(2 * k + 1 for k in degrees if k < l) for l in degrees}
+    slot, harm = [], []
+    for s, l in enumerate(layout.slots()):
+        slot.extend([s] * (2 * l + 1))
+        harm.extend(range(first[l], first[l] + 2 * l + 1))
+    slot, harm = np.array(slot), np.array(harm)
+    slot.setflags(write=False)
+    harm.setflags(write=False)
+    return degrees, slot, harm
+
+
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
                t: float | None) -> np.ndarray:
     """Field coefficients (M, layout.dim) at query positions xs, one pairwise pass."""
     xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
     out = np.zeros((xs.shape[0], params.layout.dim))
-    weights = np.einsum("sbcg,g->sbc", params.channel_weights,
-                        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T  # (F, S)
+    # (F, S) channel-to-slot weights, C-ordered so that the mixing adds the
+    # channels in order, pair by pair
+    weights = np.ascontiguousarray(np.einsum(
+        "sbcg,g->sbc", params.channel_weights,
+        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T)
+    degrees, slot, harm = _lobe_gather(params.layout)
     colors = _color_features(pc)
     widths = np.asarray(params.radial_widths)
     for rows, d in pair_offsets(xs, pc.positions):
@@ -160,10 +194,9 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
         dirs = -d[keep] / dist_k[:, None]  # unit vectors from point toward x
         radial = np.exp(-dist_k[:, None] ** 2 / (2.0 * widths[None, :] ** 2))  # (K, B)
         feats = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, len(weights))
-        scal = sum(f[:, None] * w for f, w in zip(feats.T, weights))  # (K, S), pair by pair
-        sh = {l: sh_batch(l, dirs) for l, _ in params.layout.blocks}
-        lobes = np.concatenate([scal[:, [s]] * sh[l] for s, l in enumerate(params.layout.slots())],
-                               axis=1)
+        scal = np.einsum("kf,fs->ks", feats, weights)  # (K, S)
+        sh = np.concatenate([sh_batch(l, dirs) for l in degrees], axis=1)
+        lobes = scal[:, slot] * sh[:, harm]
         starts = np.flatnonzero(np.diff(qi, prepend=-1))
         out[rows.start + qi[starts]] = np.add.reduceat(lobes, starts, axis=0)
     return out
@@ -271,10 +304,16 @@ class ModelScore:
 
     The grasp field psi carries no time input and sits on the fixed query
     points, so it is evaluated here, once per distinct grasp-parameter
-    object.  Each ``score_batch`` call evaluates the scene field once per
-    distinct scene-parameter object over every pose and query point,
-    rotates it back with one Wigner-D stack per irrep block, and
-    contracts each branch in one call.  A scalar call is a batch of one.
+    object.  The score is then linear in the back-rotated scene field
+    phi_body, and each branch's CG contraction against psi, its path
+    weights, the query weights and the lever arms fold into one read-out
+    operator over the flattened (Q*dim) scene-field row: (Q*dim, 6) for
+    the linear part and the orbital term, (Q*dim, 3) for the spin.  Each
+    ``score_batch`` call evaluates the scene field once per distinct
+    scene-parameter object over every pose and query point, rotates it
+    back with one Wigner-D stack per irrep block, and applies each
+    operator in one contraction that reduces every row on its own.  A
+    scalar call is a batch of one.
     """
 
     def __init__(self, scene: PointCloud, grasp: PointCloud, length_unit: float,
@@ -287,6 +326,24 @@ class ModelScore:
         self._psi_nu = _edf_batch(query.points, grasp, grasp_nu, None)
         self._psi_om = (self._psi_nu if grasp_om is grasp_nu
                         else _edf_batch(query.points, grasp, grasp_om, None))
+        dim_nu, dim_om = model.scene_for("nu").layout.dim, model.scene_for("omega").layout.dim
+        m_nu = self._readout("nu", self._psi_nu, model.weights_nu)  # (Q*dim, 3)
+        m_om = self._readout("omega", self._psi_om, model.weights_omega)
+        w_nu = np.repeat(query.weights, dim_nu)[:, None]
+        arm = np.repeat(query.points / length_unit, dim_nu, axis=0)
+        self._op_nu = np.concatenate([(w_nu / length_unit) * m_nu, w_nu * cross(arm, m_nu)], axis=1)
+        self._op_om = np.repeat(query.weights, dim_om)[:, None] * m_om
+
+    def _readout(self, branch: str, psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(Q*dim, 3) weighted contraction of each psi row against every scene basis vector.
+
+        Row q*dim + j is psi_q x->1 e_j, so the branch's field at query q is
+        the phi_body row of q times rows q*dim .. q*dim + dim - 1.
+        """
+        layout = self.model.scene_for(branch).layout
+        basis = np.tile(np.eye(layout.dim), (psi.shape[0], 1))
+        return _contract_batch(self.model.grasp_for(branch).layout,
+                               np.repeat(psi, layout.dim, axis=0), layout, basis, weights)
 
     def score_parts(self, q: np.ndarray, p: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,16 +361,12 @@ class ModelScore:
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
             return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3))
-        model, qs, w = self.model, self.query.points, self.query.weights
         phi_nu, phi_om = self._scene_fields(q, p, t)
-        f_nu = self._contract("nu", self._psi_nu, phi_nu, model.weights_nu)
-        f_om = self._contract("omega", self._psi_om, phi_om, model.weights_omega)
         inv_sqrt_t = 1.0 / math.sqrt(t)
-        wq = w[None, :, None]
-        s_nu = (inv_sqrt_t / self.length_unit) * np.sum(wq * f_nu, axis=1)
-        spin = inv_sqrt_t * np.sum(wq * f_om, axis=1)
-        orbital = inv_sqrt_t * np.sum(wq * cross(qs / self.length_unit, f_nu), axis=1)
-        return s_nu, spin, orbital
+        # no BLAS here: einsum without optimize reduces each row alone
+        nu = np.einsum("nk,kc->nc", phi_nu.reshape(n, -1), self._op_nu) * inv_sqrt_t
+        spin = np.einsum("nk,kc->nc", phi_om.reshape(n, -1), self._op_om) * inv_sqrt_t
+        return nu[:, :3], spin, nu[:, 3:]
 
     def _scene_fields(self, q: np.ndarray, p: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,19 +378,13 @@ class ModelScore:
                   else _scene_fields_body(q, p, qs, self.scene, scene_om, t))
         return phi_nu, phi_om
 
-    def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray,
-                  weights: np.ndarray | None = None) -> np.ndarray:
-        """psi x->1 phi_body of one branch over all N x Q rows.
-
-        (N, Q, 3) summed with the path weights, (N, Q, n_paths, 3) per path without them.
-        """
+    def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray) -> np.ndarray:
+        """(N, Q, n_paths, 3) per-path contraction psi x->1 phi_body of one branch."""
         n, m, dim = phi_body.shape
-        rows = (self.model.grasp_for(branch).layout,
-                np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
-                self.model.scene_for(branch).layout, phi_body.reshape(n * m, dim))
-        if weights is None:
-            return cg_path_batch(*rows).reshape(n, m, -1, 3)
-        return _contract_batch(*rows, weights).reshape(n, m, 3)
+        return cg_path_batch(self.model.grasp_for(branch).layout,
+                             np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
+                             self.model.scene_for(branch).layout,
+                             phi_body.reshape(n * m, dim)).reshape(n, m, -1, 3)
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -174,11 +174,17 @@ def read_poses(path: str | Path) -> list[Pose]:
     return poses
 
 
-def write_poses(path: str | Path, poses: Iterable[Pose], header: Sequence[str] = ()) -> None:
+_POSE_RECORD = "pos: [{:.16e}, {:.16e}, {:.16e}]\nquat: [{:.16e}, {:.16e}, {:.16e}, {:.16e}]"
+
+
+def write_poses(path: str | Path, p: np.ndarray, q: np.ndarray, header: Sequence[str] = ()) -> None:
+    """Write (N, 3) translations and (N, 4) quaternions as pos/quat records."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+    q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    if p.shape[0] != q.shape[0]:
+        raise ValueError(f"{p.shape[0]} translations but {q.shape[0]} quaternions")
     lines = list(header)
-    for g in poses:
-        lines.append("pos: " + _fmt_value(g.p.tolist()))
-        lines.append("quat: " + _fmt_value(g.r.q.tolist()))
+    lines.extend(_POSE_RECORD.format(*pr, *qr) for pr, qr in zip(p.tolist(), q.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

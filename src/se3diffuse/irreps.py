@@ -259,18 +259,32 @@ def spherical_harmonics(l: int, u: np.ndarray) -> np.ndarray:
     return sh_batch(l, u[None, :])[0]
 
 
+@lru_cache(maxsize=None)
+def _sh_terms(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents a, b, c per monomial and the (n_monomials, 2l+1) coefficient rows."""
+    a, b, c = (np.array(e) for e in zip(*_monomials(l)))
+    rows = np.ascontiguousarray(_basis_coeffs(l).T)
+    for x in (a, b, c, rows):
+        x.setflags(write=False)
+    return a, b, c, rows
+
+
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
     """Vectorized spherical harmonics for (N, 3) unit directions, row by row.
 
-    The monomial terms are added one at a time as (N, 2l+1) products, so
-    a row's bits do not depend on the batch it comes in.
+    Every monomial x^a y^b z^c is formed in one gather-multiply over the
+    coordinate powers: ``**`` up to 2 (exact squares), running products
+    above, since ``**`` calls ``pow`` per element there.  The terms are
+    then added in monomial order, each row on its own (``einsum`` without
+    BLAS), so a row's bits do not depend on the batch it comes in.
     """
-    u = np.asarray(u, dtype=np.float64)
-    coeffs = _basis_coeffs(l)
-    out = np.zeros((u.shape[0], coeffs.shape[0]))
-    for (a, b, c), col in zip(_monomials(l), coeffs.T):
-        out += (u[:, 0] ** a * u[:, 1] ** b * u[:, 2] ** c)[:, None] * col
-    return out
+    u = np.asarray(u, dtype=np.float64).T
+    powers = [np.ones_like(u), u, u ** 2][:l + 1]
+    for _ in range(3, l + 1):
+        powers.append(powers[-1] * u)
+    powers = np.stack(powers, axis=1)  # (3, l+1, N)
+    a, b, c, rows = _sh_terms(l)
+    return np.einsum("mn,mc->nc", powers[0, a] * powers[1, b] * powers[2, c], rows)
 
 
 # ---------------------------------------------------------------------------

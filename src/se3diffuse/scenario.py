@@ -183,7 +183,9 @@ def write_scenario(directory: str | Path, scenario: Scenario) -> Path:
     header = sio.provenance_lines(seed=scenario.seed)
     sio.write_point_cloud(directory / "scene.txt", scenario.scene, header)
     sio.write_point_cloud(directory / "grasp.txt", scenario.grasp, header)
-    sio.write_poses(directory / "demos.txt", scenario.demo_poses, header)
+    demos = scenario.demo_poses
+    sio.write_poses(directory / "demos.txt", np.array([g.p for g in demos]),
+                    np.array([g.r.q for g in demos]), header)
     if scenario.model is not None:
         write_model_params(directory / "model_params.txt", scenario.model, header)
     data = {

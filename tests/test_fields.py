@@ -158,6 +158,55 @@ def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_ch
         assert np.array_equal(row, synthetic_edf(x, pc, params, t=0.4).coeffs)
 
 
+def _edf_per_slot(xs, pc, params, t):
+    """The field pass as one lobe per slot, mixing the channels one at a time."""
+    import se3diffuse.fields as fields
+    from se3diffuse.irreps import sh_batch
+    from se3diffuse.pointcloud import pair_offsets
+
+    out = np.zeros((xs.shape[0], params.layout.dim))
+    weights = np.einsum("sbcg,g->sbc", params.channel_weights,
+                        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T
+    colors = fields._color_features(pc)
+    widths = np.asarray(params.radial_widths)
+    for rows, d in pair_offsets(xs, pc.positions):
+        dist = np.linalg.norm(d, axis=-1)
+        keep = (dist <= params.cutoff) & (dist > 0.0)
+        qi, pi = np.nonzero(keep)
+        dist_k = dist[keep]
+        dirs = -d[keep] / dist_k[:, None]
+        radial = np.exp(-dist_k[:, None] ** 2 / (2.0 * widths[None, :] ** 2))
+        feats = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, len(weights))
+        scal = sum(f[:, None] * w for f, w in zip(feats.T, weights))
+        sh = {l: sh_batch(l, dirs) for l, _ in params.layout.blocks}
+        lobes = np.concatenate([scal[:, [s]] * sh[l] for s, l in enumerate(params.layout.slots())],
+                               axis=1)
+        starts = np.flatnonzero(np.diff(qi, prepend=-1))
+        out[rows.start + qi[starts]] = np.add.reduceat(lobes, starts, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
+@pytest.mark.parametrize("pair_chunk", [None, 100], ids=["one-chunk", "chunked"])
+def test_edf_batch_is_bitwise_the_per_slot_field_pass(rng, monkeypatch, colored, pair_chunk):
+    import se3diffuse.fields as fields
+    import se3diffuse.pointcloud as pointcloud
+
+    # repeated degrees in separate blocks, degrees out of order, up to l = 3
+    layout = IrrepsLayout(((1, 1), (0, 2), (3, 1), (1, 2), (2, 1), (0, 1)))
+    params = random_edf_params(layout, rng, cutoff=0.9)
+    pts = 0.5 * rng.standard_normal((40, 3))
+    pc = PointCloud(pts, colors=rng.random((40, 3)) if colored else None)
+    # queries near the cloud, on cloud points, and one with no neighbour in the cutoff
+    xs = np.concatenate([0.5 * rng.standard_normal((30, 3)), pts[:3], [[9.0, 9.0, 9.0]]])
+    if pair_chunk is not None:
+        monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
+    for t in (0.4, None):
+        batch = fields._edf_batch(xs, pc, params, t)
+        assert np.all(batch[-1] == 0.0) and np.all(np.any(batch[:-1] != 0.0, axis=1))
+        assert np.array_equal(batch, _edf_per_slot(xs, pc, params, t))
+
+
 # ---------------------------------------------------------------------------
 # Score field and assembled score
 # ---------------------------------------------------------------------------
@@ -338,13 +387,14 @@ def test_model_score_batch_matches_assembled_score(toy, rng, split):
 def test_model_score_batch_of_one_equals_row(toy, rng):
     query = build_query_set(toy.grasp, toy.model)
     score = ModelScore(toy.scene, toy.grasp, 1.0, query, toy.model)
-    poses = _poses_near_demos(toy, rng, 5)
-    batch = score.score_batch(*_stacks(poses), 0.3)
-    for g, row in zip(poses, batch):
-        one = score.score_batch(g.r.q[None], g.p[None], 0.3)
-        assert one.shape == (1, 6)
-        assert np.allclose(one[0], row, rtol=1e-12, atol=0.0)
-        assert np.allclose(score(g, 0.3).as_array(), row, rtol=1e-12, atol=0.0)
+    for n in (1, 5, 7, 32):
+        poses = _poses_near_demos(toy, rng, n)
+        batch = score.score_batch(*_stacks(poses), 0.3)
+        for g, row in zip(poses, batch):
+            one = score.score_batch(g.r.q[None], g.p[None], 0.3)
+            assert one.shape == (1, 6)
+            assert np.array_equal(one[0], row)
+            assert np.array_equal(score(g, 0.3).as_array(), row)
 
 
 def test_model_score_batch_bi_equivariance(toy, rng):
@@ -405,6 +455,37 @@ def test_model_score_makes_one_wigner_d_call_per_block(toy, rng, monkeypatch, sp
     score.score_batch(q, p, 0.5)
     # one Wigner-D stack per block of each distinct scene field, for all poses at once
     assert calls == [l for l, _ in model.scene.layout.blocks] * (2 if split else 1)
+
+
+def _score_field_reference(toy, model, query, length_unit, g, t):
+    """(s_nu, spin, orbital) summed from ``score_field`` one query point at a time."""
+    def field(branch, x):
+        weights = model.weights_nu if branch == "nu" else model.weights_omega
+        return score_field(g, x, toy.scene, toy.grasp, t, model.scene_for(branch),
+                           model.grasp_for(branch), weights)
+
+    inv_sqrt_t = 1.0 / np.sqrt(t)
+    f_nu = np.stack([field("nu", x) for x in query.points])
+    f_om = np.stack([field("omega", x) for x in query.points])
+    w = query.weights[:, None]
+    return (inv_sqrt_t / length_unit * np.sum(w * f_nu, axis=0),
+            inv_sqrt_t * np.sum(w * f_om, axis=0),
+            inv_sqrt_t * np.sum(w * np.cross(query.points / length_unit, f_nu), axis=0))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
+def test_model_score_read_out_matches_per_query_score_fields(toy, rng, split):
+    model = _split_model(toy.model, rng) if split else toy.model
+    query = build_query_set(toy.grasp, model)
+    score = ModelScore(toy.scene, toy.grasp, 0.8, query, model)
+    for t in rng.uniform(0.01, 1.0, size=4):
+        poses = _poses_near_demos(toy, rng, 3)
+        parts = score.score_parts(*_stacks(poses), float(t))
+        for k, g in enumerate(poses):
+            ref = _score_field_reference(toy, model, query, 0.8, g, float(t))
+            for got, want in zip(parts, ref):
+                assert np.max(np.abs(want)) > 0.0
+                assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_model_score_validation(toy):

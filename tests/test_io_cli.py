@@ -67,7 +67,7 @@ def test_text_cloud_requires_points(tmp_path):
 def test_pose_round_trip(tmp_path, rng):
     poses = [Pose(rng.standard_normal(3), random_rotation(rng)) for _ in range(5)]
     path = tmp_path / "poses.txt"
-    write_poses(path, poses)
+    write_poses(path, np.stack([g.p for g in poses]), np.stack([g.r.q for g in poses]))
     back = read_poses(path)
     assert len(back) == 5
     for a, b in zip(poses, back):
@@ -77,7 +77,7 @@ def test_pose_round_trip(tmp_path, rng):
 
 def test_pose_identity_round_trip(tmp_path):
     path = tmp_path / "poses.txt"
-    write_poses(path, [Pose.identity()])
+    write_poses(path, Pose.identity().p, Pose.identity().r.q)
     back = read_poses(path)
     assert back[0].allclose(Pose.identity())
 

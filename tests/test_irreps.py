@@ -171,6 +171,27 @@ def test_spherical_harmonics_is_a_batch_of_one(rng):
             assert np.array_equal(one, batch[i])
 
 
+def _power(x, k):
+    """x ** k up to 2, a running product above."""
+    out = x ** min(k, 2)
+    for _ in range(k - 2):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_sh_batch_adds_its_monomial_terms_in_order(rng, n):
+    # the gather-multiply and the einsum round exactly as one term at a time
+    us = rng.standard_normal((n, 3))
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    for l in range(L_MAX_IRREPS + 1):
+        want = np.zeros((n, 2 * l + 1))
+        for (a, b, c), col in zip(irreps._monomials(l), irreps._basis_coeffs(l).T):
+            x, y, z = us.T
+            want += (_power(x, a) * _power(y, b) * _power(z, c))[:, None] * col
+        assert np.array_equal(sh_batch(l, us), want)
+
+
 def test_cg_contract_to1_is_bitwise_a_row_of_the_batch(rng):
     lay_a = IrrepsLayout(((0, 2), (1, 2), (2, 1)))
     lay_b = IrrepsLayout(((1, 1), (2, 1), (3, 1)))

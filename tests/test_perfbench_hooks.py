@@ -77,3 +77,30 @@ def test_diffuse_hooks_still_find_their_names_and_count_weights_per_demo(tmp_pat
         tracer.uninstall()
     assert tracer.stats["diffusion.contact_weights"].calls == len(demos)
     assert tracer.stats["io.write_poses"].calls == 1
+
+
+def test_model_denoise_hooks_count_fields_and_wigner_d_per_step(tmp_path):
+    scn_dir = tmp_path / "scn"
+    assert cli.main(["gen-scenario", "--out", str(scn_dir), "--seed", "7"]) == 0
+    scn = cli.read_scenario(scn_dir / "scenario.txt")
+    scene, grasp, _ = cli._nondimensionalize(scn)
+    # fill the CG-tensor cache, whose first builds call wigner_d
+    ModelScore(scene, grasp, 1.0, build_query_set(grasp, scn.model), scn.model)
+
+    layers = _load_layers()
+    tracer = layers.Tracer(time.perf_counter)
+    layers.install(tracer)
+    try:
+        assert cli.main(["denoise", "--scenario", str(scn_dir / "scenario.txt"), "--score", "model",
+                         "--chains", "2", "--out", str(tmp_path / "m.txt"), "--seed", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    stats, steps = tracer.stats, scn.schedule.steps
+    assert stats["sampler.step_batch"].calls == steps
+    # the scene field once per step; the grasp field and the query weights once per run
+    assert stats["fields.edf"].calls == steps + 2
+    # one Wigner-D stack per irrep block and step, for both chains at once
+    assert stats["irreps.wigner_d"].calls == steps * len(scn.model.scene.layout.blocks)
+    # the CG contraction is folded into one read-out operator per branch when the score is built
+    assert stats["fields.contract"].calls == 2
+    assert stats["io.write_poses"].calls == 1
