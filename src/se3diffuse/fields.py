@@ -6,10 +6,10 @@ and Gaussian gates over log-time mixed by a per-slot weight tensor.  The
 construction is translation-invariant and exactly SO(3)-steerable, so it
 satisfies the same equivariance contract as a learned descriptor field.
 Fields are evaluated in one pairwise pass over query-by-cloud pairs,
-chunked under a fixed pair budget: the channels are mixed in one
-contraction, each distinct degree's harmonics are computed once, and
-every lobe comes from one gather-multiply.  Each query row is summed on
-its own, so a scalar call is bitwise a batch of one.
+chunked under a fixed pair budget: a per-call table of colors times
+gated channel weights is gathered per kept pair, each degree's harmonics
+are computed once, and every lobe comes from one gather-multiply.  Each
+query row is summed on its own, so a scalar call is bitwise a batch of one.
 
 The assembled score follows the weighted-query-point summation: the
 linear part averages the per-query score field, and the angular part is
@@ -18,27 +18,27 @@ and 1/sqrt(t) non-dimensionalization factors.  Inputs (poses, clouds,
 queries, cutoffs) are in scene units; the returned twist is the score of
 the non-dimensionalized diffusion process.
 
-The grasp field on the fixed query points does not depend on the pose or
-t, so the score is linear in the back-rotated scene field phi_body, an
-(N, Q, dim) stack.  ``ModelScore`` therefore folds the CG contraction,
-the path weights, the query weights and the lever arms into two
-read-out operators when it is built: (Q*dim, 6) for the linear and
-orbital columns and (Q*dim, 3) for the spin.  A score call is the scene
-field pass, the Wigner-D rotation and one contraction per operator.
+The field is a sum of harmonics of offset directions times invariant
+scalars, so D(R^-1) phi(g x | O) = phi(x | g^-1 O): the score takes the
+scene into each pose's body frame and needs no Wigner-D rotation.  The
+grasp field on the fixed query points depends on neither the pose nor t,
+so the score is linear in that body-frame field and in the path
+weights; ``ModelScore`` folds the rest into one per-path read-out tensor
+per branch when it is built.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .irreps import IrrepsLayout, IrrepsVector, cg_path_batch, cg_paths, rep_apply_batch, sh_batch
-from .irreps import cg_contract_batch as _contract_batch
-from .lie import Pose, Twist, cross, quat_conj, quat_rotate
+from .irreps import IrrepsLayout, IrrepsVector, cg_contract_batch, cg_paths, sh_batch
+from .irreps import cg_path_batch as _contract_batch
+from .lie import Pose, Twist, cross, quat_to_matrix
 from .pointcloud import PointCloud, pair_offsets
 
 __all__ = [
@@ -174,32 +174,38 @@ def _lobe_gather(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray, np.
 
 
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
-               t: float | None) -> np.ndarray:
-    """Field coefficients (M, layout.dim) at query positions xs, one pairwise pass."""
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
-    out = np.zeros((xs.shape[0], params.layout.dim))
-    # (F, S) channel-to-slot weights, C-ordered so that the mixing adds the
-    # channels in order, pair by pair
-    weights = np.ascontiguousarray(np.einsum(
-        "sbcg,g->sbc", params.channel_weights,
-        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T)
+               t: float | None, frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Field coefficients at query positions, one pairwise pass.
+
+    xs (M, 3) gives (M, dim).  With ``frames``, (N, 4) quaternions and (N, 3)
+    translations of poses g_n, the cloud is taken into each body frame,
+    R_n^T (o - p_n), xs are (N, M, 3) body-frame points, and the result
+    (N, M, dim) is phi(x | g_n^-1 O) = D(R_n^-1) phi(g_n x | O).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    cloud = pc.positions
+    if frames is not None:  # the rows of (o - p) R are R^T (o - p)
+        cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ quat_to_matrix(frames[0])
+    # (radial, points, slot) table of the colors times the gated channel weights
+    table = np.einsum("pc,sbcg,g->bps", _color_features(pc), params.channel_weights,
+                      params.gate_values(t))
     degrees, slot, harm = _lobe_gather(params.layout)
-    colors = _color_features(pc)
-    widths = np.asarray(params.radial_widths)
-    for rows, d in pair_offsets(xs, pc.positions):
-        dist = np.linalg.norm(d, axis=-1)
-        keep = (dist <= params.cutoff) & (dist > 0.0)  # the p = x singular term is skipped
-        qi, pi = np.nonzero(keep)
-        dist_k = dist[keep]
-        dirs = -d[keep] / dist_k[:, None]  # unit vectors from point toward x
-        radial = np.exp(-dist_k[:, None] ** 2 / (2.0 * widths[None, :] ** 2))  # (K, B)
-        feats = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, len(weights))
-        scal = np.einsum("kf,fs->ks", feats, weights)  # (K, S)
+    scale = -0.5 / np.asarray(params.radial_widths) ** 2
+    out = np.zeros((xs.size // 3, params.layout.dim))
+    for rows, d in pair_offsets(xs, cloud):
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        keep = (d2 <= params.cutoff ** 2) & (d2 > 0.0)  # the p = x singular term is skipped
+        pi = np.nonzero(keep)[1]
+        d2_k = d2[keep]
+        dirs = d[keep] / -np.sqrt(d2_k)[:, None]  # unit vectors from point toward x
+        radial = np.exp(d2_k[:, None] * scale)  # (K, B)
+        scal = sum(r[:, None] * tab[pi] for r, tab in zip(radial.T, table))  # (K, S), elementwise
         sh = np.concatenate([sh_batch(l, dirs) for l in degrees], axis=1)
         lobes = scal[:, slot] * sh[:, harm]
-        starts = np.flatnonzero(np.diff(qi, prepend=-1))
-        out[rows.start + qi[starts]] = np.add.reduceat(lobes, starts, axis=0)
-    return out
+        counts = np.count_nonzero(keep, axis=1)
+        hit = np.flatnonzero(counts)
+        out[rows.start + hit] = np.add.reduceat(lobes, (np.cumsum(counts) - counts)[hit], axis=0)
+    return out.reshape(xs.shape[:-1] + (params.layout.dim,))
 
 
 def synthetic_edf(x: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
@@ -213,19 +219,6 @@ def synthetic_edf(x: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     return IrrepsVector(params.layout, coeffs)
 
 
-def _scene_fields_body(q: np.ndarray, p: np.ndarray, qs: np.ndarray, scene: PointCloud,
-                       params: SyntheticEdfParams, t: float) -> np.ndarray:
-    """(N, Q, dim) back-rotated scene fields D(R^-1) phi_t(g x | O_s).
-
-    One field evaluation over all N x Q world points g x for the pose
-    stacks (q, p) and query points qs, then one rotation of all N stacks.
-    """
-    n, m = q.shape[0], qs.shape[0]
-    xs = quat_rotate(q[:, None, :], qs[None, :, :]) + p[:, None, :]
-    phi = _edf_batch(xs.reshape(-1, 3), scene, params, t).reshape(n, m, params.layout.dim)
-    return rep_apply_batch(params.layout, quat_conj(q), phi)
-
-
 def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
                 t: float, params_scene: SyntheticEdfParams,
                 params_grasp: SyntheticEdfParams, path_weights: np.ndarray) -> np.ndarray:
@@ -237,9 +230,9 @@ def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
     """
     xs = np.reshape(x, (1, 3))
     psi = _edf_batch(xs, grasp, params_grasp, None)
-    phi_body = _scene_fields_body(g.r.q[None, :], g.p[None, :], xs, scene, params_scene, t)[0]
-    return _contract_batch(params_grasp.layout, psi, params_scene.layout, phi_body,
-                           path_weights)[0]
+    phi_body = _edf_batch(xs[None], scene, params_scene, t, frames=(g.r.q[None], g.p[None]))[0]
+    return cg_contract_batch(params_grasp.layout, psi, params_scene.layout, phi_body,
+                             path_weights)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,18 +295,17 @@ def build_query_set(grasp: PointCloud, model: ScoreModelParams) -> QuerySet:
 class ModelScore:
     """Assembled model score, vectorized over pose stacks.
 
-    The grasp field psi carries no time input and sits on the fixed query
-    points, so it is evaluated here, once per distinct grasp-parameter
-    object.  The score is then linear in the back-rotated scene field
-    phi_body, and each branch's CG contraction against psi, its path
-    weights, the query weights and the lever arms fold into one read-out
-    operator over the flattened (Q*dim) scene-field row: (Q*dim, 6) for
-    the linear part and the orbital term, (Q*dim, 3) for the spin.  Each
-    ``score_batch`` call evaluates the scene field once per distinct
-    scene-parameter object over every pose and query point, rotates it
-    back with one Wigner-D stack per irrep block, and applies each
-    operator in one contraction that reduces every row on its own.  A
-    scalar call is a batch of one.
+    The grasp field psi on the fixed query points carries no time input,
+    so it is evaluated here, once per distinct grasp-parameter object.  The
+    score is then linear in the body-frame scene field phi(x | g^-1 O_s),
+    an (N, Q, dim) stack, and in the path weights: each branch's CG
+    contraction against psi, the query weights and the lever arms fold
+    into one per-path read-out tensor, (Q*dim, paths, 6) for the linear
+    and orbital columns and (Q*dim, paths, 3) for the spin.  A score call
+    evaluates the scene field in every pose's body frame, once per
+    distinct scene-parameter object, and contracts it with each tensor's
+    path-weighted sum, every row on its own; a pose with a non-finite
+    entry scores NaN.  A scalar call is a batch of one.
     """
 
     def __init__(self, scene: PointCloud, grasp: PointCloud, length_unit: float,
@@ -323,27 +315,23 @@ class ModelScore:
         self.query = query
         self.model = model
         grasp_nu, grasp_om = model.grasp_for("nu"), model.grasp_for("omega")
-        self._psi_nu = _edf_batch(query.points, grasp, grasp_nu, None)
-        self._psi_om = (self._psi_nu if grasp_om is grasp_nu
-                        else _edf_batch(query.points, grasp, grasp_om, None))
-        dim_nu, dim_om = model.scene_for("nu").layout.dim, model.scene_for("omega").layout.dim
-        m_nu = self._readout("nu", self._psi_nu, model.weights_nu)  # (Q*dim, 3)
-        m_om = self._readout("omega", self._psi_om, model.weights_omega)
-        w_nu = np.repeat(query.weights, dim_nu)[:, None]
-        arm = np.repeat(query.points / length_unit, dim_nu, axis=0)
-        self._op_nu = np.concatenate([(w_nu / length_unit) * m_nu, w_nu * cross(arm, m_nu)], axis=1)
-        self._op_om = np.repeat(query.weights, dim_om)[:, None] * m_om
+        psi_nu = _edf_batch(query.points, grasp, grasp_nu, None)
+        psi_om = psi_nu if grasp_om is grasp_nu else _edf_batch(query.points, grasp, grasp_om, None)
+        paths_nu = self._per_path("nu", psi_nu)  # (Q*dim, paths, 3)
+        arm = np.repeat(query.points / length_unit, model.scene_for("nu").layout.dim, axis=0)
+        self._paths_nu = np.concatenate(
+            [paths_nu / length_unit, cross(arm[:, None, :], paths_nu)], axis=2)
+        self._paths_om = self._per_path("omega", psi_om)
+        self._op_nu = np.einsum("kpc,p->kc", self._paths_nu, model.weights_nu)  # (Q*dim, 6)
+        self._op_om = np.einsum("kpc,p->kc", self._paths_om, model.weights_omega)
 
-    def _readout(self, branch: str, psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(Q*dim, 3) weighted contraction of each psi row against every scene basis vector.
-
-        Row q*dim + j is psi_q x->1 e_j, so the branch's field at query q is
-        the phi_body row of q times rows q*dim .. q*dim + dim - 1.
-        """
+    def _per_path(self, branch: str, psi: np.ndarray) -> np.ndarray:
+        """(Q*dim, paths, 3) per-path rows w_q psi_q x->1 e_j, e_j the scene basis vectors."""
         layout = self.model.scene_for(branch).layout
         basis = np.tile(np.eye(layout.dim), (psi.shape[0], 1))
-        return _contract_batch(self.model.grasp_for(branch).layout,
-                               np.repeat(psi, layout.dim, axis=0), layout, basis, weights)
+        w = np.repeat(self.query.weights, layout.dim)[:, None, None]
+        return w * _contract_batch(self.model.grasp_for(branch).layout,
+                                   np.repeat(psi, layout.dim, axis=0), layout, basis)
 
     def score_parts(self, q: np.ndarray, p: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,31 +348,26 @@ class ModelScore:
         n = q.shape[0]
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
-            return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3))
         phi_nu, phi_om = self._scene_fields(q, p, t)
         inv_sqrt_t = 1.0 / math.sqrt(t)
         # no BLAS here: einsum without optimize reduces each row alone
         nu = np.einsum("nk,kc->nc", phi_nu.reshape(n, -1), self._op_nu) * inv_sqrt_t
         spin = np.einsum("nk,kc->nc", phi_om.reshape(n, -1), self._op_om) * inv_sqrt_t
+        # a non-finite pose keeps no pair inside the cutoff, so its field would read 0
+        bad = ~(np.isfinite(q).all(axis=1) & np.isfinite(p).all(axis=1))
+        nu[bad], spin[bad] = np.nan, np.nan
         return nu[:, :3], spin, nu[:, 3:]
 
     def _scene_fields(self, q: np.ndarray, p: np.ndarray,
                       t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(N, Q, dim) back-rotated scene fields of both branches, one per distinct field."""
-        qs = self.query.points
+        """(N, Q, dim) body-frame scene fields of both branches, one per distinct field."""
+        qs = np.repeat(self.query.points[None], q.shape[0], axis=0)
         scene_nu, scene_om = self.model.scene_for("nu"), self.model.scene_for("omega")
-        phi_nu = _scene_fields_body(q, p, qs, self.scene, scene_nu, t)
-        phi_om = (phi_nu if scene_om is scene_nu
-                  else _scene_fields_body(q, p, qs, self.scene, scene_om, t))
+        with np.errstate(invalid="ignore"):  # a non-finite pose is reported by score_parts
+            phi_nu = _edf_batch(qs, self.scene, scene_nu, t, frames=(q, p))
+            phi_om = (phi_nu if scene_om is scene_nu
+                      else _edf_batch(qs, self.scene, scene_om, t, frames=(q, p)))
         return phi_nu, phi_om
-
-    def _contract(self, branch: str, psi: np.ndarray, phi_body: np.ndarray) -> np.ndarray:
-        """(N, Q, n_paths, 3) per-path contraction psi x->1 phi_body of one branch."""
-        n, m, dim = phi_body.shape
-        return cg_path_batch(self.model.grasp_for(branch).layout,
-                             np.broadcast_to(psi, (n, m, psi.shape[1])).reshape(n * m, -1),
-                             self.model.scene_for(branch).layout,
-                             phi_body.reshape(n * m, dim)).reshape(n, m, -1, 3)
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
@@ -413,15 +396,11 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
 
 def _design_matrix(score: ModelScore, g: Pose, t: float) -> np.ndarray:
     """(6, n_nu + n_omega) Jacobian of ``score`` at (g, t) in its stacked path weights."""
-    qs, w, length_unit = score.query.points, score.query.weights, score.length_unit
     phi_nu, phi_om = score._scene_fields(g.r.q[None, :], g.p[None, :], t)
-    f_nu = score._contract("nu", score._psi_nu, phi_nu)[0]  # (Q, n_paths, 3)
-    f_om = score._contract("omega", score._psi_om, phi_om)[0]
     inv_sqrt_t = 1.0 / math.sqrt(t)
-    lin = inv_sqrt_t / length_unit * np.einsum("q,qka->ak", w, f_nu)
-    ang = inv_sqrt_t * np.einsum("q,qka->ak", w, np.concatenate(
-        [cross(qs[:, None, :] / length_unit, f_nu), f_om], axis=1))
-    return np.block([[lin, np.zeros((3, f_om.shape[1]))], [ang]])
+    nu = inv_sqrt_t * np.einsum("k,kpc->cp", phi_nu.reshape(-1), score._paths_nu)  # (6, n_nu)
+    spin = inv_sqrt_t * np.einsum("k,kpc->cp", phi_om.reshape(-1), score._paths_om)
+    return np.block([[nu[:3], np.zeros((3, spin.shape[1]))], [nu[3:], spin]])
 
 
 def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
@@ -450,16 +429,9 @@ def fit_path_weights(poses_times: list[tuple[Pose, float]], targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.float64).reshape(len(poses_times), 6)
     score = ModelScore(scene, grasp, length_unit, query, model)
     a = np.concatenate([_design_matrix(score, g, t) for g, t in poses_times], axis=0)
-    b = targets.reshape(-1)
-    ata = a.T @ a + ridge * np.eye(a.shape[1])
-    sol = np.linalg.solve(ata, a.T @ b)
+    sol = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ targets.reshape(-1))
     n_nu = model.weights_nu.size
-    return ScoreModelParams(
-        scene=model.scene, grasp=model.grasp,
-        weights_nu=sol[:n_nu], weights_omega=sol[n_nu:],
-        weight_field=model.weight_field,
-        scene_omega=model.scene_omega, grasp_omega=model.grasp_omega,
-        query_count=model.query_count, query_start_index=model.query_start_index)
+    return replace(model, weights_nu=sol[:n_nu], weights_omega=sol[n_nu:])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ any comment line.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import Any, Sequence
@@ -62,11 +63,24 @@ class ParseError(ValueError):
     """Malformed input file; message names the file line."""
 
 
+def _all_finite(value: Any) -> bool:
+    """Whether every float in a parsed value is finite; JSON reads ``NaN`` and ``1e999`` (inf)."""
+    if isinstance(value, list):
+        try:  # a numeric array in one pass
+            return bool(np.isfinite(np.asarray(value, dtype=np.float64)).all())
+        except (TypeError, ValueError, OverflowError):  # ragged, strings, or huge integers
+            return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _parse_json(text: str, path: Path, lineno: int, what: str) -> Any:
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{lineno}: malformed {what}: {exc}") from None
+    if not _all_finite(value):
+        raise ParseError(f"{path}:{lineno}: non-finite number in {what}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +108,8 @@ def _read_cloud_csv(path: Path) -> PointCloud:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not _all_finite(vals):
+                raise ParseError(f"{path}:{lineno}: non-finite number")
             positions.append(vals[:3])
             if len(vals) == 6:
                 colors.append(vals[3:])

@@ -29,8 +29,9 @@ vector u to ``a * u / sqrt(3)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -260,31 +261,33 @@ def spherical_harmonics(l: int, u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sh_terms(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exponents a, b, c per monomial and the (n_monomials, 2l+1) coefficient rows."""
-    a, b, c = (np.array(e) for e in zip(*_monomials(l)))
-    rows = np.ascontiguousarray(_basis_coeffs(l).T)
-    for x in (a, b, c, rows):
-        x.setflags(write=False)
-    return a, b, c, rows
+def _sh_terms(l: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per harmonic, its nonzero (monomial index, coefficient) terms."""
+    return tuple(tuple((int(m), float(row[m])) for m in np.flatnonzero(row))
+                 for row in _basis_coeffs(l))
 
 
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
     """Vectorized spherical harmonics for (N, 3) unit directions, row by row.
 
-    Every monomial x^a y^b z^c is formed in one gather-multiply over the
-    coordinate powers: ``**`` up to 2 (exact squares), running products
-    above, since ``**`` calls ``pow`` per element there.  The terms are
-    then added in monomial order, each row on its own (``einsum`` without
-    BLAS), so a row's bits do not depend on the batch it comes in.
+    Each monomial x^a y^b z^c multiplies its coordinate powers, ``**`` up to
+    2 (exact squares) and running products above, since ``**`` calls ``pow``
+    per element there; unit factors round exactly and are left out.  Each
+    harmonic adds its nonzero terms in monomial order, elementwise, so a
+    row's bits do not depend on the batch it comes in.
     """
-    u = np.asarray(u, dtype=np.float64).T
-    powers = [np.ones_like(u), u, u ** 2][:l + 1]
-    for _ in range(3, l + 1):
-        powers.append(powers[-1] * u)
-    powers = np.stack(powers, axis=1)  # (3, l+1, N)
-    a, b, c, rows = _sh_terms(l)
-    return np.einsum("mn,mc->nc", powers[0, a] * powers[1, b] * powers[2, c], rows)
+    u = np.asarray(u, dtype=np.float64)
+    one = np.ones(u.shape[0])
+    powers = [[one, x] for x in (u[:, 0], u[:, 1], u[:, 2])]
+    for p in powers:
+        for e in range(2, l + 1):
+            p.append(p[1] ** 2 if e == 2 else p[-1] * p[1])
+    mono = [reduce(operator.mul, [powers[i][e] for i, e in enumerate(exps) if e] or [one])
+            for exps in _monomials(l)]
+    out = np.empty((u.shape[0], 2 * l + 1))
+    for col, terms in enumerate(_sh_terms(l)):
+        out[:, col] = reduce(operator.add, [mono[m] if c == 1.0 else mono[m] * c for m, c in terms])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,20 @@ def radius_count(x: np.ndarray, pc: PointCloud, r: float) -> int:
 def pair_offsets(xs: np.ndarray, cloud: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, cloud[None] - xs[rows, None])`` for chunks of query rows.
 
-    Each chunk holds at most ``_PAIR_CHUNK`` query-by-cloud pairs, and at least one row.
+    ``xs`` (M, 3) against one (S, 3) cloud, or (F, M, 3) against an (F, S, 3)
+    stack, set f against cloud f, rows counted frame-major.  Each chunk holds
+    at most ``_PAIR_CHUNK`` pairs, whole frames when they fit, and at least one row.
     """
-    rows = max(1, _PAIR_CHUNK // max(len(cloud), 1))
-    for i in range(0, len(xs), rows):
-        yield slice(i, i + rows), cloud[None, :, :] - xs[i:i + rows, None, :]
+    if cloud.ndim == 2:
+        xs, cloud = xs[None], cloud[None]
+    m, s = xs.shape[1], cloud.shape[1]
+    rows = max(1, _PAIR_CHUNK // max(s, 1))
+    frames = max(1, rows // max(m, 1))
+    for k in range(0, xs.shape[0], frames):
+        for i in range(0, m, rows):
+            d = cloud[k:k + frames, None, :, :] - xs[k:k + frames, i:i + rows, None, :]
+            n = d.shape[0] * d.shape[1]
+            yield slice(k * m + i, k * m + i + n), d.reshape(n, s, 3)
 
 
 def bounding_box(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:

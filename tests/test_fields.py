@@ -15,7 +15,7 @@ from se3diffuse.fields import (
     score_field,
     synthetic_edf,
 )
-from se3diffuse.irreps import IrrepsLayout, rep_apply
+from se3diffuse.irreps import IrrepsLayout, cg_contract_batch, rep_apply, rep_apply_batch, sh_batch
 from se3diffuse.lie import (
     Pose,
     Twist,
@@ -24,6 +24,8 @@ from se3diffuse.lie import (
     compose,
     exp_se3,
     inverse,
+    quat_conj,
+    quat_rotate,
     random_rotation,
 )
 from se3diffuse.pointcloud import PointCloud, transform
@@ -159,25 +161,23 @@ def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_ch
 
 
 def _edf_per_slot(xs, pc, params, t):
-    """The field pass as one lobe per slot, mixing the channels one at a time."""
+    """The field pass as one lobe per slot, mixing the radial terms one at a time."""
     import se3diffuse.fields as fields
     from se3diffuse.irreps import sh_batch
     from se3diffuse.pointcloud import pair_offsets
 
     out = np.zeros((xs.shape[0], params.layout.dim))
-    weights = np.einsum("sbcg,g->sbc", params.channel_weights,
-                        params.gate_values(t)).reshape(len(params.layout.slots()), -1).T
-    colors = fields._color_features(pc)
-    widths = np.asarray(params.radial_widths)
+    table = np.einsum("pc,sbcg,g->pbs", fields._color_features(pc), params.channel_weights,
+                      params.gate_values(t))
+    scale = -0.5 / np.asarray(params.radial_widths) ** 2
     for rows, d in pair_offsets(xs, pc.positions):
-        dist = np.linalg.norm(d, axis=-1)
-        keep = (dist <= params.cutoff) & (dist > 0.0)
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        keep = (d2 <= params.cutoff ** 2) & (d2 > 0.0)
         qi, pi = np.nonzero(keep)
-        dist_k = dist[keep]
-        dirs = -d[keep] / dist_k[:, None]
-        radial = np.exp(-dist_k[:, None] ** 2 / (2.0 * widths[None, :] ** 2))
-        feats = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, len(weights))
-        scal = sum(f[:, None] * w for f, w in zip(feats.T, weights))
+        d2_k = d2[keep]
+        dirs = -d[keep] / np.sqrt(d2_k)[:, None]
+        radial = np.exp(d2_k[:, None] * scale)
+        scal = sum(r[:, None] * tab for r, tab in zip(radial.T, np.swapaxes(table[pi], 0, 1)))
         sh = {l: sh_batch(l, dirs) for l, _ in params.layout.blocks}
         lobes = np.concatenate([scal[:, [s]] * sh[l] for s, l in enumerate(params.layout.slots())],
                                axis=1)
@@ -387,7 +387,7 @@ def test_model_score_batch_matches_assembled_score(toy, rng, split):
 def test_model_score_batch_of_one_equals_row(toy, rng):
     query = build_query_set(toy.grasp, toy.model)
     score = ModelScore(toy.scene, toy.grasp, 1.0, query, toy.model)
-    for n in (1, 5, 7, 32):
+    for n in (1, 5, 7, 32, 100):
         poses = _poses_near_demos(toy, rng, n)
         batch = score.score_batch(*_stacks(poses), 0.3)
         for g, row in zip(poses, batch):
@@ -395,6 +395,19 @@ def test_model_score_batch_of_one_equals_row(toy, rng):
             assert one.shape == (1, 6)
             assert np.array_equal(one[0], row)
             assert np.array_equal(score(g, 0.3).as_array(), row)
+
+
+@pytest.mark.parametrize("pair_chunk", [100, 1000], ids=["rows-of-a-frame", "whole-frames"])
+def test_model_score_is_bitwise_the_same_in_pair_chunks(toy, rng, monkeypatch, pair_chunk):
+    import se3diffuse.pointcloud as pointcloud
+
+    score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                       toy.model)
+    q, p = _stacks(_poses_near_demos(toy, rng, 7))
+    whole = score.score_batch(q, p, 0.3)
+    # 2 query rows of one pose, or 2 whole poses (Q = 10, 50 scene points) per chunk
+    monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
+    assert np.array_equal(score.score_batch(q, p, 0.3), whole)
 
 
 def test_model_score_batch_bi_equivariance(toy, rng):
@@ -419,9 +432,9 @@ def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch
     calls = []
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t):
+    def counting(xs, pc, params, t, frames=None):
         calls.append((pc is toy.grasp, params))
-        return real(xs, pc, params, t)
+        return real(xs, pc, params, t, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
     for model, distinct in ((toy.model, 1), (_split_model(toy.model, rng), 2)):
@@ -437,24 +450,31 @@ def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
-def test_model_score_makes_one_wigner_d_call_per_block(toy, rng, monkeypatch, split):
-    from se3diffuse import irreps
+def test_model_score_makes_no_wigner_d_or_rep_apply_call(toy, rng, monkeypatch, split):
+    from se3diffuse import fields, irreps
 
     model = _split_model(toy.model, rng) if split else toy.model
     score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, model), model)
     q, p = _stacks(_poses_near_demos(toy, rng, 5))
-    score.score_batch(q, p, 0.5)  # fill the CG-tensor and steering caches
     calls = []
-    real = irreps.wigner_d
 
-    def counting(l, r):
-        calls.append(l)
-        return real(l, r)
+    def counting(name):
+        real = getattr(irreps, name)
 
-    monkeypatch.setattr(irreps, "wigner_d", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("wigner_d", "rep_apply_batch"):
+        monkeypatch.setattr(irreps, name, counting(name))
     score.score_batch(q, p, 0.5)
-    # one Wigner-D stack per block of each distinct scene field, for all poses at once
-    assert calls == [l for l, _ in model.scene.layout.blocks] * (2 if split else 1)
+    fields._design_matrix(score, toy.demo_poses[0], 0.5)
+    # the scene is taken into each body frame, so no field is rotated
+    assert calls == []
+    irreps.rep_apply(model.scene.layout, toy.demo_poses[0].r,
+                     synthetic_edf(toy.demo_poses[0].p, toy.scene, model.scene, 0.5))
+    assert calls == ["rep_apply_batch"] + ["wigner_d"] * len(model.scene.layout.blocks)
 
 
 def _score_field_reference(toy, model, query, length_unit, g, t):
@@ -486,6 +506,109 @@ def test_model_score_read_out_matches_per_query_score_fields(toy, rng, split):
             for got, want in zip(parts, ref):
                 assert np.max(np.abs(want)) > 0.0
                 assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _world_edf(xs, pc, params, t):
+    """Field at world points xs, one lobe per pair and slot: the pass before the body frame."""
+    n_slots = len(params.layout.slots())
+    weights = np.einsum("sbcg,g->sbc", params.channel_weights,
+                        params.gate_values(t)).reshape(n_slots, -1).T
+    colors = np.ones((len(pc), 4))
+    if pc.colors is not None:
+        colors[:, 1:] = pc.colors
+    widths = np.asarray(params.radial_widths)
+    d = pc.positions[None, :, :] - xs[:, None, :]
+    dist = np.linalg.norm(d, axis=-1)
+    keep = (dist <= params.cutoff) & (dist > 0.0)
+    qi, pi = np.nonzero(keep)
+    dirs = -d[keep] / dist[keep][:, None]
+    radial = np.exp(-dist[keep][:, None] ** 2 / (2.0 * widths**2))
+    scal = (radial[:, :, None] * colors[pi][:, None, :]).reshape(qi.size, -1) @ weights
+    out = np.zeros((xs.shape[0], params.layout.dim))
+    for s, (l, off) in enumerate(params.layout.slot_offsets()):
+        np.add.at(out[:, off:off + 2 * l + 1], qi, scal[:, s, None] * sh_batch(l, dirs))
+    return out
+
+
+def _world_frame_score_parts(scene, grasp, query, model, length_unit, q, p, t):
+    """(s_nu, spin, orbital) from world-frame fields rotated back by Wigner-D stacks."""
+    n, qs = q.shape[0], query.points
+    xs = quat_rotate(q[:, None, :], qs[None, :, :]) + p[:, None, :]
+
+    def field(branch, weights):
+        sp, gp = model.scene_for(branch), model.grasp_for(branch)
+        psi = _world_edf(qs, grasp, gp, None)
+        phi = _world_edf(xs.reshape(-1, 3), scene, sp, t).reshape(n, len(qs), -1)
+        phi_body = rep_apply_batch(sp.layout, quat_conj(q), phi)
+        return cg_contract_batch(gp.layout, np.tile(psi, (n, 1)), sp.layout,
+                                 phi_body.reshape(n * len(qs), -1), weights).reshape(n, len(qs), 3)
+
+    f_nu, f_om = field("nu", model.weights_nu), field("omega", model.weights_omega)
+    w = query.weights[None, :, None] / np.sqrt(t)
+    return (np.sum(w * f_nu, axis=1) / length_unit, np.sum(w * f_om, axis=1),
+            np.sum(w * np.cross(qs / length_unit, f_nu), axis=1))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
+def test_body_frame_score_matches_the_world_frame_pass(toy, rng, split):
+    # colored clouds, so the (point, radial, slot) table carries the colors
+    scene = PointCloud(toy.scene.positions, colors=rng.random((len(toy.scene), 3)))
+    grasp = PointCloud(toy.grasp.positions, colors=rng.random((len(toy.grasp), 3)))
+    model = _split_model(toy.model, rng) if split else toy.model
+    query = build_query_set(grasp, model)
+    score = ModelScore(scene, grasp, 0.8, query, model)
+    for n in (1, 2, 32, 100):
+        q, p = _stacks(_poses_near_demos(toy, rng, n))
+        for t in (0.01, 0.3, 1.0):
+            got = score.score_parts(q, p, t)
+            want = _world_frame_score_parts(scene, grasp, query, model, 0.8, q, p, t)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(b)) > 0.0
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, t)
+
+
+def test_model_score_rows_of_non_finite_poses_are_nan(toy, rng):
+    score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                       toy.model)
+    q, p = _stacks(_poses_near_demos(toy, rng, 6))
+    healthy = score.score_batch(q, p, 0.3)
+    q[1, 2], p[3, 0], p[4, 1] = np.nan, np.nan, np.inf
+    out = score.score_batch(q, p, 0.3)
+    bad = np.array([False, True, False, True, True, False])
+    assert np.all(np.isnan(out[bad]))
+    assert np.array_equal(out[~bad], healthy[~bad])  # the other rows keep their bits
+
+
+def test_sampler_freezes_a_nan_model_chain_and_keeps_the_others(toy, rng):
+    from se3diffuse.sampler import build_schedule, run_denoising
+
+    class NanChainOnce:
+        """The model score, with chain 1's translation NaN at the first batched call."""
+
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def score_batch(self, q, p, t):
+            p = p.copy()
+            if self.calls == 0:
+                p[1] = np.nan
+            self.calls += 1
+            return self.inner.score_batch(q, p, t)
+
+        def __call__(self, g, t):
+            return self.inner(g, t)
+
+    score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                       toy.model)
+    schedule = build_schedule([(1.0, 0.1, 10)], eps=0.05)
+    inits = _poses_near_demos(toy, rng, 3)
+    plain = run_denoising(score, inits, schedule, np.random.default_rng(5), 3)
+    hit = run_denoising(NanChainOnce(score), inits, schedule, np.random.default_rng(5), 3)
+    assert hit[1].failed and hit[1].failed_step == 0 and hit[1].error == "non-finite score"
+    assert np.array_equal(hit[1].trajectory[-1], hit[1].trajectory[0])  # frozen at its start
+    for k in (0, 2):
+        assert not hit[k].failed
+        assert np.array_equal(hit[k].trajectory, plain[k].trajectory)
 
 
 def test_model_score_validation(toy):
@@ -552,9 +675,9 @@ def test_fit_path_weights_evaluates_the_grasp_field_once(toy, rng, monkeypatch):
     calls = {"grasp": 0}
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t):
+    def counting(xs, pc, params, t, frames=None):
         calls["grasp"] += pc is toy.grasp
-        return real(xs, pc, params, t)
+        return real(xs, pc, params, t, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
     fields.fit_path_weights(poses_times, rng.standard_normal((6, 6)), toy.scene, toy.grasp,

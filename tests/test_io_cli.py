@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,48 @@ def test_keyvalue_parse_error_names_line(tmp_path):
         read_keyvalue(path)
 
 
+def _first_number_to(path, marker, value):
+    """Replace the first number after ``marker`` in the file with ``value``."""
+    text = path.read_text()
+    start = text.index(marker) + len(marker)
+    head, tail = text[:start], text[start:]
+    number = re.search(r"-?\d[\d.e+-]*", tail)
+    path.write_text(head + tail[:number.start()] + value + tail[number.end():])
+
+
+@pytest.mark.parametrize("kind, file, marker, value", [
+    ("cloud point", "scene.txt", "points = ", "1e999"),
+    ("color", "scene.txt", "colors = ", "NaN"),
+    ("demo pose", "demos.txt", "pos: ", "-1e999"),
+    ("config scalar", "scenario.txt", "contact_radius = ", "Infinity"),
+    ("model parameter", "model_params.txt", "scene_channel_weights = ", "1e999"),
+])
+def test_non_finite_scenario_values_are_parse_errors(tmp_path, capsys, kind, file, marker, value):
+    scn_path = write_scenario(tmp_path / "scn", make_toy_scenario(seed=3))
+    target = tmp_path / "scn" / file
+    if kind == "color":
+        cloud = read_point_cloud(target)
+        write_point_cloud(target, PointCloud(cloud.positions, np.full((len(cloud), 3), 0.5)))
+    _first_number_to(target, marker, value)
+    with pytest.raises(ParseError, match=f"{file}:[0-9]+: non-finite number"):
+        read_scenario(scn_path)
+    for command in (["diffuse", "--t", "0.5", "--n", "2"],
+                    ["denoise", "--score", "oracle", "--chains", "1"],
+                    ["denoise", "--score", "model", "--chains", "1"]):
+        assert main(command + ["--scenario", str(scn_path), "--out", str(tmp_path / "out.txt"),
+                               "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+def test_csv_cloud_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "cloud.csv"
+    path.write_text(f"0,0,0,0.5,0.5,0.5\n1,2,3,0.5,{value},0.5\n")
+    with pytest.raises(ParseError, match="cloud.csv:2: non-finite number"):
+        read_point_cloud(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 # ---------------------------------------------------------------------------
@@ -243,10 +286,10 @@ def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, mo
     calls = {}
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t):
+    def counting(xs, pc, params, t, frames=None):
         if len(pc) == len(scn.grasp):
             calls[id(params)] = calls.get(id(params), 0) + 1
-        return real(xs, pc, params, t)
+        return real(xs, pc, params, t, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
     assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),

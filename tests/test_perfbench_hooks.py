@@ -15,6 +15,7 @@ import numpy as np
 from se3diffuse import cli, fields, igso3, irreps
 from se3diffuse.diffusion import MixtureScore
 from se3diffuse.fields import ModelScore, build_query_set
+from se3diffuse.irreps import IrrepsVector
 from se3diffuse.lie import Pose
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -43,6 +44,9 @@ def test_tracing_hooks_install_wrap_the_called_functions_and_uninstall(toy):
         MixtureScore(demos, cfg).score_batch(q, p, 1.0)
         ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
                    toy.model).score_batch(q, p, 0.5)
+        # the model score makes no Wigner-D call; rep_apply still goes through the name
+        layout = toy.model.scene.layout
+        irreps.rep_apply(layout, toy.demo_poses[0].r, IrrepsVector(layout, np.ones(layout.dim)))
         for name in ("diffusion.mixture_score", "igso3.series", "fields.contract",
                      "fields.edf", "irreps.wigner_d"):
             assert tracer.stats[name].calls > 0, name
@@ -99,8 +103,8 @@ def test_model_denoise_hooks_count_fields_and_wigner_d_per_step(tmp_path):
     assert stats["sampler.step_batch"].calls == steps
     # the scene field once per step; the grasp field and the query weights once per run
     assert stats["fields.edf"].calls == steps + 2
-    # one Wigner-D stack per irrep block and step, for both chains at once
-    assert stats["irreps.wigner_d"].calls == steps * len(scn.model.scene.layout.blocks)
-    # the CG contraction is folded into one read-out operator per branch when the score is built
+    # the score takes the scene into each body frame, so no field is rotated
+    assert stats["irreps.wigner_d"].calls == 0
+    # the CG contraction folds into one per-path read-out tensor per branch when the score is built
     assert stats["fields.contract"].calls == 2
     assert stats["io.write_poses"].calls == 1
