@@ -88,10 +88,6 @@ _count = _int_at_least(1)
 _seed = _int_at_least(0)
 
 
-def _scale_pose(g: Pose, factor: float) -> Pose:
-    return Pose(g.p * factor, g.r)
-
-
 def _scale_cloud(pc: PointCloud, factor: float) -> PointCloud:
     return PointCloud(pc.positions * factor, pc.colors)
 
@@ -100,7 +96,7 @@ def _nondimensionalize(scn: Scenario) -> tuple[PointCloud, PointCloud, list[Pose
     inv_l = 1.0 / scn.config.L
     scene = _scale_cloud(scn.scene, inv_l)
     grasp = _scale_cloud(scn.grasp, inv_l)
-    demos = [_scale_pose(g, inv_l) for g in scn.demo_poses]
+    demos = [Pose(g.p * inv_l, g.r) for g in scn.demo_poses]
     return scene, grasp, demos
 
 
@@ -145,16 +141,6 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nearest_demo_distance(g: Pose, demos: list[Pose]) -> tuple[float, float]:
-    best_rot, best_tr = math.inf, math.inf
-    for g0 in demos:
-        rot = float(quat_angle(quat_mul(quat_conj(g0.r.q), g.r.q)))
-        tr = float(np.linalg.norm(g.p - g0.p))
-        if rot + tr < best_rot + best_tr:
-            best_rot, best_tr = rot, tr
-    return best_rot, best_tr
-
-
 def cmd_denoise(args: argparse.Namespace) -> int:
     try:
         scn = read_scenario(args.scenario)
@@ -173,30 +159,32 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 
     rng = np.random.default_rng(seed)
-    inits = sample_initial_poses(scn, rng, args.chains)
-    inits = [_scale_pose(g, 1.0 / scn.config.L) for g in inits]
-    results = run_denoising(score_fn, inits, scn.schedule, rng, args.chains,
-                            integrator=args.integrator, record="final")
+    q0, p0 = sample_initial_poses(scn, rng, args.chains)
+    out = run_denoising(score_fn, q0, p0 * (1.0 / scn.config.L), scn.schedule, rng,
+                        integrator=args.integrator, record="final")
     header = sio.provenance_lines(seed=seed, scenario=str(args.scenario),
                                   score=args.score, chains=args.chains,
                                   integrator=args.integrator)
     cfg_final = DiffusionConfig(t=float(scn.schedule.t[-1]), r=scn.config.r, L=scn.config.L)
-    q_final = np.stack([res.final.r.q for res in results])
-    p_final = np.stack([res.final.p for res in results])
     # (chains, demos) kernel log densities, one call per demo over all chains
-    logdens = np.stack([kernel_log_density(q_final, p_final, g0, scene, grasp, cfg_final)
+    logdens = np.stack([kernel_log_density(out.q, out.p, g0, scene, grasp, cfg_final)
                         for g0 in demos], axis=1)
     m = np.max(logdens, axis=1)
     mixes = m + np.log(np.sum(np.exp(logdens - m[:, None]), axis=1) / len(demos))
-    for res, mix in zip(results, mixes):
-        rot, tr = _nearest_demo_distance(res.final, demos)
-        status = f"failed at step {res.failed_step}: {res.error}" if res.failed else "ok"
+    # (chains, demos) distances to every demo; the first nearest by rot + tr is reported
+    q_demo = np.stack([g0.r.q for g0 in demos])
+    rots = quat_angle(quat_mul(quat_conj(q_demo), out.q[:, None]))
+    d = out.p[:, None] - np.stack([g0.p for g0 in demos])
+    trs = np.sqrt(np.vecdot(d, d))
+    for i, (k, step, err) in enumerate(zip(np.argmin(rots + trs, axis=1), out.failed_step,
+                                           out.error)):
+        status = f"failed at step {step}: {err}" if step >= 0 else "ok"
         header.append(
-            f"# chain {res.index}: status = {status}; rot_to_demo_rad = {sio.fmt_float(rot)}; "
-            f"trans_to_demo = {sio.fmt_float(tr * scn.config.L)}; "
-            f"log_mixture_density = {sio.fmt_float(mix)}")
-    sio.write_poses(args.out, p_final * scn.config.L, q_final, header)
-    print(f"wrote {args.out} ({len(results)} chains)")
+            f"# chain {i}: status = {status}; rot_to_demo_rad = {sio.fmt_float(rots[i, k])}; "
+            f"trans_to_demo = {sio.fmt_float(trs[i, k] * scn.config.L)}; "
+            f"log_mixture_density = {sio.fmt_float(mixes[i])}")
+    sio.write_poses(args.out, out.p * scn.config.L, out.q, header)
+    print(f"wrote {args.out} ({args.chains} chains)")
     return 0
 
 

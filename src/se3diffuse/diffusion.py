@@ -31,6 +31,7 @@ from .lie import (
     Twist,
     compose,
     cross,
+    finite_poses,
     inverse,
     quat_conj,
     quat_log,
@@ -475,8 +476,9 @@ class MixtureScore:
         evaluated once per call.  Kernel angles within 1e-6 of pi are
         clamped to that boundary (see ``igso3.score_ratio``), where the
         rotational score vanishes smoothly.  Each row depends on its pose
-        only, bitwise.
+        only, bitwise; a pose with a non-finite entry scores NaN.
         """
+        q, p, bad = finite_poses(q, p)
         theta, ph, s_nu, s_om = _kernel_scores(q, p, self._components, t)
         logs = _component_log_terms(theta, ph, self._components, t, _ig_params(t))
         m = np.max(logs, axis=1, keepdims=True)
@@ -485,6 +487,7 @@ class MixtureScore:
         out = np.empty((q.shape[0], 6))
         out[:, :3] = np.sum(w[:, :, None] * s_nu, axis=1)
         out[:, 3:] = np.sum(w[:, :, None] * s_om, axis=1)
+        out[bad] = np.nan
         return out
 
     def __call__(self, g: Pose, t: float) -> Twist:
@@ -503,23 +506,23 @@ def score_matching_loss(model_score: Twist, g: Pose, g0: Pose, p_de: np.ndarray,
     return 0.5 * float(np.dot(diff, diff))
 
 
-def _brownian_score_rows(q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
-    _, _, s_nu, s_om = _kernel_scores(q, p, _BROWNIAN, t)
-    return np.concatenate([s_nu[:, 0], s_om[:, 0]], axis=1)
-
-
 class BrownianScoreFn:
     """Score function of the plain Brownian kernel, batch-capable.
 
     Useful as a stationary-distribution test target for the Langevin
     sampler: with constant schedule time t the chain should equilibrate
     to B_t.  The scalar call is a batch of one, so both clamp kernel
-    angles within 1e-6 of pi (``brownian_score`` raises there instead).
+    angles within 1e-6 of pi (``brownian_score`` raises there instead).  A
+    pose with a non-finite entry scores NaN.
     """
 
     def __call__(self, g: Pose, t: float) -> Twist:
-        return Twist.from_array(_brownian_score_rows(g.r.q[None, :], g.p[None, :], t)[0])
+        return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-        return _brownian_score_rows(q, p, t)
+        """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
+        q, p, bad = finite_poses(q, p)
+        _, _, s_nu, s_om = _kernel_scores(q, p, _BROWNIAN, t)
+        out = np.concatenate([s_nu[:, 0], s_om[:, 0]], axis=1)
+        out[bad] = np.nan
+        return out

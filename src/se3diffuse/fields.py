@@ -38,7 +38,7 @@ import numpy as np
 
 from .irreps import IrrepsLayout, IrrepsVector, cg_contract_batch, cg_paths, sh_batch
 from .irreps import cg_path_batch as _contract_batch
-from .lie import Pose, Twist, cross, quat_to_matrix
+from .lie import Pose, Twist, cross, finite_poses, quat_to_matrix
 from .pointcloud import PointCloud, pair_offsets
 
 __all__ = [
@@ -343,8 +343,7 @@ class ModelScore:
         """
         if t <= 0.0:
             raise ValueError("t must be positive")
-        q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
-        p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+        q, p, bad = finite_poses(np.reshape(q, (-1, 4)), np.reshape(p, (-1, 3)))
         n = q.shape[0]
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
@@ -353,8 +352,6 @@ class ModelScore:
         # no BLAS here: einsum without optimize reduces each row alone
         nu = np.einsum("nk,kc->nc", phi_nu.reshape(n, -1), self._op_nu) * inv_sqrt_t
         spin = np.einsum("nk,kc->nc", phi_om.reshape(n, -1), self._op_om) * inv_sqrt_t
-        # a non-finite pose keeps no pair inside the cutoff, so its field would read 0
-        bad = ~(np.isfinite(q).all(axis=1) & np.isfinite(p).all(axis=1))
         nu[bad], spin[bad] = np.nan, np.nan
         return nu[:, :3], spin, nu[:, 3:]
 
@@ -363,10 +360,9 @@ class ModelScore:
         """(N, Q, dim) body-frame scene fields of both branches, one per distinct field."""
         qs = np.repeat(self.query.points[None], q.shape[0], axis=0)
         scene_nu, scene_om = self.model.scene_for("nu"), self.model.scene_for("omega")
-        with np.errstate(invalid="ignore"):  # a non-finite pose is reported by score_parts
-            phi_nu = _edf_batch(qs, self.scene, scene_nu, t, frames=(q, p))
-            phi_om = (phi_nu if scene_om is scene_nu
-                      else _edf_batch(qs, self.scene, scene_om, t, frames=(q, p)))
+        phi_nu = _edf_batch(qs, self.scene, scene_nu, t, frames=(q, p))
+        phi_om = (phi_nu if scene_om is scene_nu
+                  else _edf_batch(qs, self.scene, scene_om, t, frames=(q, p)))
         return phi_nu, phi_om
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:

@@ -10,7 +10,7 @@ any comment line.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from pathlib import Path
 from typing import Any, Sequence
@@ -64,13 +64,14 @@ class ParseError(ValueError):
 
 
 def _all_finite(value: Any) -> bool:
-    """Whether every float in a parsed value is finite; JSON reads ``NaN`` and ``1e999`` (inf)."""
+    """Whether every number in a parsed value is a finite float; JSON reads ``NaN``,
+    ``1e999`` (inf) and integers too large for a float."""
     if isinstance(value, list):
         try:  # a numeric array in one pass
             return bool(np.isfinite(np.asarray(value, dtype=np.float64)).all())
         except (TypeError, ValueError, OverflowError):  # ragged, strings, or huge integers
             return all(map(_all_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max  # False for NaN
 
 
 def _parse_json(text: str, path: Path, lineno: int, what: str) -> Any:

@@ -47,6 +47,7 @@ __all__ = [
     "quat_angle",
     "quat_canonical",
     "quat_unit",
+    "finite_poses",
     "quat_to_matrix",
     "quat_from_matrix",
 ]
@@ -158,6 +159,16 @@ def quat_unit(q: np.ndarray) -> np.ndarray:
     first = np.take_along_axis(v, np.argmax(v != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
     flip = (q[..., 0] < 0.0) | ((q[..., 0] == 0.0) & (first < 0.0))
     return np.where(flip[..., None], -q, q)
+
+
+def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, p, bad): the stacks with each pose that has a non-finite entry set to
+    the identity, and the (N,) mask of those poses, whose score rows are NaN.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~(np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1))
+    return np.where(bad[:, None], [1.0, 0.0, 0.0, 0.0], q), np.where(bad[:, None], 0.0, p), bad
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:

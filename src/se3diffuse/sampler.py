@@ -12,6 +12,14 @@ exponential, ``quat-trans`` performs the additive quaternion-translation
 Euler step (q += q*(0, omega)/2, then renormalize); they agree to first
 order in the step size.
 
+The loop works on stacks: ``run_denoising`` takes (N, 4) quaternion and
+(N, 3) translation stacks and returns final stacks, trajectories and
+per-chain failures as one ``Denoised``.  Its score is anything with
+``score_batch(q, p, t) -> (N, 6)`` whose rows each depend on their own
+pose only, bit for bit.  A batch call that raises is repeated on each
+half of the chains, recursively, so a chain that raises on its own is
+frozen after O(log N) calls and the others keep the bits of a clean run.
+
 Chains draw noise from generator streams spawned deterministically from
 the caller's root generator, consumed in fixed blocks, so runs are
 bit-reproducible and replaying the same seed against a transformed
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,13 +43,12 @@ from .lie import (
     quat_mul,
     quat_normalize,
     quat_rotate,
+    quat_unit,
 )
 
-__all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "ChainResult"]
+__all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
 
 NOISE_BLOCK = 32
-
-ScoreFn = Callable[[Pose, float], Twist]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,46 +138,58 @@ def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
     return Pose(p[0], Rotation(q[0]))
 
 
-@dataclass
-class ChainResult:
-    """Outcome of one denoising chain."""
+class Denoised(NamedTuple):
+    """Outcome of ``run_denoising``, one row per chain."""
 
-    index: int
-    final: Pose
-    trajectory: np.ndarray | None = None  # (steps+1, 7): quaternion then translation
-    failed: bool = False
-    error: str | None = None
-    failed_step: int | None = None
+    q: np.ndarray  # (N, 4) final quaternions, unit with w >= 0 (``quat_unit``)
+    p: np.ndarray  # (N, 3) final translations
+    trajectory: np.ndarray | None  # (N, steps+1, 7): quaternion then translation
+    failed_step: np.ndarray  # (N,) step at which the chain froze, -1 if it did not
+    error: np.ndarray  # (N,) why the chain froze, "" if it did not
 
 
-def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
-                  schedule: AnnealSchedule, rng: np.random.Generator, chains: int,
-                  integrator: str = "exact", record: str = "full") -> list[ChainResult]:
-    """Run annealed Langevin chains and return their trajectories.
+def _score_rows(score, q: np.ndarray, p: np.ndarray, t: float, idx: np.ndarray,
+                out: np.ndarray) -> dict[int, str]:
+    """Fill ``out[idx]`` from ``score.score_batch``, bisecting ``idx`` while a call raises.
 
-    ``score_fn(g, t)`` must be total on the visited region; a failure (an
-    exception, a non-finite score, or a step that overflows) freezes only
-    the offending chain, with the step and reason recorded, while the
-    others continue.  Score functions with a ``score_batch(q, p, t) ->
-    (N, 6)`` method are evaluated vectorized over chains; a step whose
-    batch call raises is re-evaluated chain by chain, and the next step
-    batches again.  Each chain draws its noise from its own spawned
-    generator, ``NOISE_BLOCK`` steps at a time.  ``record`` is ``"full"``
-    for whole trajectories or ``"final"`` to keep only the endpoint.
+    Returns the exception's text for each chain whose call raises on its
+    own, by index; their rows are left as they were.
     """
-    if chains < 1:
-        raise ValueError("need at least one chain")
+    try:
+        out[idx] = score.score_batch(q[idx], p[idx], t)
+        return {}
+    except Exception as exc:
+        if idx.size == 1:
+            return {int(idx[0]): f"{type(exc).__name__}: {exc}"}
+        half = idx.size // 2
+        faults = _score_rows(score, q, p, t, idx[:half], out)
+        return faults | _score_rows(score, q, p, t, idx[half:], out)
+
+
+def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedule,
+                  rng: np.random.Generator, integrator: str = "exact",
+                  record: str = "full") -> Denoised:
+    """Run annealed Langevin chains from (N, 4) quaternion and (N, 3) translation stacks.
+
+    A failure freezes only the offending chain, with the step and reason
+    recorded, while the others continue: a chain whose ``score_batch`` call
+    raises on its own, a non-finite score row, or a step that overflows.
+    Each chain draws its noise from its own spawned generator,
+    ``NOISE_BLOCK`` steps at a time.  ``record`` is ``"full"`` for whole
+    trajectories or ``"final"`` to keep only the endpoints.
+    """
+    q = np.asarray(q0, dtype=np.float64)
+    p = np.asarray(p0, dtype=np.float64)
+    chains = q.shape[0]
+    if chains < 1 or q.shape != (chains, 4) or p.shape != (chains, 3):
+        raise ValueError(f"need (N, 4) and (N, 3) initial stacks, N >= 1; got {q.shape}, {p.shape}")
     if record not in ("full", "final"):
         raise ValueError("record must be 'full' or 'final'")
-    inits = [g_init] * chains if isinstance(g_init, Pose) else list(g_init)
-    if len(inits) != chains:
-        raise ValueError(f"got {len(inits)} initial poses for {chains} chains")
     streams = rng.spawn(chains)
     noise_block = np.empty((chains, NOISE_BLOCK, 6))
-    q = np.stack([g.r.q for g in inits])
-    p = np.stack([g.p for g in inits])
     alive = np.ones(chains, dtype=bool)
-    errors: dict[int, tuple[int, str]] = {}
+    failed_step = np.full(chains, -1)
+    error = np.full(chains, "", dtype=object)
     steps = schedule.steps
     traj = None
     if record == "full":
@@ -178,7 +197,6 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
         traj[:, 0, :4] = q
         traj[:, 0, 4:] = p
 
-    batched = hasattr(score_fn, "score_batch")
     for n in range(steps):
         t_n = float(schedule.t[n])
         if n % NOISE_BLOCK == 0:  # every chain refills at the same step
@@ -187,48 +205,22 @@ def run_denoising(score_fn: ScoreFn, g_init: Pose | Sequence[Pose],
         noise = noise_block[:, n % NOISE_BLOCK]
         scores = np.zeros((chains, 6))
         idx = np.nonzero(alive)[0]
+        faults: dict[int, str] = {}
         if idx.size:
-            done = False
-            if batched:
-                try:
-                    scores[idx] = score_fn.score_batch(q[idx], p[idx], t_n)
-                    done = True
-                except Exception:
-                    pass  # re-evaluate this step chain by chain to isolate the fault
-            if not done:
-                for i in idx:
-                    try:
-                        scores[i] = score_fn(Pose(p[i], Rotation(q[i])), t_n).as_array()
-                    except Exception as exc:  # freeze this chain only
-                        alive[i] = False
-                        errors[i] = (n, f"{type(exc).__name__}: {exc}")
-                        scores[i] = 0.0
+            faults = _score_rows(score, q, p, t_n, idx, scores)  # a raising chain's row stays 0
             for i in idx[~np.all(np.isfinite(scores[idx]), axis=1)]:
-                alive[i] = False
-                errors[i] = (n, "non-finite score")
-                scores[i] = 0.0
+                faults[i], scores[i] = "non-finite score", 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported per chain below
             q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
                                        float(schedule.temperature[n]), noise, integrator)
         finite = np.all(np.isfinite(q_new), axis=1) & np.all(np.isfinite(p_new), axis=1)
         for i in np.nonzero(alive & ~finite)[0]:  # a finite score too large to integrate
-            alive[i] = False
-            errors[i] = (n, "non-finite step")
+            faults[i] = "non-finite step"
+        for i, reason in faults.items():
+            alive[i], failed_step[i], error[i] = False, n, reason
         q = np.where(alive[:, None], q_new, q)
         p = np.where(alive[:, None], p_new, p)
         if traj is not None:
             traj[:, n + 1, :4] = q
             traj[:, n + 1, 4:] = p
-
-    results = []
-    for i in range(chains):
-        err = errors.get(i)
-        results.append(ChainResult(
-            index=i,
-            final=Pose(p[i], Rotation(q[i])),
-            trajectory=traj[i].copy() if traj is not None else None,
-            failed=err is not None,
-            error=err[1] if err else None,
-            failed_step=err[0] if err else None,
-        ))
-    return results
+    return Denoised(quat_unit(q), p, traj, failed_step, error)

@@ -106,15 +106,16 @@ def make_toy_scenario(seed: int = 7) -> Scenario:
 
 
 def sample_initial_poses(scenario: Scenario, rng: np.random.Generator, n: int,
-                         pad: float = 0.2) -> list[Pose]:
-    """Default denoising inits: uniform over the padded scene box, Haar rotation."""
+                         pad: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """Default denoising inits, (n, 4) and (n, 3) stacks: uniform over the padded
+    scene box, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
     lo, hi = bounding_box(scenario.scene)
     lo, hi = lo - pad, hi + pad
-    out = []
-    for _ in range(n):
-        p = lo + rng.random(3) * (hi - lo)
-        out.append(Pose(p, random_rotation(rng)))
-    return out
+    q, p = np.empty((n, 4)), np.empty((n, 3))
+    for i in range(n):
+        p[i] = lo + rng.random(3) * (hi - lo)
+        q[i] = random_rotation(rng).q
+    return q, p
 
 
 # ---------------------------------------------------------------------------

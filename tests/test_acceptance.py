@@ -40,6 +40,8 @@ from se3diffuse.lie import (
     exp_so3,
     inverse,
     quat_angle,
+    quat_mul,
+    quat_rotate,
     random_rotation,
     translation_pose,
 )
@@ -276,10 +278,10 @@ def test_criterion_10_stationary_langevin():
     t_fix = 0.5
     schedule = build_schedule([(t_fix, t_fix, 450)], eps=0.02, k1=0.0, k2=0.0)
     chains = 10_000
-    res = run_denoising(BrownianScoreFn(), Pose.identity(), schedule,
-                        np.random.default_rng(1010), chains, record="final")
-    finals_p = np.stack([r.final.p for r in res])
-    finals_q = np.stack([r.final.r.q for r in res])
+    res = run_denoising(BrownianScoreFn(), np.tile(Pose.identity().r.q, (chains, 1)),
+                        np.zeros((chains, 3)), schedule, np.random.default_rng(1010),
+                        record="final")
+    finals_p, finals_q = res.p, res.q
     cov = np.cov(finals_p.T)
     cov_err = float(np.max(np.abs(cov - t_fix * np.eye(3))))
     grid = np.linspace(0.0, math.pi, 20001)
@@ -302,16 +304,17 @@ def test_criterion_11_mode_recovery(toy):
                               k1=0.5, k2=1.0)  # paper-default exponents
     rng = np.random.default_rng(1011)
     chains = 100
-    inits = sample_initial_poses(toy, rng, chains)
-    res = run_denoising(oracle, inits, schedule, rng, chains, record="final")
+    q0, p0 = sample_initial_poses(toy, rng, chains)
+    res = run_denoising(oracle, q0, p0, schedule, rng, record="final")
     hits = np.zeros(len(toy.demo_poses), dtype=int)
     good = 0
-    for r in res:
+    for q, p in zip(res.q, res.p):
+        final = Pose(p, Rotation.from_unit(q))
         best = None
         for k, g0 in enumerate(toy.demo_poses):
-            rel = compose(inverse(g0), r.final)
+            rel = compose(inverse(g0), final)
             rot = rel.r.angle
-            tr = float(np.linalg.norm(r.final.p - g0.p))
+            tr = float(np.linalg.norm(final.p - g0.p))
             if best is None or rot + tr < best[0] + best[1]:
                 best = (rot, tr, k)
         if best[0] < math.radians(5.0) and best[1] < 0.05:
@@ -329,22 +332,22 @@ def test_criterion_12_sampling_equivariance(toy):
     demos = toy.demo_set()
     schedule = build_schedule([(1.0, 0.1, 40), (0.1, 0.01, 40)], eps=0.05)
     chains = 6
-    inits = sample_initial_poses(toy, np.random.default_rng(12), chains)
-    base = run_denoising(MixtureScore(demos, cfg), inits, schedule,
-                         np.random.default_rng(1212), chains)
+    q0, p0 = sample_initial_poses(toy, np.random.default_rng(12), chains)
+    base = run_denoising(MixtureScore(demos, cfg), q0, p0, schedule,
+                         np.random.default_rng(1212))
     rng = np.random.default_rng(121)
     err = 0.0
     for _ in range(3):
         dg = random_pose(rng, scale=0.8)
         moved_demos = DemoSet(tuple((compose(dg, g0), transform(s, dg), gr)
                                     for g0, s, gr in demos.demos))
-        moved_inits = [compose(dg, g) for g in inits]
-        moved = run_denoising(MixtureScore(moved_demos, cfg), moved_inits, schedule,
-                              np.random.default_rng(1212), chains)
-        for rb, rm in zip(base, moved):
-            for n in range(0, rb.trajectory.shape[0], 5):
-                gb = Pose(rb.trajectory[n, 4:], Rotation(rb.trajectory[n, :4]))
-                gm = Pose(rm.trajectory[n, 4:], Rotation(rm.trajectory[n, :4]))
+        moved = run_denoising(MixtureScore(moved_demos, cfg), quat_mul(dg.r.q, q0),
+                              quat_rotate(dg.r.q, p0) + dg.p, schedule,
+                              np.random.default_rng(1212))
+        for rb, rm in zip(base.trajectory, moved.trajectory):
+            for n in range(0, rb.shape[0], 5):
+                gb = Pose(rb[n, 4:], Rotation(rb[n, :4]))
+                gm = Pose(rm[n, 4:], Rotation(rm[n, :4]))
                 ref = compose(dg, gb)
                 err = max(err, float(np.max(np.abs(ref.p - gm.p))),
                           float(ref.r.compose(gm.r.inverse()).angle))

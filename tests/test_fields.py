@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from se3diffuse.fields import (
     score_field,
     synthetic_edf,
 )
+from se3diffuse.diffusion import BrownianScoreFn, DiffusionConfig, MixtureScore
 from se3diffuse.irreps import IrrepsLayout, cg_contract_batch, rep_apply, rep_apply_batch, sh_batch
 from se3diffuse.lie import (
     Pose,
@@ -567,14 +570,22 @@ def test_body_frame_score_matches_the_world_frame_pass(toy, rng, split):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, t)
 
 
-def test_model_score_rows_of_non_finite_poses_are_nan(toy, rng):
-    score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
-                       toy.model)
-    q, p = _stacks(_poses_near_demos(toy, rng, 6))
+@pytest.mark.parametrize("kind", ["model", "mixture", "brownian"])
+def test_score_rows_of_non_finite_poses_are_nan(toy, rng, kind):
+    if kind == "model":
+        score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
+                           toy.model)
+    elif kind == "mixture":
+        score = MixtureScore(toy.demo_set(), DiffusionConfig(t=1.0, r=toy.config.r, L=1.0))
+    else:
+        score = BrownianScoreFn()
+    q, p = _stacks(_poses_near_demos(toy, rng, 7))
     healthy = score.score_batch(q, p, 0.3)
-    q[1, 2], p[3, 0], p[4, 1] = np.nan, np.nan, np.inf
-    out = score.score_batch(q, p, 0.3)
-    bad = np.array([False, True, False, True, True, False])
+    q[1, 2], q[2, 0], p[3, 0], p[4, 1] = np.nan, np.inf, np.nan, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a bad pose costs no floating-point warning
+        out = score.score_batch(q, p, 0.3)
+    bad = np.array([False, True, True, True, True, False, False])
     assert np.all(np.isnan(out[bad]))
     assert np.array_equal(out[~bad], healthy[~bad])  # the other rows keep their bits
 
@@ -595,20 +606,16 @@ def test_sampler_freezes_a_nan_model_chain_and_keeps_the_others(toy, rng):
             self.calls += 1
             return self.inner.score_batch(q, p, t)
 
-        def __call__(self, g, t):
-            return self.inner(g, t)
-
     score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
                        toy.model)
     schedule = build_schedule([(1.0, 0.1, 10)], eps=0.05)
-    inits = _poses_near_demos(toy, rng, 3)
-    plain = run_denoising(score, inits, schedule, np.random.default_rng(5), 3)
-    hit = run_denoising(NanChainOnce(score), inits, schedule, np.random.default_rng(5), 3)
-    assert hit[1].failed and hit[1].failed_step == 0 and hit[1].error == "non-finite score"
-    assert np.array_equal(hit[1].trajectory[-1], hit[1].trajectory[0])  # frozen at its start
+    q0, p0 = _stacks(_poses_near_demos(toy, rng, 3))
+    plain = run_denoising(score, q0, p0, schedule, np.random.default_rng(5))
+    hit = run_denoising(NanChainOnce(score), q0, p0, schedule, np.random.default_rng(5))
+    assert hit.failed_step.tolist() == [-1, 0, -1] and hit.error[1] == "non-finite score"
+    assert np.array_equal(hit.trajectory[1, -1], hit.trajectory[1, 0])  # frozen at its start
     for k in (0, 2):
-        assert not hit[k].failed
-        assert np.array_equal(hit[k].trajectory, plain[k].trajectory)
+        assert np.array_equal(hit.trajectory[k], plain.trajectory[k])
 
 
 def test_model_score_validation(toy):

@@ -172,6 +172,8 @@ def _first_number_to(path, marker, value):
     ("demo pose", "demos.txt", "pos: ", "-1e999"),
     ("config scalar", "scenario.txt", "contact_radius = ", "Infinity"),
     ("model parameter", "model_params.txt", "scene_channel_weights = ", "1e999"),
+    pytest.param("config scalar", "scenario.txt", "contact_radius = ", "1" + "0" * 400,
+                 id="config scalar-integer too large for a float"),
 ])
 def test_non_finite_scenario_values_are_parse_errors(tmp_path, capsys, kind, file, marker, value):
     scn_path = write_scenario(tmp_path / "scn", make_toy_scenario(seed=3))
@@ -191,7 +193,8 @@ def test_non_finite_scenario_values_are_parse_errors(tmp_path, capsys, kind, fil
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999", pytest.param(
+    "1" + "0" * 400, id="integer too large for a float")])
 def test_csv_cloud_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "cloud.csv"
     path.write_text(f"0,0,0,0.5,0.5,0.5\n1,2,3,0.5,{value},0.5\n")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from se3diffuse.diffusion import BrownianScoreFn, DemoSet, DiffusionConfig, MixtureScore
-from se3diffuse.lie import Pose, Rotation, Twist, compose, random_rotation
-from se3diffuse.pointcloud import transform
+from se3diffuse.lie import Pose, Rotation, Twist, compose, quat_mul, quat_rotate, random_rotation
+from se3diffuse.pointcloud import bounding_box, transform
 from se3diffuse.sampler import (
     NOISE_BLOCK,
     AnnealSchedule,
@@ -79,111 +79,99 @@ def test_langevin_step_validation(rng):
                       integrator="verlet")
 
 
-def zero_score(g, t):
-    return Twist.zero()
+def _identity_stacks(chains):
+    return np.tile([1.0, 0.0, 0.0, 0.0], (chains, 1)), np.zeros((chains, 3))
+
+
+class ZeroScore:
+    def score_batch(self, q, p, t):
+        return np.zeros((q.shape[0], 6))
 
 
 def test_run_denoising_constant_with_zero_score():
     sched = build_schedule([(1.0, 0.5, 20)], eps=0.1, k2=1.0)
-    g0 = Pose(np.array([1.0, 2.0, 3.0]), Rotation.identity())
+    zero_temp = AnnealSchedule(sched.segments, sched.eps, sched.k1, sched.k2,
+                               sched.t, sched.alpha, np.zeros_like(sched.temperature))
+    q0, _ = _identity_stacks(3)
+    p0 = np.tile([1.0, 2.0, 3.0], (3, 1))
+    res = run_denoising(ZeroScore(), q0, p0, zero_temp, np.random.default_rng(0))
+    assert np.array_equal(res.p, p0) and np.array_equal(res.q, q0)
+    assert res.trajectory.shape == (3, 21, 7)
+    assert np.all(res.trajectory[:, :, 4:] == p0[:, None])
+    assert np.array_equal(res.failed_step, [-1, -1, -1])
+    assert list(res.error) == ["", "", ""]
 
-    def zero_temp_sched():
-        return AnnealSchedule(sched.segments, sched.eps, sched.k1, sched.k2,
-                              sched.t, sched.alpha, np.zeros_like(sched.temperature))
 
-    res = run_denoising(zero_score, g0, zero_temp_sched(), np.random.default_rng(0), 3)
-    for r in res:
-        assert np.allclose(r.final.p, g0.p)
-        assert r.trajectory.shape == (21, 7)
-        assert np.allclose(r.trajectory[:, 4:], g0.p)
+def test_run_denoising_validates_its_stacks():
+    sched = build_schedule([(1.0, 0.5, 2)], eps=0.1)
+    q0, p0 = _identity_stacks(2)
+    with pytest.raises(ValueError, match="initial stacks"):
+        run_denoising(ZeroScore(), q0[:0], p0[:0], sched, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="initial stacks"):
+        run_denoising(ZeroScore(), q0, p0[:1], sched, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="record"):
+        run_denoising(ZeroScore(), q0, p0, sched, np.random.default_rng(0), record="some")
 
 
 def test_run_denoising_draws_each_chains_spawned_stream_in_blocks():
     chains, steps = 3, 2 * NOISE_BLOCK + 6  # crosses two refills
     sched = build_schedule([(1.0, 0.5, steps)], eps=0.05)
-    res = run_denoising(BrownianScoreFn(), Pose.identity(), sched, np.random.default_rng(6), chains)
+    res = run_denoising(BrownianScoreFn(), *_identity_stacks(chains), sched,
+                        np.random.default_rng(6))
     children = np.random.default_rng(6).spawn(chains)
     draws = [np.concatenate([c.standard_normal((NOISE_BLOCK, 6)) for _ in range(3)])
              for c in children]
-    q, p = np.tile([1.0, 0.0, 0.0, 0.0], (chains, 1)), np.zeros((chains, 3))
+    q, p = _identity_stacks(chains)
     for n in range(steps):
         scores = BrownianScoreFn().score_batch(q, p, float(sched.t[n]))
         q, p = _step_batch(q, p, scores, float(sched.alpha[n]), float(sched.temperature[n]),
                            np.stack([d[n] for d in draws]), "exact")
-        for i in range(chains):
-            assert np.array_equal(res[i].trajectory[n + 1], np.concatenate([q[i], p[i]]))
+        assert np.array_equal(res.trajectory[:, n + 1], np.concatenate([q, p], axis=1))
+    for i in range(chains):  # the final quaternion is the Rotation constructor's
+        assert np.array_equal(res.q[i], Rotation(q[i]).q)
 
 
 def test_run_denoising_deterministic(toy):
     cfg = DiffusionConfig(t=1.0, r=toy.config.r, L=1.0)
     oracle = MixtureScore(toy.demo_set(), cfg)
     sched = build_schedule([(1.0, 0.1, 30)], eps=0.05)
-    inits = sample_initial_poses(toy, np.random.default_rng(1), 4)
-    a = run_denoising(oracle, inits, sched, np.random.default_rng(9), 4)
-    b = run_denoising(oracle, inits, sched, np.random.default_rng(9), 4)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.trajectory, rb.trajectory)
+    q0, p0 = sample_initial_poses(toy, np.random.default_rng(1), 4)
+    a = run_denoising(oracle, q0, p0, sched, np.random.default_rng(9))
+    b = run_denoising(oracle, q0, p0, sched, np.random.default_rng(9))
+    assert np.array_equal(a.trajectory, b.trajectory)
 
 
-def test_run_denoising_batched_equals_scalar(toy):
-    cfg = DiffusionConfig(t=1.0, r=toy.config.r, L=1.0)
-    oracle = MixtureScore(toy.demo_set(), cfg)
-
-    class ScalarOnly:
-        def __call__(self, g, t):
-            return oracle(g, t)
-
-    sched = build_schedule([(1.0, 0.2, 25)], eps=0.05)
-    inits = sample_initial_poses(toy, np.random.default_rng(2), 3)
-    a = run_denoising(oracle, inits, sched, np.random.default_rng(5), 3)
-    b = run_denoising(ScalarOnly(), inits, sched, np.random.default_rng(5), 3)
-    for ra, rb in zip(a, b):
-        assert np.allclose(ra.trajectory, rb.trajectory, atol=1e-12)
-
-
-def test_run_denoising_model_score_batched_equals_scalar(toy):
-    from se3diffuse.fields import ModelScore, build_query_set
-
-    model = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
-                       toy.model)
-
-    class ScalarOnly:
-        def __call__(self, g, t):
-            return model(g, t)
-
-    sched = build_schedule([(1.0, 0.05, 40)], eps=0.05)
-    inits = sample_initial_poses(toy, np.random.default_rng(4), 3)
-    a = run_denoising(model, inits, sched, np.random.default_rng(8), 3)
-    b = run_denoising(ScalarOnly(), inits, sched, np.random.default_rng(8), 3)
-    for ra, rb in zip(a, b):
-        assert not ra.failed and not rb.failed
-        assert np.allclose(ra.trajectory, rb.trajectory, rtol=0.0, atol=1e-12)
-        assert not np.allclose(ra.trajectory[-1], ra.trajectory[0])
+def test_sample_initial_poses_stacks_are_the_per_chain_draws(toy):
+    q, p = sample_initial_poses(toy, np.random.default_rng(3), 7)
+    rng = np.random.default_rng(3)
+    lo, hi = bounding_box(toy.scene)
+    lo, hi = lo - 0.2, hi + 0.2
+    for i in range(7):
+        assert np.array_equal(p[i], lo + rng.random(3) * (hi - lo))
+        assert np.array_equal(q[i], random_rotation(rng).q)
 
 
 def test_run_denoising_isolates_failing_chain():
-    calls = {"n": 0}
-
-    def flaky(g, t):
-        # fails only for states near one specific chain's start
-        if g.p[0] > 0.5:
-            raise RuntimeError("score blew up")
-        return Twist.zero()
+    class Flaky:
+        def score_batch(self, q, p, t):
+            if np.any(p[:, 0] > 0.5):  # fails for any batch holding chain 1
+                raise RuntimeError("score blew up")
+            return np.zeros((q.shape[0], 6))
 
     sched = build_schedule([(1.0, 1.0, 5)], eps=0.01, k2=1.0)
-    inits = [Pose(np.array([0.0, 0.0, 0.0]), Rotation.identity()),
-             Pose(np.array([1.0, 0.0, 0.0]), Rotation.identity())]
-    res = run_denoising(flaky, inits, sched, np.random.default_rng(0), 2)
-    assert not res[0].failed
-    assert res[1].failed and "score blew up" in res[1].error
-    assert res[1].failed_step == 0
-    assert np.allclose(res[1].final.p, [1.0, 0.0, 0.0])  # frozen at failure
+    q0, p0 = _identity_stacks(2)
+    p0[1, 0] = 1.0
+    res = run_denoising(Flaky(), q0, p0, sched, np.random.default_rng(0))
+    assert res.failed_step.tolist() == [-1, 0]
+    assert res.error[0] == "" and res.error[1] == "RuntimeError: score blew up"
+    assert np.array_equal(res.p[1], [1.0, 0.0, 0.0])  # frozen at failure
 
 
 def _far_chain_inits(chains, far):
-    """Chains start at the identity except chain ``far``, which starts at x = 10."""
-    return [Pose(np.array([10.0 if i == far else 0.0, 0.0, 0.0]), Rotation.identity())
-            for i in range(chains)]
+    """Stacks of chains at the identity except chain ``far``, which starts at x = 10."""
+    q0, p0 = _identity_stacks(chains)
+    p0[far, 0] = 10.0
+    return q0, p0
 
 
 def test_run_denoising_freezes_chain_with_non_finite_score():
@@ -195,13 +183,13 @@ def test_run_denoising_freezes_chain_with_non_finite_score():
             return out
 
     sched = build_schedule([(1.0, 0.5, 50)], eps=0.01)
-    res = run_denoising(NanForFarChain(), _far_chain_inits(10, 3), sched,
-                        np.random.default_rng(0), 10)
+    res = run_denoising(NanForFarChain(), *_far_chain_inits(10, 3), sched,
+                        np.random.default_rng(0))
     step = int(np.argmax(sched.t < 0.8))
-    assert [r.index for r in res if r.failed] == [3]
-    assert res[3].error == "non-finite score" and res[3].failed_step == step
-    assert np.all(res[3].trajectory[step:] == res[3].trajectory[step])
-    assert np.all(np.isfinite(res[3].trajectory))
+    assert np.flatnonzero(res.failed_step >= 0).tolist() == [3]
+    assert res.error[3] == "non-finite score" and res.failed_step[3] == step
+    assert np.all(res.trajectory[3, step:] == res.trajectory[3, step])
+    assert np.all(np.isfinite(res.trajectory))
 
 
 def test_run_denoising_freezes_chain_with_non_finite_step():
@@ -212,47 +200,78 @@ def test_run_denoising_freezes_chain_with_non_finite_step():
             return out
 
     sched = build_schedule([(1.0, 0.5, 20)], eps=0.01)
-    inits = _far_chain_inits(4, 1)
-    res = run_denoising(HugeForFarChain(), inits, sched, np.random.default_rng(0), 4)
-    assert [r.index for r in res if r.failed] == [1]
-    assert res[1].error == "non-finite step" and res[1].failed_step == 0
-    assert res[1].final.allclose(inits[1], atol=0.0)
+    q0, p0 = _far_chain_inits(4, 1)
+    res = run_denoising(HugeForFarChain(), q0, p0, sched, np.random.default_rng(0))
+    assert np.flatnonzero(res.failed_step >= 0).tolist() == [1]
+    assert res.error[1] == "non-finite step" and res.failed_step[1] == 0
+    assert np.array_equal(res.q[1], q0[1]) and np.array_equal(res.p[1], p0[1])
 
 
-def test_run_denoising_batch_exception_retries_one_step_per_chain():
-    class FlakyOnce(BrownianScoreFn):
-        def __init__(self):
-            self.batch_calls = 0
-            self.scalar_calls = 0
+class _Counted(BrownianScoreFn):
+    """The Brownian score, counting ``score_batch`` calls per diffusion time."""
 
+    def __init__(self):
+        self.calls: dict[float, int] = {}
+
+    def score_batch(self, q, p, t):
+        self.calls[t] = self.calls.get(t, 0) + 1
+        return super().score_batch(q, p, t)
+
+
+def test_run_denoising_bisects_to_one_raising_chain_among_100():
+    class RaisesForFarChain(_Counted):
         def score_batch(self, q, p, t):
-            self.batch_calls += 1
-            if self.batch_calls == 2:
-                raise RuntimeError("transient")
-            return super().score_batch(q, p, t)
+            out = super().score_batch(q, p, t)
+            if t < 0.8 and np.any(p[:, 0] > 5.0):
+                raise FloatingPointError("far chain")
+            return out
 
-        def __call__(self, g, t):
-            self.scalar_calls += 1
-            return super().__call__(g, t)
+    chains, far = 100, 37
+    sched = build_schedule([(1.0, 0.5, 40)], eps=0.01)
+    score = RaisesForFarChain()
+    res = run_denoising(score, *_far_chain_inits(chains, far), sched, np.random.default_rng(2))
+    ref = run_denoising(BrownianScoreFn(), *_far_chain_inits(chains, far), sched,
+                        np.random.default_rng(2))
+    step = int(np.argmax(sched.t < 0.8))
+    assert np.flatnonzero(res.failed_step >= 0).tolist() == [far]
+    assert res.failed_step[far] == step and res.error[far] == "FloatingPointError: far chain"
+    assert np.all(res.trajectory[far, step:] == ref.trajectory[far, step])
+    # 1 + 2 ceil(log2 100) calls at the failing step, one call at every other step
+    assert score.calls[float(sched.t[step])] <= 15
+    assert all(c == 1 for t, c in score.calls.items() if t != float(sched.t[step]))
+    keep = np.arange(chains) != far
+    assert np.array_equal(res.trajectory[keep], ref.trajectory[keep])
+    assert np.array_equal(res.q[keep], ref.q[keep]) and np.array_equal(res.p[keep], ref.p[keep])
+
+
+def test_run_denoising_transient_batch_failure_keeps_every_bit():
+    class FlakyOnce(_Counted):
+        def score_batch(self, q, p, t):
+            out = super().score_batch(q, p, t)
+            if sum(self.calls.values()) == 2:
+                raise RuntimeError("transient")
+            return out
 
     sched = build_schedule([(1.0, 0.5, 50)], eps=0.01)
     flaky = FlakyOnce()
-    res = run_denoising(flaky, Pose.identity(), sched, np.random.default_rng(4), 10)
-    ref = run_denoising(BrownianScoreFn(), Pose.identity(), sched, np.random.default_rng(4), 10)
-    assert flaky.scalar_calls == 10  # only the failed step, once per chain
-    assert flaky.batch_calls == 50
-    assert not any(r.failed for r in res)
-    for a, b in zip(res, ref):
-        assert np.allclose(a.trajectory, b.trajectory, atol=1e-12)
+    res = run_denoising(flaky, *_identity_stacks(10), sched, np.random.default_rng(4))
+    ref = run_denoising(BrownianScoreFn(), *_identity_stacks(10), sched, np.random.default_rng(4))
+    assert flaky.calls[float(sched.t[1])] == 3  # the raise, then one call per half
+    assert np.all(res.failed_step == -1)
+    assert np.array_equal(res.trajectory, ref.trajectory)
+    assert np.array_equal(res.q, ref.q) and np.array_equal(res.p, ref.p)
 
 
 def test_run_denoising_record_final_only(toy):
     cfg = DiffusionConfig(t=1.0, r=toy.config.r, L=1.0)
     oracle = MixtureScore(toy.demo_set(), cfg)
     sched = build_schedule([(1.0, 0.5, 10)], eps=0.05)
-    res = run_denoising(oracle, Pose.identity(), sched, np.random.default_rng(3), 2,
+    full = run_denoising(oracle, *_identity_stacks(2), sched, np.random.default_rng(3))
+    res = run_denoising(oracle, *_identity_stacks(2), sched, np.random.default_rng(3),
                         record="final")
-    assert all(r.trajectory is None for r in res)
+    assert res.trajectory is None
+    assert np.array_equal(res.p, full.trajectory[:, -1, 4:])
+    assert np.array_equal(res.q, full.q) and np.array_equal(res.p, full.p)
 
 
 def test_sampling_equivariance_replay(toy, rng):
@@ -260,19 +279,17 @@ def test_sampling_equivariance_replay(toy, rng):
     demos = toy.demo_set()
     sched = build_schedule([(1.0, 0.1, 30), (0.1, 0.01, 30)], eps=0.05)
     chains = 5
-    inits = sample_initial_poses(toy, np.random.default_rng(11), chains)
-    base = run_denoising(MixtureScore(demos, cfg), inits, sched,
-                         np.random.default_rng(77), chains)
+    q0, p0 = sample_initial_poses(toy, np.random.default_rng(11), chains)
+    base = run_denoising(MixtureScore(demos, cfg), q0, p0, sched, np.random.default_rng(77))
     dg = Pose(np.array([0.5, -0.3, 0.8]), random_rotation(rng))
     moved_demos = DemoSet(tuple((compose(dg, g0), transform(s, dg), gr)
                                 for g0, s, gr in demos.demos))
-    moved_inits = [compose(dg, g) for g in inits]
-    moved = run_denoising(MixtureScore(moved_demos, cfg), moved_inits, sched,
-                          np.random.default_rng(77), chains)
-    for rb, rm in zip(base, moved):
-        for n in range(rb.trajectory.shape[0]):
-            gb = Pose(rb.trajectory[n, 4:], Rotation(rb.trajectory[n, :4]))
-            gm = Pose(rm.trajectory[n, 4:], Rotation(rm.trajectory[n, :4]))
+    moved = run_denoising(MixtureScore(moved_demos, cfg), quat_mul(dg.r.q, q0),
+                          quat_rotate(dg.r.q, p0) + dg.p, sched, np.random.default_rng(77))
+    for rb, rm in zip(base.trajectory, moved.trajectory):
+        for n in range(rb.shape[0]):
+            gb = Pose(rb[n, 4:], Rotation(rb[n, :4]))
+            gm = Pose(rm[n, 4:], Rotation(rm[n, :4]))
             ref = compose(dg, gb)
             assert np.max(np.abs(ref.p - gm.p)) < 1e-8
             assert ref.r.compose(gm.r.inverse()).angle < 1e-8
