@@ -12,7 +12,6 @@ score model (:mod:`~se3diffuse.fields`), annealed Langevin sampling
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .diffusion import (
     DemoSet,
     DiffusionConfig,
@@ -50,7 +49,6 @@ from .sampler import AnnealSchedule, build_schedule, langevin_step, run_denoisin
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     "Pose",
     "Rotation",
     "Twist",

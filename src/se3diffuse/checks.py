@@ -198,8 +198,8 @@ def _fd_rotation_score(r, params, step: float = 1e-5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_equivariance(rng: np.random.Generator,
-                        adjoint_inv_t: Callable[[Pose], np.ndarray] = adjoint_inv_transpose,
-                        n_transforms: int = 10) -> list[CheckResult]:
+                        adjoint_inv_t: Callable[[Pose], np.ndarray] = adjoint_inv_transpose
+                        ) -> list[CheckResult]:
     from .scenario import make_toy_scenario
 
     scn = make_toy_scenario(seed=11)
@@ -216,7 +216,7 @@ def _check_equivariance(rng: np.random.Generator,
     err_left = 0.0
     err_right = 0.0
     err_oracle = 0.0
-    for _ in range(n_transforms):
+    for _ in range(10):
         dg = _random_pose(rng, scale=0.7)
         g_left = compose(dg, base_pose)
         lhs = kernel_log_density(g_left.r.q[None], g_left.p[None], compose(dg, g0),
@@ -239,7 +239,7 @@ def _check_equivariance(rng: np.random.Generator,
     base_model = assemble_score(base_pose, scn.scene, scn.grasp, cfg.t, cfg.L,
                                 query, model).as_array()
     err_model = 0.0
-    for _ in range(n_transforms):
+    for _ in range(10):
         dg = _random_pose(rng, scale=0.7)
         left = assemble_score(compose(dg, base_pose), transform(scn.scene, dg),
                               scn.grasp, cfg.t, cfg.L, query, model).as_array()

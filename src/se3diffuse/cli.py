@@ -155,6 +155,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     elif model is None:
         return _error("--score model requires model parameters "
                       "(scenario model_params or --params)")
+    elif max(model.query_count, model.query_start_index + 1) > len(grasp):
+        return _error(f"the model takes {model.query_count} query points from grasp point "
+                      f"{model.query_start_index}, but the grasp cloud has {len(grasp)} points")
     else:
         score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 

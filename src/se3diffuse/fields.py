@@ -23,8 +23,9 @@ scalars, so D(R^-1) phi(g x | O) = phi(x | g^-1 O): the score takes the
 scene into each pose's body frame and needs no Wigner-D rotation.  The
 grasp field on the fixed query points depends on neither the pose nor t,
 so the score is linear in that body-frame field and in the path
-weights; ``ModelScore`` folds the rest into one per-path read-out tensor
-per branch when it is built.
+weights.  The linear and angular branches read the same scene and grasp
+fields and differ only in their path weights, so ``ModelScore`` folds
+the rest into one per-path read-out tensor when it is built.
 """
 
 from __future__ import annotations
@@ -239,9 +240,11 @@ def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
 class ScoreModelParams:
     """Everything the assembled score model needs besides the clouds.
 
-    The scene and grasp descriptor fields are shared between the linear
-    and angular branches (separate path weights), matching the reference
-    design; pass scene_omega/grasp_omega to un-share them.
+    Both branches read the same ``scene`` and ``grasp`` descriptor fields,
+    as in the reference design, and differ only in their path weights:
+    one weight per CG path of (grasp layout) x (scene layout) -> l = 1.
+    ``query_count`` >= 1 query points are picked by farthest-point
+    sampling from the grasp point ``query_start_index`` >= 0.
     """
 
     scene: SyntheticEdfParams
@@ -249,20 +252,18 @@ class ScoreModelParams:
     weights_nu: np.ndarray
     weights_omega: np.ndarray
     weight_field: SyntheticEdfParams | None = None
-    scene_omega: SyntheticEdfParams | None = None
-    grasp_omega: SyntheticEdfParams | None = None
     query_count: int = 8
     query_start_index: int = 0
 
-    def scene_for(self, branch: str) -> SyntheticEdfParams:
-        if branch == "omega" and self.scene_omega is not None:
-            return self.scene_omega
-        return self.scene
-
-    def grasp_for(self, branch: str) -> SyntheticEdfParams:
-        if branch == "omega" and self.grasp_omega is not None:
-            return self.grasp_omega
-        return self.grasp
+    def __post_init__(self) -> None:
+        for name, low in (("query_count", 1), ("query_start_index", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        n_paths = len(cg_paths(self.grasp.layout, self.scene.layout))
+        for name in ("weights_nu", "weights_omega"):
+            if np.shape(getattr(self, name)) != (n_paths,):
+                raise ValueError(f"{name} needs {n_paths} weights, one per CG path")
 
 
 def query_weights(points: np.ndarray, grasp: PointCloud,
@@ -296,16 +297,16 @@ class ModelScore:
     """Assembled model score, vectorized over pose stacks.
 
     The grasp field psi on the fixed query points carries no time input,
-    so it is evaluated here, once per distinct grasp-parameter object.  The
-    score is then linear in the body-frame scene field phi(x | g^-1 O_s),
-    an (N, Q, dim) stack, and in the path weights: each branch's CG
-    contraction against psi, the query weights and the lever arms fold
-    into one per-path read-out tensor, (Q*dim, paths, 6) for the linear
-    and orbital columns and (Q*dim, paths, 3) for the spin.  A score call
-    evaluates the scene field in every pose's body frame, once per
-    distinct scene-parameter object, and contracts it with each tensor's
-    path-weighted sum, every row on its own; a pose with a non-finite
-    entry scores NaN.  A scalar call is a batch of one.
+    so it is evaluated once, here.  The score is then linear in the
+    body-frame scene field phi(x | g^-1 O_s), an (N, Q, dim) stack, and in
+    the path weights: the CG contraction against psi, the query weights
+    and the lever arms fold into one per-path read-out tensor,
+    (Q*dim, paths, 3), and one (Q*dim, 9) operator, its linear, orbital
+    and spin columns weighted by each branch's path weights.  A score call
+    evaluates the scene field in every pose's body frame once and
+    contracts it with that operator, every row on its own; a pose with a
+    non-finite entry or a quaternion off unit norm scores NaN.  A scalar
+    call is a batch of one.
     """
 
     def __init__(self, scene: PointCloud, grasp: PointCloud, length_unit: float,
@@ -314,24 +315,18 @@ class ModelScore:
         self.length_unit = length_unit
         self.query = query
         self.model = model
-        grasp_nu, grasp_om = model.grasp_for("nu"), model.grasp_for("omega")
-        psi_nu = _edf_batch(query.points, grasp, grasp_nu, None)
-        psi_om = psi_nu if grasp_om is grasp_nu else _edf_batch(query.points, grasp, grasp_om, None)
-        paths_nu = self._per_path("nu", psi_nu)  # (Q*dim, paths, 3)
-        arm = np.repeat(query.points / length_unit, model.scene_for("nu").layout.dim, axis=0)
+        dim = model.scene.layout.dim
+        psi = np.repeat(_edf_batch(query.points, grasp, model.grasp, None), dim, axis=0)
+        # (Q*dim, paths, 3) per-path rows w_q psi_q x->1 e_j, e_j the scene basis vectors
+        self._paths = np.repeat(query.weights, dim)[:, None, None] * _contract_batch(
+            model.grasp.layout, psi, model.scene.layout, np.tile(np.eye(dim), (len(query), 1)))
+        arm = np.repeat(query.points / length_unit, dim, axis=0)
         self._paths_nu = np.concatenate(
-            [paths_nu / length_unit, cross(arm[:, None, :], paths_nu)], axis=2)
-        self._paths_om = self._per_path("omega", psi_om)
-        self._op_nu = np.einsum("kpc,p->kc", self._paths_nu, model.weights_nu)  # (Q*dim, 6)
-        self._op_om = np.einsum("kpc,p->kc", self._paths_om, model.weights_omega)
-
-    def _per_path(self, branch: str, psi: np.ndarray) -> np.ndarray:
-        """(Q*dim, paths, 3) per-path rows w_q psi_q x->1 e_j, e_j the scene basis vectors."""
-        layout = self.model.scene_for(branch).layout
-        basis = np.tile(np.eye(layout.dim), (psi.shape[0], 1))
-        w = np.repeat(self.query.weights, layout.dim)[:, None, None]
-        return w * _contract_batch(self.model.grasp_for(branch).layout,
-                                   np.repeat(psi, layout.dim, axis=0), layout, basis)
+            [self._paths / length_unit, cross(arm[:, None, :], self._paths)], axis=2)
+        # (Q*dim, 9): linear, orbital and spin columns
+        self._op = np.concatenate([np.einsum("kpc,p->kc", self._paths_nu, model.weights_nu),
+                                   np.einsum("kpc,p->kc", self._paths, model.weights_omega)],
+                                  axis=1)
 
     def score_parts(self, q: np.ndarray, p: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,23 +342,16 @@ class ModelScore:
         n = q.shape[0]
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
-        phi_nu, phi_om = self._scene_fields(q, p, t)
-        inv_sqrt_t = 1.0 / math.sqrt(t)
+        phi = self._scene_field(q, p, t)
         # no BLAS here: einsum without optimize reduces each row alone
-        nu = np.einsum("nk,kc->nc", phi_nu.reshape(n, -1), self._op_nu) * inv_sqrt_t
-        spin = np.einsum("nk,kc->nc", phi_om.reshape(n, -1), self._op_om) * inv_sqrt_t
-        nu[bad], spin[bad] = np.nan, np.nan
-        return nu[:, :3], spin, nu[:, 3:]
+        out = np.einsum("nk,kc->nc", phi.reshape(n, -1), self._op) * (1.0 / math.sqrt(t))
+        out[bad] = np.nan
+        return out[:, :3], out[:, 6:], out[:, 3:6]
 
-    def _scene_fields(self, q: np.ndarray, p: np.ndarray,
-                      t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(N, Q, dim) body-frame scene fields of both branches, one per distinct field."""
+    def _scene_field(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+        """(N, Q, dim) body-frame scene field at the query points."""
         qs = np.repeat(self.query.points[None], q.shape[0], axis=0)
-        scene_nu, scene_om = self.model.scene_for("nu"), self.model.scene_for("omega")
-        phi_nu = _edf_batch(qs, self.scene, scene_nu, t, frames=(q, p))
-        phi_om = (phi_nu if scene_om is scene_nu
-                  else _edf_batch(qs, self.scene, scene_om, t, frames=(q, p)))
-        return phi_nu, phi_om
+        return _edf_batch(qs, self.scene, self.model.scene, t, frames=(q, p))
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
@@ -392,10 +380,10 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
 
 def _design_matrix(score: ModelScore, g: Pose, t: float) -> np.ndarray:
     """(6, n_nu + n_omega) Jacobian of ``score`` at (g, t) in its stacked path weights."""
-    phi_nu, phi_om = score._scene_fields(g.r.q[None, :], g.p[None, :], t)
+    phi = score._scene_field(g.r.q[None, :], g.p[None, :], t).reshape(-1)
     inv_sqrt_t = 1.0 / math.sqrt(t)
-    nu = inv_sqrt_t * np.einsum("k,kpc->cp", phi_nu.reshape(-1), score._paths_nu)  # (6, n_nu)
-    spin = inv_sqrt_t * np.einsum("k,kpc->cp", phi_om.reshape(-1), score._paths_om)
+    nu = inv_sqrt_t * np.einsum("k,kpc->cp", phi, score._paths_nu)  # (6, n_nu)
+    spin = inv_sqrt_t * np.einsum("k,kpc->cp", phi, score._paths)
     return np.block([[nu[:3], np.zeros((3, spin.shape[1]))], [nu[3:], spin]])
 
 
@@ -434,20 +422,19 @@ def fit_path_weights(poses_times: list[tuple[Pose, float]], targets: np.ndarray,
 # Deterministic random parameter factories (tests, toy scenarios)
 # ---------------------------------------------------------------------------
 
-def random_edf_params(layout: IrrepsLayout, rng: np.random.Generator, cutoff: float,
-                      radial_widths: tuple[float, ...] = (0.25, 0.6),
-                      time_gate_centers: tuple[float, ...] = (-3.0, 0.0),
-                      scale: float = 0.1) -> SyntheticEdfParams:
-    n_slots = len(layout.slots())
-    cw = scale * rng.standard_normal((n_slots, len(radial_widths), N_COLOR_CHANNELS,
-                                      len(time_gate_centers)))
-    return SyntheticEdfParams(layout, cutoff, radial_widths, cw, time_gate_centers)
+def random_edf_params(layout: IrrepsLayout, rng: np.random.Generator,
+                      cutoff: float) -> SyntheticEdfParams:
+    """Channel weights 0.1 N(0, 1), radial widths (0.25, 0.6), time gates at log t = -3, 0."""
+    widths, centers = (0.25, 0.6), (-3.0, 0.0)
+    cw = 0.1 * rng.standard_normal((len(layout.slots()), len(widths), N_COLOR_CHANNELS,
+                                    len(centers)))
+    return SyntheticEdfParams(layout, cutoff, widths, cw, centers)
 
 
-def random_model_params(rng: np.random.Generator, cutoff: float,
-                        layout: IrrepsLayout | None = None,
-                        query_count: int = 8) -> ScoreModelParams:
-    layout = layout or IrrepsLayout(((0, 2), (1, 2), (2, 1)))
+def random_model_params(rng: np.random.Generator, cutoff: float) -> ScoreModelParams:
+    """Scene and grasp fields on blocks ((0, 2), (1, 2), (2, 1)), a scalar weight field,
+    10 query points."""
+    layout = IrrepsLayout(((0, 2), (1, 2), (2, 1)))
     scene = random_edf_params(layout, rng, cutoff)
     grasp = random_edf_params(layout, rng, cutoff)
     wf = random_edf_params(IrrepsLayout(((0, 1),)), rng, cutoff)
@@ -458,5 +445,5 @@ def random_model_params(rng: np.random.Generator, cutoff: float,
         weights_nu=rng.standard_normal(n_paths),
         weights_omega=rng.standard_normal(n_paths),
         weight_field=wf,
-        query_count=query_count,
+        query_count=10,
     )

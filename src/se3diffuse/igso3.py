@@ -193,15 +193,15 @@ def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
     return igso3_score_batch(rotvec[None, :], params)[0]
 
 
-def angle_cdf_quadrature(params: IgParams, nodes: int = 20001) -> tuple[np.ndarray, np.ndarray]:
-    """Independent dense-quadrature CDF of the angle marginal.
+def angle_cdf_quadrature(params: IgParams) -> tuple[np.ndarray, np.ndarray]:
+    """Independent dense-quadrature CDF of the angle marginal, on 20001 nodes.
 
     Used as the oracle for Kolmogorov-Smirnov checks against the sampler's
     coarser inverse-CDF table.  The grid ends at min(pi, 30 sqrt(2 eps)),
     as in the sampler's table, so that strongly concentrated marginals
     span many nodes; the CDF is 1 beyond its end.
     """
-    grid = np.linspace(0.0, min(math.pi, 30.0 * math.sqrt(2.0 * params.eps)), nodes)
+    grid = np.linspace(0.0, min(math.pi, 30.0 * math.sqrt(2.0 * params.eps)), 20001)
     pdf = angle_pdf(grid, params)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
     return grid, cdf / cdf[-1]

@@ -114,6 +114,8 @@ def _read_cloud_csv(path: Path) -> PointCloud:
             positions.append(vals[:3])
             if len(vals) == 6:
                 colors.append(vals[3:])
+    if not positions:
+        raise ParseError(f"{path}: no points")
     if colors and len(colors) != len(positions):
         raise ParseError(f"{path}: colors present on some lines but not all")
     return PointCloud(np.array(positions).reshape(-1, 3),
@@ -124,9 +126,15 @@ def _read_cloud_text(path: Path) -> PointCloud:
     data = read_keyvalue(path)
     if "points" not in data:
         raise ParseError(f"{path}: missing 'points' array")
-    positions = np.asarray(data["points"], dtype=np.float64).reshape(-1, 3)
     colors = data.get("colors")
-    return PointCloud(positions, None if colors is None else np.asarray(colors, dtype=np.float64))
+    try:  # ragged or non-numeric rows, or colors that do not match the points
+        positions = np.asarray(data["points"], dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise ValueError(f"'points' must be a non-empty list of [x, y, z] rows, "
+                             f"got shape {positions.shape}")
+        return PointCloud(positions, None if colors is None else np.asarray(colors, np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_point_cloud(path: str | Path, pc: PointCloud, header: Sequence[str] = ()) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "adjoint",
     "adjoint_inv_transpose",
     "translation_pose",
-    "identity_pose",
     "random_rotation",
     "skew",
     "cross",
@@ -162,12 +161,15 @@ def quat_unit(q: np.ndarray) -> np.ndarray:
 
 
 def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, p, bad): the stacks with each pose that has a non-finite entry set to
-    the identity, and the (N,) mask of those poses, whose score rows are NaN.
+    """(q, p, bad): the stacks with each pose that has a non-finite entry, or a
+    quaternion whose norm is off 1 by more than 1e-3 (the ``Rotation`` rule), set
+    to the identity, and the (N,) mask of those poses, whose score rows are NaN.
     """
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    bad = ~(np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1))
+    with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
+        norm = np.sqrt(np.einsum("...j,...j->...", q, q))
+    bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.isfinite(p).all(axis=-1))
     return np.where(bad[:, None], [1.0, 0.0, 0.0, 0.0], q), np.where(bad[:, None], 0.0, p), bad
 
 
@@ -431,10 +433,6 @@ def apply(a: Pose, x: np.ndarray) -> np.ndarray:
 
 def translation_pose(p: np.ndarray) -> Pose:
     return Pose(np.asarray(p, dtype=np.float64), Rotation.identity())
-
-
-def identity_pose() -> Pose:
-    return Pose.identity()
 
 
 def adjoint(g: Pose) -> np.ndarray:

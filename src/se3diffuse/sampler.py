@@ -81,6 +81,8 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     parts = []
     segs = []
     for seg in segments:
+        if len(seg) != 3:
+            raise ValueError(f"a schedule segment is [start, end, steps], got {list(seg)!r}")
         t0, t1, steps = float(seg[0]), float(seg[1]), int(seg[2])
         if t0 <= 0.0 or t1 <= 0.0:
             raise ValueError("diffusion times must be positive")

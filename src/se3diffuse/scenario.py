@@ -91,9 +91,7 @@ def _toy_demos() -> tuple[Pose, ...]:
 def make_toy_scenario(seed: int = 7) -> Scenario:
     rng = np.random.default_rng(seed)
     scene, grasp = _toy_clouds(rng)
-    model = random_model_params(rng, cutoff=0.8,
-                                layout=IrrepsLayout(((0, 2), (1, 2), (2, 1))),
-                                query_count=10)
+    model = random_model_params(rng, cutoff=0.8)
     return Scenario(
         scene=scene,
         grasp=grasp,
@@ -105,12 +103,12 @@ def make_toy_scenario(seed: int = 7) -> Scenario:
     )
 
 
-def sample_initial_poses(scenario: Scenario, rng: np.random.Generator, n: int,
-                         pad: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
-    """Default denoising inits, (n, 4) and (n, 3) stacks: uniform over the padded
-    scene box, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
+def sample_initial_poses(scenario: Scenario, rng: np.random.Generator,
+                         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Default denoising inits, (n, 4) and (n, 3) stacks: uniform over the scene box
+    padded by 0.2, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
     lo, hi = bounding_box(scenario.scene)
-    lo, hi = lo - pad, hi + pad
+    lo, hi = lo - 0.2, hi + 0.2
     q, p = np.empty((n, 4)), np.empty((n, 3))
     for i in range(n):
         p[i] = lo + rng.random(3) * (hi - lo)
@@ -158,23 +156,22 @@ def _params_from(data: dict, prefix: str):
 
 def read_model_params(path: str | Path) -> ScoreModelParams:
     data = sio.read_keyvalue(path)
+    if "scene_layout" not in data or "grasp_layout" not in data:
+        raise sio.ParseError(f"{path}: missing scene/grasp descriptor parameters")
     try:
-        model = ScoreModelParams(
+        return ScoreModelParams(
             scene=_params_from(data, "scene"),
             grasp=_params_from(data, "grasp"),
             weights_nu=np.asarray(data["path_weights_nu"], dtype=np.float64),
             weights_omega=np.asarray(data["path_weights_omega"], dtype=np.float64),
             weight_field=_params_from(data, "weight_field"),
-            query_count=int(data.get("query_count", 8)),
-            query_start_index=int(data.get("query_start_index", 0)),
+            query_count=data.get("query_count", 8),
+            query_start_index=data.get("query_start_index", 0),
         )
     except KeyError as exc:
         raise sio.ParseError(f"{path}: missing {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:  # e.g. time-gate centers that do not increase
         raise sio.ParseError(f"{path}: {exc}") from None
-    if model.scene is None or model.grasp is None:
-        raise sio.ParseError(f"{path}: missing scene/grasp descriptor parameters")
-    return model
 
 
 def write_scenario(directory: str | Path, scenario: Scenario) -> Path:
@@ -217,6 +214,12 @@ def read_scenario(path: str | Path) -> Scenario:
                 "schedule_eps", "seed"):
         if key not in data:
             raise sio.ParseError(f"{path}: missing {key!r} entry")
+    for key in ("scene", "grasp", "demos", "model_params"):
+        if not isinstance(data.get(key, ""), str):
+            raise sio.ParseError(f"{path}: {key!r} must be a file name, got {data[key]!r}")
+    seed = data["seed"]
+    if type(seed) is not int or seed < 0:  # JSON reads 2.5 as a float and true as a bool
+        raise sio.ParseError(f"{path}: seed must be an integer >= 0, got {seed!r}")
     scene = sio.read_point_cloud(base / data["scene"])
     grasp = sio.read_point_cloud(base / data["grasp"])
     demos = tuple(sio.read_poses(base / data["demos"]))
@@ -232,7 +235,6 @@ def read_scenario(path: str | Path) -> Scenario:
                                   k2=float(data.get("schedule_k2", 1.0)))
         config = DiffusionConfig(t=float(data["t"]), r=float(data["contact_radius"]),
                                  L=float(data.get("length_unit", 1.0)))
-        seed = int(data["seed"])
     except (TypeError, ValueError) as exc:
         raise sio.ParseError(f"{path}: {exc}") from None
     return Scenario(scene=scene, grasp=grasp, demo_poses=demos, config=config,

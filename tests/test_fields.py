@@ -328,22 +328,6 @@ def test_weight_field_must_be_scalar(toy, rng):
         query_weights(np.zeros((1, 3)), toy.grasp, bad)
 
 
-def test_separate_omega_fields_supported(toy, rng):
-    model = toy.model
-    other = random_edf_params(model.scene.layout, rng, cutoff=model.scene.cutoff)
-    split = ScoreModelParams(
-        scene=model.scene, grasp=model.grasp,
-        weights_nu=model.weights_nu, weights_omega=model.weights_omega,
-        weight_field=model.weight_field, scene_omega=other,
-        query_count=model.query_count)
-    query = build_query_set(toy.grasp, split)
-    g = toy.demo_poses[0]
-    a = assemble_score(g, toy.scene, toy.grasp, 0.5, 1.0, query, model).as_array()
-    b = assemble_score(g, toy.scene, toy.grasp, 0.5, 1.0, query, split).as_array()
-    assert np.allclose(a[:3], b[:3])  # shared nu branch
-    assert not np.allclose(a[3:], b[3:])  # distinct omega branch
-
-
 def _poses_near_demos(toy, rng, n):
     return [compose(toy.demo_poses[k % len(toy.demo_poses)],
                     exp_se3(Twist(0.2 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
@@ -354,23 +338,11 @@ def _stacks(poses):
     return np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
 
 
-def _split_model(model, rng):
-    """The toy model with un-shared omega-branch scene and grasp fields."""
-    layout = model.scene.layout
-    return ScoreModelParams(
-        scene=model.scene, grasp=model.grasp,
-        weights_nu=model.weights_nu, weights_omega=model.weights_omega,
-        weight_field=model.weight_field,
-        scene_omega=random_edf_params(layout, rng, cutoff=model.scene.cutoff),
-        grasp_omega=random_edf_params(layout, rng, cutoff=model.grasp.cutoff),
-        query_count=model.query_count)
-
-
-@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
-def test_model_score_batch_matches_assembled_score(toy, rng, split):
+@pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
+def test_model_score_batch_matches_assembled_score(toy, rng, branches):
     from se3diffuse.fields import score_design_matrix
 
-    model = _split_model(toy.model, rng) if split else toy.model
+    model = toy.model
     query = build_query_set(toy.grasp, model)
     score = ModelScore(toy.scene, toy.grasp, 0.8, query, model)
     stacked = np.concatenate([model.weights_nu, model.weights_omega])
@@ -382,7 +354,7 @@ def test_model_score_batch_matches_assembled_score(toy, rng, split):
             ref = assemble_score(g, toy.scene, toy.grasp, float(t), 0.8, query, model).as_array()
             assert np.linalg.norm(ref) > 0.0
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
-            # the design matrix contracts per path, apart from the branch sharing
+            # the design matrix contracts per path
             design = score_design_matrix(g, toy.scene, toy.grasp, float(t), 0.8, query, model)
             assert np.max(np.abs(design @ stacked - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -440,23 +412,22 @@ def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch
         return real(xs, pc, params, t, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
-    for model, distinct in ((toy.model, 1), (_split_model(toy.model, rng), 2)):
-        query = build_query_set(toy.grasp, model)
-        calls.clear()
-        score = ModelScore(toy.scene, toy.grasp, 1.0, query, model)
-        for t in (0.9, 0.5, 0.1):
-            score.score_batch(*_stacks(_poses_near_demos(toy, rng, 4)), t)
-        grasp_params = [params for on_grasp, params in calls if on_grasp]
-        assert len(grasp_params) == distinct
-        assert len({id(p) for p in grasp_params}) == distinct
-        assert len(calls) - len(grasp_params) == 3 * distinct  # one scene field per call
+    model = toy.model
+    query = build_query_set(toy.grasp, model)
+    calls.clear()
+    score = ModelScore(toy.scene, toy.grasp, 1.0, query, model)
+    for t in (0.9, 0.5, 0.1):
+        score.score_batch(*_stacks(_poses_near_demos(toy, rng, 4)), t)
+    grasp_params = [params for on_grasp, params in calls if on_grasp]
+    assert grasp_params == [model.grasp]
+    assert len(calls) - len(grasp_params) == 3  # one scene field per call
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
-def test_model_score_makes_no_wigner_d_or_rep_apply_call(toy, rng, monkeypatch, split):
+@pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
+def test_model_score_makes_no_wigner_d_or_rep_apply_call(toy, rng, monkeypatch, branches):
     from se3diffuse import fields, irreps
 
-    model = _split_model(toy.model, rng) if split else toy.model
+    model = toy.model
     score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, model), model)
     q, p = _stacks(_poses_near_demos(toy, rng, 5))
     calls = []
@@ -484,8 +455,7 @@ def _score_field_reference(toy, model, query, length_unit, g, t):
     """(s_nu, spin, orbital) summed from ``score_field`` one query point at a time."""
     def field(branch, x):
         weights = model.weights_nu if branch == "nu" else model.weights_omega
-        return score_field(g, x, toy.scene, toy.grasp, t, model.scene_for(branch),
-                           model.grasp_for(branch), weights)
+        return score_field(g, x, toy.scene, toy.grasp, t, model.scene, model.grasp, weights)
 
     inv_sqrt_t = 1.0 / np.sqrt(t)
     f_nu = np.stack([field("nu", x) for x in query.points])
@@ -496,9 +466,9 @@ def _score_field_reference(toy, model, query, length_unit, g, t):
             inv_sqrt_t * np.sum(w * np.cross(query.points / length_unit, f_nu), axis=0))
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
-def test_model_score_read_out_matches_per_query_score_fields(toy, rng, split):
-    model = _split_model(toy.model, rng) if split else toy.model
+@pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
+def test_model_score_read_out_matches_per_query_score_fields(toy, rng, branches):
+    model = toy.model
     query = build_query_set(toy.grasp, model)
     score = ModelScore(toy.scene, toy.grasp, 0.8, query, model)
     for t in rng.uniform(0.01, 1.0, size=4):
@@ -538,26 +508,26 @@ def _world_frame_score_parts(scene, grasp, query, model, length_unit, q, p, t):
     n, qs = q.shape[0], query.points
     xs = quat_rotate(q[:, None, :], qs[None, :, :]) + p[:, None, :]
 
-    def field(branch, weights):
-        sp, gp = model.scene_for(branch), model.grasp_for(branch)
+    def field(weights):
+        sp, gp = model.scene, model.grasp
         psi = _world_edf(qs, grasp, gp, None)
         phi = _world_edf(xs.reshape(-1, 3), scene, sp, t).reshape(n, len(qs), -1)
         phi_body = rep_apply_batch(sp.layout, quat_conj(q), phi)
         return cg_contract_batch(gp.layout, np.tile(psi, (n, 1)), sp.layout,
                                  phi_body.reshape(n * len(qs), -1), weights).reshape(n, len(qs), 3)
 
-    f_nu, f_om = field("nu", model.weights_nu), field("omega", model.weights_omega)
+    f_nu, f_om = field(model.weights_nu), field(model.weights_omega)
     w = query.weights[None, :, None] / np.sqrt(t)
     return (np.sum(w * f_nu, axis=1) / length_unit, np.sum(w * f_om, axis=1),
             np.sum(w * np.cross(qs / length_unit, f_nu), axis=1))
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["shared", "split-omega"])
-def test_body_frame_score_matches_the_world_frame_pass(toy, rng, split):
+@pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
+def test_body_frame_score_matches_the_world_frame_pass(toy, rng, branches):
     # colored clouds, so the (point, radial, slot) table carries the colors
     scene = PointCloud(toy.scene.positions, colors=rng.random((len(toy.scene), 3)))
     grasp = PointCloud(toy.grasp.positions, colors=rng.random((len(toy.grasp), 3)))
-    model = _split_model(toy.model, rng) if split else toy.model
+    model = toy.model
     query = build_query_set(grasp, model)
     score = ModelScore(scene, grasp, 0.8, query, model)
     for n in (1, 2, 32, 100):
@@ -582,10 +552,11 @@ def test_score_rows_of_non_finite_poses_are_nan(toy, rng, kind):
     q, p = _stacks(_poses_near_demos(toy, rng, 7))
     healthy = score.score_batch(q, p, 0.3)
     q[1, 2], q[2, 0], p[3, 0], p[4, 1] = np.nan, np.inf, np.nan, -np.inf
+    q[5] = [1.0, 0.2, -0.1, 0.3]  # norm 1.07: off 1 by more than the Rotation rule's 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a bad pose costs no floating-point warning
         out = score.score_batch(q, p, 0.3)
-    bad = np.array([False, True, True, True, True, False, False])
+    bad = np.array([False, True, True, True, True, True, False])
     assert np.all(np.isnan(out[bad]))
     assert np.array_equal(out[~bad], healthy[~bad])  # the other rows keep their bits
 

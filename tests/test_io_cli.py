@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -125,15 +126,26 @@ def test_scenario_round_trip(tmp_path):
     assert back.seed == scn.seed
 
 
+def _assert_fields_equal(a, b):
+    """Every dataclass field of a and b is equal, nested parameter sets field by field."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_fields_equal(x, y)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y) and x.dtype == y.dtype, f.name
+        else:
+            assert x == y and type(x) is type(y), f.name
+
+
 def test_model_params_round_trip(tmp_path):
-    scn = make_toy_scenario(seed=3)
+    # no field at its default, so a field the writer drops reads back different
+    model = dataclasses.replace(make_toy_scenario(seed=3).model, query_start_index=3)
     path = tmp_path / "params.txt"
-    write_model_params(path, scn.model)
+    write_model_params(path, model)
     back = read_model_params(path)
-    assert np.array_equal(back.weights_nu, scn.model.weights_nu)
-    assert np.array_equal(back.scene.channel_weights, scn.model.scene.channel_weights)
-    assert back.scene.layout == scn.model.scene.layout
-    assert back.query_count == scn.model.query_count
+    assert back.weight_field is not None
+    _assert_fields_equal(back, model)
 
 
 def _drop_key(path, key):
@@ -457,8 +469,34 @@ def _bad_input(scenario_dir, tmp_path, case):
         return path, [], "strictly increasing"
     if case == "missing-params":
         return path, ["--params", str(scn / "absent.txt")], "absent.txt"
+    if case in _BAD_VALUES:
+        name, key, value, message = _BAD_VALUES[case]
+        _drop_key(scn / name, key)
+        (scn / name).write_text((scn / name).read_text() + f"{key} = {value}\n")
+        return path, [], message
     (scn / "bad.txt").write_text("path_weights_nu = [1.0,\n")  # malformed-params
     return path, ["--params", str(scn / "bad.txt")], "bad.txt:1"
+
+
+# case: (file, key, value, expected message); one bad value each, the rest as written
+_BAD_VALUES = {
+    "short-segment": ("scenario.txt", "schedule_segments", "[[1.0, 0.1]]", "[start, end, steps]"),
+    "empty-scene": ("scene.txt", "points", "[]", "non-empty"),
+    "empty-grasp": ("grasp.txt", "points", "[]", "non-empty"),
+    "two-column-points": ("scene.txt", "points", "[[0, 0]]", "[x, y, z]"),
+    "negative-seed": ("scenario.txt", "seed", "-1", "seed must be an integer >= 0"),
+    "numeric-file-name": ("scenario.txt", "scene", "5", "must be a file name"),
+    "zero-query-count": ("model_params.txt", "query_count", "0", "query_count"),
+    "negative-query-start": ("model_params.txt", "query_start_index", "-1", "query_start_index"),
+    "fractional-query-start": ("model_params.txt", "query_start_index", "2.5",
+                               "query_start_index"),
+    "short-path-weights": ("model_params.txt", "path_weights_nu", "[1.0]", "weights_nu"),
+    # these two fit the parameter file alone, so only denoise --score model refuses them
+    "query-count-over-grasp": ("model_params.txt", "query_count", "1000", "grasp cloud has"),
+    "query-start-over-grasp": ("model_params.txt", "query_start_index", "500",
+                               "grasp cloud has"),
+}
+_FILE_CASES = list(_BAD_VALUES)[:-2]
 
 
 @pytest.mark.parametrize("argv, case", [
@@ -474,13 +512,16 @@ def _bad_input(scenario_dir, tmp_path, case):
     (["denoise", "--score", "model", "--chains", "1"], "equal-gate-centers"),
     (["denoise", "--score", "model", "--chains", "1"], "missing-params"),
     (["denoise", "--score", "model", "--chains", "1"], "malformed-params"),
+    *[(["diffuse", "--n", "2"], case) for case in _FILE_CASES],
+    *[(["denoise", "--score", "model", "--chains", "1"], case) for case in _BAD_VALUES],
 ])
 def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, capsys, argv, case):
     path, extra, message = _bad_input(scenario_dir, tmp_path, case)
     out = tmp_path / "x.txt"
     assert main(argv + ["--scenario", str(path), "--out", str(out)] + extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

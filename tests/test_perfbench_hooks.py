@@ -105,6 +105,6 @@ def test_model_denoise_hooks_count_fields_and_wigner_d_per_step(tmp_path):
     assert stats["fields.edf"].calls == steps + 2
     # the score takes the scene into each body frame, so no field is rotated
     assert stats["irreps.wigner_d"].calls == 0
-    # the CG contraction folds into one per-path read-out tensor per branch when the score is built
-    assert stats["fields.contract"].calls == 2
+    # both branches share one per-path read-out tensor, one CG contraction when the score is built
+    assert stats["fields.contract"].calls == 1
     assert stats["io.write_poses"].calls == 1
