@@ -96,10 +96,18 @@ def _log_prefactor(eps: float) -> float:
     return 0.25 * eps + 0.5 * math.log(math.pi) - math.log(2.0) - 1.5 * math.log(eps)
 
 
+def closed_r(theta: np.ndarray, eps) -> np.ndarray:
+    """R = S/theta at theta in [0, pi], with the k = 0 Gaussian factored out of S.
+
+    eps is a scalar or, for a 1-D theta, a column of one value per angle.
+    """
+    return _near_r(*_near_images(np.asarray(theta, dtype=np.float64), eps)[1:])
+
+
 def closed_f(theta: np.ndarray, eps: float) -> np.ndarray:
     """Density at theta in [0, pi] from the image sum."""
     theta = np.asarray(theta, dtype=np.float64)
-    r = _near_r(*_near_images(theta, eps)[1:])
+    r = closed_r(theta, eps)
     pos = theta > 0.0
     ts = np.where(pos, theta, 1.0)
     over_sin = np.where(pos, ts / np.sin(0.5 * ts), 2.0)  # theta / sin(theta/2)

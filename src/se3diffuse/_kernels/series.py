@@ -23,12 +23,16 @@ import numpy as np
 PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
-def _coefficients(eps: float, lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = 0..lmax and the cosine coefficients c_m."""
+def _coefficients(eps, lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """m = 0..lmax and the cosine coefficients c_m, along the last axis.
+
+    eps is a scalar or a column (n, 1) of one value per row, giving (n, lmax + 1)
+    coefficients.
+    """
     ls = np.arange(lmax + 1, dtype=np.float64)
     a = (2.0 * ls + 1.0) * np.exp(-eps * ls * (ls + 1.0))
-    c = 2.0 * np.cumsum(a[::-1])[::-1]
-    c[0] *= 0.5
+    c = 2.0 * np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+    c[..., 0] *= 0.5
     return ls, c
 
 
@@ -39,16 +43,17 @@ def _reflected(theta: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return far[..., None], x[..., None], np.where(m % 2.0 == 0.0, 1.0, -1.0)
 
 
-def series_f(theta: np.ndarray, eps: float, lmax: int, theta_small: float = 0.0) -> np.ndarray:
+def series_f(theta: np.ndarray, eps, lmax: int, theta_small: float = 0.0) -> np.ndarray:
     """Density series at theta in [0, pi].
 
+    eps is a scalar or, for a 1-D theta, a column of one value per angle.
     Below ``theta_small`` the value at theta = 0, sum_m c_m, is returned.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m, c = _coefficients(eps, lmax)
     far, x, alt = _reflected(theta, m)
     vals = np.sum(np.where(far, c * alt, c) * np.cos(m * x), axis=-1)
-    return np.where(theta < theta_small, np.sum(c), vals)
+    return np.where(theta < theta_small, np.sum(c, axis=-1), vals)
 
 
 def series_df(theta: np.ndarray, eps: float, lmax: int) -> np.ndarray:

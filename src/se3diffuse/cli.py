@@ -17,11 +17,12 @@ commands divide by the configured length unit on load and scale back on
 output.
 
 ``diffuse`` makes all its draws in one ``forward_diffuse_batch`` call,
-which takes from the seeded stream, per sample: ``random()`` for a
-log-uniform t when ``--t-max`` is given, ``integers(0, D)`` for the demo
-(nothing for a single demo), ``random(2)`` for the contact-weighted
-diffusion origin and the IGSO(3) angle, and ``standard_normal(6)`` for
-the rotation axis and the translation.
+which takes whole arrays from the seeded stream: ``random(n)`` for
+log-uniform times when ``--t-max`` is given, ``integers(0, D, n)`` for the
+demos, ``random(n)`` for the contact-weighted diffusion origins, then the
+IGSO(3) rejection blocks and ``standard_normal((n, 3))`` for the Brownian
+displacements.  The same seed and ``--n`` give the same bytes; a smaller
+``--n`` is not a prefix of a larger one.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .lie import (
     finite_poses,
     inverse,
     quat_conj,
+    quat_exp,
     quat_log,
     quat_mul,
     quat_rotate,
@@ -47,6 +48,7 @@ __all__ = [
     "DemoSet",
     "brownian_log_density",
     "brownian_sample",
+    "brownian_sample_batch",
     "brownian_score",
     "contact_origin_weights",
     "forward_diffuse",
@@ -158,13 +160,24 @@ def brownian_log_density(h: Pose, t: float) -> float:
     return float(_component_log_terms(theta, ph, _BROWNIAN, t, _ig_params(t))[0, 0])
 
 
+def brownian_sample_batch(t: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4) rotations and (n, 3) translations of n independent draws of B_t, one t per row.
+
+    Draws the IG_SO3(t/2) rotation vectors (``igso3.igso3_sample_rotvecs``),
+    then ``standard_normal((n, 3))`` scaled by sqrt(t) for the N(0, tI)
+    translations.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError("t must be positive and finite")
+    q = quat_unit(quat_exp(igso3.igso3_sample_rotvecs(0.5 * t, rng)))
+    return q, np.sqrt(t)[:, None] * rng.standard_normal((t.size, 3))
+
+
 def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
-    """Independent draw: translation N(0, tI), rotation IG_SO3(t/2)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    rot = igso3.igso3_sample(_ig_params(t), rng)
-    p = math.sqrt(t) * rng.standard_normal(3)
-    return Pose(p, rot)
+    """Independent draw: translation N(0, tI), rotation IG_SO3(t/2); a batch of one."""
+    q, p = brownian_sample_batch(np.array([t]), rng)
+    return Pose(p[0], Rotation.from_unit(q[0]))
 
 
 def brownian_score(h: Pose, t: float) -> Twist:
@@ -224,28 +237,21 @@ def forward_diffuse_batch(
     """n forward-diffusion draws g_t = g0 T(p_de) delta_g T(p_de)^-1.
 
     Each demo's contact weights against its body-frame scene g0^-1 . O_s
-    are computed once per call.  Sample k then draws from ``rng``, in
-    this order:
+    are computed once per call.  The draws are whole arrays from ``rng``,
+    in this order:
 
-    1. ``rng.random()`` for t, only when ``t_max`` is set: t is
+    1. ``rng.random(n)`` for t, only when ``t_max`` is set: t is
        log-uniform on [cfg.t, t_max], else t = cfg.t;
-    2. ``rng.integers(0, D)`` for the demo g0 among the D demo poses (the
-       draw of ``rng.choice(D)``; a single demo draws nothing);
-    3. ``rng.random(2)``: the first uniform picks the diffusion origin
-       p_de, the grasp point at ``searchsorted(cdf, u, side="right")`` of
-       the normalized cumulative contact weights (the draw of
-       ``rng.choice(K, p=w)``); the second is the inverse-CDF uniform of
-       the IGSO(3)(t/2) rotation angle of delta_g;
-    4. ``rng.standard_normal(6)``: the rotation axis of delta_g, then its
-       N(0, tI) translation.
+    2. ``rng.integers(0, D, n)`` for the demo g0 among the D demo poses
+       (the draw of ``rng.choice(D, n)``);
+    3. ``rng.random(n)`` for the diffusion origin p_de, the grasp point at
+       ``searchsorted(cdf, u, side="right")`` of the normalized cumulative
+       contact weights of the row's demo (the draw of ``rng.choice(K, p=w)``);
+    4. one ``brownian_sample_batch(t, rng)`` call for delta_g.
 
-    The draws stay one sample at a time because ``integers`` takes 32-bit
-    halves of a buffered 64-bit output, so drawing whole arrays would
-    change the stream.  delta_g's rotation is built from the angle and
-    axis draws as ``igso3_sample_quats`` builds it, and the poses are
-    composed on quaternion/translation stacks, renormalized after each
-    product as ``compose`` does, so that row k is bitwise the k-th draw of
-    this order made one pose at a time.
+    The poses are composed on quaternion/translation stacks, renormalized
+    after each product as ``compose`` does, so that row k is bitwise
+    g0 T(p_de) delta_g T(p_de)^-1 composed one ``Pose`` at a time.
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
@@ -257,28 +263,14 @@ def forward_diffuse_batch(
                     for g0 in demo_poses])
     cdf /= cdf[:, -1:]
 
-    t = np.full(n, cfg.t)
-    demo = np.empty(n, dtype=np.intp)
-    u = np.empty((n, 2))
-    z = np.empty((n, 6))
-    if t_max is not None:
-        log_lo = math.log(cfg.t)
-        span = math.log(t_max) - log_lo
-    for k in range(n):
-        if t_max is not None:
-            t[k] = math.exp(log_lo + rng.random() * span)
-        demo[k] = rng.integers(0, len(demo_poses))
-        u[k] = rng.random(2)
-        z[k] = rng.standard_normal(6)
-
-    p_de = grasp.positions[np.count_nonzero(cdf[demo] <= u[:, :1], axis=1)]
     if t_max is None:
-        theta = igso3._angles_from_uniforms(_ig_params(cfg.t), u[:, 1])
-    else:  # the lookup is elementwise, so each draw reads its own t's table
-        theta = np.array([igso3._angles_from_uniforms(_ig_params(t_k), u_k)
-                          for t_k, u_k in zip(t.tolist(), u[:, 1].tolist())])
-    delta_q = quat_unit(igso3._quats_from(theta, z[:, :3]))
-    delta_p = np.sqrt(t)[:, None] * z[:, 3:]
+        t = np.full(n, cfg.t)
+    else:
+        log_lo = math.log(cfg.t)
+        t = np.exp(log_lo + rng.random(n) * (math.log(t_max) - log_lo))
+    demo = rng.integers(0, len(demo_poses), n)
+    p_de = grasp.positions[np.count_nonzero(cdf[demo] <= rng.random(n)[:, None], axis=1)]
+    delta_q, delta_p = brownian_sample_batch(t, rng)
 
     q0 = np.stack([g0.r.q for g0 in demo_poses])[demo]
     p_t = np.stack([g0.p for g0 in demo_poses])[demo] + quat_rotate(q0, p_de)
@@ -300,8 +292,8 @@ def forward_diffuse(
     """One forward-diffusion draw from g0: returns (g_t, p_de, delta_g).
 
     A batch of one of ``forward_diffuse_batch`` with the single demo g0,
-    so it draws no demo index: the origin and angle uniforms, then the
-    axis and translation normals.
+    so its demo draw consumes nothing: the origin uniform, then
+    ``brownian_sample``'s draws.
     """
     d = forward_diffuse_batch((g0,), scene, grasp, cfg, rng, 1)
     return (Pose(d.p[0], Rotation.from_unit(d.q[0])), d.p_de[0],

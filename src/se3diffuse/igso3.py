@@ -1,11 +1,12 @@
-"""Isotropic Gaussian on SO(3): density, inverse-CDF sampling, and score.
+"""Isotropic Gaussian on SO(3): density, exact rejection sampling, and score.
 
 The density relative to the normalized Haar measure is the series
 
     f(theta; eps) = sum_{l>=0} (2l+1) e^{-eps l(l+1)} sin((l+1/2)theta) / sin(theta/2)
 
 which tends to 1 as eps grows (uniform distribution).  The marginal
-density of the rotation angle carries the Haar weight (1-cos theta)/pi.
+density of the rotation angle carries the Haar weight
+(1 - cos theta)/pi = 2 sin^2(theta/2)/pi.
 
 Two regimes, split at the fixed concentration EPS_SERIES:
 
@@ -22,6 +23,12 @@ Two regimes, split at the fixed concentration EPS_SERIES:
 
 Both regimes give the density to about 1e-13 relative and f'/f to about
 1e-14 relative (see ``_kernels``).
+
+Sampling (``igso3_sample_rotvecs``) draws rotation vectors by rejection
+from a Gaussian (eps <= EPS_BALL) or a uniform ball (eps > EPS_BALL)
+proposal, with one eps per row and no table, so it is exact at any
+eps > 0.  ``angle_cdf_quadrature`` is the independent dense-quadrature
+CDF that the Kolmogorov-Smirnov checks compare samples against.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "igso3_density",
     "igso3_sample",
     "igso3_sample_quats",
+    "igso3_sample_rotvecs",
     "igso3_score",
     "igso3_score_batch",
     "angle_pdf",
@@ -49,9 +57,12 @@ __all__ = [
 THETA_SMALL_DENSITY = 1e-4
 THETA_SMALL_SCORE = 1e-3
 THETA_MAX_SCORE = math.pi - 1e-6
-CDF_NODES = 4096
 EPS_SERIES = 0.5
 SERIES_LMAX = 9
+EPS_BALL = 2.0
+ENVELOPE = 2.0 / math.pi
+PROPOSALS_PER_ROW = 4
+QUADRATURE_NODES = 20001
 
 
 @dataclass(frozen=True)
@@ -100,52 +111,151 @@ def igso3_density(theta, params: IgParams):
 
 
 def angle_pdf(theta, params: IgParams):
-    """Marginal pdf of the rotation angle: density * (1 - cos theta) / pi."""
+    """Marginal pdf of the rotation angle: density * 2 sin^2(theta/2) / pi.
+
+    The Haar weight is written with sin^2(theta/2), not 1 - cos theta,
+    which is exactly 0 in double precision below theta ~ 1e-8.
+    """
     th = np.asarray(theta, dtype=np.float64)
-    vals = igso3_density(th, params) * (1.0 - np.cos(th)) / math.pi
+    vals = igso3_density(th, params) * (2.0 * np.sin(0.5 * th) ** 2) / math.pi
     return float(vals) if np.isscalar(theta) else vals
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _cdf_table(params: IgParams) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table: CDF_NODES-point grid with trapezoidal accumulation.
+    """Trapezoid CDF of ``angle_pdf`` on QUADRATURE_NODES nodes, as read-only arrays.
 
-    For strongly concentrated distributions the grid upper end is pulled
-    in to 30 standard deviations (the tail beyond carries e^-225 of the
-    mass), otherwise the peak would fall below the grid resolution.
+    The grid ends at min(pi, 30 sqrt(2 eps)), so that strongly
+    concentrated marginals span many nodes (the tail beyond carries
+    e^-225 of the mass); the CDF is 1 beyond its end.
     """
-    theta_hi = min(math.pi, 30.0 * math.sqrt(2.0 * params.eps))
-    grid = np.linspace(0.0, theta_hi, CDF_NODES)
+    grid = np.linspace(0.0, min(math.pi, 30.0 * math.sqrt(2.0 * params.eps)), QUADRATURE_NODES)
     pdf = angle_pdf(grid, params)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
+    grid.setflags(write=False)
+    cdf.setflags(write=False)
     return grid, cdf
 
 
-def _sample_angles(params: IgParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    return _angles_from_uniforms(params, rng.random(n))
+def angle_cdf_quadrature(params: IgParams) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, cdf) of the angle marginal by dense quadrature, cached and read-only.
+
+    The independent oracle of the Kolmogorov-Smirnov checks on the
+    sampler, which uses no table.
+    """
+    return _cdf_table(params)
 
 
-def _angles_from_uniforms(params: IgParams, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF angles of uniforms u, elementwise (a row does not depend on the batch)."""
-    grid, cdf = _cdf_table(params)
-    hi = np.searchsorted(cdf, u, side="right")
-    hi = np.clip(hi, 1, cdf.size - 1)
-    lo = hi - 1
-    seg = cdf[hi] - cdf[lo]
-    frac = np.where(seg > 0.0, (u - cdf[lo]) / np.where(seg > 0.0, seg, 1.0), 0.0)
-    return grid[lo] + frac * (grid[hi] - grid[lo])
+def _half_sin_over(theta: np.ndarray) -> np.ndarray:
+    """sin(theta/2)/theta, 1/2 at theta = 0."""
+    pos = theta > 0.0
+    return np.where(pos, np.sin(0.5 * theta) / np.where(pos, theta, 1.0), 0.5)
+
+
+def _accept_gauss(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Acceptance probabilities R sin(theta/2) / (theta ENVELOPE) of Gaussian proposals v.
+
+    Zero outside the ball |v| <= pi.
+    """
+    theta = np.linalg.norm(v, axis=-1)
+    th = np.minimum(theta, math.pi)
+    # below eps = 1e-300 R is 1 to rounding, and its image levers 4 pi^2 k^2 / eps
+    # would overflow to inf - inf
+    r = _kernels.closed_r(th, np.maximum(eps, 1e-300)[:, None])
+    return np.where(theta <= math.pi, r * _half_sin_over(th) / ENVELOPE, 0.0)
+
+
+def _accept_ball(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Acceptance probabilities f(theta) sinc^2(theta/2) / f(0) of ball proposals v."""
+    theta = np.linalg.norm(v, axis=-1)
+    col = eps[:, None]
+    f = _kernels.series_f(theta, col, SERIES_LMAX, THETA_SMALL_DENSITY)
+    f0 = _kernels.series_f(np.zeros_like(theta), col, SERIES_LMAX)
+    return f / f0 * (2.0 * _half_sin_over(theta)) ** 2
+
+
+def igso3_sample_rotvecs(eps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(n, 3) rotation vectors, row i an exact draw from IGSO(3)(eps[i]).
+
+    In exponential coordinates the law has the Lebesgue density
+    f(theta) sin^2(theta/2) / (2 pi^2 theta^2) on the ball |v| <= pi, and
+    rows are drawn by rejection from one of two proposals:
+
+    - eps <= EPS_BALL: v = sqrt(2 eps) z, z ~ N(0, I3), of density
+      proportional to e^{-theta^2/(4 eps)}; its direction is already
+      uniform.  With the Poisson form of f (``_kernels.closed_form``) the
+      target over the proposal is 2 e^{eps/4} R(theta) sin(theta/2)/theta,
+      R the image sum with its k = 0 Gaussian factored out, so a proposal
+      in the ball is kept with probability R sin(theta/2) / (theta ENVELOPE).
+      Nothing overflows: the prefactors cancel, and below eps = 1e-300,
+      where R is 1 to rounding, R is taken at 1e-300.
+    - eps > EPS_BALL: v uniform in the ball (radius pi U^{1/3} along the
+      direction of z), kept with probability f(theta) sinc^2(theta/2) / f(0),
+      at most 1 because f decreases on [0, pi]: by the Jacobi triple
+      product f is proportional to P(theta) (1/2 + sum_m 4 q^{2m}
+      cos^2(theta/2) / D_m), q = e^{-eps}, with P = prod_m D_m and
+      D_m = 1 + 2 q^{2m} cos theta + q^{4m}, all positive and
+      non-increasing in theta.
+
+    ENVELOPE = 2/pi bounds R sin(theta/2)/theta for eps <= EPS_BALL = 2
+    (a = pi/eps >= pi/2).  The switch stays below pi^2/4, where the slope
+    at theta = pi of the first bound below, a/pi - 4/pi^2, turns negative
+    and the maximum moves inside (0, pi):
+
+    - R = sum_k (-1)^k (1 + 2 pi k/theta) e^{-a k (theta + pi k)}.  The
+      images k >= 1 and k <= -2 form two alternating series whose first
+      terms are negative and whose terms shrink by a factor of at least
+      1e6 per step, so keeping the k = -1 image alone gives
+      R <= 1 + (2 pi/theta - 1) e^{-a (pi - theta)}, and keeping k = +-1
+      paired gives R <= 1 + (4 pi/theta) e^{-a pi} sinh(a theta).
+    - Both bounds grow with eps (the second for theta <= 1.5), so eps = 2
+      is the worst case.  There, with sin(theta/2)/theta <= 1/2 and
+      decreasing, the second bound caps the product at 0.622 on [0, 1.2]
+      and at 0.619 on [1.2, 1.5]; on [1.5, pi] the first bound times
+      sin(theta/2)/theta increases to its value at pi, (1/pi)(1 + 1) = 2/pi.
+    - At theta = pi, R = 2 sum_{k>=0} (-1)^k (2k+1) e^{-pi^2 k(k+1)/eps},
+      which tends to 2 as eps -> 0, so no smaller constant serves every
+      eps.
+
+    Each round draws PROPOSALS_PER_ROW proposals for every pending row,
+    ``standard_normal((m, PROPOSALS_PER_ROW, 3))`` then
+    ``random((m, PROPOSALS_PER_ROW, 2))`` (acceptance, then ball radius),
+    and a row takes its first accepted proposal, so a seed gives the same
+    rows on every run.  A row depends on the rows drawn with it.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    if not np.all((eps > 0.0) & (eps < math.inf)):
+        raise ValueError("eps must be positive and finite")
+    out = np.empty((eps.size, 3))
+    pending = np.arange(eps.size)
+    while pending.size:
+        m = pending.size
+        z = rng.standard_normal((m, PROPOSALS_PER_ROW, 3)).reshape(-1, 3)
+        u = rng.random((m, PROPOSALS_PER_ROW, 2)).reshape(-1, 2)
+        e = np.repeat(eps[pending], PROPOSALS_PER_ROW)
+        v = np.empty_like(z)
+        accept = np.empty(e.size)
+        ball = e > EPS_BALL
+        if ball.any():
+            zb = z[ball]
+            radius = math.pi * np.cbrt(u[ball, 1])
+            v[ball] = radius[:, None] * zb / np.linalg.norm(zb, axis=1, keepdims=True)
+            accept[ball] = _accept_ball(v[ball], e[ball])
+        gauss = ~ball
+        if gauss.any():
+            v[gauss] = np.sqrt(2.0 * e[gauss])[:, None] * z[gauss]
+            accept[gauss] = _accept_gauss(v[gauss], e[gauss])
+        hit = (u[:, 0] < accept).reshape(m, PROPOSALS_PER_ROW)
+        done = hit.any(axis=1)
+        out[pending[done]] = v.reshape(m, PROPOSALS_PER_ROW, 3)[done, np.argmax(hit[done], axis=1)]
+        pending = pending[~done]
+    return out
 
 
 def igso3_sample_quats(params: IgParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n quaternions sampled by inverse-CDF angle plus a uniform axis."""
-    theta = _sample_angles(params, rng, n)
-    return _quats_from(theta, rng.standard_normal((n, 3)))
-
-
-def _quats_from(theta: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Quaternions of the angles theta about the directions of the (n, 3) normal draws, row by row."""
-    return quat_exp(theta[:, None] * (normals / np.linalg.norm(normals, axis=1, keepdims=True)))
+    """n quaternions of IGSO(3)(eps) draws, ``quat_exp`` of ``igso3_sample_rotvecs``."""
+    return quat_exp(igso3_sample_rotvecs(np.full(n, params.eps), rng))
 
 
 def igso3_sample(params: IgParams, rng: np.random.Generator) -> Rotation:
@@ -191,17 +301,3 @@ def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
     rotvec = quat_log(r.q)
     check_score_angle(float(np.linalg.norm(rotvec)))
     return igso3_score_batch(rotvec[None, :], params)[0]
-
-
-def angle_cdf_quadrature(params: IgParams) -> tuple[np.ndarray, np.ndarray]:
-    """Independent dense-quadrature CDF of the angle marginal, on 20001 nodes.
-
-    Used as the oracle for Kolmogorov-Smirnov checks against the sampler's
-    coarser inverse-CDF table.  The grid ends at min(pi, 30 sqrt(2 eps)),
-    as in the sampler's table, so that strongly concentrated marginals
-    span many nodes; the CDF is 1 beyond its end.
-    """
-    grid = np.linspace(0.0, min(math.pi, 30.0 * math.sqrt(2.0 * params.eps)), 20001)
-    pdf = angle_pdf(grid, params)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-    return grid, cdf / cdf[-1]

@@ -73,8 +73,8 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     """Piecewise-linear diffusion-time schedule with power-law step/temperature.
 
     Each (start, end, steps) segment contributes ``steps`` values
-    interpolated linearly from start to end inclusive.  Defaults k1=0.5,
-    k2=1.0.
+    interpolated linearly from start to end inclusive; a fractional or
+    boolean step count is refused.  Defaults k1=0.5, k2=1.0.
     """
     if eps <= 0.0:
         raise ValueError("base step scale eps must be positive")
@@ -83,7 +83,11 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     for seg in segments:
         if len(seg) != 3:
             raise ValueError(f"a schedule segment is [start, end, steps], got {list(seg)!r}")
+        if any(isinstance(x, bool) for x in seg):
+            raise ValueError(f"a schedule segment holds numbers, got {list(seg)!r}")
         t0, t1, steps = float(seg[0]), float(seg[1]), int(seg[2])
+        if steps != seg[2]:
+            raise ValueError(f"a segment's step count must be a whole number, got {seg[2]!r}")
         if t0 <= 0.0 or t1 <= 0.0:
             raise ValueError("diffusion times must be positive")
         if steps < 1:

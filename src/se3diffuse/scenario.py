@@ -15,6 +15,7 @@ scene units are already non-dimensional.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,6 +207,14 @@ def write_scenario(directory: str | Path, scenario: Scenario) -> Path:
     return path
 
 
+def _number(data: dict, key: str, default: float | None = None) -> float:
+    """A scalar entry as a float; a JSON boolean, which float() reads as 0 or 1, is refused."""
+    value = data.get(key, default)
+    if isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def read_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     data = sio.read_keyvalue(path)
@@ -230,11 +239,11 @@ def read_scenario(path: str | Path) -> Scenario:
         model = read_model_params(base / data["model_params"])
     try:
         schedule = build_schedule([tuple(s) for s in data["schedule_segments"]],
-                                  eps=float(data["schedule_eps"]),
-                                  k1=float(data.get("schedule_k1", 0.5)),
-                                  k2=float(data.get("schedule_k2", 1.0)))
-        config = DiffusionConfig(t=float(data["t"]), r=float(data["contact_radius"]),
-                                 L=float(data.get("length_unit", 1.0)))
+                                  eps=_number(data, "schedule_eps"),
+                                  k1=_number(data, "schedule_k1", 0.5),
+                                  k2=_number(data, "schedule_k2", 1.0))
+        config = DiffusionConfig(t=_number(data, "t"), r=_number(data, "contact_radius"),
+                                 L=_number(data, "length_unit", 1.0))
     except (TypeError, ValueError) as exc:
         raise sio.ParseError(f"{path}: {exc}") from None
     return Scenario(scene=scene, grasp=grasp, demo_poses=demos, config=config,

@@ -159,7 +159,7 @@ def test_criterion_05_igso3_sampling_ks():
         worst = max(worst, ks)
     elapsed = time.perf_counter() - start
     ok = worst < 0.01 and elapsed < 10.0
-    report(5, "IGSO(3) inverse-CDF sampling", ok,
+    report(5, "IGSO(3) rejection sampling", ok,
            f"worst_KS={worst:.4f} (tol 0.01) at 1e5 samples, time={elapsed:.2f}s (< 10s)")
 
 

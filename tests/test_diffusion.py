@@ -11,6 +11,7 @@ from se3diffuse.diffusion import (
     MixtureScore,
     brownian_log_density,
     brownian_sample,
+    brownian_sample_batch,
     brownian_score,
     contact_origin_weights,
     forward_diffuse,
@@ -90,20 +91,15 @@ def test_brownian_sample_small_time_near_identity():
 def test_brownian_sample_tiny_time_angles_are_chi3():
     # at t = 1e-8 the rotation vector is N(0, t I), so angle / sqrt(t) ~ chi(3)
     t = 1e-8
-    rng = np.random.default_rng(3)
-    angles = np.array([brownian_sample(t, rng).r.angle for _ in range(4000)])
+    q, _ = brownian_sample_batch(np.full(4000, t), np.random.default_rng(3))
+    angles = quat_angle(q)
     assert stats.kstest(angles / math.sqrt(t), stats.chi(3).cdf).pvalue > 1e-3
 
 
 def test_brownian_sample_moments_and_angle_marginal():
-    rng = np.random.default_rng(1)
     n = 100_000
-    ps = np.empty((n, 3))
-    angs = np.empty(n)
-    for i in range(n):
-        g = brownian_sample(1.0, rng)
-        ps[i] = g.p
-        angs[i] = g.r.angle
+    q, ps = brownian_sample_batch(np.full(n, 1.0), np.random.default_rng(1))
+    angs = quat_angle(q)
     cov = np.cov(ps.T)
     assert np.max(np.abs(cov - np.eye(3))) < 0.05
     angs.sort()
@@ -111,6 +107,28 @@ def test_brownian_sample_moments_and_angle_marginal():
     ca = np.interp(angs, grid, cdf)
     ks = np.max(np.maximum(np.arange(1, n + 1) / n - ca, ca - np.arange(n) / n))
     assert ks < 0.01
+
+
+def test_brownian_sample_is_a_batch_of_one():
+    for seed, t in enumerate((1e-300, 1e-8, 0.3, 1.0, 5.0, 40.0)):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = brownian_sample(t, a)
+        q, p = brownian_sample_batch(np.array([t]), b)
+        assert np.array_equal(g.r.q, q[0]) and np.array_equal(g.p, p[0])
+        assert a.random() == b.random()
+
+
+def test_brownian_sample_batch_mixes_times_and_refuses_bad_times():
+    t = np.array([1e-6, 0.5, 8.0, 1e-6])
+    q, p = brownian_sample_batch(t, np.random.default_rng(0))
+    assert q.shape == (4, 4) and p.shape == (4, 3)
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0) and np.all(q[:, 0] >= 0.0)
+    assert np.all(quat_angle(q[[0, 3]]) < 1e-2) and np.all(np.abs(p[[0, 3]]) < 1e-2)
+    q, p = brownian_sample_batch(np.empty(0), np.random.default_rng(0))
+    assert q.shape == (0, 4) and p.shape == (0, 3)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            brownian_sample_batch(np.array([0.5, bad]), np.random.default_rng(0))
 
 
 def test_brownian_score_identity_and_pure_rotation(rng):
@@ -246,19 +264,24 @@ def test_forward_diffuse_conjugation_formula(toy):
 
 
 def _sequential_draws(demo_poses, scene, grasp, cfg, rng, n, t_max=None):
-    """Reference stream, one pose at a time with Pose composition: t, demo,
-    origin by ``rng.choice(K, p=w)``, then ``brownian_sample``."""
+    """Reference stream in the documented order: log-uniform t, demos by
+    ``rng.choice(D, n)``, origin uniforms looked up as ``rng.choice(K, p=w)``
+    does, then ``brownian_sample_batch``; poses composed one ``Pose`` at a time."""
+    t = np.full(n, cfg.t)
+    if t_max is not None:
+        t = np.exp(math.log(cfg.t) + rng.random(n) * (math.log(t_max) - math.log(cfg.t)))
+    demos = rng.choice(len(demo_poses), n)
+    u = rng.random(n)
+    dq, dp = brownian_sample_batch(t, rng)
     rows = []
-    for _ in range(n):
-        t = cfg.t
-        if t_max is not None:
-            t = math.exp(math.log(cfg.t) + rng.random() * (math.log(t_max) - math.log(cfg.t)))
-        g0 = demo_poses[int(rng.choice(len(demo_poses)))]
+    for k in range(n):
+        g0 = demo_poses[demos[k]]
         w = contact_origin_weights(grasp, transform(scene, inverse(g0)), cfg.r_nd)
-        p_de = grasp.positions[int(rng.choice(len(grasp), p=w))]
-        dg = brownian_sample(t, rng)
+        cdf = np.cumsum(w)
+        p_de = grasp.positions[int(np.searchsorted(cdf / cdf[-1], u[k], side="right"))]
+        dg = Pose(dp[k], Rotation.from_unit(dq[k]))
         tp = translation_pose(p_de)
-        rows.append((t, compose(compose(compose(g0, tp), dg), inverse(tp)), p_de, dg))
+        rows.append((t[k], compose(compose(compose(g0, tp), dg), inverse(tp)), p_de, dg))
     return rows
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from se3diffuse import _kernels
+from se3diffuse import _kernels, igso3
 from se3diffuse.igso3 import (
+    EPS_BALL,
     EPS_SERIES,
     SERIES_LMAX,
     THETA_SMALL_DENSITY,
@@ -18,6 +19,7 @@ from se3diffuse.igso3 import (
     igso3_density,
     igso3_sample,
     igso3_sample_quats,
+    igso3_sample_rotvecs,
     igso3_score,
     igso3_score_batch,
     score_ratio,
@@ -126,6 +128,115 @@ def test_sampling_matches_quadrature_cdf():
     angles = np.sort(quat_angle(quats))
     grid, cdf = angle_cdf_quadrature(params)
     assert ks_statistic(angles, np.interp(angles, grid, cdf)) < 0.01
+
+
+# alpha = 0.01 critical value of the one-sample KS statistic at KS_DRAWS draws
+KS_DRAWS = 50_000
+KS_CRIT = 1.628 / math.sqrt(KS_DRAWS)
+
+
+def sampler_ks(eps, seed):
+    """KS statistic of KS_DRAWS sampled angles against the quadrature CDF."""
+    rotvecs = igso3_sample_rotvecs(np.full(KS_DRAWS, eps), np.random.default_rng(seed))
+    angles = np.sort(np.linalg.norm(rotvecs, axis=1))
+    grid, cdf = angle_cdf_quadrature(IgParams(eps=eps))
+    return ks_statistic(angles, np.interp(angles, grid, cdf))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 1.0, EPS_BALL, 2.5, 10.0])
+def test_rejection_sampler_matches_quadrature_cdf(eps):
+    assert sampler_ks(eps, seed=3) < KS_CRIT
+
+
+def test_rejection_sampler_with_a_shrunk_envelope_fails_the_ks_check(monkeypatch):
+    # with M 20% below its bound the acceptance ratio exceeds 1 near theta = 0
+    # and theta = pi, which the KS check must see
+    monkeypatch.setattr(igso3, "ENVELOPE", 0.8 * igso3.ENVELOPE)
+    assert max(sampler_ks(eps, seed=3) for eps in (1.0, EPS_BALL)) > KS_CRIT
+
+
+@pytest.mark.parametrize("t", [1e-16, 1e-20, 1e-300])
+def test_rejection_sampler_tiny_time_angles_are_chi3(t):
+    # at eps = t/2 the rotation vector is N(0, 2 eps I), so angle / sqrt(2 eps) ~ chi(3)
+    from scipy import stats
+
+    eps = 0.5 * t
+    rotvecs = igso3_sample_rotvecs(np.full(KS_DRAWS, eps), np.random.default_rng(5))
+    angles = np.linalg.norm(rotvecs, axis=1) / math.sqrt(2.0 * eps)
+    assert np.all(angles > 0.0)
+    assert stats.kstest(angles, stats.chi(3).cdf).statistic < KS_CRIT
+    assert np.all(quat_angle(igso3_sample_quats(IgParams(eps=eps), np.random.default_rng(5), 100)) > 0.0)
+
+
+def test_rejection_sampler_rows_follow_their_own_eps():
+    eps = np.where(np.arange(2 * KS_DRAWS) % 2 == 0, 0.3, 5.0)
+    angles = np.linalg.norm(igso3_sample_rotvecs(eps, np.random.default_rng(8)), axis=1)
+    for value in (0.3, 5.0):
+        a = np.sort(angles[eps == value])
+        grid, cdf = angle_cdf_quadrature(IgParams(eps=value))
+        assert ks_statistic(a, np.interp(a, grid, cdf)) < KS_CRIT
+
+
+def test_rejection_sampler_envelope_bounds_the_target():
+    """target <= M proposal on a dense grid, as Lebesgue densities of the rotation vector.
+
+    The target is f(theta) sin^2(theta/2) / (2 pi^2 theta^2) on the ball of
+    radius pi.  For eps <= EPS_BALL the proposal is N(0, 2 eps I) and
+    M = 2 e^{eps/4} ENVELOPE; above, it is uniform on the ball and
+    M = (pi^2/6) f(0).  Compared in log space, where nothing underflows.
+    """
+    rng = np.random.default_rng(0)
+    theta = np.concatenate([[1e-6], np.linspace(1e-3, math.pi, 20000)])
+    log_shape = 2.0 * np.log(np.sin(0.5 * theta) / theta) - math.log(2.0 * math.pi**2)
+    for eps in np.exp(rng.uniform(math.log(0.01), math.log(EPS_BALL), 30)):
+        log_target = np.log(igso3_density(theta, IgParams(eps=eps))) + log_shape
+        log_proposal = -1.5 * math.log(4.0 * math.pi * eps) - theta**2 / (4.0 * eps)
+        log_m = math.log(2.0 * igso3.ENVELOPE) + 0.25 * eps
+        assert np.all(log_target - log_proposal <= log_m + 1e-12), eps
+    for eps in np.exp(rng.uniform(math.log(EPS_BALL), math.log(50.0), 30)):
+        params = IgParams(eps=eps)
+        log_target = np.log(igso3_density(theta, params)) + log_shape
+        log_proposal = math.log(3.0 / (4.0 * math.pi**4))
+        log_m = math.log(math.pi**2 / 6.0 * igso3_density(0.0, params))
+        assert np.all(log_target - log_proposal <= log_m + 1e-12), eps
+
+
+def test_rejection_sampler_is_deterministic_and_draws_nothing_for_no_rows():
+    # subnormal eps too: the image levers 4 pi^2 k^2 / eps would overflow there
+    eps = np.concatenate([[5e-324, 1e-310], np.geomspace(1e-6, 20.0, 33)])
+    a = igso3_sample_rotvecs(eps, np.random.default_rng(4))
+    assert np.array_equal(a, igso3_sample_rotvecs(eps, np.random.default_rng(4)))
+    assert np.all(np.isfinite(a)) and np.all(np.linalg.norm(a, axis=1) <= math.pi)
+    rng = np.random.default_rng(4)
+    assert igso3_sample_rotvecs(np.empty(0), rng).shape == (0, 3)
+    assert rng.random() == np.random.default_rng(4).random()
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            igso3_sample_rotvecs(np.array([0.5, bad]), rng)
+
+
+def test_series_coefficients_broadcast_over_an_eps_column():
+    theta = np.linspace(0.0, math.pi, 41)
+    eps = np.geomspace(EPS_SERIES, 40.0, 41)
+    col = _kernels.series_f(theta, eps[:, None], SERIES_LMAX, THETA_SMALL_DENSITY)
+    for i in range(theta.size):
+        assert col[i] == _kernels.series_f(theta[i:i + 1], eps[i], SERIES_LMAX, THETA_SMALL_DENSITY)[0]
+
+
+def test_angle_pdf_is_positive_at_tiny_angles():
+    # 1 - cos theta is exactly 0 below theta ~ 1e-8; 2 sin^2(theta/2) is not
+    params = IgParams(eps=1e-17)
+    theta = np.array([1e-9, 3e-9, 1e-8])
+    assert np.all(angle_pdf(theta, params) > 0.0)
+
+
+def test_quadrature_cdf_is_cached_and_read_only():
+    grid, cdf = angle_cdf_quadrature(IgParams(eps=0.7))
+    again = angle_cdf_quadrature(IgParams(eps=0.7))
+    assert again[0] is grid and again[1] is cdf
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    with pytest.raises(ValueError):
+        cdf[0] = 1.0
 
 
 def test_sample_scalar_deterministic():

@@ -250,20 +250,54 @@ def test_cmd_diffuse_empty_output_has_header(scenario_dir, tmp_path):
     assert read_poses(out) == []
 
 
-@pytest.mark.parametrize("times", [["--t", "0.5"], ["--t", "1e-4", "--t-max", "1"]])
-def test_cmd_diffuse_one_draw_is_the_first_of_many(scenario_dir, tmp_path, times):
-    """The seeded stream is drawn sample by sample, so --n 1 is a prefix of --n 3."""
-    runs = {}
-    for n in ("1", "3"):
-        out = tmp_path / f"d{n}.txt"
+@pytest.mark.parametrize("times", [["--t", "0.5"], ["--t", "1e-4", "--t-max", "1"], ["--t", "8"]])
+def test_cmd_diffuse_same_seed_same_bytes_and_valid_records(scenario_dir, tmp_path, times):
+    """Rejection sampling draws in blocks shared by all samples, so only the
+    same seed and --n repeat a file; every record is still a valid draw."""
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"d{k}.txt"
         assert main(["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), *times,
-                     "--n", n, "--out", str(out), "--seed", "4"]) == 0
-        runs[n] = out.read_text().splitlines()
-    one, three = runs["1"], runs["3"]
-    sample0 = [line for line in one if line.startswith("# sample ")]
-    assert len(sample0) == 1 and sample0[0] in three
-    assert one[-2:] == [line for line in three if not line.startswith("#")][:2]
-    assert len(read_poses(tmp_path / "d3.txt")) == 3
+                     "--n", "5", "--out", str(out), "--seed", "4"]) == 0
+        runs.append(out)
+    assert runs[0].read_bytes() == runs[1].read_bytes()
+    t_lo = float(times[1])
+    t_hi = float(times[3]) if len(times) > 2 else t_lo
+    records = _sample_records(runs[0])
+    poses = read_poses(runs[0])
+    assert len(records) == len(poses) == 5
+    for k, rec in enumerate(records):
+        assert rec["sample"] == k and t_lo <= rec["t"] <= t_hi
+        assert np.all(np.isfinite(rec["delta_pos"]))
+        dq = np.array(rec["delta_quat"])
+        assert abs(np.linalg.norm(dq) - 1.0) < 1e-12 and dq[0] >= 0.0
+        assert abs(np.linalg.norm(poses[k].r.q) - 1.0) < 1e-12
+
+
+def test_cmd_diffuse_at_the_smallest_times_draws_nonzero_angles(scenario_dir, tmp_path):
+    out = tmp_path / "d.txt"
+    assert main(["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), "--t", "1e-300",
+                 "--n", "20", "--out", str(out), "--seed", "2"]) == 0
+    records = _sample_records(out)
+    dq = np.array([rec["delta_quat"] for rec in records])
+    angles = 2.0 * np.arctan2(np.linalg.norm(dq[:, 1:], axis=1), dq[:, 0])
+    assert len(records) == 20 and np.all(np.isfinite(angles)) and np.all(angles > 0.0)
+    assert np.all(angles < 1e-148)  # rotation vectors are about sqrt(t) = 1e-150 long
+    assert len(read_poses(out)) == 20
+
+
+def _sample_records(path):
+    """The '# sample k: ...' provenance lines of a diffuse file, as dicts."""
+    records = []
+    for line in path.read_text().splitlines():
+        if line.startswith("# sample "):
+            head, _, body = line[2:].partition(": ")
+            rec = {"sample": int(head.split()[1])}
+            for item in body.split("; "):
+                key, _, value = item.partition(" = ")
+                rec[key] = json.loads(value)
+            records.append(rec)
+    return records
 
 
 def test_cmd_diffuse_logs_provenance(scenario_dir, tmp_path):
@@ -469,8 +503,8 @@ def _bad_input(scenario_dir, tmp_path, case):
         return path, [], "strictly increasing"
     if case == "missing-params":
         return path, ["--params", str(scn / "absent.txt")], "absent.txt"
-    if case in _BAD_VALUES:
-        name, key, value, message = _BAD_VALUES[case]
+    if case in _BAD_VALUES or case in _BAD_SCALARS:
+        name, key, value, message = {**_BAD_VALUES, **_BAD_SCALARS}[case]
         _drop_key(scn / name, key)
         (scn / name).write_text((scn / name).read_text() + f"{key} = {value}\n")
         return path, [], message
@@ -497,6 +531,17 @@ _BAD_VALUES = {
                                "grasp cloud has"),
 }
 _FILE_CASES = list(_BAD_VALUES)[:-2]
+# scenario scalars that read_scenario refuses, so every command does
+_BAD_SCALARS = {
+    "fractional-steps": ("scenario.txt", "schedule_segments", "[[1.0, 0.1, 2.5]]",
+                         "whole number, got 2.5"),
+    "boolean-steps": ("scenario.txt", "schedule_segments", "[[1.0, 0.1, true]]", "holds numbers"),
+    "boolean-radius": ("scenario.txt", "contact_radius", "true", "'contact_radius' must be a number"),
+    "boolean-t": ("scenario.txt", "t", "false", "'t' must be a number"),
+    "boolean-length-unit": ("scenario.txt", "length_unit", "true", "'length_unit' must be a number"),
+    "boolean-schedule-eps": ("scenario.txt", "schedule_eps", "true", "'schedule_eps' must be a number"),
+    "boolean-schedule-k1": ("scenario.txt", "schedule_k1", "false", "'schedule_k1' must be a number"),
+}
 
 
 @pytest.mark.parametrize("argv, case", [
@@ -514,6 +559,7 @@ _FILE_CASES = list(_BAD_VALUES)[:-2]
     (["denoise", "--score", "model", "--chains", "1"], "malformed-params"),
     *[(["diffuse", "--n", "2"], case) for case in _FILE_CASES],
     *[(["denoise", "--score", "model", "--chains", "1"], case) for case in _BAD_VALUES],
+    *[(["diffuse", "--n", "2"], case) for case in _BAD_SCALARS],
 ])
 def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, capsys, argv, case):
     path, extra, message = _bad_input(scenario_dir, tmp_path, case)

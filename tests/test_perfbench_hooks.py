@@ -68,7 +68,7 @@ def test_diffuse_hooks_still_find_their_names_and_count_weights_per_demo(tmp_pat
     cfg = cli.DiffusionConfig(t=0.5, r=scn.config.r, L=scn.config.L)
     g_t, p_de, dg = cli.forward_diffuse(demos[0], scene, grasp, cfg, np.random.default_rng(0))
     assert isinstance(g_t, Pose) and isinstance(dg, Pose) and p_de.shape == (3,)
-    # perfbench/layers.py counts inverse-CDF table builds from the cache statistics
+    # perfbench/layers.py counts quadrature-CDF builds from the cache statistics
     assert callable(igso3._cdf_table.cache_info)
 
     layers = _load_layers()
