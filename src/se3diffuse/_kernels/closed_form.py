@@ -59,8 +59,11 @@ def _near_images(theta: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     """
     th = theta[..., None]
     ep = _image_exp(-_PK * (_PK + th) / eps)
-    em = _image_exp(-_PK * (_PK - th) / eps)
-    lever = (4.0 * _PK * _PK / eps) * em * _phi(2.0 * _PK * th / eps)
+    xm = -_PK * (_PK - th) / eps
+    em = _image_exp(xm)
+    # Where E_{-k} is floored the true lever is below 24 * 700 e^-700, but the
+    # floor times the prefactor 4 pi^2 k^2 / eps is not below eps ~ 1e-290.
+    lever = np.where(xm < -700.0, 0.0, (4.0 * _PK * _PK / eps) * em * _phi(2.0 * _PK * th / eps))
     return th, ep, em, lever
 
 
@@ -100,18 +103,35 @@ def closed_r(theta: np.ndarray, eps) -> np.ndarray:
     """R = S/theta at theta in [0, pi], with the k = 0 Gaussian factored out of S.
 
     eps is a scalar or, for a 1-D theta, a column of one value per angle.
+    Below eps = 1e-300 R is taken at 1e-300: there every image k != 0 is
+    below e^-700 except at theta = pi, where R = 2 at any eps, and the
+    levers 4 pi^2 k^2 / eps would overflow.
     """
-    return _near_r(*_near_images(np.asarray(theta, dtype=np.float64), eps)[1:])
+    return _near_r(*_near_images(np.asarray(theta, dtype=np.float64), np.maximum(eps, 1e-300))[1:])
+
+
+def _over_sin(theta: np.ndarray) -> np.ndarray:
+    """theta / sin(theta/2), 2 at theta = 0."""
+    pos = theta > 0.0
+    ts = np.where(pos, theta, 1.0)
+    return np.where(pos, ts / np.sin(0.5 * ts), 2.0)
 
 
 def closed_f(theta: np.ndarray, eps: float) -> np.ndarray:
     """Density at theta in [0, pi] from the image sum."""
     theta = np.asarray(theta, dtype=np.float64)
     r = closed_r(theta, eps)
-    pos = theta > 0.0
-    ts = np.where(pos, theta, 1.0)
-    over_sin = np.where(pos, ts / np.sin(0.5 * ts), 2.0)  # theta / sin(theta/2)
-    return np.exp(_log_prefactor(eps) - theta * theta / (4.0 * eps)) * over_sin * r
+    return np.exp(_log_prefactor(eps) - theta * theta / (4.0 * eps)) * _over_sin(theta) * r
+
+
+def closed_log_f(theta: np.ndarray, eps: float) -> np.ndarray:
+    """log of the density at theta in [0, pi], summed in log space.
+
+    log(prefactor) - theta^2/(4 eps) + log(theta R / sin(theta/2)), finite
+    where the density itself underflows (theta^2/(4 eps) above about 745).
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    return _log_prefactor(eps) - theta * theta / (4.0 * eps) + np.log(_over_sin(theta) * closed_r(theta, eps))
 
 
 def _h(theta: np.ndarray) -> np.ndarray:

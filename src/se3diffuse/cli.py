@@ -129,9 +129,12 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     t_lo = args.t if args.t is not None else scn.config.t
     if args.t_max is not None and args.t_max < t_lo:
         return _error(f"--t-max {args.t_max!r} is below the diffusion time {t_lo!r}")
+    try:
+        cfg = DiffusionConfig(t=t_lo, r=scn.config.r, L=scn.config.L)
+    except ValueError as exc:
+        return _error(f"--t: {exc}")
     lines = sio.provenance_lines(seed=seed, scenario=str(args.scenario), t=t_lo,
                                  t_max=args.t_max if args.t_max else t_lo, n=args.n)
-    cfg = DiffusionConfig(t=t_lo, r=scn.config.r, L=scn.config.L)
     d = forward_diffuse_batch(demos, scene, grasp, cfg, rng, args.n, t_max=args.t_max)
     length = scn.config.L
     lines.extend(_SAMPLE_LINE.format(k, t, *pde, *dq, *dp) for k, (t, pde, dq, dp) in enumerate(

@@ -75,6 +75,8 @@ class DiffusionConfig:
     def __post_init__(self) -> None:
         if not (self.t > 0.0 and self.r > 0.0 and self.L > 0.0):
             raise ValueError("t, r, L must all be positive")
+        if not 0.5 * self.t > 0.0:
+            raise ValueError(f"t = {self.t!r} is too small: the rotational concentration t/2 rounds to 0")
 
     @property
     def r_nd(self) -> float:
@@ -113,32 +115,44 @@ def _ig_params(t: float) -> IgParams:
     return IgParams(eps=0.5 * t)
 
 
-LOG_DENSITY_FLOOR = -745.0  # log of the smallest subnormal double
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 # the rotation of inverse(T(p)), signed zeros included
 _IDENTITY_CONJ = quat_conj(_IDENTITY_Q)
 _ZERO = np.zeros(3)
+_UPPER = np.triu_indices(3)
+# the feature column of each entry of k k^T: upper(k k^T) follows [1, k]
+_OUTER_COLUMN = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class _Components(NamedTuple):
-    """Kernel components: (demo, grasp point) pairs.
+    """Kernel components: (demo, grasp point) pairs, each demo's padded to K slots.
 
     ``q0inv`` (D, 4) and ``p0inv`` (D, 3) are the inverse demo poses,
-    ``points`` (C, 3) the grasp point of each component, ``demo`` (C,) the
-    index of its demo and ``logw`` (C,) its log weight.
+    ``points`` (3, D, K) the coordinates of the grasp point k of each
+    component, ``logw`` (D, K) its log weight, -inf in the unused slots,
+    and ``features`` (D, K, 10) its row [1, k, upper(k k^T)], whose
+    weighted sums are the per-demo moments of ``_kernel_score``.
     """
 
     q0inv: np.ndarray
     p0inv: np.ndarray
     points: np.ndarray
-    demo: np.ndarray
     logw: np.ndarray
+    features: np.ndarray
+
+
+def _components(q0inv: np.ndarray, p0inv: np.ndarray, points: np.ndarray,
+                logw: np.ndarray) -> _Components:
+    """Components of (D, K, 3) grasp points with (D, K) log weights."""
+    outer = points[..., :, None] * points[..., None, :]
+    features = np.concatenate([np.ones(logw.shape + (1,)), points, outer[..., _UPPER[0], _UPPER[1]]],
+                              axis=-1)
+    return _Components(q0inv, p0inv, np.ascontiguousarray(np.moveaxis(points, -1, 0)), logw, features)
 
 
 def _single_component(q0inv: np.ndarray, p0inv: np.ndarray, point: np.ndarray) -> _Components:
-    return _Components(q0inv[None, :], p0inv[None, :],
-                       np.asarray(point, dtype=np.float64).reshape(1, 3),
-                       np.zeros(1, dtype=np.intp), np.zeros(1))
+    return _components(q0inv[None, :], p0inv[None, :],
+                       np.asarray(point, dtype=np.float64).reshape(1, 1, 3), np.zeros((1, 1)))
 
 
 # The plain kernel B_t(h) is the one-component kernel of an identity demo
@@ -149,15 +163,13 @@ _BROWNIAN = _single_component(_IDENTITY_Q, _ZERO, _ZERO)
 def brownian_log_density(h: Pose, t: float) -> float:
     """log B_t(h) = log N(p; 0, tI) + log IG(R; t/2).
 
-    A batch of one of the kernel terms of ``kernel_log_density``, for an
-    identity demo with one grasp point at the origin.  Rotational
-    densities that underflow the double range saturate at
-    LOG_DENSITY_FLOOR.
+    A batch of one of ``kernel_log_density``, for an identity demo with
+    one grasp point at the origin.  The rotational density is taken in
+    log space, so it stays finite where the density underflows.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    _, _, theta, ph = _kernel_frames(h.r.q[None, :], h.p[None, :], _BROWNIAN)
-    return float(_component_log_terms(theta, ph, _BROWNIAN, t, _ig_params(t))[0, 0])
+    return float(_log_mixture(h.r.q[None, :], h.p[None, :], _BROWNIAN, t)[0])
 
 
 def brownian_sample_batch(t: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -340,14 +352,13 @@ def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: Point
     """Every (demo, grasp point) component with nonzero contact weight."""
     inv = [inverse(g0) for g0 in demo_poses]
     parts = [_component_log_weights(g0, scene, grasp, cfg) for g0 in demo_poses]
-    return _Components(
-        np.stack([g.r.q for g in inv]),
-        np.stack([g.p for g in inv]),
-        np.concatenate([points for points, _ in parts]),
-        np.concatenate([np.full(len(points), d, dtype=np.intp)
-                        for d, (points, _) in enumerate(parts)]),
-        np.concatenate([logw for _, logw in parts]) + log_demo_weight,
-    )
+    slots = max(len(points) for points, _ in parts)
+    points = np.zeros((len(parts), slots, 3))
+    logw = np.full((len(parts), slots), -np.inf)
+    for d, (pts, lw) in enumerate(parts):
+        points[d, :len(pts)] = pts
+        logw[d, :len(pts)] = lw + log_demo_weight
+    return _components(np.stack([g.r.q for g in inv]), np.stack([g.p for g in inv]), points, logw)
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -356,66 +367,80 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
             + m[..., 2] * v[..., None, 2])
 
 
-def _kernel_frames(q: np.ndarray, p: np.ndarray, comps: _Components):
-    """Kernel arguments h = T(-p_k) g0^-1 g T(p_k) for pose stacks and components.
+def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
+    """Kernel frames per (pose, demo) and log terms per component.
 
-    The rotation R_m of g0^-1 g is formed once per pose and demo.  Returns
-    its matrices for every component, (N, C, 3, 3), its rotation vectors
-    and angles per demo, (N, D, 3) and (N, D), and the (N, C, 3)
-    translations p_h = p_m + R_m p_k - p_k.
+    The kernel argument of component (d, k) is h = T(-k) g0_d^-1 g T(k),
+    with rotation R_m of g_m = g0_d^-1 g and translation
+    p_h = p_m + R_m k - k.  Returns R_m (N, D, 3, 3), p_m (N, D, 3), the
+    rotation vectors (N, D, 3) and angles (N, D) of R_m, and the (N, D, K)
+    log terms log w_k + log N(p_h; 0, tI) + log f(theta), the rotational
+    density taken in log space once per pose and demo.
     """
     qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
     pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
     rotvec = quat_log(qm)
     theta = np.linalg.norm(rotvec, axis=-1)
-    # take() keeps C order; indexing axis 1 would put it outermost in memory,
-    # and the row sums of score_batch would then add in another order for a
-    # stack than for one pose
-    rm = quat_to_matrix(qm).take(comps.demo, axis=1)
-    ph = pm.take(comps.demo, axis=1) + _matvec(rm, comps.points) - comps.points
-    return rm, rotvec, theta, ph
+    rm = quat_to_matrix(qm)
+    r = rm[..., None]
+    x, y, z = comps.points
+    p2 = 0.0
+    for i in range(3):
+        ph = pm[:, :, i, None] + (r[:, :, i, 0] * x + r[:, :, i, 1] * y + r[:, :, i, 2] * z) - comps.points[i]
+        p2 = p2 + ph * ph
+    log_f = igso3.igso3_log_density(np.minimum(theta, math.pi), _ig_params(t))
+    log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
+    return rm, pm, rotvec, theta, comps.logw + log_gauss + log_f[:, :, None]
 
 
-def _kernel_scores(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
-    """Kernel frames and adjoint-transported kernel scores of every component.
+def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> np.ndarray:
+    """(N,) log sum over components of w_k B_t(h), by log-sum-exp."""
+    logs = _kernel_terms(q, p, comps, t)[-1]
+    m = np.max(logs, axis=(1, 2))
+    return m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2)))
 
-    Returns the (N, D) kernel angles and (N, C, 3) translations of
-    ``_kernel_frames`` and the linear and angular parts, each (N, C, 3),
-    of [Ad_{T(p_k)}]^-T grad log B_t(h_k): s_nu = -R_h^T p_h / t, and the
-    IGSO(3) score of R_h plus the lever-arm term p_k x s_nu.  Kernel
-    angles within 1e-6 of pi are clamped (``igso3.score_ratio``).
+
+def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
+    """(N, D) kernel angles and (N, 6) density-weighted mixture scores.
+
+    Component (d, k) contributes [Ad_{T(k)}]^-T grad log B_t(h):
+    s_nu = -R_m^T p_h / t = -(a_d + k - R_m^T k) / t with a_d = R_m^T p_m,
+    and s_om = k x s_nu + s_rot,d, the IGSO(3) score of R_m.  Their
+    weighted sums therefore need only the per-demo moments W = sum w,
+    K = sum w k and M = sum w k k^T, one ``einsum`` over the components
+    (not BLAS, so that a row keeps its bits in any batch):
+
+        sum w s_nu = -(1/t) sum_d (W a + K - R^T K)
+        sum w s_om = sum_d (-(1/t) (K x a - vee(M R)) + W s_rot)
+
+    with vee(X) = (X12 - X21, X20 - X02, X01 - X10) = sum_m M_m x R_m over
+    matching rows.  Kernel angles within 1e-6 of pi are clamped
+    (``igso3.score_ratio``).
     """
-    rm, rotvec, theta, ph = _kernel_frames(q, p, comps)
-    s_nu = -_matvec(np.swapaxes(rm, -1, -2), ph) / t
-    s_rot = igso3.igso3_score_batch(rotvec.reshape(-1, 3), _ig_params(t)).reshape(rotvec.shape)
-    s_om = cross(comps.points[None, :, :], s_nu) + s_rot.take(comps.demo, axis=1)
-    return theta, ph, s_nu, s_om
+    rm, pm, rotvec, theta, logs = _kernel_terms(q, p, comps, t)
+    moments = np.einsum("ndk,dkf->ndf", np.exp(logs - np.max(logs, axis=(1, 2), keepdims=True)),
+                        comps.features)
+    w, k = moments[..., :1], moments[..., 1:4]
+    rt = np.swapaxes(rm, -1, -2)
+    a = _matvec(rt, pm)
+    lin = w * a + k - _matvec(rt, k)
+    ang = cross(k, a) - np.sum(cross(moments[..., _OUTER_COLUMN], rm), axis=-2)
+    s_rot = igso3.igso3_score_batch(rotvec, theta, _ig_params(t))
+    total = np.sum(w, axis=1)
+    out = np.empty((q.shape[0], 6))
+    out[:, :3] = np.sum(lin, axis=1) / (-t * total)
+    out[:, 3:] = (np.sum(ang, axis=1) / -t + np.sum(w * s_rot, axis=1)) / total
+    return theta, out
 
 
 def _pose_kernel_score(g: Pose, q0inv: np.ndarray, p0inv: np.ndarray, p_de: np.ndarray,
                        t: float) -> Twist:
-    """``_kernel_scores`` for one pose and one origin; raises near pi."""
+    """``_kernel_score`` for one pose and one origin; raises near pi."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    comps = _single_component(q0inv, p0inv, p_de)
-    theta, _, s_nu, s_om = _kernel_scores(g.r.q[None, :], g.p[None, :], comps, t)
+    theta, out = _kernel_score(g.r.q[None, :], g.p[None, :], _single_component(q0inv, p0inv, p_de), t)
     igso3.check_score_angle(float(theta[0, 0]))
-    return Twist(s_nu[0, 0], s_om[0, 0])
-
-
-def _component_log_terms(theta: np.ndarray, ph: np.ndarray, comps: _Components, t: float,
-                         params: IgParams) -> np.ndarray:
-    """(N, C) log w_k + log N(p_h; 0, tI) + log f(theta_h).
-
-    ``theta`` holds the (N, D) kernel angles per demo, so the rotational
-    density is evaluated once per pose and demo.  Densities that
-    underflow saturate at LOG_DENSITY_FLOOR, as in brownian_log_density.
-    """
-    dens = igso3.igso3_density(np.minimum(theta, math.pi), params)
-    log_f = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-320)), LOG_DENSITY_FLOOR)
-    p2 = np.sum(ph * ph, axis=-1)
-    log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
-    return comps.logw[None, :] + log_gauss + log_f.take(comps.demo, axis=1)
+    return Twist.from_array(out[0])
 
 
 def kernel_log_density(
@@ -436,11 +461,7 @@ def kernel_log_density(
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
-    comps = _demo_components((g0,), scene, grasp, cfg)
-    _, _, theta, ph = _kernel_frames(q, p, comps)
-    logs = _component_log_terms(theta, ph, comps, cfg.t, _ig_params(cfg.t))
-    m = np.max(logs, axis=1)
-    return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
+    return _log_mixture(q, p, _demo_components((g0,), scene, grasp, cfg), cfg.t)
 
 
 class MixtureScore:
@@ -448,10 +469,11 @@ class MixtureScore:
 
     Components are (demo, grasp point) pairs weighted by uniform demo
     weights times contact weights; the score is the density-weighted
-    average of the adjoint-transported kernel scores, assembled in log
-    space.  Every demo's components are stacked once, at construction,
-    and ``score_batch`` evaluates them all in one pass over a pose batch
-    (used by the annealed sampler).
+    average of the adjoint-transported kernel scores, with weights taken
+    in log space.  Every demo's components are laid out once, at
+    construction, padded to the largest count, and ``score_batch``
+    evaluates them all in one pass over a pose batch (used by the
+    annealed sampler).
     """
 
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
@@ -463,22 +485,17 @@ class MixtureScore:
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores for quaternion/translation stacks at time t.
 
-        One pass over every component: the rotations of g0^-1 g are formed
-        once per pose and demo, and the IGSO(3) density and score are each
-        evaluated once per call.  Kernel angles within 1e-6 of pi are
-        clamped to that boundary (see ``igso3.score_ratio``), where the
-        rotational score vanishes smoothly.  Each row depends on its pose
+        One pass over every component: the frames g0^-1 g and the IGSO(3)
+        log density and score are formed once per pose and demo, each
+        component adds only its kernel translation and log weight, and the
+        weighted score sums come from three per-demo moments of the weights
+        (``_kernel_score``).  Kernel angles within 1e-6 of pi are clamped
+        to that boundary (see ``igso3.score_ratio``), where the rotational
+        score vanishes smoothly.  Each row depends on its pose
         only, bitwise; a pose with a non-finite entry scores NaN.
         """
         q, p, bad = finite_poses(q, p)
-        theta, ph, s_nu, s_om = _kernel_scores(q, p, self._components, t)
-        logs = _component_log_terms(theta, ph, self._components, t, _ig_params(t))
-        m = np.max(logs, axis=1, keepdims=True)
-        w = np.exp(logs - m)
-        w /= np.sum(w, axis=1, keepdims=True)
-        out = np.empty((q.shape[0], 6))
-        out[:, :3] = np.sum(w[:, :, None] * s_nu, axis=1)
-        out[:, 3:] = np.sum(w[:, :, None] * s_om, axis=1)
+        out = _kernel_score(q, p, self._components, t)[1]
         out[bad] = np.nan
         return out
 
@@ -514,7 +531,6 @@ class BrownianScoreFn:
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
         q, p, bad = finite_poses(q, p)
-        _, _, s_nu, s_om = _kernel_scores(q, p, _BROWNIAN, t)
-        out = np.concatenate([s_nu[:, 0], s_om[:, 0]], axis=1)
+        out = _kernel_score(q, p, _BROWNIAN, t)[1]
         out[bad] = np.nan
         return out

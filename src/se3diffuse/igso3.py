@@ -45,6 +45,7 @@ from .lie import Rotation, quat_exp, quat_log
 __all__ = [
     "IgParams",
     "igso3_density",
+    "igso3_log_density",
     "igso3_sample",
     "igso3_sample_quats",
     "igso3_sample_rotvecs",
@@ -82,6 +83,13 @@ def _f(theta: np.ndarray, params: IgParams) -> np.ndarray:
     return _kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY)
 
 
+def _log_f(theta: np.ndarray, params: IgParams) -> np.ndarray:
+    if params.eps < EPS_SERIES:
+        return _kernels.closed_log_f(theta, params.eps)
+    # at eps >= EPS_SERIES the density is above 0.12 on all of [0, pi]
+    return np.log(_kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY))
+
+
 def _ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
     """f'(theta)/f(theta) for theta in (0, pi]."""
     if params.eps < EPS_SERIES:
@@ -97,16 +105,31 @@ def _moment(params: IgParams) -> float:
     return _kernels.series_moment(params.eps, SERIES_LMAX)
 
 
+def _angles(theta) -> np.ndarray:
+    th = np.asarray(theta, dtype=np.float64)
+    if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
+        raise ValueError("theta outside [0, pi]")
+    return np.clip(th, 0.0, math.pi)
+
+
 def igso3_density(theta, params: IgParams):
     """Density at rotation angle theta, relative to normalized Haar.
 
     theta may be a scalar or an array; all values must lie in [0, pi]
     (a slack of 1e-12 is clamped).
     """
-    th = np.asarray(theta, dtype=np.float64)
-    if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
-        raise ValueError("theta outside [0, pi]")
-    out = _f(np.clip(th, 0.0, math.pi), params)
+    out = _f(_angles(theta), params)
+    return float(out) if np.isscalar(theta) else out
+
+
+def igso3_log_density(theta, params: IgParams):
+    """log of ``igso3_density``, formed in log space below EPS_SERIES.
+
+    It stays finite and accurate where the density underflows, e.g.
+    -774.09 at theta = 2.8 and eps = 0.0025.  Same domain as
+    ``igso3_density``.
+    """
+    out = _log_f(_angles(theta), params)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -160,9 +183,7 @@ def _accept_gauss(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """
     theta = np.linalg.norm(v, axis=-1)
     th = np.minimum(theta, math.pi)
-    # below eps = 1e-300 R is 1 to rounding, and its image levers 4 pi^2 k^2 / eps
-    # would overflow to inf - inf
-    r = _kernels.closed_r(th, np.maximum(eps, 1e-300)[:, None])
+    r = _kernels.closed_r(th, eps[:, None])
     return np.where(theta <= math.pi, r * _half_sin_over(th) / ENVELOPE, 0.0)
 
 
@@ -274,15 +295,15 @@ def score_ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
     return np.where(small, -_moment(params) * th, ratio)
 
 
-def igso3_score_batch(rotvec: np.ndarray, params: IgParams) -> np.ndarray:
-    """(N, 3) Lie-derivative scores (f'(theta)/f(theta)) * axis of rotation vectors.
+def igso3_score_batch(rotvec: np.ndarray, theta: np.ndarray, params: IgParams) -> np.ndarray:
+    """(..., 3) Lie-derivative scores (f'(theta)/f(theta)) * axis of rotation vectors.
 
+    ``theta`` holds the (...) angles |rotvec|, which callers have at hand.
     Angles are clamped as in ``score_ratio``; a zero rotation vector has
     a zero score.
     """
-    theta = np.linalg.norm(rotvec, axis=-1)
-    axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[:, None]
-    return score_ratio(theta, params)[:, None] * axis
+    axis = rotvec / np.where(theta < 1e-12, 1.0, theta)[..., None]
+    return score_ratio(theta, params)[..., None] * axis
 
 
 def check_score_angle(theta: float) -> None:
@@ -298,6 +319,7 @@ def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
     identity since the density decreases in theta.  Raises for rotation
     angles within 1e-6 of pi, where the batch clamps instead.
     """
-    rotvec = quat_log(r.q)
-    check_score_angle(float(np.linalg.norm(rotvec)))
-    return igso3_score_batch(rotvec[None, :], params)[0]
+    rotvec = quat_log(r.q)[None, :]
+    theta = np.linalg.norm(rotvec, axis=-1)
+    check_score_angle(float(theta[0]))
+    return igso3_score_batch(rotvec, theta, params)[0]

@@ -429,8 +429,12 @@ def test_kernel_reduces_to_brownian_for_single_origin_at_zero(rng):
     assert abs(lhs - rhs) < 1e-12
 
 
-def _kernel_log_density_reference(g, g0, scene, grasp, cfg):
-    """Scalar loop: log-sum-exp over components of logw + brownian_log_density."""
+def _kernel_log_density_reference(g, g0, scene, grasp, cfg, log_f=None):
+    """Scalar loop: log-sum-exp over components of logw + brownian_log_density.
+
+    With ``log_f`` the rotational log density of each kernel argument is
+    log_f(theta) instead, added to log N(p_h; 0, tI).
+    """
     from se3diffuse.diffusion import _component_log_weights
 
     pts, logw = _component_log_weights(g0, scene, grasp, cfg)
@@ -438,7 +442,11 @@ def _kernel_log_density_reference(g, g0, scene, grasp, cfg):
     for k in range(pts.shape[0]):
         tp = translation_pose(pts[k])
         h = compose(compose(compose(inverse(tp), inverse(g0)), g), tp)
-        vals.append(logw[k] + brownian_log_density(h, cfg.t))
+        if log_f is None:
+            vals.append(logw[k] + brownian_log_density(h, cfg.t))
+        else:
+            vals.append(logw[k] - 1.5 * math.log(2.0 * math.pi * cfg.t) - h.p @ h.p / (2.0 * cfg.t)
+                        + log_f(quat_angle(h.r.q)))
     m = max(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
@@ -519,23 +527,19 @@ def _pose_stack(demos, rng, n):
 
 
 def _score_by_demo(demos, cfg, q, p, t):
-    """Reference: the kernel scores and log terms of one demo at a time."""
-    from se3diffuse.diffusion import (_component_log_terms, _demo_components, _ig_params,
-                                      _kernel_scores)
+    """Reference: the mixture of one-demo scores, weighted by their log densities."""
+    from se3diffuse.diffusion import _demo_components, _kernel_score, _log_mixture
 
     scene, grasp = demos.shared_clouds()
-    logs, nus, oms = [], [], []
+    logs, scores = [], []
     for g0, _, _ in demos.demos:
         comps = _demo_components((g0,), scene, grasp, cfg, -math.log(len(demos)))
-        theta, ph, s_nu, s_om = _kernel_scores(q, p, comps, t)
-        logs.append(_component_log_terms(theta, ph, comps, t, _ig_params(t)))
-        nus.append(s_nu)
-        oms.append(s_om)
-    logs = np.concatenate(logs, axis=1)
+        logs.append(_log_mixture(q, p, comps, t))
+        scores.append(_kernel_score(q, p, comps, t)[1])
+    logs = np.stack(logs, axis=1)
     w = np.exp(logs - logs.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
-    return np.concatenate([np.einsum("nc,nci->ni", w, np.concatenate(nus, axis=1)),
-                           np.einsum("nc,nci->ni", w, np.concatenate(oms, axis=1))], axis=1)
+    return np.einsum("nd,ndi->ni", w, np.stack(scores, axis=1))
 
 
 @pytest.mark.parametrize("which", ["toy", "uneven", "single"])
@@ -561,6 +565,129 @@ def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
             assert full.shape == (n, 6) and np.all(np.isfinite(full))
             for i in range(n):
                 assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
+
+
+def _score_by_component(demos, cfg, q, p, t, log_f=None):
+    """Reference: every component's score, summed with explicit weights, one pose at a time.
+
+    Component (d, k) has the kernel argument h = T(-k) g0_d^-1 g T(k), with
+    R_h = R_m and p_h = p_m + R_m k - k, and the scores s_nu = -R_h^T p_h / t
+    and s_om = k x s_nu + s_rot; its log weight is log w_k - log D
+    + log N(p_h; 0, tI) + log_f(theta_h), where ``log_f`` defaults to
+    ``igso3_log_density`` at eps = t/2.
+    """
+    from se3diffuse.diffusion import _component_log_weights
+    from se3diffuse.igso3 import igso3_log_density, igso3_score_batch
+    from se3diffuse.lie import quat_conj, quat_log, quat_mul, quat_to_matrix
+
+    params = IgParams(eps=0.5 * t)
+    if log_f is None:
+        def log_f(theta):
+            return igso3_log_density(min(theta, math.pi), params)
+    scene, grasp = demos.shared_clouds()
+    parts = [(g0, *_component_log_weights(g0, scene, grasp, cfg)) for g0, _, _ in demos.demos]
+    out = np.empty((q.shape[0], 6))
+    for n in range(q.shape[0]):
+        logs, scores = [], []
+        for g0, pts, logw in parts:
+            qm = quat_mul(quat_conj(g0.r.q), q[n])
+            rm = quat_to_matrix(qm)
+            pm = quat_to_matrix(g0.r.q).T @ (p[n] - g0.p)
+            rotvec = quat_log(qm)
+            theta = np.linalg.norm(rotvec)
+            s_rot = igso3_score_batch(rotvec[None], np.array([theta]), params)[0]
+            for k, lw in zip(pts, logw):
+                ph = pm + rm @ k - k
+                s_nu = -rm.T @ ph / t
+                scores.append(np.concatenate([s_nu, np.cross(k, s_nu) + s_rot]))
+                logs.append(lw - math.log(len(parts)) - 1.5 * math.log(2.0 * math.pi * t)
+                            - ph @ ph / (2.0 * t) + log_f(theta))
+        w = np.exp(np.array(logs) - max(logs))
+        out[n] = w @ np.array(scores) / np.sum(w)
+    return out
+
+
+def _near_pi_poses(demos, rng, gaps=(5e-7, 1e-7, 0.0)):
+    """Poses whose kernel angle to a demo is within 1e-6 of pi."""
+    poses = []
+    for j, gap in enumerate(gaps):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        g0 = demos.demos[j % len(demos)][0]
+        poses.append(compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - gap) * axis))))
+    return np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+
+
+@pytest.mark.parametrize("which", ["uneven", "toy", "one-component"])
+@pytest.mark.parametrize("t", [2.0, 1.0, 0.3, 0.01])
+def test_mixture_score_matches_a_per_component_reference(toy, rng, which, t):
+    """The per-demo moment sums equal the explicit weighted sum of component scores.
+
+    t = 2 and 1 use the IGSO(3) series (eps >= 0.5), 0.3 and 0.01 its image
+    sum; the last rows have kernel angles within 1e-6 of pi.
+    """
+    p_de = toy.grasp.positions[5]
+    demos = {"uneven": _uneven_demo_set(toy), "toy": toy.demo_set(),
+             "one-component": DemoSet(((toy.demo_poses[1], toy.scene, PointCloud(p_de[None])),))}[which]
+    q, p = _pose_stack(demos, rng, 30)
+    qpi, ppi = _near_pi_poses(demos, rng)
+    q, p = np.concatenate([q, qpi]), np.concatenate([p, ppi])
+    cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+    got = MixtureScore(demos, cfg).score_batch(q, p, t)
+    ref = _score_by_component(demos, cfg, q, p, t)
+    rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(rel) < 1e-12, (t, np.max(rel))
+
+
+def _mp_log_f(theta, eps):
+    """log f(theta; eps) by direct summation of the character series in mpmath.
+
+    The terms are up to e^{theta^2/(4 eps)} times the sum, so the working
+    precision adds theta^2/(4 eps) / ln 10 digits to the 30 kept.
+    """
+    import mpmath
+
+    decay = theta * theta / (4.0 * eps)
+    dps = 30 + int(decay / math.log(10.0))
+    lmax = int(math.sqrt((decay + 60.0 + 2.31 * dps) / eps)) + 10
+    with mpmath.workdps(dps):
+        th, e = mpmath.mpf(theta), mpmath.mpf(eps)
+        s = mpmath.fsum((2 * l + 1) * mpmath.exp(-e * l * (l + 1)) * mpmath.sin((l + mpmath.mpf(1) / 2) * th)
+                        for l in range(lmax + 1))
+        return float(mpmath.log(s / mpmath.sin(th / 2)))
+
+
+def test_mixture_weights_rotational_densities_below_the_double_range(toy):
+    """At t = 0.002 and kernel angles above 2 rad f(theta) is below e^-900.
+
+    The two demos' rotational log densities differ by about 340, which
+    weights the mixture entirely toward the nearer demo; a density floored
+    at the smallest double would weight both alike.
+    """
+    t = 0.002
+    cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+    axis = np.array([0.0, 0.6, 0.8])
+    g0s = (Pose(np.zeros(3), exp_so3(0.3 * axis)), Pose(np.zeros(3), exp_so3(-0.2 * axis)))
+    demos = DemoSet(tuple((g0, toy.scene, toy.grasp) for g0 in g0s))
+    g = Pose(np.array([0.004, -0.003, 0.002]), exp_so3(2.5 * axis))
+    angles = [quat_angle(compose(inverse(g0), g).r.q) for g0 in g0s]
+    assert min(angles) > 2.0
+    log_f = {a: _mp_log_f(a, 0.5 * t) for a in angles}
+    assert max(log_f.values()) < -900.0
+
+    def mp_log_f(theta):
+        nearest = min(log_f, key=lambda a: abs(a - theta))
+        assert abs(nearest - theta) < 1e-12
+        return log_f[nearest]
+
+    q, p = g.r.q[None], g.p[None]
+    for g0 in g0s:
+        got = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)[0]
+        ref = _kernel_log_density_reference(g, g0, toy.scene, toy.grasp, cfg, mp_log_f)
+        assert abs(got - ref) < 1e-12 * abs(ref), (got, ref)
+    got = MixtureScore(demos, cfg).score_batch(q, p, t)
+    ref = _score_by_component(demos, cfg, q, p, t, mp_log_f)
+    assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref), (got, ref)
 
 
 def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
@@ -736,6 +863,8 @@ def test_config_validation():
         DiffusionConfig(t=0.0, r=1.0, L=1.0)
     with pytest.raises(ValueError):
         DiffusionConfig(t=1.0, r=-1.0, L=1.0)
+    with pytest.raises(ValueError, match="t/2 rounds to 0"):
+        DiffusionConfig(t=5e-324, r=1.0, L=1.0)  # the smallest double, whose half is 0
     cfg = DiffusionConfig(t=1.0, r=0.3, L=2.0)
     assert cfg.r_nd == 0.15
 

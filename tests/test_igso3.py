@@ -17,6 +17,7 @@ from se3diffuse.igso3 import (
     angle_cdf_quadrature,
     angle_pdf,
     igso3_density,
+    igso3_log_density,
     igso3_sample,
     igso3_sample_quats,
     igso3_sample_rotvecs,
@@ -306,11 +307,13 @@ def test_score_rejects_angle_near_pi():
 # Accuracy against a direct sum of the series in mpmath
 # ---------------------------------------------------------------------------
 
-def mp_series(theta, eps):
+def mp_series(theta, eps, log=False):
     """(f, f'/f) at theta > 0 by direct summation of the series in mpmath.
 
     The series' terms are up to e^{theta^2/(4 eps)} times larger than its
     sum, so precision and truncation order grow with theta^2/(4 eps).
+    With ``log`` the first entry is log f, which a double holds where f
+    underflows.
     """
     decay = theta * theta / (4.0 * eps)
     dps = 30 + int(decay / math.log(10.0))
@@ -324,7 +327,8 @@ def mp_series(theta, eps):
             a = l + mpmath.mpf(1) / 2
             s += w * mpmath.sin(a * th)
             ds += w * (a * mpmath.cos(a * th) * sin_half - mpmath.sin(a * th) * cos_half / 2)
-        return float(s / sin_half), float(ds / (s * sin_half))
+        f = s / sin_half
+        return float(mpmath.log(f) if log else f), float(ds / (s * sin_half))
 
 
 # eps on both sides of the regime switch at EPS_SERIES = 0.5, and at it
@@ -358,6 +362,30 @@ def test_density_far_tail_is_the_true_value():
     true, _ = mp_series(1.35, 0.005)
     assert 1e-36 < true < 2e-36
     assert abs(igso3_density(1.35, IgParams(eps=0.005)) / true - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("eps, theta", [
+    (0.0025, 2.8), (0.001, 2.0), (0.002, 3.1), (1e-4, 0.6),  # f below the double range
+    (0.005, 1.35), (0.1, 2.0), (0.49, math.pi), (0.5, 3.0), (3.0, 1.0), (0.01, 1e-7)])
+def test_log_density_matches_mpmath_series(eps, theta):
+    """log f to 1e-13 relative (or 1e-13 absolute near log f = 0), also where f underflows."""
+    true, _ = mp_series(theta, eps, log=True)
+    got = igso3_log_density(theta, IgParams(eps=eps))
+    assert abs(got - true) < 1e-13 * max(1.0, abs(true)), (got, true)
+    if eps == 0.0025:
+        assert abs(true + 774.09) < 0.005  # the value a floor at -745 replaced
+
+
+@pytest.mark.parametrize("eps", [1e-290, 1e-295, 1e-300, 1e-305, 1e-308])
+def test_image_sum_is_one_at_small_angles_down_to_eps_1e_308(eps):
+    """R, the image sum over its k = 0 Gaussian, is 1 to rounding at theta <= 1e-3.
+
+    The k != 0 images are below e^-700 there; their floor times the lever
+    prefactor 4 pi^2 k^2 / eps, up to 4e302 at eps = 1e-300, must not leak in.
+    """
+    r = _kernels.closed_r(np.array([0.0, eps, 1e-3]), eps)
+    assert np.all(np.abs(r - 1.0) <= 2.3e-16), r
+    assert abs(_kernels.closed_r(np.array([math.pi]), eps)[0] - 2.0) <= 4.5e-16
 
 
 def mp_images(theta, eps, k_max=10):
@@ -433,7 +461,7 @@ def test_score_is_bitwise_a_row_of_the_batch(rng):
     rotvecs = np.stack([quat_log(r.q) for r in rots])
     for eps in (0.005, 0.3, EPS_SERIES, 2.0):
         params = IgParams(eps=eps)
-        batch = igso3_score_batch(rotvecs, params)
+        batch = igso3_score_batch(rotvecs, np.linalg.norm(rotvecs, axis=-1), params)
         for i, r in enumerate(rots):
             assert np.array_equal(igso3_score(r, params), batch[i])
 
@@ -441,8 +469,9 @@ def test_score_is_bitwise_a_row_of_the_batch(rng):
 def test_score_batch_clamps_where_the_scalar_call_raises():
     rotvec = (math.pi - 1e-7) * np.array([[0.0, 0.6, 0.8]])
     params = IgParams(eps=0.5)
-    near = igso3_score_batch(rotvec, params)[0]
-    edge = igso3_score_batch(rotvec / np.linalg.norm(rotvec) * (math.pi - 1e-6), params)[0]
+    edge_vec = rotvec / np.linalg.norm(rotvec) * (math.pi - 1e-6)
+    near = igso3_score_batch(rotvec, np.linalg.norm(rotvec, axis=-1), params)[0]
+    edge = igso3_score_batch(edge_vec, np.linalg.norm(edge_vec, axis=-1), params)[0]
     assert np.all(np.isfinite(near))
     assert np.allclose(near, edge, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError, match="pi"):

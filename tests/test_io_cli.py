@@ -286,6 +286,16 @@ def test_cmd_diffuse_at_the_smallest_times_draws_nonzero_angles(scenario_dir, tm
     assert len(read_poses(out)) == 20
 
 
+def test_cmd_diffuse_refuses_a_time_whose_half_rounds_to_zero(scenario_dir, tmp_path, capsys):
+    out = tmp_path / "d.txt"
+    argv = ["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), "--n", "3", "--out", str(out)]
+    assert main(argv + ["--t", "5e-324"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --t: ") and "t/2 rounds to 0" in err[0], err
+    assert not out.exists()
+    assert main(argv + ["--t", "1e-323"]) == 0  # the smallest time whose half is a positive double
+
+
 def _sample_records(path):
     """The '# sample k: ...' provenance lines of a diffuse file, as dicts."""
     records = []
