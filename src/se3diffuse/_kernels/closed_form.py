@@ -121,17 +121,22 @@ def closed_f(theta: np.ndarray, eps: float) -> np.ndarray:
     """Density at theta in [0, pi] from the image sum."""
     theta = np.asarray(theta, dtype=np.float64)
     r = closed_r(theta, eps)
-    return np.exp(_log_prefactor(eps) - theta * theta / (4.0 * eps)) * _over_sin(theta) * r
+    with np.errstate(over="ignore"):  # inf where it leaves the double range: e^-inf = 0
+        gauss = theta * theta / (4.0 * eps)
+    return np.exp(_log_prefactor(eps) - gauss) * _over_sin(theta) * r
 
 
 def closed_log_f(theta: np.ndarray, eps: float) -> np.ndarray:
     """log of the density at theta in [0, pi], summed in log space.
 
     log(prefactor) - theta^2/(4 eps) + log(theta R / sin(theta/2)), finite
-    where the density itself underflows (theta^2/(4 eps) above about 745).
+    where the density itself underflows (theta^2/(4 eps) above about 745),
+    and -inf where theta^2/(4 eps) itself overflows.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    return _log_prefactor(eps) - theta * theta / (4.0 * eps) + np.log(_over_sin(theta) * closed_r(theta, eps))
+    with np.errstate(over="ignore"):
+        gauss = theta * theta / (4.0 * eps)
+    return _log_prefactor(eps) - gauss + np.log(_over_sin(theta) * closed_r(theta, eps))
 
 
 def _h(theta: np.ndarray) -> np.ndarray:

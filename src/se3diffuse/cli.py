@@ -12,9 +12,9 @@ output files embed the configuration, seed, and library version in their
 provenance header.  Times and ``--eps`` must be positive and finite,
 counts positive (``diffuse --n`` may be 0), seeds nonnegative, and
 ``--t-max`` at least the diffusion time; anything else exits with status
-2 and a usage message.  Scenario geometry on disk is in scene units; the
-commands divide by the configured length unit on load and scale back on
-output.
+2 and a usage message.  Scenario geometry and the model's field cutoffs
+and radial widths are in scene units on disk; the commands divide them by
+the configured length unit on load and scale back on output.
 
 ``diffuse`` makes all its draws in one ``forward_diffuse_batch`` call,
 which takes whole arrays from the seeded stream: ``random(n)`` for
@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .diffusion import (  # noqa: F401
     forward_diffuse_batch,
     kernel_log_density,
 )
-from .fields import ModelScore, assemble_score, build_query_set  # noqa: F401
+from .fields import ModelScore, ScoreModelParams, assemble_score, build_query_set  # noqa: F401
 from .igso3 import IgParams, angle_cdf_quadrature, igso3_sample_quats
 from .lie import Pose, quat_angle, quat_conj, quat_mul
 from .pointcloud import PointCloud
@@ -91,6 +92,15 @@ _seed = _int_at_least(0)
 
 def _scale_cloud(pc: PointCloud, factor: float) -> PointCloud:
     return PointCloud(pc.positions * factor, pc.colors)
+
+
+def _scale_model(model: ScoreModelParams, factor: float) -> ScoreModelParams:
+    """The model with every field's cutoff and radial widths times ``factor``."""
+    def scale(edf):
+        return edf and replace(edf, cutoff=edf.cutoff * factor,
+                               radial_widths=tuple(w * factor for w in edf.radial_widths))
+    return replace(model, scene=scale(model.scene), grasp=scale(model.grasp),
+                   weight_field=scale(model.weight_field))
 
 
 def _nondimensionalize(scn: Scenario) -> tuple[PointCloud, PointCloud, list[Pose]]:
@@ -163,6 +173,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         return _error(f"the model takes {model.query_count} query points from grasp point "
                       f"{model.query_start_index}, but the grasp cloud has {len(grasp)} points")
     else:
+        model = _scale_model(model, 1.0 / scn.config.L)
         score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 
     rng = np.random.default_rng(seed)
@@ -216,6 +227,9 @@ _QUAT_LINE = "quat: [{:.16e}, {:.16e}, {:.16e}, {:.16e}]"
 
 
 def cmd_sample_igso3(args: argparse.Namespace) -> int:
+    if args.eps < sys.float_info.min:  # the angles, about sqrt(eps), square to subnormals
+        return _error(f"--eps {args.eps!r} is below the smallest normal double "
+                      f"{sys.float_info.min!r}")
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     params = IgParams(eps=args.eps)

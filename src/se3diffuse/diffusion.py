@@ -29,7 +29,6 @@ from .lie import (
     Pose,
     Rotation,
     Twist,
-    compose,
     cross,
     finite_poses,
     inverse,
@@ -55,7 +54,6 @@ __all__ = [
     "forward_diffuse_batch",
     "ForwardDraws",
     "target_score",
-    "frame_target_score",
     "kernel_log_density",
     "marginal_score_oracle",
     "score_matching_loss",
@@ -322,21 +320,6 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     """
     inv0 = inverse(g0)
     return _pose_kernel_score(g, inv0.r.q, inv0.p, p_de, t)
-
-
-def frame_target_score(g: Pose, g0: Pose, g_de: Pose, t: float) -> Twist:
-    """Score target for a general SE(3) diffusion frame g_de.
-
-    The shipped origin selection only ever produces pure-translation
-    frames, which ``target_score`` covers; this is the extension surface
-    for frame mechanisms with a rotational part: [Ad_{g_de}]^-T applied
-    to the kernel score of g_de^-1 g0^-1 g g_de.
-    """
-    from .lie import adjoint_inv_transpose
-
-    h = compose(compose(compose(inverse(g_de), inverse(g0)), g), g_de)
-    base = brownian_score(h, t).as_array()
-    return Twist.from_array(adjoint_inv_transpose(g_de) @ base)
 
 
 def _component_log_weights(g0: Pose, scene: PointCloud, grasp: PointCloud, cfg: DiffusionConfig):

@@ -51,10 +51,8 @@ __all__ = [
     "score_field",
     "ModelScore",
     "assemble_score",
-    "assemble_score_parts",
     "query_weights",
     "build_query_set",
-    "score_design_matrix",
     "fit_path_weights",
     "random_edf_params",
     "random_model_params",
@@ -175,9 +173,11 @@ def _lobe_gather(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray, np.
 
 
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
-               t: float | None, frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               gates: np.ndarray, frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Field coefficients at query positions, one pairwise pass.
 
+    ``gates`` holds the (G,) time-gate values, ``params.gate_values(t)``;
+    time enters the field nowhere else, and the field is linear in them.
     xs (M, 3) gives (M, dim).  With ``frames``, (N, 4) quaternions and (N, 3)
     translations of poses g_n, the cloud is taken into each body frame,
     R_n^T (o - p_n), xs are (N, M, 3) body-frame points, and the result
@@ -188,8 +188,7 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     if frames is not None:  # the rows of (o - p) R are R^T (o - p)
         cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ quat_to_matrix(frames[0])
     # (radial, points, slot) table of the colors times the gated channel weights
-    table = np.einsum("pc,sbcg,g->bps", _color_features(pc), params.channel_weights,
-                      params.gate_values(t))
+    table = np.einsum("pc,sbcg,g->bps", _color_features(pc), params.channel_weights, gates)
     degrees, slot, harm = _lobe_gather(params.layout)
     scale = -0.5 / np.asarray(params.radial_widths) ** 2
     out = np.zeros((xs.size // 3, params.layout.dim))
@@ -216,7 +215,8 @@ def synthetic_edf(x: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     Translation-invariant and exactly steerable:
     field(g x | g . O) = D(R_g) field(x | O).
     """
-    coeffs = _edf_batch(np.asarray(x, dtype=np.float64).reshape(1, 3), pc, params, t)[0]
+    coeffs = _edf_batch(np.asarray(x, dtype=np.float64).reshape(1, 3), pc, params,
+                        params.gate_values(t))[0]
     return IrrepsVector(params.layout, coeffs)
 
 
@@ -230,8 +230,9 @@ def score_field(g: Pose, x: np.ndarray, scene: PointCloud, grasp: PointCloud,
     psi(x | O_e) x->1 D(R^-1) phi_t(g x | O_s).
     """
     xs = np.reshape(x, (1, 3))
-    psi = _edf_batch(xs, grasp, params_grasp, None)
-    phi_body = _edf_batch(xs[None], scene, params_scene, t, frames=(g.r.q[None], g.p[None]))[0]
+    psi = _edf_batch(xs, grasp, params_grasp, params_grasp.gate_values(None))
+    phi_body = _edf_batch(xs[None], scene, params_scene, params_scene.gate_values(t),
+                          frames=(g.r.q[None], g.p[None]))[0]
     return cg_contract_batch(params_grasp.layout, psi, params_scene.layout, phi_body,
                              path_weights)[0]
 
@@ -278,7 +279,7 @@ def query_weights(points: np.ndarray, grasp: PointCloud,
         return np.full(points.shape[0], 1.0 / max(points.shape[0], 1))
     if weight_field.layout.slots() != [0]:
         raise ValueError("query weight field must have a single scalar output")
-    vals = _edf_batch(points, grasp, weight_field, None)[:, 0]
+    vals = _edf_batch(points, grasp, weight_field, weight_field.gate_values(None))[:, 0]
     return vals**2
 
 
@@ -316,7 +317,8 @@ class ModelScore:
         self.query = query
         self.model = model
         dim = model.scene.layout.dim
-        psi = np.repeat(_edf_batch(query.points, grasp, model.grasp, None), dim, axis=0)
+        psi = np.repeat(_edf_batch(query.points, grasp, model.grasp, model.grasp.gate_values(None)),
+                        dim, axis=0)
         # (Q*dim, paths, 3) per-path rows w_q psi_q x->1 e_j, e_j the scene basis vectors
         self._paths = np.repeat(query.weights, dim)[:, None, None] * _contract_batch(
             model.grasp.layout, psi, model.scene.layout, np.tile(np.eye(dim), (len(query), 1)))
@@ -342,16 +344,16 @@ class ModelScore:
         n = q.shape[0]
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
-        phi = self._scene_field(q, p, t)
+        phi = self._scene_field(q, p, self.model.scene.gate_values(t))
         # no BLAS here: einsum without optimize reduces each row alone
         out = np.einsum("nk,kc->nc", phi.reshape(n, -1), self._op) * (1.0 / math.sqrt(t))
         out[bad] = np.nan
         return out[:, :3], out[:, 6:], out[:, 3:6]
 
-    def _scene_field(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-        """(N, Q, dim) body-frame scene field at the query points."""
+    def _scene_field(self, q: np.ndarray, p: np.ndarray, gates: np.ndarray) -> np.ndarray:
+        """(N, Q, dim) body-frame scene field at the query points, at one gate vector."""
         qs = np.repeat(self.query.points[None], q.shape[0], axis=0)
-        return _edf_batch(qs, self.scene, self.model.scene, t, frames=(q, p))
+        return _edf_batch(qs, self.scene, self.model.scene, gates, frames=(q, p))
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
@@ -362,15 +364,6 @@ class ModelScore:
         return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])
 
 
-def assemble_score_parts(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
-                         length_unit: float, query: QuerySet,
-                         model: ScoreModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s_nu, spin, orbital) pieces of the assembled score at one pose."""
-    s_nu, spin, orbital = ModelScore(scene, grasp, length_unit, query, model).score_parts(
-        g.r.q[None, :], g.p[None, :], t)
-    return s_nu[0], spin[0], orbital[0]
-
-
 def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
                    length_unit: float, query: QuerySet,
                    model: ScoreModelParams) -> Twist:
@@ -378,42 +371,41 @@ def assemble_score(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
     return ModelScore(scene, grasp, length_unit, query, model)(g, t)
 
 
-def _design_matrix(score: ModelScore, g: Pose, t: float) -> np.ndarray:
-    """(6, n_nu + n_omega) Jacobian of ``score`` at (g, t) in its stacked path weights."""
-    phi = score._scene_field(g.r.q[None, :], g.p[None, :], t).reshape(-1)
-    inv_sqrt_t = 1.0 / math.sqrt(t)
-    nu = inv_sqrt_t * np.einsum("k,kpc->cp", phi, score._paths_nu)  # (6, n_nu)
-    spin = inv_sqrt_t * np.einsum("k,kpc->cp", phi, score._paths)
-    return np.block([[nu[:3], np.zeros((3, spin.shape[1]))], [nu[3:], spin]])
+def _design_rows(score: ModelScore, q: np.ndarray, p: np.ndarray, t) -> np.ndarray:
+    """(N, 6, n_nu + n_omega) Jacobians of ``score`` in its stacked path weights.
 
-
-def score_design_matrix(g: Pose, scene: PointCloud, grasp: PointCloud, t: float,
-                        length_unit: float, query: QuerySet,
-                        model: ScoreModelParams) -> np.ndarray:
-    """Jacobian of the assembled score in the stacked path weights.
-
-    The assembled score is linear in (weights_nu, weights_omega); this
-    returns the (6, n_nu + n_omega) matrix so gradient-free fitting
-    against oracle scores reduces to linear least squares.
+    Row n is at pose (q[n], p[n]) and time t[n] (t a scalar or (N,)).  The
+    field is linear in its gates, so a row's field is sum_g gate_g(t_n)
+    phi_g, phi_g one pass over all rows at the one-hot gate e_g.
     """
-    return _design_matrix(ModelScore(scene, grasp, length_unit, query, model), g, t)
+    q, p, bad = finite_poses(np.reshape(q, (-1, 4)), np.reshape(p, (-1, 3)))
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), bad.shape)
+    if bad.any() or not np.all(t > 0.0):
+        raise ValueError("the fit needs finite poses with unit quaternions and positive t")
+    gates = np.stack([score.model.scene.gate_values(s) for s in t.tolist()])  # (N, G)
+    phi = sum(gates[:, g, None, None] * score._scene_field(q, p, e)
+              for g, e in enumerate(np.eye(gates.shape[1])))
+    phi = phi.reshape(t.size, -1) / np.sqrt(t)[:, None]
+    nu = np.einsum("nk,kpc->ncp", phi, score._paths_nu)  # (N, 6, n_nu)
+    spin = np.einsum("nk,kpc->ncp", phi, score._paths)  # (N, 3, n_omega)
+    return np.concatenate([nu, np.concatenate([np.zeros_like(spin), spin], axis=1)], axis=2)
 
 
-def fit_path_weights(poses_times: list[tuple[Pose, float]], targets: np.ndarray,
+def fit_path_weights(q: np.ndarray, p: np.ndarray, t, targets: np.ndarray,
                      scene: PointCloud, grasp: PointCloud, length_unit: float,
                      query: QuerySet, model: ScoreModelParams,
                      ridge: float = 1e-10) -> ScoreModelParams:
-    """Least-squares fit of the path weights to target score twists.
+    """Least-squares fit of the path weights to (N, 6) target score twists.
 
-    Because the model is linear in its path weights, fitting against a
-    batch of (pose, time) -> twist targets (e.g. the exact mixture
-    oracle) needs no gradients.  The grasp field is evaluated once per
-    fit.  Returns a copy of ``model`` with the fitted weights.
+    Poses are (N, 4)/(N, 3) stacks, t a scalar or (N,), as drawn by
+    ``forward_diffuse_batch``; the model is linear in its path weights, so
+    the fit needs no gradients.  It evaluates the grasp field once and the
+    scene field once per time gate.  Returns a copy of ``model``.
     """
-    targets = np.asarray(targets, dtype=np.float64).reshape(len(poses_times), 6)
-    score = ModelScore(scene, grasp, length_unit, query, model)
-    a = np.concatenate([_design_matrix(score, g, t) for g, t in poses_times], axis=0)
-    sol = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ targets.reshape(-1))
+    a = _design_rows(ModelScore(scene, grasp, length_unit, query, model), q, p, t)
+    a = a.reshape(-1, a.shape[2])
+    targets = np.asarray(targets, dtype=np.float64).reshape(a.shape[0])
+    sol = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ targets)
     n_nu = model.weights_nu.size
     return replace(model, weights_nu=sol[:n_nu], weights_omega=sol[n_nu:])
 

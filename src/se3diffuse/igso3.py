@@ -137,10 +137,13 @@ def angle_pdf(theta, params: IgParams):
     """Marginal pdf of the rotation angle: density * 2 sin^2(theta/2) / pi.
 
     The Haar weight is written with sin^2(theta/2), not 1 - cos theta,
-    which is exactly 0 in double precision below theta ~ 1e-8.
+    which is exactly 0 in double precision below theta ~ 1e-8.  Both factors
+    are taken in log space: below eps ~ 1e-206 f(0) ~ eps^{-3/2} overflows.
     """
     th = np.asarray(theta, dtype=np.float64)
-    vals = igso3_density(th, params) * (2.0 * np.sin(0.5 * th) ** 2) / math.pi
+    with np.errstate(divide="ignore"):  # log sin(0) = -inf, where the pdf is 0
+        log_haar = 2.0 * np.log(np.sin(0.5 * th)) + math.log(2.0 / math.pi)
+    vals = np.exp(igso3_log_density(th, params) + log_haar)
     return float(vals) if np.isscalar(theta) else vals
 
 

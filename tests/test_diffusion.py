@@ -869,38 +869,6 @@ def test_config_validation():
     assert cfg.r_nd == 0.15
 
 
-def test_frame_target_score_generalizes_translation_frames(rng):
-    from se3diffuse.diffusion import frame_target_score
-
-    for _ in range(10):
-        g0 = random_pose(rng)
-        p_de = rng.standard_normal(3)
-        g = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3),
-                                      0.2 * rng.standard_normal(3))))
-        a = target_score(g, g0, p_de, 0.6).as_array()
-        b = frame_target_score(g, g0, translation_pose(p_de), 0.6).as_array()
-        assert np.allclose(a, b, atol=1e-12)
-
-
-def test_frame_target_score_full_frame_matches_finite_differences(rng):
-    from se3diffuse.diffusion import frame_target_score
-
-    t = 0.5
-    for _ in range(5):
-        g0 = random_pose(rng)
-        g_de = random_pose(rng, scale=0.5)
-        g = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3),
-                                      0.2 * rng.standard_normal(3))))
-
-        def log_density(gg):
-            h = compose(compose(compose(inverse(g_de), inverse(g0)), gg), g_de)
-            return brownian_log_density(h, t)
-
-        s = frame_target_score(g, g0, g_de, t).as_array()
-        fd = fd_score(log_density, g)
-        assert np.linalg.norm(s - fd) / np.linalg.norm(fd) < 1e-4
-
-
 def test_mixture_score_scalar_call_clamps_near_pi_like_batch(toy, rng):
     """The scalar call is a batch of one, so both clamp kernel angles near pi."""
     demos = DemoSet(toy.demo_set().demos[:1])

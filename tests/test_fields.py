@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,7 @@ import pytest
 from se3diffuse.fields import (
     ModelScore,
     QuerySet,
-    ScoreModelParams,
     assemble_score,
-    assemble_score_parts,
     build_query_set,
     fps_select,
     query_weights,
@@ -21,6 +20,7 @@ from se3diffuse.diffusion import BrownianScoreFn, DiffusionConfig, MixtureScore
 from se3diffuse.irreps import IrrepsLayout, cg_contract_batch, rep_apply, rep_apply_batch, sh_batch
 from se3diffuse.lie import (
     Pose,
+    Rotation,
     Twist,
     adjoint_inv_transpose,
     apply,
@@ -157,7 +157,7 @@ def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_ch
     xs = np.concatenate([0.5 * rng.standard_normal((30, 3)), pc.positions[:3], [[9.0, 9.0, 9.0]]])
     if pair_chunk is not None:  # 2 query rows per chunk
         monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
-    batch = fields._edf_batch(xs, pc, params, 0.4)
+    batch = fields._edf_batch(xs, pc, params, params.gate_values(0.4))
     assert np.all(np.any(batch[:-1] != 0.0, axis=1)) and np.all(batch[-1] == 0.0)
     for x, row in zip(xs, batch):
         assert np.array_equal(row, synthetic_edf(x, pc, params, t=0.4).coeffs)
@@ -205,7 +205,7 @@ def test_edf_batch_is_bitwise_the_per_slot_field_pass(rng, monkeypatch, colored,
     if pair_chunk is not None:
         monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
     for t in (0.4, None):
-        batch = fields._edf_batch(xs, pc, params, t)
+        batch = fields._edf_batch(xs, pc, params, params.gate_values(t))
         assert np.all(batch[-1] == 0.0) and np.all(np.any(batch[:-1] != 0.0, axis=1))
         assert np.array_equal(batch, _edf_per_slot(xs, pc, params, t))
 
@@ -270,11 +270,12 @@ def test_assemble_empty_query_warns_and_zeroes(toy):
 def test_assemble_single_origin_query_has_no_orbital_term(toy):
     model = toy.model
     query = QuerySet(np.zeros((1, 3)), np.ones(1))
-    s_nu, spin, orbital = assemble_score_parts(toy.demo_poses[0], toy.scene, toy.grasp,
-                                               0.5, 1.0, query, model)
+    g = toy.demo_poses[0]
+    s_nu, spin, orbital = ModelScore(toy.scene, toy.grasp, 1.0, query, model).score_parts(
+        g.r.q[None], g.p[None], 0.5)
     assert np.allclose(orbital, 0.0)
-    full = assemble_score(toy.demo_poses[0], toy.scene, toy.grasp, 0.5, 1.0, query, model)
-    assert np.allclose(full.omega, spin)
+    full = assemble_score(g, toy.scene, toy.grasp, 0.5, 1.0, query, model)
+    assert np.allclose(full.omega, spin[0])
 
 
 def test_assemble_score_bi_equivariance(toy, rng):
@@ -301,14 +302,15 @@ def test_spin_and_orbital_transform_separately(toy, rng):
     g = compose(toy.demo_poses[1],
                 exp_se3(Twist(0.1 * rng.standard_normal(3), 0.2 * rng.standard_normal(3))))
     query = build_query_set(toy.grasp, model)
-    s_nu, spin, orbital = assemble_score_parts(g, toy.scene, toy.grasp, 0.5, 1.0, query, model)
+    s_nu, spin, orbital = (part[0] for part in ModelScore(
+        toy.scene, toy.grasp, 1.0, query, model).score_parts(g.r.q[None], g.p[None], 0.5))
     for _ in range(20):
         dg = random_pose(rng, scale=0.6)
-        dgi = inverse(dg)
+        moved = compose(g, inverse(dg))
         grasp_moved = transform(toy.grasp, dg)
-        query_moved = build_query_set(grasp_moved, model)
-        s_nu2, spin2, orbital2 = assemble_score_parts(
-            compose(g, dgi), toy.scene, grasp_moved, 0.5, 1.0, query_moved, model)
+        score = ModelScore(toy.scene, grasp_moved, 1.0, build_query_set(grasp_moved, model), model)
+        s_nu2, spin2, orbital2 = (part[0] for part in score.score_parts(
+            moved.r.q[None], moved.p[None], 0.5))
         rm = dg.r.matrix()
         assert np.max(np.abs(spin2 - rm @ spin)) < 1e-8  # spin: rotation only
         cross = np.cross(dg.p, rm @ s_nu)  # orbital picks up the lever-arm term
@@ -340,7 +342,7 @@ def _stacks(poses):
 
 @pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
 def test_model_score_batch_matches_assembled_score(toy, rng, branches):
-    from se3diffuse.fields import score_design_matrix
+    import se3diffuse.fields as fields
 
     model = toy.model
     query = build_query_set(toy.grasp, model)
@@ -350,13 +352,13 @@ def test_model_score_batch_matches_assembled_score(toy, rng, branches):
         poses = _poses_near_demos(toy, rng, 8)
         batch = score.score_batch(*_stacks(poses), float(t))
         assert batch.shape == (8, 6)
-        for g, row in zip(poses, batch):
+        # the design rows contract per path
+        design = fields._design_rows(score, *_stacks(poses), float(t))
+        for g, row, block in zip(poses, batch, design):
             ref = assemble_score(g, toy.scene, toy.grasp, float(t), 0.8, query, model).as_array()
             assert np.linalg.norm(ref) > 0.0
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
-            # the design matrix contracts per path
-            design = score_design_matrix(g, toy.scene, toy.grasp, float(t), 0.8, query, model)
-            assert np.max(np.abs(design @ stacked - ref)) <= 1e-10 * np.max(np.abs(ref))
+            assert np.max(np.abs(block @ stacked - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_model_score_batch_of_one_equals_row(toy, rng):
@@ -407,9 +409,9 @@ def test_model_score_evaluates_grasp_field_once_per_params(toy, rng, monkeypatch
     calls = []
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t, frames=None):
+    def counting(xs, pc, params, gates, frames=None):
         calls.append((pc is toy.grasp, params))
-        return real(xs, pc, params, t, frames)
+        return real(xs, pc, params, gates, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
     model = toy.model
@@ -443,7 +445,7 @@ def test_model_score_makes_no_wigner_d_or_rep_apply_call(toy, rng, monkeypatch, 
     for name in ("wigner_d", "rep_apply_batch"):
         monkeypatch.setattr(irreps, name, counting(name))
     score.score_batch(q, p, 0.5)
-    fields._design_matrix(score, toy.demo_poses[0], 0.5)
+    fields._design_rows(score, q, p, np.linspace(0.01, 1.0, 5))
     # the scene is taken into each body frame, so no field is rotated
     assert calls == []
     irreps.rep_apply(model.scene.layout, toy.demo_poses[0].r,
@@ -602,19 +604,40 @@ def test_model_score_validation(toy):
     assert out.shape == (3, 6) and np.all(out == 0.0)
 
 
-def test_score_design_matrix_matches_assembled_score(toy, rng):
-    from se3diffuse.fields import score_design_matrix
+def _linearity_reference(toy, query, model, length_unit, q, p, t):
+    """(N, 6, n_nu + n_omega) design rows: column j is the score at weights e_j."""
+    n_nu = model.weights_nu.size
+    cols = []
+    for e in np.eye(2 * n_nu):
+        score = ModelScore(toy.scene, toy.grasp, length_unit, query,
+                           replace(model, weights_nu=e[:n_nu], weights_omega=e[n_nu:]))
+        cols.append([score.score_batch(q[k:k + 1], p[k:k + 1], float(t[k]))[0]
+                     for k in range(q.shape[0])])
+    return np.moveaxis(np.array(cols), 0, 2)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+@pytest.mark.parametrize("times", ["per-row", "scalar"])
+def test_design_rows_match_the_linearity_reference(toy, rng, n, times):
+    import se3diffuse.fields as fields
 
     model = toy.model
     query = build_query_set(toy.grasp, model)
-    for _ in range(5):
-        g = compose(toy.demo_poses[0],
-                    exp_se3(Twist(0.2 * rng.standard_normal(3),
-                                  0.2 * rng.standard_normal(3))))
-        a = score_design_matrix(g, toy.scene, toy.grasp, 0.5, 1.0, query, model)
-        stacked = np.concatenate([model.weights_nu, model.weights_omega])
-        direct = assemble_score(g, toy.scene, toy.grasp, 0.5, 1.0, query, model).as_array()
-        assert np.allclose(a @ stacked, direct, atol=1e-10)
+    q, p = _stacks(_poses_near_demos(toy, rng, n))
+    far = np.arange(n) % 8 == 7  # no scene point within the cutoff of any query point
+    p[far] += 50.0
+    # log-uniform over [1e-3, 1]: rows near each gate centre (log t = -3 and 0) and between
+    t = np.exp(rng.uniform(np.log(1e-3), 0.0, n)) if times == "per-row" else 0.3
+    rows = fields._design_rows(ModelScore(toy.scene, toy.grasp, 0.8, query, model), q, p, t)
+    ref = _linearity_reference(toy, query, model, 0.8, q, p, np.broadcast_to(t, (n,)))
+    assert rows.shape == (n, 6, 2 * model.weights_nu.size)
+    assert np.all(rows[far] == 0.0) and np.all(np.any(rows[~far] != 0.0, axis=(1, 2)))
+    assert np.max(np.abs(rows - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _fit_stacks(toy, rng, n):
+    q, p = _stacks(_poses_near_demos(toy, rng, n))
+    return q, p, rng.uniform(0.1, 1.0, n)
 
 
 def test_fit_path_weights_recovers_model_scores(toy, rng):
@@ -622,25 +645,16 @@ def test_fit_path_weights_recovers_model_scores(toy, rng):
 
     truth = toy.model
     query = build_query_set(toy.grasp, truth)
-    poses_times = []
-    targets = []
-    for _ in range(40):
-        g = compose(toy.demo_poses[int(rng.integers(3))],
-                    exp_se3(Twist(0.3 * rng.standard_normal(3),
-                                  0.3 * rng.standard_normal(3))))
-        t = float(rng.uniform(0.1, 1.0))
-        poses_times.append((g, t))
-        targets.append(assemble_score(g, toy.scene, toy.grasp, t, 1.0, query, truth).as_array())
-    start = ScoreModelParams(
-        scene=truth.scene, grasp=truth.grasp,
-        weights_nu=np.zeros_like(truth.weights_nu),
-        weights_omega=np.zeros_like(truth.weights_omega),
-        weight_field=truth.weight_field, query_count=truth.query_count)
-    fitted = fit_path_weights(poses_times, np.stack(targets), toy.scene, toy.grasp,
-                              1.0, query, start)
-    for g, t in poses_times[:8]:
-        a = assemble_score(g, toy.scene, toy.grasp, t, 1.0, query, fitted).as_array()
-        b = assemble_score(g, toy.scene, toy.grasp, t, 1.0, query, truth).as_array()
+    q, p, t = _fit_stacks(toy, rng, 40)
+    targets = np.stack([ModelScore(toy.scene, toy.grasp, 1.0, query, truth).score_batch(
+        q[k:k + 1], p[k:k + 1], t[k])[0] for k in range(40)])
+    start = replace(truth, weights_nu=np.zeros_like(truth.weights_nu),
+                    weights_omega=np.zeros_like(truth.weights_omega))
+    fitted = fit_path_weights(q, p, t, targets, toy.scene, toy.grasp, 1.0, query, start)
+    for k in range(8):
+        g = Pose(p[k], Rotation(q[k]))
+        a = assemble_score(g, toy.scene, toy.grasp, t[k], 1.0, query, fitted).as_array()
+        b = assemble_score(g, toy.scene, toy.grasp, t[k], 1.0, query, truth).as_array()
         assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -649,29 +663,47 @@ def test_fit_path_weights_evaluates_the_grasp_field_once(toy, rng, monkeypatch):
 
     model = toy.model
     query = build_query_set(toy.grasp, model)
-    poses_times = [(random_pose(rng), float(rng.uniform(0.1, 1.0))) for _ in range(6)]
-    calls = {"grasp": 0}
+    calls = []
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t, frames=None):
-        calls["grasp"] += pc is toy.grasp
-        return real(xs, pc, params, t, frames)
+    def counting(xs, pc, params, gates, frames=None):
+        calls.append("grasp" if pc is toy.grasp else "scene")
+        return real(xs, pc, params, gates, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
-    fields.fit_path_weights(poses_times, rng.standard_normal((6, 6)), toy.scene, toy.grasp,
-                            1.0, query, model)
-    assert calls["grasp"] == 1
+    n_gates = len(model.scene.time_gate_centers)
+    for n in (1, 6, 40):
+        calls.clear()
+        q, p, t = _fit_stacks(toy, rng, n)
+        fields.fit_path_weights(q, p, t, rng.standard_normal((n, 6)), toy.scene, toy.grasp,
+                                1.0, query, model)
+        # one grasp pass, then one scene pass per time gate, whatever the row count
+        assert calls == ["grasp"] + ["scene"] * n_gates
 
 
 def test_fit_path_weights_solves_on_the_design_matrix_rows(toy, rng):
-    from se3diffuse.fields import fit_path_weights, score_design_matrix
+    import se3diffuse.fields as fields
 
     model = toy.model
     query = build_query_set(toy.grasp, model)
-    poses_times = [(random_pose(rng), float(rng.uniform(0.1, 1.0))) for _ in range(4)]
+    q, p, t = _fit_stacks(toy, rng, 4)
     targets = rng.standard_normal((4, 6))
-    fitted = fit_path_weights(poses_times, targets, toy.scene, toy.grasp, 1.0, query, model)
-    a = np.concatenate([score_design_matrix(g, toy.scene, toy.grasp, t, 1.0, query, model)
-                        for g, t in poses_times])
+    fitted = fields.fit_path_weights(q, p, t, targets, toy.scene, toy.grasp, 1.0, query, model)
+    a = fields._design_rows(ModelScore(toy.scene, toy.grasp, 1.0, query, model), q, p, t)
+    a = a.reshape(-1, a.shape[2])
     sol = np.linalg.solve(a.T @ a + 1e-10 * np.eye(a.shape[1]), a.T @ targets.reshape(-1))
     assert np.array_equal(np.concatenate([fitted.weights_nu, fitted.weights_omega]), sol)
+
+
+def test_fit_path_weights_rejects_bad_rows(toy, rng):
+    from se3diffuse.fields import fit_path_weights
+
+    query = build_query_set(toy.grasp, toy.model)
+    q, p, t = _fit_stacks(toy, rng, 3)
+    targets = np.zeros((3, 6))
+    for bad_q, bad_p, bad_t in ((q, p, np.array([0.5, 0.0, 0.5])),
+                                (q, np.where(np.arange(3)[:, None] == 1, np.nan, p), t),
+                                (2.0 * q, p, t)):
+        with pytest.raises(ValueError, match="finite poses"):
+            fit_path_weights(bad_q, bad_p, bad_t, targets, toy.scene, toy.grasp, 1.0, query,
+                             toy.model)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -386,6 +387,29 @@ def test_image_sum_is_one_at_small_angles_down_to_eps_1e_308(eps):
     r = _kernels.closed_r(np.array([0.0, eps, 1e-3]), eps)
     assert np.all(np.abs(r - 1.0) <= 2.3e-16), r
     assert abs(_kernels.closed_r(np.array([math.pi]), eps)[0] - 2.0) <= 4.5e-16
+
+
+def test_log_density_is_minus_inf_where_its_exponent_overflows():
+    # theta^2 / (4 eps) = 2.47e308 at theta = pi: the true log density is beyond the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert igso3_log_density(math.pi, IgParams(eps=1e-308)) == -math.inf
+        assert igso3_density(math.pi, IgParams(eps=1e-308)) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-210, 1e-300, 2.3e-308])
+def test_angle_pdf_is_finite_where_the_density_at_zero_overflows(eps):
+    # f(0) ~ eps^-3/2 leaves the double range below eps ~ 1e-206; the pdf ~ eps^-1/2 does not
+    params = IgParams(eps=eps)
+    grid, cdf = angle_cdf_quadrature(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf = angle_pdf(grid, params)
+    assert pdf[0] == 0.0 and np.all(np.isfinite(pdf)) and np.all(np.isfinite(cdf))
+    # for small eps the angle / sqrt(2 eps) is chi(3), with its mode at sqrt(2)
+    mode = math.sqrt(2.0) * math.sqrt(2.0 * eps)
+    chi3_peak = math.sqrt(2.0 / math.pi) * 2.0 * math.exp(-1.0) / math.sqrt(2.0 * eps)
+    assert abs(angle_pdf(mode, params) / chi3_peak - 1.0) < 1e-12
 
 
 def mp_images(theta, eps, k_max=10):

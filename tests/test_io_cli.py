@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from se3diffuse.cli import main
 from se3diffuse.io import ParseError, read_keyvalue, read_point_cloud, read_poses, write_point_cloud, write_poses
@@ -345,10 +350,10 @@ def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, mo
     calls = {}
     real = fields._edf_batch
 
-    def counting(xs, pc, params, t, frames=None):
+    def counting(xs, pc, params, gates, frames=None):
         if len(pc) == len(scn.grasp):
             calls[id(params)] = calls.get(id(params), 0) + 1
-        return real(xs, pc, params, t, frames)
+        return real(xs, pc, params, gates, frames)
 
     monkeypatch.setattr(fields, "_edf_batch", counting)
     assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),
@@ -356,6 +361,43 @@ def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, mo
                  "--seed", "3"]) == 0
     # one query-weight field and one grasp field, each evaluated once per run
     assert sorted(calls.values()) == [1, 1]
+
+
+def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monkeypatch):
+    import se3diffuse.cli as cli
+
+    base = make_toy_scenario(seed=4)
+
+    def scaled(edf):
+        return dataclasses.replace(edf, cutoff=2.0 * edf.cutoff,
+                                   radial_widths=tuple(2.0 * w for w in edf.radial_widths))
+
+    model = base.model
+    doubled = dataclasses.replace(
+        base, scene=PointCloud(2.0 * base.scene.positions, base.scene.colors),
+        grasp=PointCloud(2.0 * base.grasp.positions, base.grasp.colors),
+        demo_poses=tuple(Pose(2.0 * g.p, g.r) for g in base.demo_poses),
+        config=dataclasses.replace(base.config, r=2.0 * base.config.r, L=2.0),
+        model=dataclasses.replace(model, scene=scaled(model.scene), grasp=scaled(model.grasp),
+                                  weight_field=scaled(model.weight_field)))
+    scores = []
+    real = cli.run_denoising
+
+    def capture(score, *args, **kwargs):
+        scores.append(score)
+        return real(score, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_denoising", capture)
+    for name, scn in (("base", base), ("doubled", doubled)):
+        path = write_scenario(tmp_path / name, scn)
+        assert main(["denoise", "--scenario", str(path), "--score", "model", "--chains", "1",
+                     "--out", str(tmp_path / f"{name}.txt"), "--seed", "1"]) == 0
+    # the same non-dimensional poses near the demos score the same in both units
+    q = np.stack([g.r.q for g in base.demo_poses])
+    p = np.stack([g.p for g in base.demo_poses]) + 0.05
+    want = scores[0].score_batch(q, p, 0.3)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.array_equal(scores[1].score_batch(q, p, 0.3), want)
 
 
 def test_cmd_denoise_missing_model_params_is_usage_error(tmp_path):
@@ -448,6 +490,51 @@ def test_cmd_sample_igso3_deterministic(tmp_path):
 def test_cmd_sample_igso3_rejects_bad_eps(tmp_path):
     assert main(["sample-igso3", "--eps", "-1.0", "--n", "10",
                  "--out", str(tmp_path / "x.txt"), "--seed", "0"]) == 2
+
+
+def _sample_igso3(eps, out, n):
+    """(exit status, stderr lines, ks_statistic or None) of one sample-igso3 run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["sample-igso3", "--eps", repr(eps), "--n", str(n), "--out", str(out),
+                     "--seed", "1"])
+    ks = None
+    if code == 0:
+        line = next(l for l in out.read_text().splitlines() if l.startswith("# ks_statistic"))
+        ks = float(line.split("=")[1])
+    return code, err.getvalue().splitlines(), ks
+
+
+@pytest.mark.parametrize("eps", [1e-210, 2.3e-308])
+def test_cmd_sample_igso3_ks_where_the_density_at_zero_overflows(tmp_path, eps):
+    code, err, ks = _sample_igso3(eps, tmp_path / "rots.txt", 2000)
+    assert code == 0 and err == []
+    # the KS of these draws at eps = 1e-4, where nothing overflows (chi(3) scales with sqrt(eps))
+    assert abs(ks - _sample_igso3(1e-4, tmp_path / "ref.txt", 2000)[2]) < 1e-4
+
+
+def test_cmd_sample_igso3_refuses_a_subnormal_eps(tmp_path):
+    code, err, _ = _sample_igso3(5e-324, tmp_path / "rots.txt", 10)
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: --eps 5e-324")
+    assert not (tmp_path / "rots.txt").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@example(log_eps=math.log(5e-324))
+@example(log_eps=math.log(2.3e-308))
+@example(log_eps=math.log(1e-210))
+@example(log_eps=math.log(1e3))
+@given(log_eps=st.floats(math.log(5e-324), math.log(1e3)))
+def test_cmd_sample_igso3_exits_0_with_a_finite_ks_or_2_with_one_error_line(tmp_path_factory,
+                                                                             log_eps):
+    eps = max(math.exp(log_eps), 5e-324)
+    code, err, ks = _sample_igso3(eps, tmp_path_factory.mktemp("igso3") / "rots.txt", 200)
+    if code == 0:
+        assert err == [] and math.isfinite(ks)
+    else:
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, message", [
