@@ -27,11 +27,17 @@ import numpy as np
 from .series import PI_LO
 
 K_IMAGES = 3
+EPS_FLOOR = 1e-300
 
-_K = np.arange(1, K_IMAGES + 1, dtype=np.float64)
+# Image constants are columns: an image sum over M angles is a (K_IMAGES, M)
+# array, summed over its first axis.
+_K = np.arange(1, K_IMAGES + 1, dtype=np.float64)[:, None]
 _SIGN = np.where(_K % 2.0 == 0.0, 1.0, -1.0)  # (-1)^k
 _PK = math.pi * _K
-_J = np.arange(K_IMAGES, dtype=np.float64)
+_NEG_PK = -_PK
+_TWO_PK = 2.0 * _PK
+_LEVER = 4.0 * _PK * _PK
+_J = np.arange(K_IMAGES, dtype=np.float64)[:, None]
 _JSIGN = np.where(_J % 2.0 == 0.0, 1.0, -1.0)  # (-1)^j
 _CJ = (2.0 * _J + 1.0) * math.pi
 
@@ -51,20 +57,19 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return np.where(pos, -np.expm1(-x) / np.where(pos, x, 1.0), 1.0)
 
 
-def _near_images(theta: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
-    """theta[..., None], E_k, E_{-k} and (2 pi k / theta)(E_{-k} - E_k) for k = 1..K_IMAGES.
+def _near_images(theta: np.ndarray, eps) -> tuple[np.ndarray, ...]:
+    """E_k, E_{-k} and (2 pi k / theta)(E_{-k} - E_k), k = 1..K_IMAGES, at 1-D theta.
 
     The last is formed without dividing by theta, so it stays accurate
     down to theta = 0.
     """
-    th = theta[..., None]
-    ep = _image_exp(-_PK * (_PK + th) / eps)
-    xm = -_PK * (_PK - th) / eps
+    ep = _image_exp(_NEG_PK * (_PK + theta) / eps)
+    xm = _NEG_PK * (_PK - theta) / eps
     em = _image_exp(xm)
     # Where E_{-k} is floored the true lever is below 24 * 700 e^-700, but the
     # floor times the prefactor 4 pi^2 k^2 / eps is not below eps ~ 1e-290.
-    lever = np.where(xm < -700.0, 0.0, (4.0 * _PK * _PK / eps) * em * _phi(2.0 * _PK * th / eps))
-    return th, ep, em, lever
+    lever = np.where(xm < -700.0, 0.0, (_LEVER / eps) * em * _phi(_TWO_PK * theta / eps))
+    return ep, em, lever
 
 
 def _near_r(ep: np.ndarray, em: np.ndarray, lever: np.ndarray) -> np.ndarray:
@@ -73,24 +78,23 @@ def _near_r(ep: np.ndarray, em: np.ndarray, lever: np.ndarray) -> np.ndarray:
     S = sum_k (-1)^k u_k E_k is the image sum with e^{-theta^2/(4 eps)}
     factored out.
     """
-    return 1.0 + np.sum(_SIGN * (ep + em - lever), axis=-1)
+    return 1.0 + np.sum(_SIGN * (ep + em - lever), axis=0)
 
 
-def _far_sums(theta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """S and S', images j and -1-j paired about theta = pi.
+def _far_sums(th: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """S and S' at 1-D theta, images j and -1-j paired about theta = pi.
 
     With psi = pi - theta and c_j = (2j + 1) pi the pair's images are
     c_j - psi and -(c_j + psi); S' is then a sum of terms proportional to
     psi, accurate as theta -> pi where it vanishes.
     """
-    th = theta[..., None]
     psi = (math.pi - th) + PI_LO
     a = _image_exp(-math.pi * _J * (th + math.pi * _J) / eps)  # E_j
     x = _CJ * psi / eps
     b = _image_exp(-x)  # E_{-1-j} / E_j
-    s = np.sum(_JSIGN * a * ((th + 2.0 * math.pi * _J) + (_CJ + psi) * b), axis=-1)
+    s = np.sum(_JSIGN * a * ((th + 2.0 * math.pi * _J) + (_CJ + psi) * b), axis=0)
     ds = np.sum(_JSIGN * a * (-(1.0 - (_CJ * _CJ + psi * psi) / (2.0 * eps)) * np.expm1(-x)
-                              + x * (1.0 + b)), axis=-1)
+                              + x * (1.0 + b)), axis=0)
     return s, ds
 
 
@@ -102,12 +106,13 @@ def _log_prefactor(eps: float) -> float:
 def closed_r(theta: np.ndarray, eps) -> np.ndarray:
     """R = S/theta at theta in [0, pi], with the k = 0 Gaussian factored out of S.
 
-    eps is a scalar or, for a 1-D theta, a column of one value per angle.
-    Below eps = 1e-300 R is taken at 1e-300: there every image k != 0 is
+    eps is a scalar or, for a 1-D theta, one value per angle.  Below
+    eps = EPS_FLOOR R is taken at EPS_FLOOR: there every image k != 0 is
     below e^-700 except at theta = pi, where R = 2 at any eps, and the
     levers 4 pi^2 k^2 / eps would overflow.
     """
-    return _near_r(*_near_images(np.asarray(theta, dtype=np.float64), np.maximum(eps, 1e-300))[1:])
+    theta = np.asarray(theta, dtype=np.float64)
+    return _near_r(*_near_images(theta.reshape(-1), np.maximum(eps, EPS_FLOOR))).reshape(theta.shape)
 
 
 def _over_sin(theta: np.ndarray) -> np.ndarray:
@@ -126,19 +131,6 @@ def closed_f(theta: np.ndarray, eps: float) -> np.ndarray:
     return np.exp(_log_prefactor(eps) - gauss) * _over_sin(theta) * r
 
 
-def closed_log_f(theta: np.ndarray, eps: float) -> np.ndarray:
-    """log of the density at theta in [0, pi], summed in log space.
-
-    log(prefactor) - theta^2/(4 eps) + log(theta R / sin(theta/2)), finite
-    where the density itself underflows (theta^2/(4 eps) above about 745),
-    and -inf where theta^2/(4 eps) itself overflows.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        gauss = theta * theta / (4.0 * eps)
-    return _log_prefactor(eps) - gauss + np.log(_over_sin(theta) * closed_r(theta, eps))
-
-
 def _h(theta: np.ndarray) -> np.ndarray:
     """1/theta - cot(theta/2)/2 for theta in (0, pi], by its Taylor series below theta = 0.2."""
     x = 0.5 * theta
@@ -149,24 +141,55 @@ def _h(theta: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, 1.0 - xs / np.tan(xs)) / theta
 
 
-def closed_ratio(theta: np.ndarray, eps: float) -> np.ndarray:
-    """f'/f at theta in (0, pi].
+def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
+                       theta_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """log f at 1-D theta in [0, pi] and f'/f at min(theta, theta_max), from one image pass.
 
-    Up to pi/2 this is D/(theta R) + 1/theta - cot(theta/2)/2, with
-    D = S' - S/theta and S' = sum_k (-1)^k (1 - u_k^2/(2 eps)) E_k; pairing
-    k with -k leaves no 1/theta in D.  Beyond pi/2 it is
-    S'/S - tan(psi/2)/2, whose two terms both vanish at pi instead of
-    cancelling there as 1/theta and -1/theta would.
+    log f is summed in log space, log(prefactor) - theta^2/(4 eps)
+    + log(theta R / sin(theta/2)): finite where the density itself
+    underflows (theta^2/(4 eps) above about 745), and -inf where
+    theta^2/(4 eps) itself overflows.
+
+    f'/f is the small-angle slope -c(eps) theta below theta_small
+    (``closed_moment``).  Up to pi/2 it is D/(theta R) + 1/theta
+    - cot(theta/2)/2, with D = S' - S/theta and
+    S' = sum_k (-1)^k (1 - u_k^2/(2 eps)) E_k, from the images of log f;
+    pairing k with -k leaves no 1/theta in D.  Beyond pi/2, where alone the
+    far image sums are evaluated, it is S'/S - tan(psi/2)/2, whose two
+    terms both vanish at pi instead of cancelling there as 1/theta and
+    -1/theta would.  Below EPS_FLOOR, where every image but k = 0 is below
+    e^-700 of it on [theta_small, theta_max] and the far sums' 1/eps
+    factors would overflow, it is the k = 0 image's -theta/(2 eps) + 1/theta
+    - cot(theta/2)/2.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    far = theta > 0.5 * math.pi
-    th, ep, em, lever = _near_images(theta, eps)
-    quad = ((th + 2.0 * _PK) ** 2 * ep + (th - 2.0 * _PK) ** 2 * em) / (2.0 * eps)
-    d = -theta * theta / (2.0 * eps) + np.sum(_SIGN * (lever - quad), axis=-1)
-    near_ratio = d / (theta * _near_r(ep, em, lever)) + _h(theta)
-    s, ds = _far_sums(theta, eps)
-    psi = (math.pi - theta) + PI_LO
-    return np.where(far, ds / s - 0.5 * np.tan(0.5 * psi), near_ratio)
+    ep, em, lever = _near_images(theta, max(eps, EPS_FLOOR))
+    r = _near_r(ep, em, lever)
+    with np.errstate(over="ignore"):
+        gauss = theta * theta / (4.0 * eps)
+    log_f = _log_prefactor(eps) - gauss + np.log(_over_sin(theta) * r)
+    small = theta < theta_small
+    ts = np.where(small, 1.0, theta)
+    if eps < EPS_FLOOR:
+        tc = np.minimum(ts, theta_max)
+        ratio = -tc / (2.0 * eps) + _h(tc)
+    else:
+        quad = ((theta + _TWO_PK) ** 2 * ep + (theta - _TWO_PK) ** 2 * em) / (2.0 * eps)
+        d = -theta * theta / (2.0 * eps) + np.sum(_SIGN * (lever - quad), axis=0)
+        ratio = d / (ts * r) + _h(ts)
+        far = theta > 0.5 * math.pi
+        if far.any():
+            tf = np.minimum(theta[far], theta_max)
+            s, ds = _far_sums(tf, eps)
+            ratio[far] = ds / s - 0.5 * np.tan(0.5 * ((math.pi - tf) + PI_LO))
+    if small.any():
+        ratio = np.where(small, -closed_moment(eps) * theta, ratio)
+    return log_f, ratio
+
+
+def closed_ratio(theta: np.ndarray, eps: float) -> np.ndarray:
+    """f'/f at 1-D theta in (0, pi], the ratio of ``closed_log_f_ratio`` with no clamp."""
+    return closed_log_f_ratio(theta, eps, 0.0, math.pi)[1]
 
 
 def closed_moment(eps: float) -> float:
@@ -174,9 +197,12 @@ def closed_moment(eps: float) -> float:
 
     From the theta^2 terms of D and the theta = 0 value of R:
     c = -D_2 / R_0 - 1/12, where 1/12 is the slope of 1/theta - cot(theta/2)/2.
+    Images below e^-700 are left out: they are far below rounding against
+    the k = 0 terms, and their eps^-3 factors overflow at tiny eps.
     """
-    a = _SIGN * _image_exp(-_PK * _PK / eps)
-    p2 = _PK * _PK
+    keep = _PK[:, 0] * _PK[:, 0] <= 700.0 * eps
+    p2 = _PK[keep, 0] * _PK[keep, 0]
+    a = _SIGN[keep, 0] * np.exp(-p2 / eps)
     r0 = 1.0 + float(np.sum(a * (2.0 - 4.0 * p2 / eps)))
     d2 = -0.5 / eps + float(np.sum(a * (-(4.0 / 3.0) * p2 * p2 / eps**3 + 4.0 * p2 / eps**2 - 1.0 / eps)))
     return -d2 / r0 - 1.0 / 12.0

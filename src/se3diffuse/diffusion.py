@@ -29,15 +29,12 @@ from .lie import (
     Pose,
     Rotation,
     Twist,
-    cross,
     finite_poses,
     inverse,
     quat_conj,
     quat_exp,
-    quat_log,
     quat_mul,
     quat_rotate,
-    quat_to_matrix,
     quat_unit,
 )
 from .pointcloud import PointCloud, pair_offsets, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
@@ -118,15 +115,22 @@ _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY_CONJ = quat_conj(_IDENTITY_Q)
 _ZERO = np.zeros(3)
 _UPPER = np.triu_indices(3)
-# the feature column of each entry of k k^T: upper(k k^T) follows [1, k]
+# cross(a, b)_i = a_NEXT[i] b_PREV[i] - a_PREV[i] b_NEXT[i]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+# row-major entries of a rotation matrix from [diagonal, (NEXT, PREV) entries, (PREV, NEXT) entries]
+_MATRIX_ORDER = np.array([0, 5, 7, 8, 1, 3, 4, 6, 2])
+# the feature columns of rows m = 0..2 of k k^T at entries NEXT and PREV: upper(k k^T) follows [1, k]
 _OUTER_COLUMN = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_OUTER_NEXT = _OUTER_COLUMN[:, _NEXT]
+_OUTER_PREV = _OUTER_COLUMN[:, _PREV]
 
 
 class _Components(NamedTuple):
     """Kernel components: (demo, grasp point) pairs, each demo's padded to K slots.
 
     ``q0inv`` (D, 4) and ``p0inv`` (D, 3) are the inverse demo poses,
-    ``points`` (3, D, K) the coordinates of the grasp point k of each
+    ``points`` (D, 3, K) the coordinates of the grasp point k of each
     component, ``logw`` (D, K) its log weight, -inf in the unused slots,
     and ``features`` (D, K, 10) its row [1, k, upper(k k^T)], whose
     weighted sums are the per-demo moments of ``_kernel_score``.
@@ -145,7 +149,7 @@ def _components(q0inv: np.ndarray, p0inv: np.ndarray, points: np.ndarray,
     outer = points[..., :, None] * points[..., None, :]
     features = np.concatenate([np.ones(logw.shape + (1,)), points, outer[..., _UPPER[0], _UPPER[1]]],
                               axis=-1)
-    return _Components(q0inv, p0inv, np.ascontiguousarray(np.moveaxis(points, -1, 0)), logw, features)
+    return _Components(q0inv, p0inv, np.ascontiguousarray(np.swapaxes(points, -1, -2)), logw, features)
 
 
 def _single_component(q0inv: np.ndarray, p0inv: np.ndarray, point: np.ndarray) -> _Components:
@@ -344,47 +348,111 @@ def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: Point
     return _components(np.stack([g.r.q for g in inv]), np.stack([g.p for g in inv]), points, logw)
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v over stacks of 3x3 matrices and 3-vectors, elementwise (no BLAS)."""
-    return (m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
-            + m[..., 2] * v[..., None, 2])
+def _quat_products(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``quat_mul(a[d], q[n])`` for every pair, bit for bit, as (D, N) w and (D, 3, N) v.
+
+    Each entry product a_i q_j is formed once, and the cross product is
+    taken from those by index.
+    """
+    ab = a[:, :, None, None] * q.T  # (D, 4, 4, N)
+    w = ab[:, 0, 0] - ((ab[:, 1, 1] + ab[:, 2, 2]) + ab[:, 3, 3])
+    v = (ab[:, 0, 1:] + ab[:, 1:, 0]) + (ab[:, 1 + _NEXT, 1 + _PREV] - ab[:, 1 + _PREV, 1 + _NEXT])
+    return w, v
+
+
+def _rotation_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``quat_to_matrix`` of (D, N) w and (D, 3, N) v, bit for bit, as (D, 3, 3, N).
+
+    The sign of the quaternion cancels in every product.
+    """
+    vv = v * v
+    c = v[:, _NEXT] * v[:, _PREV]
+    wv = w[:, None] * v
+    rm = np.concatenate([1.0 - 2.0 * (vv[:, _NEXT] + vv[:, _PREV]), 2.0 * (c - wv), 2.0 * (c + wv)], axis=1)
+    return rm[:, _MATRIX_ORDER].reshape(w.shape[0], 3, 3, -1)
+
+
+def _rotation_vectors(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``quat_log`` of (D, N) w and (D, 3, N) v and its norm, bit for bit.
+
+    The quaternion is flipped to w >= 0 by the sign of its coefficient.
+    """
+    vv = v * v
+    s = np.sqrt((vv[:, 0] + vv[:, 1]) + vv[:, 2])
+    wc = np.abs(w)
+    small = s < 1e-9
+    coef = np.where(small, 2.0 / np.where(wc == 0.0, 1.0, wc), 2.0 * np.arctan2(s, wc) / np.where(small, 1.0, s))
+    rotvec = np.where(w < 0.0, -coef, coef)[:, None] * v
+    rr = rotvec * rotvec
+    return rotvec, np.sqrt((rr[:, 0] + rr[:, 1]) + rr[:, 2])
+
+
+def _frames(q: np.ndarray, p: np.ndarray, comps: _Components):
+    """Kernel frames g_m = g0_d^-1 g per demo and pose, demo-major.
+
+    Returns R_m (D, 3, 3, N), p_m (D, 3, N), and the rotation vectors
+    (D, 3, N) and angles (D, N) of R_m.  Bit for bit these are
+    ``quat_to_matrix``, ``quat_rotate(q0inv, p) + p0inv``, ``quat_log`` and
+    the norm of the rotation vector, of ``quat_mul(q0inv, q)``.
+    """
+    a = comps.q0inv
+    w, v = _quat_products(a, q)
+    rotvec, theta = _rotation_vectors(w, v)
+    # quat_rotate(q0inv, p): t = 2 (a_v x p), then p + a_w t + a_v x t
+    av = a[:, 1:, None]
+    ap = a[:, 1:, None, None] * p.T  # (D, 3, 3, N): a_i p_j
+    t = 2.0 * (ap[:, _NEXT, _PREV] - ap[:, _PREV, _NEXT])
+    pm = ((p.T + a[:, :1, None] * t) + (av[:, _NEXT] * t[:, _PREV] - av[:, _PREV] * t[:, _NEXT])
+          + comps.p0inv[:, :, None])
+    return _rotation_matrices(w, v), pm, rotvec, theta
 
 
 def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
-    """Kernel frames per (pose, demo) and log terms per component.
+    """Kernel frames per demo and pose, and log terms per component, demo-major.
 
     The kernel argument of component (d, k) is h = T(-k) g0_d^-1 g T(k),
     with rotation R_m of g_m = g0_d^-1 g and translation
-    p_h = p_m + R_m k - k.  Returns R_m (N, D, 3, 3), p_m (N, D, 3), the
-    rotation vectors (N, D, 3) and angles (N, D) of R_m, and the (N, D, K)
-    log terms log w_k + log N(p_h; 0, tI) + log f(theta), the rotational
-    density taken in log space once per pose and demo.
+    p_h = p_m + R_m k - k.  Returns the frames of ``_frames``, the (D, N)
+    IGSO(3) score ratios f'/f of the angles, and the (D, K, N) log terms
+    log w_k + log N(p_h; 0, tI) + log f(theta): the rotational density and
+    its ratio are taken once per demo and pose
+    (``igso3.igso3_log_density_and_ratio``), and |p_h|^2 one coordinate at
+    a time over every component and pose, into reused buffers, as
+    sum_i ((R_i0 k_0 + R_i1 k_1 + R_i2 k_2) + p_m,i - k_i)^2 in that order,
+    which fixes the bits of ``kernel_log_density``.
     """
-    qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
-    pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
-    rotvec = quat_log(qm)
-    theta = np.linalg.norm(rotvec, axis=-1)
-    rm = quat_to_matrix(qm)
-    r = rm[..., None]
-    x, y, z = comps.points
-    p2 = 0.0
+    rm, pm, rotvec, theta = _frames(q, p, comps)
+    k = comps.points[:, :, :, None]  # (D, 3, K, 1)
+    ph, term, p2 = (np.empty(k.shape[:1] + k.shape[2:3] + q.shape[:1]) for _ in range(3))
     for i in range(3):
-        ph = pm[:, :, i, None] + (r[:, :, i, 0] * x + r[:, :, i, 1] * y + r[:, :, i, 2] * z) - comps.points[i]
-        p2 = p2 + ph * ph
-    log_f = igso3.igso3_log_density(np.minimum(theta, math.pi), _ig_params(t))
-    log_gauss = -1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)
-    return rm, pm, rotvec, theta, comps.logw + log_gauss + log_f[:, :, None]
+        r = rm[:, i, :, None]  # row i of R_m, (D, 3, 1, N)
+        np.multiply(r[:, 0], k[:, 0], out=ph)
+        ph += np.multiply(r[:, 1], k[:, 1], out=term)
+        ph += np.multiply(r[:, 2], k[:, 2], out=term)
+        ph += pm[:, i, None]
+        ph -= k[:, i]
+        if i == 0:
+            np.multiply(ph, ph, out=p2)
+        else:
+            p2 += np.multiply(ph, ph, out=ph)
+    log_f, ratio = igso3.igso3_log_density_and_ratio(np.minimum(theta, math.pi), _ig_params(t))
+    # logw + (-1.5 log(2 pi t) - p2 / (2t)) + log_f, formed in p2
+    p2 /= 2.0 * t
+    np.subtract(-1.5 * math.log(2.0 * math.pi * t), p2, out=p2)
+    p2 += comps.logw[:, :, None]
+    p2 += log_f[:, None]
+    return rm, pm, rotvec, theta, ratio, p2
 
 
 def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> np.ndarray:
-    """(N,) log sum over components of w_k B_t(h), by log-sum-exp."""
-    logs = _kernel_terms(q, p, comps, t)[-1]
+    """(N,) log sum over components of w_k B_t(h), by log-sum-exp over each pose's (D, K) terms."""
+    logs = np.ascontiguousarray(np.moveaxis(_kernel_terms(q, p, comps, t)[-1], -1, 0))
     m = np.max(logs, axis=(1, 2))
     return m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2)))
 
 
 def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
-    """(N, D) kernel angles and (N, 6) density-weighted mixture scores.
+    """(D, N) kernel angles and (N, 6) density-weighted mixture scores.
 
     Component (d, k) contributes [Ad_{T(k)}]^-T grad log B_t(h):
     s_nu = -R_m^T p_h / t = -(a_d + k - R_m^T k) / t with a_d = R_m^T p_m,
@@ -397,22 +465,27 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
         sum w s_om = sum_d (-(1/t) (K x a - vee(M R)) + W s_rot)
 
     with vee(X) = (X12 - X21, X20 - X02, X01 - X10) = sum_m M_m x R_m over
-    matching rows.  Kernel angles within 1e-6 of pi are clamped
+    matching rows.  The demo sums are one reduction over the first axis of
+    the stacked (D, 10, N) terms, which adds each pose's terms in the same
+    order in any batch.  Kernel angles within 1e-6 of pi are clamped
     (``igso3.score_ratio``).
     """
-    rm, pm, rotvec, theta, logs = _kernel_terms(q, p, comps, t)
-    moments = np.einsum("ndk,dkf->ndf", np.exp(logs - np.max(logs, axis=(1, 2), keepdims=True)),
-                        comps.features)
-    w, k = moments[..., :1], moments[..., 1:4]
-    rt = np.swapaxes(rm, -1, -2)
-    a = _matvec(rt, pm)
-    lin = w * a + k - _matvec(rt, k)
-    ang = cross(k, a) - np.sum(cross(moments[..., _OUTER_COLUMN], rm), axis=-2)
-    s_rot = igso3.igso3_score_batch(rotvec, theta, _ig_params(t))
-    total = np.sum(w, axis=1)
+    rm, pm, rotvec, theta, ratio, logs = _kernel_terms(q, p, comps, t)
+    logs -= np.max(logs, axis=(0, 1))
+    moments = np.einsum("dkf,dkn->dfn", comps.features, np.exp(logs, out=logs))
+    w, k = moments[:, :1], moments[:, 1:4]
+    a = (rm[:, 0] * pm[:, :1] + rm[:, 1] * pm[:, 1:2]) + rm[:, 2] * pm[:, 2:]
+    rt_k = (rm[:, 0] * k[:, :1] + rm[:, 1] * k[:, 1:2]) + rm[:, 2] * k[:, 2:]
+    terms = np.empty((w.shape[0], 10, w.shape[2]))
+    np.subtract(w * a + k, rt_k, out=terms[:, :3])
+    vee = np.sum(moments[:, _OUTER_NEXT] * rm[:, :, _PREV] - moments[:, _OUTER_PREV] * rm[:, :, _NEXT], axis=1)
+    np.subtract(k[:, _NEXT] * a[:, _PREV] - k[:, _PREV] * a[:, _NEXT], vee, out=terms[:, 3:6])
+    np.multiply((w[:, 0] * ratio / np.where(theta < 1e-12, 1.0, theta))[:, None], rotvec, out=terms[:, 6:9])
+    terms[:, 9] = w[:, 0]
+    sums = np.sum(terms, axis=0)
     out = np.empty((q.shape[0], 6))
-    out[:, :3] = np.sum(lin, axis=1) / (-t * total)
-    out[:, 3:] = (np.sum(ang, axis=1) / -t + np.sum(w * s_rot, axis=1)) / total
+    out[:, :3] = (sums[:3] / (-t * sums[9])).T
+    out[:, 3:] = ((sums[3:6] / -t + sums[6:9]) / sums[9]).T
     return theta, out
 
 

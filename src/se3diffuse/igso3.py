@@ -46,6 +46,7 @@ __all__ = [
     "IgParams",
     "igso3_density",
     "igso3_log_density",
+    "igso3_log_density_and_ratio",
     "igso3_sample",
     "igso3_sample_quats",
     "igso3_sample_rotvecs",
@@ -83,33 +84,37 @@ def _f(theta: np.ndarray, params: IgParams) -> np.ndarray:
     return _kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY)
 
 
-def _log_f(theta: np.ndarray, params: IgParams) -> np.ndarray:
-    if params.eps < EPS_SERIES:
-        return _kernels.closed_log_f(theta, params.eps)
-    # at eps >= EPS_SERIES the density is above 0.12 on all of [0, pi]
-    return np.log(_kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY))
-
-
-def _ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
-    """f'(theta)/f(theta) for theta in (0, pi]."""
-    if params.eps < EPS_SERIES:
-        return _kernels.closed_ratio(theta, params.eps)
-    return (_kernels.series_df(theta, params.eps, SERIES_LMAX)
-            / _kernels.series_f(theta, params.eps, SERIES_LMAX))
-
-
-def _moment(params: IgParams) -> float:
-    """Small-angle score slope c(eps): f'/f -> -c(eps) theta as theta -> 0."""
-    if params.eps < EPS_SERIES:
-        return _kernels.closed_moment(params.eps)
-    return _kernels.series_moment(params.eps, SERIES_LMAX)
-
-
 def _angles(theta) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
         raise ValueError("theta outside [0, pi]")
     return np.clip(th, 0.0, math.pi)
+
+
+def igso3_log_density_and_ratio(theta, params: IgParams) -> tuple[np.ndarray, np.ndarray]:
+    """log f(theta) and f'/f at angles theta in [0, pi], from one evaluation.
+
+    The first is ``igso3_log_density``, the second ``score_ratio``: angles
+    at or beyond THETA_MAX_SCORE take the ratio at that angle, and below
+    THETA_SMALL_SCORE it is the small-angle slope -c(eps) theta.  Below
+    EPS_SERIES both come from one pass over the images of the Poisson
+    resummation; at and above it, from one ``series_f`` evaluation, which
+    also takes the density at THETA_MAX_SCORE, and one ``series_df``.
+    """
+    th = _angles(theta)
+    eps = params.eps
+    if eps < EPS_SERIES:
+        log_f, ratio = _kernels.closed_log_f_ratio(th.reshape(-1), eps, THETA_SMALL_SCORE, THETA_MAX_SCORE)
+        return log_f.reshape(th.shape), ratio.reshape(th.shape)
+    f = _kernels.series_f(np.append(th, THETA_MAX_SCORE), eps, SERIES_LMAX, THETA_SMALL_DENSITY)
+    f_th = f[:-1].reshape(th.shape)
+    ratio = (_kernels.series_df(np.minimum(th, THETA_MAX_SCORE), eps, SERIES_LMAX)
+             / np.where(th > THETA_MAX_SCORE, f[-1], f_th))
+    small = th < THETA_SMALL_SCORE
+    if small.any():
+        ratio = np.where(small, -_kernels.series_moment(eps, SERIES_LMAX) * th, ratio)
+    # at eps >= EPS_SERIES the density is above 0.12 on all of [0, pi]
+    return np.log(f_th), ratio
 
 
 def igso3_density(theta, params: IgParams):
@@ -129,7 +134,7 @@ def igso3_log_density(theta, params: IgParams):
     -774.09 at theta = 2.8 and eps = 0.0025.  Same domain as
     ``igso3_density``.
     """
-    out = _log_f(_angles(theta), params)
+    out = igso3_log_density_and_ratio(theta, params)[0]
     return float(out) if np.isscalar(theta) else out
 
 
@@ -186,7 +191,7 @@ def _accept_gauss(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """
     theta = np.linalg.norm(v, axis=-1)
     th = np.minimum(theta, math.pi)
-    r = _kernels.closed_r(th, eps[:, None])
+    r = _kernels.closed_r(th, eps)
     return np.where(theta <= math.pi, r * _half_sin_over(th) / ENVELOPE, 0.0)
 
 
@@ -290,12 +295,10 @@ def score_ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
     """f'(theta)/f(theta) with the small-angle slope below 1e-3 rad.
 
     Angles at or beyond THETA_MAX_SCORE = pi - 1e-6 are pulled back to
-    that boundary, where the derivative vanishes smoothly.
+    that boundary, where the derivative vanishes smoothly.  The ratio of
+    ``igso3_log_density_and_ratio``.
     """
-    th = np.minimum(np.asarray(theta, dtype=np.float64), THETA_MAX_SCORE)
-    small = th < THETA_SMALL_SCORE
-    ratio = _ratio(np.where(small, 1.0, th), params)
-    return np.where(small, -_moment(params) * th, ratio)
+    return igso3_log_density_and_ratio(np.minimum(np.asarray(theta, dtype=np.float64), math.pi), params)[1]
 
 
 def igso3_score_batch(rotvec: np.ndarray, theta: np.ndarray, params: IgParams) -> np.ndarray:

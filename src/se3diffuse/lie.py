@@ -131,9 +131,21 @@ def quat_log(q: np.ndarray) -> np.ndarray:
 
 
 def quat_angle(q: np.ndarray) -> np.ndarray:
-    """Rotation angle in [0, pi], insensitive to the quaternion sign."""
+    """Rotation angle in [0, pi], insensitive to the quaternion sign.
+
+    The norm of the vector part goes through squares, which underflow
+    below about 1e-154; rows whose norm is below 1e-145 are scaled by
+    their largest component first, so their angles survive down to the
+    smallest subnormal, and every other row keeps the plain norm.
+    """
     q = np.asarray(q, dtype=np.float64)
-    s = np.linalg.norm(q[..., 1:], axis=-1)
+    v = q[..., 1:]
+    s = np.linalg.norm(v, axis=-1)
+    tiny = s < 1e-145
+    if np.any(tiny):
+        big = np.max(np.abs(v), axis=-1)
+        scale = np.where(tiny & (big > 0.0), big, 1.0)
+        s = np.where(tiny, scale * np.linalg.norm(v / scale[..., None], axis=-1), s)
     return 2.0 * np.arctan2(s, np.abs(q[..., 0]))
 
 
@@ -164,12 +176,15 @@ def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """(q, p, bad): the stacks with each pose that has a non-finite entry, or a
     quaternion whose norm is off 1 by more than 1e-3 (the ``Rotation`` rule), set
     to the identity, and the (N,) mask of those poses, whose score rows are NaN.
+    Stacks with no such pose come back as they are.
     """
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
         norm = np.sqrt(np.einsum("...j,...j->...", q, q))
     bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.isfinite(p).all(axis=-1))
+    if not bad.any():
+        return q, p, bad
     return np.where(bad[:, None], [1.0, 0.0, 0.0, 0.0], q), np.where(bad[:, None], 0.0, p), bad
 
 

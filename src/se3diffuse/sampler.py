@@ -34,17 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lie import (
-    Pose,
-    Rotation,
-    Twist,
-    cross,
-    quat_exp,
-    quat_mul,
-    quat_normalize,
-    quat_rotate,
-    quat_unit,
-)
+from .lie import Pose, Rotation, Twist, quat_unit
 
 __all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
 
@@ -104,31 +94,60 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     return AnnealSchedule(tuple(segs), eps, k1, k2, t, alpha, temperature)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lie.cross`` over the first axis of (3, N) stacks, in its operation order."""
+    a = np.concatenate([a, a[:2]])
+    b = np.concatenate([b, b[:2]])
+    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
+
+
 def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
                 temperature: float, noise: np.ndarray, integrator: str
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Langevin update on quaternion/translation stacks."""
-    xi = 0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise
-    nu, omega = xi[:, :3], xi[:, 3:]
+    """Vectorized Langevin update on quaternion/translation stacks.
+
+    Works on the transposed stacks, (3, N) vector parts and (N,) scalar
+    rows, with each cross product, Hamilton product, exponential and norm
+    spelled out in the operation order of ``lie.cross``, ``quat_mul``,
+    ``quat_rotate``, ``quat_exp`` and ``quat_normalize``, so the update is
+    theirs bit for bit.  The angle |omega| is formed once, for the
+    left-Jacobian coefficients and the exponential.
+    """
+    xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
+    nu, om = xi[:3], xi[3:]
+    qt = np.ascontiguousarray(q.T)
+    w, qv = qt[0], qt[1:]
+    m = np.empty_like(qt)  # the product before normalization
     if integrator == "exact":
-        theta = np.linalg.norm(omega, axis=1)
+        theta = np.sqrt((om[0] * om[0] + om[1] * om[1]) + om[2] * om[2])
         t2 = theta * theta
         small = theta < 1e-6
+        half = 0.5 * theta
         with np.errstate(invalid="ignore", divide="ignore"):
             a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
             b = np.where(small, 1.0 / 6.0 - t2 / 120.0,
                          (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta))
-        wx = cross(omega, nu)
-        body = nu + a[:, None] * wx + b[:, None] * cross(omega, wx)
-        p_new = p + quat_rotate(q, body)
-        q_new = quat_normalize(quat_mul(q, quat_exp(omega)))
+            # quat_exp(omega) = (cos(theta/2), omega sin(theta/2)/theta)
+            coef = np.where(small, 0.5 - t2 / 48.0 + theta**4 / 3840.0,
+                            np.sin(half) / np.where(small, 1.0, theta))
+        wx = _cross(om, nu)
+        body = (nu + a * wx) + b * _cross(om, wx)
+        ew, ev = np.cos(half), coef * om
+        qe = qv * ev
+        m[0] = w * ew - ((qe[0] + qe[1]) + qe[2])
+        m[1:] = (w * ev + ew * qv) + _cross(qv, ev)
     elif integrator == "quat-trans":
-        p_new = p + quat_rotate(q, nu)
-        dq = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
-        q_new = quat_normalize(q + 0.5 * quat_mul(q, dq))
+        # q + quat_mul(q, (0, omega)) / 2
+        body = nu
+        qo = qv * om
+        m[0] = w + 0.5 * (w * 0.0 - ((qo[0] + qo[1]) + qo[2]))
+        m[1:] = qv + 0.5 * ((w * om + 0.0 * qv) + _cross(qv, om))
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
-    return q_new, p_new
+    m2 = m * m
+    q_new = m / np.sqrt(((m2[0] + m2[1]) + m2[2]) + m2[3])
+    t = 2.0 * _cross(qv, body)  # quat_rotate(q, body)
+    return np.ascontiguousarray(q_new.T), p + ((body + w * t) + _cross(qv, t)).T
 
 
 def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
@@ -159,10 +178,14 @@ def _score_rows(score, q: np.ndarray, p: np.ndarray, t: float, idx: np.ndarray,
     """Fill ``out[idx]`` from ``score.score_batch``, bisecting ``idx`` while a call raises.
 
     Returns the exception's text for each chain whose call raises on its
-    own, by index; their rows are left as they were.
+    own, by index; their rows are left as they were.  A call over every
+    chain passes the stacks as they are.
     """
     try:
-        out[idx] = score.score_batch(q[idx], p[idx], t)
+        if idx.size == q.shape[0]:
+            out[...] = score.score_batch(q, p, t)
+        else:
+            out[idx] = score.score_batch(q[idx], p[idx], t)
         return {}
     except Exception as exc:
         if idx.size == 1:
@@ -214,7 +237,7 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
         faults: dict[int, str] = {}
         if idx.size:
             faults = _score_rows(score, q, p, t_n, idx, scores)  # a raising chain's row stays 0
-            for i in idx[~np.all(np.isfinite(scores[idx]), axis=1)]:
+            for i in np.nonzero(~np.all(np.isfinite(scores), axis=1))[0]:  # frozen rows are 0
                 faults[i], scores[i] = "non-finite score", 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported per chain below
             q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
@@ -224,8 +247,11 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
             faults[i] = "non-finite step"
         for i, reason in faults.items():
             alive[i], failed_step[i], error[i] = False, n, reason
-        q = np.where(alive[:, None], q_new, q)
-        p = np.where(alive[:, None], p_new, p)
+        if alive.all():
+            q, p = q_new, p_new
+        else:
+            q = np.where(alive[:, None], q_new, q)
+            p = np.where(alive[:, None], p_new, p)
         if traj is not None:
             traj[:, n + 1, :4] = q
             traj[:, n + 1, 4:] = p

@@ -567,6 +567,47 @@ def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
                 assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
 
 
+def _composed_log_terms(comps, q, p, t):
+    """Frames and log terms composed through the ``lie`` helpers, with a loop over coordinates."""
+    from se3diffuse.igso3 import igso3_log_density
+    from se3diffuse.lie import quat_log, quat_mul, quat_rotate, quat_to_matrix
+
+    qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
+    pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
+    rotvec = quat_log(qm)
+    theta = np.linalg.norm(rotvec, axis=-1)
+    r = quat_to_matrix(qm)[..., None]
+    k = np.moveaxis(comps.points, 1, 0)  # (3, D, K)
+    p2 = 0.0
+    for i in range(3):
+        ph = pm[:, :, i, None] + (r[:, :, i, 0] * k[0] + r[:, :, i, 1] * k[1] + r[:, :, i, 2] * k[2]) - k[i]
+        p2 = p2 + ph * ph
+    log_f = igso3_log_density(np.minimum(theta, math.pi), IgParams(eps=0.5 * t))
+    logs = comps.logw + (-1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)) + log_f[:, :, None]
+    return quat_to_matrix(qm), pm, rotvec, theta, logs
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_kernel_frames_and_log_terms_are_the_composed_loop_bit_for_bit(toy, rng, n):
+    """The density path keeps the bits of the helper-by-helper evaluation it replaced."""
+    from se3diffuse.diffusion import _kernel_terms, _log_mixture
+
+    demos = _uneven_demo_set(toy)
+    q, p = _pose_stack(demos, rng, n)
+    q[::2] = -q[::2]  # quaternions on both hemispheres
+    for t in (0.01, 0.5, 2.0):
+        comps = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))._components
+        rm, pm, rotvec, theta, _, logs = _kernel_terms(q, p, comps, t)
+        ref = _composed_log_terms(comps, q, p, t)
+        got = (np.moveaxis(rm, -1, 0), np.moveaxis(pm, -1, 0), np.moveaxis(rotvec, -1, 0), theta.T,
+               np.moveaxis(logs, -1, 0))
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        m = np.max(ref[-1], axis=(1, 2))
+        assert np.array_equal(_log_mixture(q, p, comps, t),
+                              m + np.log(np.sum(np.exp(ref[-1] - m[:, None, None]), axis=(1, 2))))
+
+
 def _score_by_component(demos, cfg, q, p, t, log_f=None):
     """Reference: every component's score, summed with explicit weights, one pose at a time.
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3diffuse import _kernels, igso3
+from se3diffuse._kernels.series import PI_LO
 from se3diffuse.igso3 import (
     EPS_BALL,
     EPS_SERIES,
     SERIES_LMAX,
+    THETA_MAX_SCORE,
     THETA_SMALL_DENSITY,
     THETA_SMALL_SCORE,
     IgParams,
@@ -19,6 +21,7 @@ from se3diffuse.igso3 import (
     angle_pdf,
     igso3_density,
     igso3_log_density,
+    igso3_log_density_and_ratio,
     igso3_sample,
     igso3_sample_quats,
     igso3_sample_rotvecs,
@@ -513,3 +516,77 @@ def test_score_ratio_matches_log_density_finite_differences(log_eps, u):
           - math.log(igso3_density(theta - h, params))) / (2.0 * h)
     r = float(score_ratio(np.array([theta]), params)[0])
     assert abs(r - fd) <= 1e-6 * abs(fd) + 1e-9, (eps, theta, r, fd)
+
+
+def _two_pass(theta, eps):
+    """log f and f'/f in two separate passes, the evaluation the fused kernel replaced.
+
+    The density takes one image pass at theta; the ratio takes another at
+    the clamped angles, with the far image sums at every angle, picked by
+    np.where; the series regime calls series_f twice.
+    """
+    small = theta < THETA_SMALL_SCORE
+    th = np.where(small, 1.0, np.minimum(theta, THETA_MAX_SCORE))
+    if eps >= EPS_SERIES:
+        log_f = np.log(_kernels.series_f(theta, eps, SERIES_LMAX, THETA_SMALL_DENSITY))
+        ratio = _kernels.series_df(th, eps, SERIES_LMAX) / _kernels.series_f(th, eps, SERIES_LMAX)
+        slope = _kernels.series_moment(eps, SERIES_LMAX)
+    else:
+        cf = _kernels.closed_form
+        log_f = (cf._log_prefactor(eps) - theta * theta / (4.0 * eps)
+                 + np.log(cf._over_sin(theta) * cf._near_r(*cf._near_images(theta, eps))))
+        ep, em, lever = cf._near_images(th, eps)
+        quad = ((th + 2.0 * cf._PK) ** 2 * ep + (th - 2.0 * cf._PK) ** 2 * em) / (2.0 * eps)
+        d = -th * th / (2.0 * eps) + np.sum(cf._SIGN * (lever - quad), axis=0)
+        s, ds = cf._far_sums(th, eps)
+        far = ds / s - 0.5 * np.tan(0.5 * ((math.pi - th) + PI_LO))
+        ratio = np.where(th > 0.5 * math.pi, far, d / (th * cf._near_r(ep, em, lever)) + cf._h(th))
+        slope = _kernels.closed_moment(eps)
+    return log_f, np.where(small, -slope * theta, ratio)
+
+
+def _ulps(x):
+    return (np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf))
+
+
+FUSED_THETAS = np.array([0.0, 1e-4, *_ulps(THETA_SMALL_SCORE), 0.3, 1.0, *_ulps(0.5 * math.pi), 2.5,
+                         *_ulps(math.pi - 1e-6), math.pi - 1e-7, math.pi])
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.005, 0.3, np.nextafter(EPS_SERIES, 0.0), EPS_SERIES, 2.0])
+def test_fused_kernel_is_the_two_pass_evaluation_bit_for_bit(eps):
+    """One image pass (or one series_f call) for log f and f'/f, with the bits of two."""
+    params = IgParams(eps=eps)
+    log_f, ratio = igso3_log_density_and_ratio(FUSED_THETAS, params)
+    ref_log_f, ref_ratio = _two_pass(FUSED_THETAS, eps)
+    assert np.array_equal(log_f, ref_log_f) and np.array_equal(ratio, ref_ratio)
+    assert np.array_equal(igso3_log_density(FUSED_THETAS, params), log_f)
+    assert np.array_equal(score_ratio(FUSED_THETAS, params), ratio)
+    # stacks of any shape, and one angle at a time
+    stacked = igso3_log_density_and_ratio(FUSED_THETAS.reshape(-1, 4), params)
+    assert np.array_equal(stacked[0].ravel(), log_f) and np.array_equal(stacked[1].ravel(), ratio)
+    for i, theta in enumerate(FUSED_THETAS):
+        one = igso3_log_density_and_ratio(np.array([theta]), params)
+        assert one[0][0] == log_f[i] and one[1][0] == ratio[i]
+
+
+@pytest.mark.parametrize("eps", [1e-308, 1e-306, 1e-301, 1e-300, 1e-250, 1e-160, 1e-110, 1e-100])
+def test_score_ratio_at_tiny_eps_is_the_k0_image(eps):
+    """Finite, with no warning, and the k = 0 image's f'/f: every other image is below e^-700.
+
+    f'/f = -theta/(2 eps) + 1/theta - cot(theta/2)/2 on [THETA_SMALL_SCORE, THETA_MAX_SCORE],
+    and the small-angle slope is c = 1/(2 eps) - 1/12.
+    """
+    thetas = np.array([1e-160, THETA_SMALL_SCORE, 0.5, 2.0, THETA_MAX_SCORE, math.pi])
+    params = IgParams(eps=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = score_ratio(thetas, params)
+        log_f = igso3_log_density(thetas[:2], params)
+        scores = igso3_score_batch(thetas[:, None] * np.array([0.0, 0.6, 0.8]), thetas, params)
+    assert np.all(np.isfinite(ratio)) and np.all(np.isfinite(log_f)) and np.all(np.isfinite(scores))
+    th = np.minimum(thetas[1:], THETA_MAX_SCORE)
+    asymptote = -th / (2.0 * eps) + 1.0 / th - 0.5 / np.tan(0.5 * th)
+    assert np.max(np.abs(ratio[1:] / asymptote - 1.0)) < 1e-15
+    slope = 1.0 / (2.0 * eps) - 1.0 / 12.0
+    assert abs(ratio[0] / (-slope * 1e-160) - 1.0) < 1e-15

@@ -17,6 +17,8 @@ from se3diffuse.lie import (
     inverse,
     log_se3,
     log_so3,
+    quat_angle,
+    quat_exp,
     quat_unit,
     random_rotation,
     skew,
@@ -237,3 +239,15 @@ def test_from_unit_checks_rows_like_the_constructor():
     r = Rotation.from_unit(row)
     row[0] = 2.0
     assert r.q[0] == 0.5 and not r.q.flags.writeable
+
+
+def test_quat_angle_keeps_angles_whose_squares_underflow(rng):
+    # the squares of 2e-162 and 1e-162 are 0 in double precision
+    assert abs(quat_angle(quat_exp([[2e-162, 1e-162, 0.0]]))[0] / (math.sqrt(5.0) * 1e-162) - 1.0) < 1e-15
+    assert quat_angle(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+    # every other row keeps the plain norm, bit for bit
+    q = rng.standard_normal((500, 4))
+    q[:, 1:] *= 10.0 ** rng.uniform(-140.0, 0.0, (500, 1))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    plain = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=-1), np.abs(q[:, 0]))
+    assert np.array_equal(quat_angle(q), plain)

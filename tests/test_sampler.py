@@ -1,8 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from se3diffuse.diffusion import BrownianScoreFn, DemoSet, DiffusionConfig, MixtureScore
-from se3diffuse.lie import Pose, Rotation, Twist, compose, quat_mul, quat_rotate, random_rotation
+from se3diffuse.lie import (
+    Pose,
+    Rotation,
+    Twist,
+    compose,
+    cross,
+    quat_exp,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+    random_rotation,
+)
 from se3diffuse.pointcloud import bounding_box, transform
 from se3diffuse.sampler import (
     NOISE_BLOCK,
@@ -77,6 +90,45 @@ def test_langevin_step_validation(rng):
     with pytest.raises(ValueError):
         langevin_step(g, Twist.zero(), alpha=0.1, temperature=1.0, rng=rng,
                       integrator="verlet")
+
+
+def _composed_step(q, p, scores, alpha, temperature, noise, integrator):
+    """The Langevin update composed through the ``lie`` stack helpers."""
+    xi = 0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise
+    nu, omega = xi[:, :3], xi[:, 3:]
+    if integrator == "exact":
+        theta = np.linalg.norm(omega, axis=1)
+        t2 = theta * theta
+        small = theta < 1e-6
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
+            b = np.where(small, 1.0 / 6.0 - t2 / 120.0,
+                         (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta))
+        wx = cross(omega, nu)
+        body = nu + a[:, None] * wx + b[:, None] * cross(omega, wx)
+        return quat_normalize(quat_mul(q, quat_exp(omega))), p + quat_rotate(q, body)
+    dq = np.concatenate([np.zeros((omega.shape[0], 1)), omega], axis=1)
+    return quat_normalize(q + 0.5 * quat_mul(q, dq)), p + quat_rotate(q, nu)
+
+
+@pytest.mark.parametrize("integrator", ["exact", "quat-trans"])
+@pytest.mark.parametrize("n", [1, 2, 100])
+def test_step_batch_is_the_composed_update_bit_for_bit(rng, n, integrator):
+    for alpha, temperature in ((0.01, 0.3), (0.5, 0.0), (1e-4, 2.0)):
+        q = rng.standard_normal((n, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        p = rng.standard_normal((n, 3))
+        scores = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
+        noise = rng.standard_normal((n, 6))
+        scores[0, 3:] = noise[0, 3:] = 0.0  # omega = 0
+        q[0] = [1.0, 0.0, 0.0, 0.0]
+        if n > 1:  # |omega| < 1e-6
+            scores[-1, 3:] = 0.0
+            noise[-1, 3:] = 1e-9 * rng.standard_normal(3)
+        got = _step_batch(q, p, scores, alpha, temperature, noise, integrator)
+        ref = _composed_step(q, p, scores, alpha, temperature, noise, integrator)
+        for a, b in zip(got, ref):  # signed zeros included
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _identity_stacks(chains):
