@@ -46,6 +46,7 @@ __all__ = [
     "brownian_sample",
     "brownian_sample_batch",
     "brownian_score",
+    "check_time",
     "contact_origin_weights",
     "forward_diffuse",
     "forward_diffuse_batch",
@@ -68,8 +69,8 @@ class DiffusionConfig:
     L: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.t > 0.0 and self.r > 0.0 and self.L > 0.0):
-            raise ValueError("t, r, L must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.t, self.r, self.L)):
+            raise ValueError("t, r, L must all be positive and finite")
         if not 0.5 * self.t > 0.0:
             raise ValueError(f"t = {self.t!r} is too small: the rotational concentration t/2 rounds to 0")
 
@@ -104,6 +105,12 @@ class DemoSet:
             if g is not grasp and not np.array_equal(g.positions, grasp.positions):
                 raise ValueError("demo set mixes different grasp clouds")
         return scene, grasp
+
+
+def check_time(t: float) -> None:
+    """Refuse a diffusion time that is not positive and finite."""
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
 
 
 def _ig_params(t: float) -> IgParams:
@@ -169,8 +176,7 @@ def brownian_log_density(h: Pose, t: float) -> float:
     one grasp point at the origin.  The rotational density is taken in
     log space, so it stays finite where the density underflows.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    check_time(t)
     return float(_log_mixture(h.r.q[None, :], h.p[None, :], _BROWNIAN, t)[0])
 
 
@@ -492,8 +498,7 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
 def _pose_kernel_score(g: Pose, q0inv: np.ndarray, p0inv: np.ndarray, p_de: np.ndarray,
                        t: float) -> Twist:
     """``_kernel_score`` for one pose and one origin; raises near pi."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    check_time(t)
     theta, out = _kernel_score(g.r.q[None, :], g.p[None, :], _single_component(q0inv, p0inv, p_de), t)
     igso3.check_score_angle(float(theta[0, 0]))
     return Twist.from_array(out[0])
@@ -550,6 +555,7 @@ class MixtureScore:
         score vanishes smoothly.  Each row depends on its pose
         only, bitwise; a pose with a non-finite entry scores NaN.
         """
+        check_time(t)
         q, p, bad = finite_poses(q, p)
         out = _kernel_score(q, p, self._components, t)[1]
         out[bad] = np.nan
@@ -586,6 +592,7 @@ class BrownianScoreFn:
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
+        check_time(t)
         q, p, bad = finite_poses(q, p)
         out = _kernel_score(q, p, _BROWNIAN, t)[1]
         out[bad] = np.nan

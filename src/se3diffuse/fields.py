@@ -6,10 +6,13 @@ and Gaussian gates over log-time mixed by a per-slot weight tensor.  The
 construction is translation-invariant and exactly SO(3)-steerable, so it
 satisfies the same equivariance contract as a learned descriptor field.
 Fields are evaluated in one pairwise pass over query-by-cloud pairs,
-chunked under a fixed pair budget: a per-call table of colors times
-gated channel weights is gathered per kept pair, each degree's harmonics
-are computed once, and every lobe comes from one gather-multiply.  Each
-query row is summed on its own, so a scalar call is bitwise a batch of one.
+chunked under a measured pair budget (``pointcloud._PAIR_CHUNK``)
+and laid out coordinate-major, one row per coordinate or field column
+over the kept pairs.  A per-call (radial, slot, point) table of colors
+times gated channel weights is gathered once per kept pair, one harmonic
+pass over the slot degrees (``irreps.sh_stack``) gives every field column,
+and each slot's radial sum scales its columns.  Each query row is summed
+on its own, so a scalar call is bitwise a batch of one.
 
 The assembled score follows the weighted-query-point summation: the
 linear part averages the per-query score field, and the angular part is
@@ -37,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .irreps import IrrepsLayout, IrrepsVector, cg_contract_batch, cg_paths, sh_batch
+from .diffusion import check_time
+from .irreps import IrrepsLayout, IrrepsVector, cg_contract_batch, cg_paths, sh_stack
 from .irreps import cg_path_batch as _contract_batch
 from .lie import Pose, Twist, cross, finite_poses, quat_to_matrix
 from .pointcloud import PointCloud, pair_offsets
@@ -154,22 +158,17 @@ def _color_features(pc: PointCloud) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lobe_gather(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Distinct degrees, and per output column its slot and its harmonic column.
+def _lobe_layout(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray]:
+    """Degree of every multiplicity slot, and the slot of every field column.
 
-    The harmonics of the distinct degrees are concatenated in that order,
-    so column c of the field is ``scal[:, slot[c]] * harmonics[:, harm[c]]``.
+    The harmonics of the slot degrees, one pass for all of them, come in
+    the layout's column order, so field column c of a kept pair is its
+    harmonic c times the radial sum of slot ``slot[c]``.
     """
-    degrees = tuple(sorted({l for l, _ in layout.blocks}))
-    first = {l: sum(2 * k + 1 for k in degrees if k < l) for l in degrees}
-    slot, harm = [], []
-    for s, l in enumerate(layout.slots()):
-        slot.extend([s] * (2 * l + 1))
-        harm.extend(range(first[l], first[l] + 2 * l + 1))
-    slot, harm = np.array(slot), np.array(harm)
+    degrees = tuple(layout.slots())
+    slot = np.repeat(np.arange(len(degrees)), [2 * l + 1 for l in degrees])
     slot.setflags(write=False)
-    harm.setflags(write=False)
-    return degrees, slot, harm
+    return degrees, slot
 
 
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
@@ -187,25 +186,32 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     cloud = pc.positions
     if frames is not None:  # the rows of (o - p) R are R^T (o - p)
         cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ quat_to_matrix(frames[0])
-    # (radial, points, slot) table of the colors times the gated channel weights
+    degrees, slot = _lobe_layout(params.layout)
+    # (radial, slot, points) table of the colors times the gated channel weights
     table = np.einsum("pc,sbcg,g->bps", _color_features(pc), params.channel_weights, gates)
-    degrees, slot, harm = _lobe_gather(params.layout)
-    scale = -0.5 / np.asarray(params.radial_widths) ** 2
-    out = np.zeros((xs.size // 3, params.layout.dim))
+    table = np.ascontiguousarray(table.transpose(0, 2, 1))
+    scale = (-0.5 / np.asarray(params.radial_widths) ** 2)[:, None]
+    cut2 = params.cutoff ** 2
+    n_cloud = cloud.shape[-2]
+    out = np.zeros((xs.size // 3, slot.size))
     for rows, d in pair_offsets(xs, cloud):
-        d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-        keep = (d2 <= params.cutoff ** 2) & (d2 > 0.0)  # the p = x singular term is skipped
-        pi = np.nonzero(keep)[1]
-        d2_k = d2[keep]
-        dirs = d[keep] / -np.sqrt(d2_k)[:, None]  # unit vectors from point toward x
-        radial = np.exp(d2_k[:, None] * scale)  # (K, B)
-        scal = sum(r[:, None] * tab[pi] for r, tab in zip(radial.T, table))  # (K, S), elementwise
-        sh = np.concatenate([sh_batch(l, dirs) for l in degrees], axis=1)
-        lobes = scal[:, slot] * sh[:, harm]
-        counts = np.count_nonzero(keep, axis=1)
-        hit = np.flatnonzero(counts)
-        out[rows.start + hit] = np.add.reduceat(lobes, (np.cumsum(counts) - counts)[hit], axis=0)
-    return out.reshape(xs.shape[:-1] + (params.layout.dim,))
+        dt = d.transpose(2, 0, 1).reshape(3, -1)  # (3, pairs), a view
+        sq = dt * dt
+        d2 = (sq[0] + sq[1]) + sq[2]
+        kept = np.flatnonzero((d2 <= cut2) & (d2 > 0.0))  # the p = x singular term is skipped
+        row, pi = np.divmod(kept, n_cloud)
+        d2_k = d2[kept]
+        dirs = np.take(dt, kept, axis=1) / -np.sqrt(d2_k)  # unit vectors from point toward x
+        terms = np.take(table, pi, axis=2)
+        terms *= np.exp(scale * d2_k)[:, None, :]  # (B, slots, K)
+        scal = terms[0]
+        for b in range(1, terms.shape[0]):  # elementwise, radial basis by radial basis
+            scal = scal + terms[b]
+        lobes = sh_stack(degrees, dirs)
+        lobes *= scal[slot]
+        hit = np.flatnonzero(np.bincount(row, minlength=d.shape[0]))
+        out[rows][hit] = np.add.reduceat(lobes, np.searchsorted(row, hit), axis=1).T
+    return out.reshape(xs.shape[:-1] + (slot.size,))
 
 
 def synthetic_edf(x: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
@@ -330,6 +336,19 @@ class ModelScore:
                                    np.einsum("kpc,p->kc", self._paths, model.weights_omega)],
                                   axis=1)
 
+    def _readout(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+        """(N, 9) linear, orbital and spin columns of the score at quaternion/translation stacks."""
+        check_time(t)
+        q, p, bad = finite_poses(np.reshape(q, (-1, 4)), np.reshape(p, (-1, 3)))
+        if len(self.query) == 0:
+            warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=3)
+        phi = self._scene_field(q, p, self.model.scene.gate_values(t))
+        # no BLAS here: einsum without optimize reduces each row alone
+        out = np.einsum("nk,kc->nc", phi.reshape(q.shape[0], -1), self._op)
+        out *= 1.0 / math.sqrt(t)
+        out[bad] = np.nan
+        return out
+
     def score_parts(self, q: np.ndarray, p: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s_nu, spin, orbital), each (N, 3), for quaternion/translation stacks.
@@ -338,27 +357,20 @@ class ModelScore:
         spin = 1/sqrt(t)     sum_q w(q) field_omega(g, q)
         orbital = 1/sqrt(t)  sum_q w(q) (q / L) x field_nu(g, q)
         """
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        q, p, bad = finite_poses(np.reshape(q, (-1, 4)), np.reshape(p, (-1, 3)))
-        n = q.shape[0]
-        if len(self.query) == 0:
-            warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=2)
-        phi = self._scene_field(q, p, self.model.scene.gate_values(t))
-        # no BLAS here: einsum without optimize reduces each row alone
-        out = np.einsum("nk,kc->nc", phi.reshape(n, -1), self._op) * (1.0 / math.sqrt(t))
-        out[bad] = np.nan
+        out = self._readout(q, p, t)
         return out[:, :3], out[:, 6:], out[:, 3:6]
 
     def _scene_field(self, q: np.ndarray, p: np.ndarray, gates: np.ndarray) -> np.ndarray:
         """(N, Q, dim) body-frame scene field at the query points, at one gate vector."""
-        qs = np.repeat(self.query.points[None], q.shape[0], axis=0)
+        qs = self.query.points[None].repeat(q.shape[0], axis=0)
         return _edf_batch(qs, self.scene, self.model.scene, gates, frames=(q, p))
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
-        s_nu, spin, orbital = self.score_parts(q, p, t)
-        return np.concatenate([s_nu, spin + orbital], axis=1)
+        parts = self._readout(q, p, t)
+        out = parts[:, :6].copy()
+        out[:, 3:] += parts[:, 6:]  # orbital + spin
+        return out
 
     def __call__(self, g: Pose, t: float) -> Twist:
         return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])

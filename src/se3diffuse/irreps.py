@@ -15,6 +15,9 @@ seeded set U of 64 unit directions (``cond(Y_l(U)) < 2`` for l <= 6).
 ``wigner_d`` takes a ``Rotation`` or a stack of quaternions.  Harmonics
 and Wigner-D matrices reduce each row on its own instead of through
 BLAS, so a row's bits do not depend on the batch it comes in.
+``sh_stack`` evaluates any tuple of degrees in one pass over (3, N)
+coordinate rows, from a plan cached per degree tuple; ``sh_batch`` is
+its one-degree case in the (N, 3) row layout.
 
 Clebsch-Gordan contraction to type 1 uses coefficient tensors solved
 numerically from the equivariance linear system over random rotations
@@ -29,7 +32,6 @@ vector u to ``a * u / sqrt(3)``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -46,6 +48,7 @@ __all__ = [
     "rep_apply_batch",
     "spherical_harmonics",
     "sh_batch",
+    "sh_stack",
     "cg_contract_to1",
     "cg_contract_batch",
     "cg_path_batch",
@@ -267,27 +270,99 @@ def _sh_terms(l: int) -> tuple[tuple[tuple[int, float], ...], ...]:
                  for row in _basis_coeffs(l))
 
 
-def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
-    """Vectorized spherical harmonics for (N, 3) unit directions, row by row.
+@lru_cache(maxsize=None)
+def _sh_plan(degrees: tuple[int, ...]) -> tuple:
+    """The evaluation plan of ``sh_stack`` for one degree tuple.
 
-    Each monomial x^a y^b z^c multiplies its coordinate powers, ``**`` up to
-    2 (exact squares) and running products above, since ``**`` calls ``pow``
-    per element there; unit factors round exactly and are left out.  Each
-    harmonic adds its nonzero terms in monomial order, elementwise, so a
-    row's bits do not depend on the batch it comes in.
+    The tuples in use are single degrees and the slot degrees of layouts,
+    so the cache stays small.  Returns (n_entries, steps, take, coef,
+    sums, order).  Entry rows 0-3 hold x, y, z and ones; every later row is
+    the product of two earlier rows, and ``steps`` forms one generation of
+    them per (rows, left, right).  ``take``/``coef`` give each harmonic's
+    terms, position-major with the harmonics sorted by term count (most
+    first), so term position k adds rows ``offset:offset + count``, its
+    entry in ``sums``, into rows ``:count``; ``order`` puts the harmonics back in
+    the requested order.
+
+    A monomial x^a y^b z^c is ``(X_a * Y_b) * Z_c`` over its nonzero
+    factors, with X_1 = x and X_e = X_(e-1) * x, and degrees share the
+    products they have in common.
     """
-    u = np.asarray(u, dtype=np.float64)
-    one = np.ones(u.shape[0])
-    powers = [[one, x] for x in (u[:, 0], u[:, 1], u[:, 2])]
-    for p in powers:
-        for e in range(2, l + 1):
-            p.append(p[1] ** 2 if e == 2 else p[-1] * p[1])
-    mono = [reduce(operator.mul, [powers[i][e] for i, e in enumerate(exps) if e] or [one])
-            for exps in _monomials(l)]
-    out = np.empty((u.shape[0], 2 * l + 1))
-    for col, terms in enumerate(_sh_terms(l)):
-        out[:, col] = reduce(operator.add, [mono[m] if c == 1.0 else mono[m] * c for m, c in terms])
-    return out
+    rows = {"x": 0, "y": 1, "z": 2, "one": 3}
+    gen = [0, 0, 0, 0]
+    factors: dict[int, tuple[int, int]] = {}
+
+    def product(i: int, j: int) -> int:
+        key = ("mul", i, j)
+        if key not in rows:
+            rows[key] = len(gen)
+            gen.append(1 + max(gen[i], gen[j]))
+            factors[rows[key]] = (i, j)
+        return rows[key]
+
+    def power(axis: str, e: int) -> int:
+        return rows[axis] if e == 1 else product(power(axis, e - 1), rows[axis])
+
+    columns = []
+    for l in degrees:
+        monos = []
+        for exps in _monomials(l):
+            mono = [power(axis, e) for axis, e in zip("xyz", exps) if e] or [rows["one"]]
+            monos.append(reduce(product, mono))
+        columns.extend([(monos[m], c) for m, c in terms] for terms in _sh_terms(l))
+    # renumber the products generation by generation, each generation one block of rows
+    later = sorted(factors, key=lambda k: (gen[k], k))
+    new = {k: k for k in range(4)} | {k: 4 + n for n, k in enumerate(later)}
+    steps, start = [], 4
+    for g in sorted({gen[k] for k in later}):
+        block = [k for k in later if gen[k] == g]
+        steps.append((slice(start, start + len(block)),
+                      np.array([new[factors[k][0]] for k in block], dtype=np.intp),
+                      np.array([new[factors[k][1]] for k in block], dtype=np.intp)))
+        start += len(block)
+    by_count = sorted(range(len(columns)), key=lambda c: -len(columns[c]))
+    take, coef, sums = [], [], []
+    for pos in range(max((len(c) for c in columns), default=0)):
+        cols = [c for c in by_count if len(columns[c]) > pos]
+        if pos:
+            sums.append((len(take), len(cols)))
+        take.extend(new[columns[c][pos][0]] for c in cols)
+        coef.extend(columns[c][pos][1] for c in cols)
+    coef = np.array(coef).reshape(-1, 1)
+    take, order = np.array(take, dtype=np.intp), np.argsort(by_count)
+    for arr in (take, coef, order, *(ix for _, i, j in steps for ix in (i, j))):
+        arr.setflags(write=False)
+    return len(gen), tuple(steps), take, coef, tuple(sums), order
+
+
+def sh_stack(degrees: tuple[int, ...], ut: np.ndarray) -> np.ndarray:
+    """Harmonics of every degree in ``degrees``, for (3, N) coordinate rows of unit directions.
+
+    Returns (sum(2l+1), N), one row per harmonic, degree blocks in the
+    order given; a degree may repeat.  Monomials come from coordinate
+    products, one generation at a time, each product rounded exactly as in
+    a per-degree evaluation (so ``**`` and its per-element ``pow`` never
+    run), and every harmonic adds its nonzero coefficient-times-monomial
+    terms in monomial order, elementwise, so a direction's bits do not
+    depend on the batch it comes in or on the other degrees beside it.
+    """
+    n_entries, steps, take, coef, sums, order = _sh_plan(tuple(degrees))
+    ent = np.empty((n_entries, ut.shape[1]))
+    ent[:3] = ut
+    ent[3] = 1.0
+    for dst, i, j in steps:
+        np.multiply(ent[i], ent[j], out=ent[dst])
+    terms = ent[take]
+    del ent  # freed before the final gather, so at most two of the pass's arrays are alive at once
+    terms *= coef
+    for offset, count in sums:
+        terms[:count] += terms[offset:offset + count]
+    return terms[order]
+
+
+def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
+    """Real spherical harmonics of degree l for (N, 3) unit directions, ``sh_stack`` transposed."""
+    return np.ascontiguousarray(sh_stack((l,), np.asarray(u, dtype=np.float64).T).T)
 
 
 # ---------------------------------------------------------------------------

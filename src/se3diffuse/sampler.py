@@ -64,10 +64,13 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
 
     Each (start, end, steps) segment contributes ``steps`` values
     interpolated linearly from start to end inclusive; a fractional or
-    boolean step count is refused.  Defaults k1=0.5, k2=1.0.
+    boolean step count is refused, and so is any time, ``eps``, ``k1`` or
+    ``k2`` that is not finite.  Defaults k1=0.5, k2=1.0.
     """
-    if eps <= 0.0:
-        raise ValueError("base step scale eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("base step scale eps must be positive and finite")
+    if not (math.isfinite(k1) and math.isfinite(k2)):
+        raise ValueError("the exponents k1 and k2 must be finite")
     parts = []
     segs = []
     for seg in segments:
@@ -78,8 +81,8 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
         t0, t1, steps = float(seg[0]), float(seg[1]), int(seg[2])
         if steps != seg[2]:
             raise ValueError(f"a segment's step count must be a whole number, got {seg[2]!r}")
-        if t0 <= 0.0 or t1 <= 0.0:
-            raise ValueError("diffusion times must be positive")
+        if not (0.0 < t0 < math.inf and 0.0 < t1 < math.inf):
+            raise ValueError("diffusion times must be positive and finite")
         if steps < 1:
             raise ValueError("each segment needs at least one step")
         parts.append(np.linspace(t0, t1, steps))
@@ -87,8 +90,11 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     if not parts:
         raise ValueError("schedule needs at least one segment")
     t = np.concatenate(parts)
-    alpha = eps * t**k1
-    temperature = t**k2
+    with np.errstate(over="ignore"):  # refused just below
+        alpha = eps * t**k1
+        temperature = t**k2
+    if not (np.isfinite(alpha).all() and np.isfinite(temperature).all()):
+        raise ValueError("step sizes eps t^k1 and temperatures t^k2 must be finite")
     for arr in (t, alpha, temperature):
         arr.setflags(write=False)
     return AnnealSchedule(tuple(segs), eps, k1, k2, t, alpha, temperature)
@@ -124,12 +130,14 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
         small = theta < 1e-6
         half = 0.5 * theta
         with np.errstate(invalid="ignore", divide="ignore"):
-            a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-            b = np.where(small, 1.0 / 6.0 - t2 / 120.0,
-                         (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta))
+            a = (1.0 - np.cos(theta)) / t2
+            b = (theta - np.sin(theta)) / (t2 * theta)
             # quat_exp(omega) = (cos(theta/2), omega sin(theta/2)/theta)
-            coef = np.where(small, 0.5 - t2 / 48.0 + theta**4 / 3840.0,
-                            np.sin(half) / np.where(small, 1.0, theta))
+            coef = np.sin(half) / theta
+        if small.any():  # series below 1e-6, elementwise
+            a = np.where(small, 0.5 - t2 / 24.0, a)
+            b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
+            coef = np.where(small, 0.5 - t2 / 48.0 + theta**4 / 3840.0, coef)
         wx = _cross(om, nu)
         body = (nu + a * wx) + b * _cross(om, wx)
         ew, ev = np.cos(half), coef * om
@@ -217,6 +225,7 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
     streams = rng.spawn(chains)
     noise_block = np.empty((chains, NOISE_BLOCK, 6))
     alive = np.ones(chains, dtype=bool)
+    idx = np.arange(chains)  # the chains still running
     failed_step = np.full(chains, -1)
     error = np.full(chains, "", dtype=object)
     steps = schedule.steps
@@ -233,21 +242,24 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
                 stream.standard_normal(out=block)
         noise = noise_block[:, n % NOISE_BLOCK]
         scores = np.zeros((chains, 6))
-        idx = np.nonzero(alive)[0]
         faults: dict[int, str] = {}
         if idx.size:
             faults = _score_rows(score, q, p, t_n, idx, scores)  # a raising chain's row stays 0
-            for i in np.nonzero(~np.all(np.isfinite(scores), axis=1))[0]:  # frozen rows are 0
-                faults[i], scores[i] = "non-finite score", 0.0
+            if not np.isfinite(scores).all():
+                for i in np.flatnonzero(~np.isfinite(scores).all(axis=1)):  # frozen rows are 0
+                    faults[i], scores[i] = "non-finite score", 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # reported per chain below
             q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
                                        float(schedule.temperature[n]), noise, integrator)
-        finite = np.all(np.isfinite(q_new), axis=1) & np.all(np.isfinite(p_new), axis=1)
-        for i in np.nonzero(alive & ~finite)[0]:  # a finite score too large to integrate
-            faults[i] = "non-finite step"
-        for i, reason in faults.items():
-            alive[i], failed_step[i], error[i] = False, n, reason
-        if alive.all():
+        if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
+            finite = np.isfinite(q_new).all(axis=1) & np.isfinite(p_new).all(axis=1)
+            for i in np.flatnonzero(alive & ~finite):  # a finite score too large to integrate
+                faults[i] = "non-finite step"
+        if faults:
+            for i, reason in faults.items():
+                alive[i], failed_step[i], error[i] = False, n, reason
+            idx = np.flatnonzero(alive)
+        if idx.size == chains:
             q, p = q_new, p_new
         else:
             q = np.where(alive[:, None], q_new, q)

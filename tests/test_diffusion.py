@@ -910,6 +910,26 @@ def test_config_validation():
     assert cfg.r_nd == 0.15
 
 
+@pytest.mark.parametrize("field", ["t", "r", "L"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_config_refuses_non_finite_values(field, value):
+    kwargs = {"t": 1.0, "r": 0.3, "L": 1.0} | {field: value}
+    with pytest.raises(ValueError, match="positive and finite"):
+        DiffusionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_scores_refuse_a_time_that_is_not_positive_and_finite(toy, t):
+    q = np.stack([g.r.q for g in toy.demo_poses])
+    p = np.stack([g.p for g in toy.demo_poses])
+    oracle = MixtureScore(toy.demo_set(), DiffusionConfig(t=1.0, r=toy.config.r, L=1.0))
+    for call in (oracle.score_batch, BrownianScoreFn().score_batch):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            call(q, p, t)
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        oracle(toy.demo_poses[0], t)
+
+
 def test_mixture_score_scalar_call_clamps_near_pi_like_batch(toy, rng):
     """The scalar call is a batch of one, so both clamp kernel angles near pi."""
     demos = DemoSet(toy.demo_set().demos[:1])

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -208,6 +209,22 @@ def test_edf_batch_is_bitwise_the_per_slot_field_pass(rng, monkeypatch, colored,
         batch = fields._edf_batch(xs, pc, params, params.gate_values(t))
         assert np.all(batch[-1] == 0.0) and np.all(np.any(batch[:-1] != 0.0, axis=1))
         assert np.array_equal(batch, _edf_per_slot(xs, pc, params, t))
+
+
+@pytest.mark.parametrize("pair_chunk", [None, 2000], ids=["one-chunk", "chunked"])
+def test_edf_batch_is_bitwise_the_per_slot_pass_on_a_dense_cloud(rng, monkeypatch, pair_chunk):
+    import se3diffuse.fields as fields
+    import se3diffuse.pointcloud as pointcloud
+
+    # 300 cloud points within the cutoff of every query: row sums longer than
+    # the 128-term blocks of NumPy's pairwise summation
+    params = random_edf_params(IrrepsLayout(((0, 2), (1, 2), (2, 1))), rng, cutoff=5.0)
+    pc = PointCloud(0.3 * rng.standard_normal((300, 3)), colors=rng.random((300, 3)))
+    xs = 0.3 * rng.standard_normal((12, 3))
+    if pair_chunk is not None:
+        monkeypatch.setattr(pointcloud, "_PAIR_CHUNK", pair_chunk)
+    batch = fields._edf_batch(xs, pc, params, params.gate_values(0.7))
+    assert np.array_equal(batch, _edf_per_slot(xs, pc, params, 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +614,11 @@ def test_model_score_validation(toy):
     g = toy.demo_poses[0]
     with pytest.raises(ValueError, match="t must be positive"):
         score.score_batch(g.r.q[None], g.p[None], 0.0)
+    for t in (math.nan, math.inf, -math.inf):  # NaN used to pass and score NaN rows
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            score.score_batch(g.r.q[None], g.p[None], t)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            score.score_parts(g.r.q[None], g.p[None], t)
     empty = ModelScore(toy.scene, toy.grasp, 1.0, QuerySet(np.zeros((0, 3)), np.zeros(0)),
                        toy.model)
     with pytest.warns(RuntimeWarning, match="empty query set"):

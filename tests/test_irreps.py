@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from se3diffuse.irreps import (
     rep_apply,
     rep_apply_batch,
     sh_batch,
+    sh_stack,
     spherical_harmonics,
     wigner_d,
 )
@@ -190,6 +193,41 @@ def test_sh_batch_adds_its_monomial_terms_in_order(rng, n):
             x, y, z = us.T
             want += (_power(x, a) * _power(y, b) * _power(z, c))[:, None] * col
         assert np.array_equal(sh_batch(l, us), want)
+
+
+def _sh_per_degree(l, u):
+    """One degree's harmonics, its coordinate powers and monomials recomputed on every call."""
+    one = np.ones(u.shape[0])
+    powers = [[one, x] for x in (u[:, 0], u[:, 1], u[:, 2])]
+    for p in powers:
+        for e in range(2, l + 1):
+            p.append(p[1] ** 2 if e == 2 else p[-1] * p[1])
+    mono = [reduce(operator.mul, [powers[i][e] for i, e in enumerate(exps) if e] or [one])
+            for exps in irreps._monomials(l)]
+    out = np.empty((u.shape[0], 2 * l + 1))
+    for col, terms in enumerate(irreps._sh_terms(l)):
+        out[:, col] = reduce(operator.add, [mono[m] if c == 1.0 else mono[m] * c for m, c in terms])
+    return out
+
+
+@pytest.mark.parametrize("degrees", [(0,), (2,), (0, 1, 2), (0, 1, 2, 3), (1, 0, 3, 2), (6, 1),
+                                     (0, 0, 1, 1, 2), (5, 5, 4, 0, 5),
+                                     tuple(range(L_MAX_IRREPS, -1, -1))])
+def test_sh_stack_is_bitwise_the_per_degree_passes_side_by_side(rng, degrees):
+    us = rng.standard_normal((200, 3))
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    signed_zeros = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -1.0, -0.0],
+                             [0.6, -0.0, -0.8], [-0.0, 0.8, 0.6]])
+    us = np.concatenate([axes, signed_zeros, us])
+    want = np.concatenate([_sh_per_degree(l, us) for l in degrees], axis=1)
+    got = sh_stack(degrees, np.ascontiguousarray(us.T)).T
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for l in set(degrees):
+        assert np.array_equal(sh_batch(l, us).view(np.int64), _sh_per_degree(l, us).view(np.int64))
+    # a row's bits do not depend on the batch
+    assert np.array_equal(sh_stack(degrees, us[7:8].T).T, got[7:8])
 
 
 def test_cg_contract_to1_is_bitwise_a_row_of_the_batch(rng):

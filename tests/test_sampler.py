@@ -52,6 +52,18 @@ def test_schedule_validation():
         build_schedule([(1.0, 0.5, 0)], eps=0.1)
     with pytest.raises(ValueError):
         build_schedule([(1.0, 0.5, 10)], eps=-1.0)
+    # non-finite times, step scales and exponents used to give NaN or inf schedules
+    for seg in ((1.0, math.nan, 3), (math.inf, 0.5, 3), (1.0, math.inf, 3), (math.nan, 0.1, 3)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_schedule([seg], eps=0.05)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_schedule([(1.0, 0.5, 10)], eps=eps)
+    for k1, k2 in ((math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_schedule([(1.0, 0.5, 10)], eps=0.05, k1=k1, k2=k2)
+    with pytest.raises(ValueError, match="must be finite"):  # finite inputs, overflowing t^k2
+        build_schedule([(1e10, 1.0, 3)], eps=0.05, k2=40.0)
 
 
 def test_langevin_step_zero_score_zero_temperature(rng):
@@ -129,6 +141,20 @@ def test_step_batch_is_the_composed_update_bit_for_bit(rng, n, integrator):
         ref = _composed_step(q, p, scores, alpha, temperature, noise, integrator)
         for a, b in zip(got, ref):  # signed zeros included
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("integrator", ["exact", "quat-trans"])
+def test_step_batch_without_small_angles_is_the_composed_update_bit_for_bit(rng, integrator):
+    # no |omega| below 1e-6, so the step skips the small-angle series
+    q = quat_normalize(rng.standard_normal((50, 4)))
+    p = rng.standard_normal((50, 3))
+    scores = rng.standard_normal((50, 6)) * 10.0 ** rng.uniform(-2.0, 2.0, (50, 1))
+    noise = rng.standard_normal((50, 6))
+    scores[0, 3:], noise[0, 3:] = 0.0, [1e-5, 0.0, -0.0]  # |omega| just above the series
+    got = _step_batch(q, p, scores, 0.1, 0.5, noise, integrator)
+    ref = _composed_step(q, p, scores, 0.1, 0.5, noise, integrator)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _identity_stacks(chains):
@@ -257,6 +283,32 @@ def test_run_denoising_freezes_chain_with_non_finite_step():
     assert np.flatnonzero(res.failed_step >= 0).tolist() == [1]
     assert res.error[1] == "non-finite step" and res.failed_step[1] == 0
     assert np.array_equal(res.q[1], q0[1]) and np.array_equal(res.p[1], p0[1])
+
+
+def test_run_denoising_freezes_a_non_finite_score_and_a_non_finite_step_at_one_step():
+    class TwoFaults(BrownianScoreFn):
+        def score_batch(self, q, p, t):
+            out = super().score_batch(q, p, t)
+            if t < 0.8:
+                out[p[:, 0] > 5.0] = np.nan  # chain 1
+                out[p[:, 1] > 5.0] = 1e300  # chain 3: finite, but the step overflows
+            return out
+
+    chains = 6
+    sched = build_schedule([(1.0, 0.5, 30)], eps=0.01)
+    q0, p0 = _identity_stacks(chains)
+    p0[1, 0] = p0[3, 1] = 10.0
+    res = run_denoising(TwoFaults(), q0, p0, sched, np.random.default_rng(3))
+    ref = run_denoising(BrownianScoreFn(), q0, p0, sched, np.random.default_rng(3))
+    step = int(np.argmax(sched.t < 0.8))
+    assert np.flatnonzero(res.failed_step >= 0).tolist() == [1, 3]
+    assert res.failed_step[1] == res.failed_step[3] == step
+    assert res.error[1] == "non-finite score" and res.error[3] == "non-finite step"
+    for k in (1, 3):
+        assert np.all(res.trajectory[k, step:] == ref.trajectory[k, step])
+    keep = [0, 2, 4, 5]
+    assert np.array_equal(res.trajectory[keep], ref.trajectory[keep])
+    assert np.all(np.isfinite(res.trajectory))
 
 
 class _Counted(BrownianScoreFn):
