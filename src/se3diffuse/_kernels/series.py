@@ -30,7 +30,8 @@ def _coefficients(eps, lmax: int) -> tuple[np.ndarray, np.ndarray]:
     coefficients.
     """
     ls = np.arange(lmax + 1, dtype=np.float64)
-    a = (2.0 * ls + 1.0) * np.exp(-eps * ls * (ls + 1.0))
+    with np.errstate(over="ignore"):  # -inf above eps of about 2e306: e^-inf = 0
+        a = (2.0 * ls + 1.0) * np.exp(-eps * ls * (ls + 1.0))
     c = 2.0 * np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
     c[..., 0] *= 0.5
     return ls, c

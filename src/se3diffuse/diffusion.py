@@ -29,6 +29,12 @@ from .lie import (
     Pose,
     Rotation,
     Twist,
+    _cross,
+    _log,
+    _matrix,
+    _mul,
+    _norm,
+    _rotate,
     finite_poses,
     inverse,
     quat_conj,
@@ -122,11 +128,9 @@ _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 _IDENTITY_CONJ = quat_conj(_IDENTITY_Q)
 _ZERO = np.zeros(3)
 _UPPER = np.triu_indices(3)
-# cross(a, b)_i = a_NEXT[i] b_PREV[i] - a_PREV[i] b_NEXT[i]
+# vee(X)_i = X_NEXT[i],PREV[i] - X_PREV[i],NEXT[i]
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
-# row-major entries of a rotation matrix from [diagonal, (NEXT, PREV) entries, (PREV, NEXT) entries]
-_MATRIX_ORDER = np.array([0, 5, 7, 8, 1, 3, 4, 6, 2])
 # the feature columns of rows m = 0..2 of k k^T at entries NEXT and PREV: upper(k k^T) follows [1, k]
 _OUTER_COLUMN = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 _OUTER_NEXT = _OUTER_COLUMN[:, _NEXT]
@@ -354,63 +358,23 @@ def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: Point
     return _components(np.stack([g.r.q for g in inv]), np.stack([g.p for g in inv]), points, logw)
 
 
-def _quat_products(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``quat_mul(a[d], q[n])`` for every pair, bit for bit, as (D, N) w and (D, 3, N) v.
-
-    Each entry product a_i q_j is formed once, and the cross product is
-    taken from those by index.
-    """
-    ab = a[:, :, None, None] * q.T  # (D, 4, 4, N)
-    w = ab[:, 0, 0] - ((ab[:, 1, 1] + ab[:, 2, 2]) + ab[:, 3, 3])
-    v = (ab[:, 0, 1:] + ab[:, 1:, 0]) + (ab[:, 1 + _NEXT, 1 + _PREV] - ab[:, 1 + _PREV, 1 + _NEXT])
-    return w, v
-
-
-def _rotation_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``quat_to_matrix`` of (D, N) w and (D, 3, N) v, bit for bit, as (D, 3, 3, N).
-
-    The sign of the quaternion cancels in every product.
-    """
-    vv = v * v
-    c = v[:, _NEXT] * v[:, _PREV]
-    wv = w[:, None] * v
-    rm = np.concatenate([1.0 - 2.0 * (vv[:, _NEXT] + vv[:, _PREV]), 2.0 * (c - wv), 2.0 * (c + wv)], axis=1)
-    return rm[:, _MATRIX_ORDER].reshape(w.shape[0], 3, 3, -1)
-
-
-def _rotation_vectors(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``quat_log`` of (D, N) w and (D, 3, N) v and its norm, bit for bit.
-
-    The quaternion is flipped to w >= 0 by the sign of its coefficient.
-    """
-    vv = v * v
-    s = np.sqrt((vv[:, 0] + vv[:, 1]) + vv[:, 2])
-    wc = np.abs(w)
-    small = s < 1e-9
-    coef = np.where(small, 2.0 / np.where(wc == 0.0, 1.0, wc), 2.0 * np.arctan2(s, wc) / np.where(small, 1.0, s))
-    rotvec = np.where(w < 0.0, -coef, coef)[:, None] * v
-    rr = rotvec * rotvec
-    return rotvec, np.sqrt((rr[:, 0] + rr[:, 1]) + rr[:, 2])
-
-
 def _frames(q: np.ndarray, p: np.ndarray, comps: _Components):
     """Kernel frames g_m = g0_d^-1 g per demo and pose, demo-major.
 
     Returns R_m (D, 3, 3, N), p_m (D, 3, N), and the rotation vectors
-    (D, 3, N) and angles (D, N) of R_m.  Bit for bit these are
+    (D, 3, N) and angles (D, N) of R_m: the ``lie`` kernels of
     ``quat_to_matrix``, ``quat_rotate(q0inv, p) + p0inv``, ``quat_log`` and
-    the norm of the rotation vector, of ``quat_mul(q0inv, q)``.
+    the norm, of ``quat_mul(q0inv, q)``, over (D, 1) by (N,) broadcasts.
     """
-    a = comps.q0inv
-    w, v = _quat_products(a, q)
-    rotvec, theta = _rotation_vectors(w, v)
-    # quat_rotate(q0inv, p): t = 2 (a_v x p), then p + a_w t + a_v x t
-    av = a[:, 1:, None]
-    ap = a[:, 1:, None, None] * p.T  # (D, 3, 3, N): a_i p_j
-    t = 2.0 * (ap[:, _NEXT, _PREV] - ap[:, _PREV, _NEXT])
-    pm = ((p.T + a[:, :1, None] * t) + (av[:, _NEXT] * t[:, _PREV] - av[:, _PREV] * t[:, _NEXT])
-          + comps.p0inv[:, :, None])
-    return _rotation_matrices(w, v), pm, rotvec, theta
+    # contiguous component-first operands, so that every product is laid out (3, D, N)
+    a = np.ascontiguousarray(comps.q0inv.T)[:, :, None]  # (4, D, 1)
+    qt = np.ascontiguousarray(q.T)[:, None]  # (4, 1, N)
+    w, v = _mul(a[0], a[1:], qt[0], qt[1:])  # (D, N), (3, D, N)
+    rotvec = _log(w, v)
+    pm = (_rotate(a[0], a[1:], np.ascontiguousarray(p.T)[:, None])
+          + np.ascontiguousarray(comps.p0inv.T)[:, :, None])
+    return (_matrix(w, v).transpose(2, 0, 1, 3), pm.transpose(1, 0, 2), rotvec.transpose(1, 0, 2),
+            _norm(rotvec))
 
 
 def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
@@ -485,7 +449,7 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     terms = np.empty((w.shape[0], 10, w.shape[2]))
     np.subtract(w * a + k, rt_k, out=terms[:, :3])
     vee = np.sum(moments[:, _OUTER_NEXT] * rm[:, :, _PREV] - moments[:, _OUTER_PREV] * rm[:, :, _NEXT], axis=1)
-    np.subtract(k[:, _NEXT] * a[:, _PREV] - k[:, _PREV] * a[:, _NEXT], vee, out=terms[:, 3:6])
+    np.subtract(_cross(k.swapaxes(0, 1), a.swapaxes(0, 1)).swapaxes(0, 1), vee, out=terms[:, 3:6])
     np.multiply((w[:, 0] * ratio / np.where(theta < 1e-12, 1.0, theta))[:, None], rotvec, out=terms[:, 6:9])
     terms[:, 9] = w[:, 0]
     sums = np.sum(terms, axis=0)

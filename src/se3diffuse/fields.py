@@ -339,12 +339,12 @@ class ModelScore:
     def _readout(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 9) linear, orbital and spin columns of the score at quaternion/translation stacks."""
         check_time(t)
-        q, p, bad = finite_poses(np.reshape(q, (-1, 4)), np.reshape(p, (-1, 3)))
+        q, p, bad = finite_poses(q, p)
         if len(self.query) == 0:
             warnings.warn("empty query set; returning zero score", RuntimeWarning, stacklevel=3)
         phi = self._scene_field(q, p, self.model.scene.gate_values(t))
         # no BLAS here: einsum without optimize reduces each row alone
-        out = np.einsum("nk,kc->nc", phi.reshape(q.shape[0], -1), self._op)
+        out = np.einsum("nk,kc->nc", phi.reshape(q.shape[0], self._op.shape[0]), self._op)
         out *= 1.0 / math.sqrt(t)
         out[bad] = np.nan
         return out

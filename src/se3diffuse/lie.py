@@ -10,8 +10,10 @@ Conventions used throughout the package:
   ``[0, pi]`` and ``log_se3`` rejects angles within ``1e-6`` of ``pi``.
 
 The module exposes a scalar object API (:class:`Rotation`, :class:`Pose`,
-:class:`Twist`) plus array-level quaternion helpers (``quat_*``) that
-operate on trailing-axis stacks and back the vectorized samplers.
+:class:`Twist`) plus array-level quaternion helpers (``quat_*``) on
+trailing-axis stacks, which adapt the one component-first kernel of each
+quaternion operation (``_mul``, ``_exp``, ...) that the vectorized
+samplers and scores call directly.
 """
 
 from __future__ import annotations
@@ -56,36 +58,108 @@ PI_BRANCH_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Array-level quaternion helpers.  All accept stacks with shape (..., 4) /
-# (..., 3) and are pure; they do not canonicalize unless stated.
+# Quaternion kernels: each operation's arithmetic, once, on component-first
+# stacks.  A scalar part w has any shape; a vector part, rotation vector or
+# point has its 3 components on the first axis, broadcasting over the rest.
+# The helpers below are layout adapters over these, and the Langevin step and
+# the kernel frames call them directly.
 # ---------------------------------------------------------------------------
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the last axis of broadcasting 3-vector stacks.
+# row-major entries of a rotation matrix from [diagonal, 2 (c - w v), 2 (c + w v)] rows
+_MATRIX_ORDER = np.array([0, 5, 7, 8, 1, 3, 4, 6, 2])
 
-    Explicit component arithmetic in ``np.cross``'s operation order, so
-    results are bit-identical to it without its per-call overhead.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the first axis in ``np.cross``'s order, the cyclic shifts as slices."""
+    a = np.concatenate([a, a[:2]])
+    b = np.concatenate([b, b[:2]])
+    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Norm over the first axis, the squares summed in order as ``np.linalg.norm`` sums them."""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
+
+
+def _mul(aw, av: np.ndarray, bw, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) parts of the Hamilton product (aw, av)(bw, bv)."""
+    return aw * bw - np.add.reduce(av * bv, axis=0), (aw * bv + bw * av) + _cross(av, bv)
+
+
+def _rotate(w, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x rotated by the unit quaternion (w, v): x + w t + v x t with t = 2 v x x."""
+    t = 2.0 * _cross(v, x)
+    return (x + w * t) + _cross(v, t)
+
+
+def _exp(v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(v) as (cos(theta/2), v sin(theta/2)/theta), theta = ``_norm(v)``; a series below SMALL_ANGLE."""
+    half = 0.5 * theta
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 at theta = 0 takes the series
+        coef = np.sin(half) / theta
+    small = theta < SMALL_ANGLE
+    if small.any():
+        coef = np.where(small, 0.5 - theta**2 / 48.0 + theta**4 / 3840.0, coef)
+    return np.cos(half), coef * v
+
+
+def _log(w, v: np.ndarray) -> np.ndarray:
+    """Principal rotation vector (angle in [0, pi]) of (w, v) flipped onto w >= 0."""
+    flip = w < 0.0
+    w = np.where(flip, -w, w)
+    v = np.where(flip, -v, v)
+    s = _norm(v)
+    small = s < 1e-9
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coef = np.where(small, 2.0 / np.where(w == 0.0, 1.0, w),
+                        2.0 * np.arctan2(s, w) / np.where(small, 1.0, s))
+    return coef * v
+
+
+def _normalize(q: np.ndarray) -> np.ndarray:
+    """A (4, ...) quaternion stack over its norms."""
+    return q / _norm(q)
+
+
+def _matrix(w, v: np.ndarray) -> np.ndarray:
+    """(3, 3, ...) rotation matrices of (w, v), entry by entry; the sign of the quaternion cancels."""
+    v5 = np.concatenate([v, v[:2]])
+    vv = v5 * v5
+    c = v5[1:4] * v5[2:5]  # (v1 v2, v2 v0, v0 v1)
+    wv = w * v
+    rows = np.concatenate([1.0 - 2.0 * (vv[1:4] + vv[2:5]), 2.0 * (c - wv), 2.0 * (c + wv)])
+    return rows[_MATRIX_ORDER].reshape((3, 3) + rows.shape[1:])
+
+
+# ---------------------------------------------------------------------------
+# Array-level quaternion helpers.  All accept stacks with shape (..., 4) /
+# (..., 3), broadcasting over the leading axes, and are pure; they do not
+# canonicalize unless stated.  Results are C-contiguous.
+# ---------------------------------------------------------------------------
+
+def _first(*stacks: np.ndarray) -> list[np.ndarray]:
+    """Trailing-axis stacks as contiguous component-first copies with one number of batch axes."""
+    stacks = [np.asarray(a, dtype=np.float64) for a in stacks]
+    batch = max(a.ndim for a in stacks) - 1
+    return [np.ascontiguousarray(a.reshape((1,) * (batch + 1 - a.ndim) + a.shape)
+                                 .transpose((batch,) + tuple(range(batch)))) for a in stacks]
+
+
+def _last(x: np.ndarray, axes: int = 1) -> np.ndarray:
+    """A stack with ``axes`` component axes first as a C-contiguous trailing-axis array."""
+    return np.ascontiguousarray(x.transpose(tuple(range(axes, x.ndim)) + tuple(range(axes))))
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of broadcasting 3-vector stacks, bitwise ``np.cross``."""
+    return _last(_cross(*_first(a, b)))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion stacks."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aw, av = a[..., :1], a[..., 1:]
-    bw, bv = b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + cross(av, bv)
-    return np.concatenate([w, v], axis=-1)
+    a, b = _first(a, b)
+    w, v = _mul(a[0], a[1:], b[0], b[1:])
+    return _last(np.concatenate([w[None], v]))
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -97,37 +171,21 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vectors by unit quaternions (broadcasting over stacks)."""
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    qv = q[..., 1:]
-    t = 2.0 * cross(qv, v)
-    return v + q[..., :1] * t + cross(qv, t)
+    q, v = _first(q, v)
+    return _last(_rotate(q[0], q[1:], v))
 
 
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     """Exponential map from rotation vectors to unit quaternions."""
-    w = np.asarray(rotvec, dtype=np.float64)
-    theta = np.linalg.norm(w, axis=-1, keepdims=True)
-    half = 0.5 * theta
-    small = theta < SMALL_ANGLE
-    # sin(theta/2)/theta with its 4th-order series below the threshold
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(small, 0.5 - theta**2 / 48.0 + theta**4 / 3840.0,
-                        np.sin(half) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(half), coef * w], axis=-1)
+    [v] = _first(rotvec)
+    w, v = _exp(v, _norm(v))
+    return _last(np.concatenate([w[None], v]))
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
     """Principal rotation vector of unit quaternions (angle in [0, pi])."""
-    q = quat_canonical(q)
-    s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
-    w = q[..., :1]
-    theta = 2.0 * np.arctan2(s, w)
-    small = s < 1e-9
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(small, 2.0 / np.where(w == 0.0, 1.0, w),
-                        theta / np.where(small, 1.0, s))
-    return coef * q[..., 1:]
+    [q] = _first(q)
+    return _last(_log(q[0], q[1:]))
 
 
 def quat_angle(q: np.ndarray) -> np.ndarray:
@@ -173,13 +231,14 @@ def quat_unit(q: np.ndarray) -> np.ndarray:
 
 
 def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, p, bad): the stacks with each pose that has a non-finite entry, or a
-    quaternion whose norm is off 1 by more than 1e-3 (the ``Rotation`` rule), set
-    to the identity, and the (N,) mask of those poses, whose score rows are NaN.
+    """(q, p, bad): the (N, 4) and (N, 3) stacks, a single (4,)/(3,) pose read as a
+    batch of one, with each pose that has a non-finite entry, or a quaternion
+    whose norm is off 1 by more than 1e-3 (the ``Rotation`` rule), set to the
+    identity, and the (N,) mask of those poses, whose score rows are NaN.
     Stacks with no such pose come back as they are.
     """
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
+    q = np.reshape(np.asarray(q, dtype=np.float64), (-1, 4))
+    p = np.reshape(np.asarray(p, dtype=np.float64), (-1, 3))
     with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
         norm = np.sqrt(np.einsum("...j,...j->...", q, q))
     bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.isfinite(p).all(axis=-1))
@@ -189,24 +248,12 @@ def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return _last(_normalize(*_first(q)))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    m = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
-    m[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    m[..., 0, 1] = 2.0 * (x * y - w * z)
-    m[..., 0, 2] = 2.0 * (x * z + w * y)
-    m[..., 1, 0] = 2.0 * (x * y + w * z)
-    m[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    m[..., 1, 2] = 2.0 * (y * z - w * x)
-    m[..., 2, 0] = 2.0 * (x * z - w * y)
-    m[..., 2, 1] = 2.0 * (y * z + w * x)
-    m[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return m
+    [q] = _first(q)
+    return _last(_matrix(q[0], q[1:]), 2)
 
 
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lie import Pose, Rotation, Twist, quat_unit
+from .lie import (SMALL_ANGLE, Pose, Rotation, Twist, _cross, _exp, _mul, _norm, _normalize, _rotate,
+                  quat_unit)
 
 __all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
 
@@ -100,24 +101,16 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
     return AnnealSchedule(tuple(segs), eps, k1, k2, t, alpha, temperature)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``lie.cross`` over the first axis of (3, N) stacks, in its operation order."""
-    a = np.concatenate([a, a[:2]])
-    b = np.concatenate([b, b[:2]])
-    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
-
-
 def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
                 temperature: float, noise: np.ndarray, integrator: str
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Langevin update on quaternion/translation stacks.
 
     Works on the transposed stacks, (3, N) vector parts and (N,) scalar
-    rows, with each cross product, Hamilton product, exponential and norm
-    spelled out in the operation order of ``lie.cross``, ``quat_mul``,
-    ``quat_rotate``, ``quat_exp`` and ``quat_normalize``, so the update is
-    theirs bit for bit.  The angle |omega| is formed once, for the
-    left-Jacobian coefficients and the exponential.
+    rows, through the quaternion kernels of ``lie``, so the update is
+    ``quat_mul``, ``quat_exp``, ``quat_normalize`` and ``quat_rotate``
+    bit for bit.  The angle |omega| is formed once, for the left-Jacobian
+    coefficients and the exponential.
     """
     xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
     nu, om = xi[:3], xi[3:]
@@ -125,37 +118,25 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
     w, qv = qt[0], qt[1:]
     m = np.empty_like(qt)  # the product before normalization
     if integrator == "exact":
-        theta = np.sqrt((om[0] * om[0] + om[1] * om[1]) + om[2] * om[2])
+        theta = _norm(om)
         t2 = theta * theta
-        small = theta < 1e-6
-        half = 0.5 * theta
+        small = theta < SMALL_ANGLE
         with np.errstate(invalid="ignore", divide="ignore"):
             a = (1.0 - np.cos(theta)) / t2
             b = (theta - np.sin(theta)) / (t2 * theta)
-            # quat_exp(omega) = (cos(theta/2), omega sin(theta/2)/theta)
-            coef = np.sin(half) / theta
-        if small.any():  # series below 1e-6, elementwise
+        if small.any():  # series below SMALL_ANGLE, elementwise
             a = np.where(small, 0.5 - t2 / 24.0, a)
             b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
-            coef = np.where(small, 0.5 - t2 / 48.0 + theta**4 / 3840.0, coef)
         wx = _cross(om, nu)
         body = (nu + a * wx) + b * _cross(om, wx)
-        ew, ev = np.cos(half), coef * om
-        qe = qv * ev
-        m[0] = w * ew - ((qe[0] + qe[1]) + qe[2])
-        m[1:] = (w * ev + ew * qv) + _cross(qv, ev)
+        m[0], m[1:] = _mul(w, qv, *_exp(om, theta))
     elif integrator == "quat-trans":
-        # q + quat_mul(q, (0, omega)) / 2
         body = nu
-        qo = qv * om
-        m[0] = w + 0.5 * (w * 0.0 - ((qo[0] + qo[1]) + qo[2]))
-        m[1:] = qv + 0.5 * ((w * om + 0.0 * qv) + _cross(qv, om))
+        mw, mv = _mul(w, qv, 0.0, om)  # q + quat_mul(q, (0, omega)) / 2
+        m[0], m[1:] = w + 0.5 * mw, qv + 0.5 * mv
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
-    m2 = m * m
-    q_new = m / np.sqrt(((m2[0] + m2[1]) + m2[2]) + m2[3])
-    t = 2.0 * _cross(qv, body)  # quat_rotate(q, body)
-    return np.ascontiguousarray(q_new.T), p + ((body + w * t) + _cross(qv, t)).T
+    return np.ascontiguousarray(_normalize(m).T), p + _rotate(w, qv, body).T
 
 
 def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
@@ -187,20 +168,23 @@ def _score_rows(score, q: np.ndarray, p: np.ndarray, t: float, idx: np.ndarray,
 
     Returns the exception's text for each chain whose call raises on its
     own, by index; their rows are left as they were.  A call over every
-    chain passes the stacks as they are.
+    chain passes the stacks as they are.  A result that is not one
+    6-vector per pose is a broken score, not a bad chain: it raises
+    ``ValueError``.
     """
+    every = idx.size == q.shape[0]
     try:
-        if idx.size == q.shape[0]:
-            out[...] = score.score_batch(q, p, t)
-        else:
-            out[idx] = score.score_batch(q[idx], p[idx], t)
-        return {}
+        rows = score.score_batch(q, p, t) if every else score.score_batch(q[idx], p[idx], t)
     except Exception as exc:
         if idx.size == 1:
             return {int(idx[0]): f"{type(exc).__name__}: {exc}"}
         half = idx.size // 2
         faults = _score_rows(score, q, p, t, idx[:half], out)
         return faults | _score_rows(score, q, p, t, idx[half:], out)
+    if np.shape(rows) != (idx.size, 6):
+        raise ValueError(f"score_batch returned shape {np.shape(rows)} for {idx.size} poses, not ({idx.size}, 6)")
+    out[slice(None) if every else idx] = rows
+    return {}
 
 
 def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedule,
@@ -210,10 +194,12 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
 
     A failure freezes only the offending chain, with the step and reason
     recorded, while the others continue: a chain whose ``score_batch`` call
-    raises on its own, a non-finite score row, or a step that overflows.
-    Each chain draws its noise from its own spawned generator,
-    ``NOISE_BLOCK`` steps at a time.  ``record`` is ``"full"`` for whole
-    trajectories or ``"final"`` to keep only the endpoints.
+    raises on its own, a non-finite score row, or a step that overflows;
+    the first of these is its reason.  A ``score_batch`` result that is not
+    one 6-vector per pose raises ``ValueError``.  Each chain draws its
+    noise from its own spawned generator, ``NOISE_BLOCK`` steps at a time.
+    ``record`` is ``"full"`` for whole trajectories or ``"final"`` to keep
+    only the endpoints.
     """
     q = np.asarray(q0, dtype=np.float64)
     p = np.asarray(p0, dtype=np.float64)
@@ -254,7 +240,7 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
         if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
             finite = np.isfinite(q_new).all(axis=1) & np.isfinite(p_new).all(axis=1)
             for i in np.flatnonzero(alive & ~finite):  # a finite score too large to integrate
-                faults[i] = "non-finite step"
+                faults.setdefault(i, "non-finite step")  # a non-finite pose keeps its first reason
         if faults:
             for i, reason in faults.items():
                 alive[i], failed_step[i], error[i] = False, n, reason

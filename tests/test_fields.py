@@ -295,6 +295,18 @@ def test_assemble_single_origin_query_has_no_orbital_term(toy):
     assert np.allclose(full.omega, spin[0])
 
 
+@pytest.mark.parametrize("which", ["mixture", "brownian", "model"])
+def test_scores_read_an_empty_stack_and_a_single_pose_alike(toy, rng, which):
+    score = {"mixture": lambda: MixtureScore(toy.demo_set(), toy.config),
+             "brownian": BrownianScoreFn,
+             "model": lambda: ModelScore(toy.scene, toy.grasp, 1.0,
+                                         build_query_set(toy.grasp, toy.model), toy.model)}[which]()
+    assert score.score_batch(np.zeros((0, 4)), np.zeros((0, 3)), 0.5).shape == (0, 6)
+    q, p = random_rotation(rng).q, rng.standard_normal(3)
+    one = score.score_batch(q, p, 0.5)  # a batch of one
+    assert one.shape == (1, 6) and np.array_equal(one, score.score_batch(q[None], p[None], 0.5))
+
+
 def test_assemble_score_bi_equivariance(toy, rng):
     model = toy.model
     g = compose(toy.demo_poses[1],

@@ -526,13 +526,46 @@ def test_cmd_sample_igso3_refuses_a_subnormal_eps(tmp_path):
 @example(log_eps=math.log(2.3e-308))
 @example(log_eps=math.log(1e-210))
 @example(log_eps=math.log(1e3))
-@given(log_eps=st.floats(math.log(5e-324), math.log(1e3)))
+@example(log_eps=math.log(1e307))
+@example(log_eps=math.log(1.7e308))
+@given(log_eps=st.floats(math.log(5e-324), math.log(1.7e308)))
 def test_cmd_sample_igso3_exits_0_with_a_finite_ks_or_2_with_one_error_line(tmp_path_factory,
                                                                              log_eps):
     eps = max(math.exp(log_eps), 5e-324)
     code, err, ks = _sample_igso3(eps, tmp_path_factory.mktemp("igso3") / "rots.txt", 200)
     if code == 0:
         assert err == [] and math.isfinite(ks)
+    else:
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+
+
+_LOG_TIME = st.floats(math.log(5e-324), math.log(1.7e308))
+
+
+@settings(max_examples=25, deadline=None)
+@example(log_t=math.log(5e306), log_t_max=None)
+@example(log_t=math.log(1e-4), log_t_max=math.log(1.7e308))
+@example(log_t=math.log(5e-324), log_t_max=math.log(1.0))
+@example(log_t=math.log(1.0), log_t_max=math.log(1e-4))
+@given(log_t=_LOG_TIME, log_t_max=st.none() | _LOG_TIME)
+def test_cmd_diffuse_exits_0_with_finite_draws_or_2_with_one_error_line(scenario_dir, tmp_path_factory,
+                                                                        log_t, log_t_max):
+    times = ["--t", repr(max(math.exp(log_t), 5e-324))]
+    if log_t_max is not None:
+        times += ["--t-max", repr(max(math.exp(log_t_max), 5e-324))]
+    out = tmp_path_factory.mktemp("diffuse") / "d.txt"
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), *times, "--n", "5",
+                     "--out", str(out), "--seed", "1"])
+    err = err.getvalue().splitlines()
+    if code == 0:
+        records = _sample_records(out)
+        assert err == [] and len(records) == len(read_poses(out)) == 5  # a Pose refuses non-finite entries
+        for rec in records:
+            assert all(np.all(np.isfinite(rec[key])) for key in ("t", "p_de", "delta_quat", "delta_pos"))
     else:
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from se3diffuse import lie
 from se3diffuse.lie import (
     Pose,
     Rotation,
@@ -19,6 +20,11 @@ from se3diffuse.lie import (
     log_so3,
     quat_angle,
     quat_exp,
+    quat_log,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+    quat_to_matrix,
     quat_unit,
     random_rotation,
     skew,
@@ -251,3 +257,88 @@ def test_quat_angle_keeps_angles_whose_squares_underflow(rng):
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     plain = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=-1), np.abs(q[:, 0]))
     assert np.array_equal(quat_angle(q), plain)
+
+
+def _stacks(rng, batch):
+    """Non-unit quaternions with both signs of w, rotation vectors on both sides of
+    ``SMALL_ANGLE``, and points; about a quarter of the entries are signed zeros."""
+    q = rng.standard_normal(batch + (4,)) * 10.0 ** rng.uniform(-1.0, 1.0, batch + (1,))
+    b = rng.standard_normal(batch + (4,))
+    v = rng.standard_normal(batch + (3,)) * 10.0 ** rng.uniform(-8.0, 1.0, batch + (1,))
+    x = rng.standard_normal(batch + (3,))
+    for a in (q, b, v, x):
+        zero = rng.random(a.shape) < 0.25
+        a[zero] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zero]
+    q[np.all(q == 0.0, axis=-1)] = 0.5  # a zero quaternion has no direction
+    return q, b, v, x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _first(a):
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _last(a):
+    return np.moveaxis(a, 0, -1)
+
+
+def _quat(w, v):
+    return np.concatenate([np.asarray(w)[..., None], _last(v)], axis=-1)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (9,), (3, 7)])
+def test_quaternion_helpers_are_their_kernels_bit_for_bit(rng, batch):
+    """The trailing-axis helpers are layout adapters over the component-first kernels."""
+    for _ in range(20):
+        q, b, v, x = _stacks(rng, batch)
+        fq, fb, fv, fx = _first(q), _first(b), _first(v), _first(x)
+        for got, ref in [
+            (cross(v, x), _last(lie._cross(fv, fx))),
+            (quat_mul(q, b), _quat(*lie._mul(fq[0], fq[1:], fb[0], fb[1:]))),
+            (quat_rotate(q, x), _last(lie._rotate(fq[0], fq[1:], fx))),
+            (quat_exp(v), _quat(*lie._exp(fv, lie._norm(fv)))),
+            (quat_log(q), _last(lie._log(fq[0], fq[1:]))),
+            (quat_normalize(q), _last(lie._normalize(fq))),
+            (quat_to_matrix(q), np.moveaxis(lie._matrix(fq[0], fq[1:]), (0, 1), (-2, -1))),
+        ]:
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(ref))  # signed zeros included
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (9,), (3, 7)])
+def test_quaternion_kernels_keep_the_bits_of_the_trailing_axis_formulas(rng, batch):
+    """Each kernel in the operation order of its formula over the last axis, with
+    the sums and norms of ``np.sum`` and ``np.linalg.norm``."""
+    for _ in range(20):
+        q, b, v, x = _stacks(rng, batch)
+        w, u = q[..., :1], q[..., 1:]
+        t = 2.0 * np.cross(u, x)
+        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        c = np.where(w < 0.0, -q, q)
+        s = np.linalg.norm(c[..., 1:], axis=-1, keepdims=True)
+        y = np.moveaxis(q, -1, 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            coef = np.where(theta < 1e-6, 0.5 - theta**2 / 48.0 + theta**4 / 3840.0,
+                            np.sin(0.5 * theta) / np.where(theta < 1e-6, 1.0, theta))
+            log = np.where(s < 1e-9, 2.0 / np.where(c[..., :1] == 0.0, 1.0, c[..., :1]),
+                           2.0 * np.arctan2(s, c[..., :1]) / np.where(s < 1e-9, 1.0, s)) * c[..., 1:]
+        matrix = np.moveaxis(np.array([
+            [1.0 - 2.0 * (y[2] * y[2] + y[3] * y[3]), 2.0 * (y[1] * y[2] - y[0] * y[3]),
+             2.0 * (y[1] * y[3] + y[0] * y[2])],
+            [2.0 * (y[1] * y[2] + y[0] * y[3]), 1.0 - 2.0 * (y[1] * y[1] + y[3] * y[3]),
+             2.0 * (y[2] * y[3] - y[0] * y[1])],
+            [2.0 * (y[1] * y[3] - y[0] * y[2]), 2.0 * (y[2] * y[3] + y[0] * y[1]),
+             1.0 - 2.0 * (y[1] * y[1] + y[2] * y[2])]]), (0, 1), (-2, -1))
+        for got, ref in [
+            (quat_mul(q, b), np.concatenate([w * b[..., :1] - np.sum(u * b[..., 1:], axis=-1, keepdims=True),
+                                             w * b[..., 1:] + b[..., :1] * u + np.cross(u, b[..., 1:])], axis=-1)),
+            (quat_rotate(q, x), x + w * t + np.cross(u, t)),
+            (quat_exp(v), np.concatenate([np.cos(0.5 * theta), coef * v], axis=-1)),
+            (quat_log(q), log),
+            (quat_normalize(q), q / np.linalg.norm(q, axis=-1, keepdims=True)),
+            (quat_to_matrix(q), matrix),
+        ]:
+            assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))

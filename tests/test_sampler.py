@@ -311,6 +311,37 @@ def test_run_denoising_freezes_a_non_finite_score_and_a_non_finite_step_at_one_s
     assert np.all(np.isfinite(res.trajectory))
 
 
+def test_run_denoising_keeps_the_first_fault_reason_of_a_non_finite_pose():
+    q0, p0 = _identity_stacks(3)
+    p0[1, 2] = np.nan  # scores NaN, and its step is not finite either
+    sched = build_schedule([(1.0, 0.5, 5)], eps=0.01)
+    res = run_denoising(BrownianScoreFn(), q0, p0, sched, np.random.default_rng(0))
+    assert res.failed_step.tolist() == [-1, 0, -1]
+    assert res.error.tolist() == ["", "non-finite score", ""]
+
+
+def test_run_denoising_refuses_a_score_result_with_one_row_for_three_chains():
+    class OneRow:
+        def score_batch(self, q, p, t):
+            return np.zeros((1, 6))
+
+    sched = build_schedule([(1.0, 0.5, 5)], eps=0.01)
+    with pytest.raises(ValueError, match=r"shape \(1, 6\) for 3 poses, not \(3, 6\)"):
+        run_denoising(OneRow(), *_identity_stacks(3), sched, np.random.default_rng(0))
+
+
+def test_run_denoising_refuses_a_wrong_shaped_score_result_after_a_chain_froze():
+    class ThreeRows:
+        def score_batch(self, q, p, t):
+            return np.zeros((3, 6))
+
+    q0, p0 = _identity_stacks(3)
+    p0[2, 0] = np.nan  # its first step is not finite, so the next call scores two chains
+    sched = build_schedule([(1.0, 0.5, 5)], eps=0.01)
+    with pytest.raises(ValueError, match=r"shape \(3, 6\) for 2 poses, not \(2, 6\)"):
+        run_denoising(ThreeRows(), q0, p0, sched, np.random.default_rng(0))
+
+
 class _Counted(BrownianScoreFn):
     """The Brownian score, counting ``score_batch`` calls per diffusion time."""
 
