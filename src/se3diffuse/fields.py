@@ -36,14 +36,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .diffusion import check_time
 from .irreps import IrrepsLayout, IrrepsVector, cg_contract_batch, cg_paths, sh_stack
 from .irreps import cg_path_batch as _contract_batch
-from .lie import Pose, Twist, cross, finite_poses, quat_to_matrix
+from .lie import Pose, Twist, _matrix, cross, finite_poses
 from .pointcloud import PointCloud, pair_offsets
 
 __all__ = [
@@ -62,7 +61,7 @@ __all__ = [
     "random_model_params",
 ]
 
-N_COLOR_CHANNELS = 4  # constant term plus r, g, b
+N_COLOR_CHANNELS = 4  # constant term plus r, g, b: the columns of ``PointCloud.channels``
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +91,30 @@ class SyntheticEdfParams:
         n_slots = len(self.layout.slots())
         cw = np.asarray(self.channel_weights, dtype=np.float64).reshape(
             n_slots, len(widths), N_COLOR_CHANNELS, len(centers)).copy()
-        cw.setflags(write=False)
+        # what every field pass reads, formed here once: the gate centers and
+        # 2 width^2, the radial exponent scales -1/(2 w^2) as a (B, 1) column,
+        # each slot's degree and each field column's slot
+        gate_centers = np.asarray(centers)
+        width = gate_centers[1] - gate_centers[0] if gate_centers.size > 1 else 1.0
+        degrees = tuple(self.layout.slots())
+        slot = np.repeat(np.arange(n_slots), [2 * l + 1 for l in degrees])
+        scale = (-0.5 / np.asarray(widths) ** 2)[:, None]
+        for a in (cw, gate_centers, slot, scale):
+            a.setflags(write=False)
         object.__setattr__(self, "radial_widths", widths)
         object.__setattr__(self, "time_gate_centers", centers)
         object.__setattr__(self, "channel_weights", cw)
+        object.__setattr__(self, "_gate_centers", gate_centers)
+        object.__setattr__(self, "_gate_den", 2.0 * width**2)
+        object.__setattr__(self, "_degrees", degrees)
+        object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "_scale", scale)
 
     def gate_values(self, t: float | None) -> np.ndarray:
         """Gaussian bumps over log t; all ones when t is None (no gating)."""
-        centers = np.asarray(self.time_gate_centers)
         if t is None:
-            return np.ones(centers.size)
-        width = centers[1] - centers[0] if centers.size > 1 else 1.0
-        return np.exp(-((math.log(t) - centers) ** 2) / (2.0 * width**2))
+            return np.ones(self._gate_centers.size)
+        return np.exp(-((math.log(t) - self._gate_centers) ** 2) / self._gate_den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,28 +160,6 @@ def fps_select(pc: PointCloud, n: int, start_index: int = 0) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def _color_features(pc: PointCloud) -> np.ndarray:
-    feats = np.zeros((len(pc), N_COLOR_CHANNELS))
-    feats[:, 0] = 1.0
-    if pc.colors is not None:
-        feats[:, 1:] = pc.colors
-    return feats
-
-
-@lru_cache(maxsize=None)
-def _lobe_layout(layout: IrrepsLayout) -> tuple[tuple[int, ...], np.ndarray]:
-    """Degree of every multiplicity slot, and the slot of every field column.
-
-    The harmonics of the slot degrees, one pass for all of them, come in
-    the layout's column order, so field column c of a kept pair is its
-    harmonic c times the radial sum of slot ``slot[c]``.
-    """
-    degrees = tuple(layout.slots())
-    slot = np.repeat(np.arange(len(degrees)), [2 * l + 1 for l in degrees])
-    slot.setflags(write=False)
-    return degrees, slot
-
-
 def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
                gates: np.ndarray, frames: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Field coefficients at query positions, one pairwise pass.
@@ -185,12 +174,13 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
     xs = np.asarray(xs, dtype=np.float64)
     cloud = pc.positions
     if frames is not None:  # the rows of (o - p) R are R^T (o - p)
-        cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ quat_to_matrix(frames[0])
-    degrees, slot = _lobe_layout(params.layout)
+        qt = np.ascontiguousarray(frames[0].T)
+        rot = np.ascontiguousarray(_matrix(qt[0], qt[1:]).transpose(2, 0, 1))  # (N, 3, 3)
+        cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ rot
+    slot = params._slot
     # (radial, slot, points) table of the colors times the gated channel weights
-    table = np.einsum("pc,sbcg,g->bps", _color_features(pc), params.channel_weights, gates)
+    table = np.einsum("pc,sbcg,g->bps", pc.channels, params.channel_weights, gates)
     table = np.ascontiguousarray(table.transpose(0, 2, 1))
-    scale = (-0.5 / np.asarray(params.radial_widths) ** 2)[:, None]
     cut2 = params.cutoff ** 2
     n_cloud = cloud.shape[-2]
     out = np.zeros((xs.size // 3, slot.size))
@@ -198,19 +188,19 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
         dt = d.transpose(2, 0, 1).reshape(3, -1)  # (3, pairs), a view
         sq = dt * dt
         d2 = (sq[0] + sq[1]) + sq[2]
-        kept = np.flatnonzero((d2 <= cut2) & (d2 > 0.0))  # the p = x singular term is skipped
+        kept = ((d2 <= cut2) & (d2 > 0.0)).nonzero()[0]  # the p = x singular term is skipped
         row, pi = np.divmod(kept, n_cloud)
         d2_k = d2[kept]
-        dirs = np.take(dt, kept, axis=1) / -np.sqrt(d2_k)  # unit vectors from point toward x
-        terms = np.take(table, pi, axis=2)
-        terms *= np.exp(scale * d2_k)[:, None, :]  # (B, slots, K)
+        dirs = dt.take(kept, axis=1) / -np.sqrt(d2_k)  # unit vectors from point toward x
+        terms = table.take(pi, axis=2)
+        terms *= np.exp(params._scale * d2_k)[:, None, :]  # (B, slots, K)
         scal = terms[0]
         for b in range(1, terms.shape[0]):  # elementwise, radial basis by radial basis
             scal = scal + terms[b]
-        lobes = sh_stack(degrees, dirs)
+        lobes = sh_stack(params._degrees, dirs)
         lobes *= scal[slot]
-        hit = np.flatnonzero(np.bincount(row, minlength=d.shape[0]))
-        out[rows][hit] = np.add.reduceat(lobes, np.searchsorted(row, hit), axis=1).T
+        hit = np.bincount(row, minlength=d.shape[0]).nonzero()[0]
+        out[rows][hit] = np.add.reduceat(lobes, row.searchsorted(hit), axis=1).T
     return out.reshape(xs.shape[:-1] + (slot.size,))
 
 
@@ -322,6 +312,7 @@ class ModelScore:
         self.length_unit = length_unit
         self.query = query
         self.model = model
+        self._queries = np.empty((0, len(query), 3))  # the query points once per pose of a batch
         dim = model.scene.layout.dim
         psi = np.repeat(_edf_batch(query.points, grasp, model.grasp, model.grasp.gate_values(None)),
                         dim, axis=0)
@@ -362,8 +353,9 @@ class ModelScore:
 
     def _scene_field(self, q: np.ndarray, p: np.ndarray, gates: np.ndarray) -> np.ndarray:
         """(N, Q, dim) body-frame scene field at the query points, at one gate vector."""
-        qs = self.query.points[None].repeat(q.shape[0], axis=0)
-        return _edf_batch(qs, self.scene, self.model.scene, gates, frames=(q, p))
+        if self._queries.shape[0] != q.shape[0]:  # formed again only when the batch size changes
+            self._queries = self.query.points[None].repeat(q.shape[0], axis=0)
+        return _edf_batch(self._queries, self.scene, self.model.scene, gates, frames=(q, p))
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""

@@ -92,14 +92,25 @@ def _rotate(w, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x + w * t) + _cross(v, t)
 
 
-def _exp(v: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(v) as (cos(theta/2), v sin(theta/2)/theta), theta = ``_norm(v)``; a series below SMALL_ANGLE."""
-    half = 0.5 * theta
-    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 at theta = 0 takes the series
-        coef = np.sin(half) / theta
+def _small_angles(theta: np.ndarray) -> np.ndarray | None:
+    """The mask theta < SMALL_ANGLE, or None when no angle is that small."""
     small = theta < SMALL_ANGLE
-    if small.any():
-        coef = np.where(small, 0.5 - theta**2 / 48.0 + theta**4 / 3840.0, coef)
+    return small if small.any() else None
+
+
+def _exp(v: np.ndarray, theta: np.ndarray, small: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(v) as (cos(theta/2), v sin(theta/2)/theta), theta = ``_norm(v)``.
+
+    ``small`` is ``_small_angles(theta)``; its angles take a series, formed
+    with every other angle set to 0, so that no large angle overflows it.  Call under
+    ``np.errstate(invalid="ignore", divide="ignore")``: sin(0)/0 is NaN
+    until the series replaces it.
+    """
+    half = 0.5 * theta
+    coef = np.sin(half) / theta
+    if small is not None:
+        ts = np.where(small, theta, 0.0)
+        coef = np.where(small, 0.5 - ts**2 / 48.0 + ts**4 / 3840.0, coef)
     return np.cos(half), coef * v
 
 
@@ -178,7 +189,9 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def quat_exp(rotvec: np.ndarray) -> np.ndarray:
     """Exponential map from rotation vectors to unit quaternions."""
     [v] = _first(rotvec)
-    w, v = _exp(v, _norm(v))
+    theta = _norm(v)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w, v = _exp(v, theta, _small_angles(theta))
     return _last(np.concatenate([w[None], v]))
 
 
@@ -235,10 +248,14 @@ def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     batch of one, with each pose that has a non-finite entry, or a quaternion
     whose norm is off 1 by more than 1e-3 (the ``Rotation`` rule), set to the
     identity, and the (N,) mask of those poses, whose score rows are NaN.
-    Stacks with no such pose come back as they are.
+    Stacks with no such pose come back as they are.  Stacks with different
+    numbers of poses raise ``ValueError``.
     """
-    q = np.reshape(np.asarray(q, dtype=np.float64), (-1, 4))
-    p = np.reshape(np.asarray(p, dtype=np.float64), (-1, 3))
+    qs = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    ps = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+    if qs.shape[0] != ps.shape[0]:
+        raise ValueError(f"need one translation per quaternion, got shapes {np.shape(q)} and {np.shape(p)}")
+    q, p = qs, ps
     with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
         norm = np.sqrt(np.einsum("...j,...j->...", q, q))
     bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.isfinite(p).all(axis=-1))

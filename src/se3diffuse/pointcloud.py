@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +38,19 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def channels(self) -> np.ndarray:
+        """(N, 4) per-point input channels of a descriptor field: 1, then the colors (0 without).
+
+        Formed on first use and kept, read-only.
+        """
+        out = np.zeros((len(self), 4))
+        out[:, 0] = 1.0
+        if self.colors is not None:
+            out[:, 1:] = self.colors
+        out.setflags(write=False)
+        return out
 
 
 def transform(pc: PointCloud, g: Pose) -> PointCloud:
@@ -97,7 +111,8 @@ def pair_offsets(xs: np.ndarray, cloud: np.ndarray) -> Iterator[tuple[slice, np.
     m, s = xs.shape[1], cloud.shape[1]
     rows = max(1, _PAIR_CHUNK // max(s, 1))
     frames = max(1, rows // max(m, 1))
-    xt, ct = xs.transpose(2, 0, 1), cloud.transpose(2, 0, 1)
+    # a contiguous coordinate-major cloud: the subtraction runs along its points
+    xt, ct = xs.transpose(2, 0, 1), np.ascontiguousarray(cloud.transpose(2, 0, 1))
     for k in range(0, xs.shape[0], frames):
         for i in range(0, m, rows):
             d = ct[:, k:k + frames, None, :] - xt[:, k:k + frames, i:i + rows, None]

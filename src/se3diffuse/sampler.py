@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lie import (SMALL_ANGLE, Pose, Rotation, Twist, _cross, _exp, _mul, _norm, _normalize, _rotate,
+from .lie import (Pose, Rotation, Twist, _cross, _exp, _mul, _norm, _normalize, _rotate, _small_angles,
                   quat_unit)
 
 __all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
@@ -109,34 +109,36 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
     Works on the transposed stacks, (3, N) vector parts and (N,) scalar
     rows, through the quaternion kernels of ``lie``, so the update is
     ``quat_mul``, ``quat_exp``, ``quat_normalize`` and ``quat_rotate``
-    bit for bit.  The angle |omega| is formed once, for the left-Jacobian
-    coefficients and the exponential.
+    bit for bit.  The angle |omega| and its small-angle mask are formed
+    once, for the left-Jacobian coefficients and the exponential.  Floating
+    point errors are ignored throughout: a step too large to integrate
+    gives non-finite rows, which the caller reports.
     """
-    xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
-    nu, om = xi[:3], xi[3:]
-    qt = np.ascontiguousarray(q.T)
-    w, qv = qt[0], qt[1:]
-    m = np.empty_like(qt)  # the product before normalization
-    if integrator == "exact":
-        theta = _norm(om)
-        t2 = theta * theta
-        small = theta < SMALL_ANGLE
-        with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
+        nu, om = xi[:3], xi[3:]
+        qt = np.ascontiguousarray(q.T)
+        w, qv = qt[0], qt[1:]
+        m = np.empty_like(qt)  # the product before normalization
+        if integrator == "exact":
+            theta = _norm(om)
+            t2 = theta * theta
             a = (1.0 - np.cos(theta)) / t2
             b = (theta - np.sin(theta)) / (t2 * theta)
-        if small.any():  # series below SMALL_ANGLE, elementwise
-            a = np.where(small, 0.5 - t2 / 24.0, a)
-            b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
-        wx = _cross(om, nu)
-        body = (nu + a * wx) + b * _cross(om, wx)
-        m[0], m[1:] = _mul(w, qv, *_exp(om, theta))
-    elif integrator == "quat-trans":
-        body = nu
-        mw, mv = _mul(w, qv, 0.0, om)  # q + quat_mul(q, (0, omega)) / 2
-        m[0], m[1:] = w + 0.5 * mw, qv + 0.5 * mv
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
-    return np.ascontiguousarray(_normalize(m).T), p + _rotate(w, qv, body).T
+            small = _small_angles(theta)
+            if small is not None:  # series below SMALL_ANGLE, elementwise
+                a = np.where(small, 0.5 - t2 / 24.0, a)
+                b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
+            wx = _cross(om, nu)
+            body = (nu + a * wx) + b * _cross(om, wx)
+            m[0], m[1:] = _mul(w, qv, *_exp(om, theta, small))
+        elif integrator == "quat-trans":
+            body = nu
+            mw, mv = _mul(w, qv, 0.0, om)  # q + quat_mul(q, (0, omega)) / 2
+            m[0], m[1:] = w + 0.5 * mw, qv + 0.5 * mv
+        else:
+            raise ValueError(f"unknown integrator {integrator!r}")
+        return np.ascontiguousarray(_normalize(m).T), p + _rotate(w, qv, body).T
 
 
 def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
@@ -162,29 +164,29 @@ class Denoised(NamedTuple):
     error: np.ndarray  # (N,) why the chain froze, "" if it did not
 
 
-def _score_rows(score, q: np.ndarray, p: np.ndarray, t: float, idx: np.ndarray,
-                out: np.ndarray) -> dict[int, str]:
-    """Fill ``out[idx]`` from ``score.score_batch``, bisecting ``idx`` while a call raises.
+def _score_rows(score, q: np.ndarray, p: np.ndarray, t: float,
+                idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """(rows, faults): ``score.score_batch`` at the chains ``idx``, bisecting ``idx`` while a call raises.
 
-    Returns the exception's text for each chain whose call raises on its
-    own, by index; their rows are left as they were.  A call over every
-    chain passes the stacks as they are.  A result that is not one
+    ``rows`` holds one float64 row per chain in ``idx``; a chain whose call
+    raises on its own gets a zero row, and the exception's text in
+    ``faults``, by index.  A call over every chain passes the stacks as
+    they are and hands its result back as it is.  A result that is not one
     6-vector per pose is a broken score, not a bad chain: it raises
     ``ValueError``.
     """
-    every = idx.size == q.shape[0]
     try:
-        rows = score.score_batch(q, p, t) if every else score.score_batch(q[idx], p[idx], t)
+        rows = score.score_batch(q, p, t) if idx.size == q.shape[0] else score.score_batch(q[idx], p[idx], t)
     except Exception as exc:
         if idx.size == 1:
-            return {int(idx[0]): f"{type(exc).__name__}: {exc}"}
+            return np.zeros((1, 6)), {int(idx[0]): f"{type(exc).__name__}: {exc}"}
         half = idx.size // 2
-        faults = _score_rows(score, q, p, t, idx[:half], out)
-        return faults | _score_rows(score, q, p, t, idx[half:], out)
+        first, faults = _score_rows(score, q, p, t, idx[:half])
+        second, more = _score_rows(score, q, p, t, idx[half:])
+        return np.concatenate([first, second]), faults | more
     if np.shape(rows) != (idx.size, 6):
         raise ValueError(f"score_batch returned shape {np.shape(rows)} for {idx.size} poses, not ({idx.size}, 6)")
-    out[slice(None) if every else idx] = rows
-    return {}
+    return np.asarray(rows, dtype=np.float64), {}
 
 
 def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedule,
@@ -214,37 +216,36 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
     idx = np.arange(chains)  # the chains still running
     failed_step = np.full(chains, -1)
     error = np.full(chains, "", dtype=object)
-    steps = schedule.steps
     traj = None
     if record == "full":
-        traj = np.empty((chains, steps + 1, 7))
+        traj = np.empty((chains, schedule.steps + 1, 7))
         traj[:, 0, :4] = q
         traj[:, 0, 4:] = p
 
-    for n in range(steps):
-        t_n = float(schedule.t[n])
+    for n, (t_n, alpha, temperature) in enumerate(zip(
+            schedule.t.tolist(), schedule.alpha.tolist(), schedule.temperature.tolist())):
         if n % NOISE_BLOCK == 0:  # every chain refills at the same step
             for stream, block in zip(streams, noise_block):
                 stream.standard_normal(out=block)
         noise = noise_block[:, n % NOISE_BLOCK]
-        scores = np.zeros((chains, 6))
-        faults: dict[int, str] = {}
-        if idx.size:
-            faults = _score_rows(score, q, p, t_n, idx, scores)  # a raising chain's row stays 0
-            if not np.isfinite(scores).all():
-                for i in np.flatnonzero(~np.isfinite(scores).all(axis=1)):  # frozen rows are 0
-                    faults[i], scores[i] = "non-finite score", 0.0
-        with np.errstate(over="ignore", invalid="ignore"):  # reported per chain below
-            q_new, p_new = _step_batch(q, p, scores, float(schedule.alpha[n]),
-                                       float(schedule.temperature[n]), noise, integrator)
+        if idx.size == chains:
+            scores, faults = _score_rows(score, q, p, t_n, idx)
+        else:  # a frozen chain's row is 0, and so is a raising chain's
+            scores, faults = np.zeros((chains, 6)), {}
+            if idx.size:
+                scores[idx], faults = _score_rows(score, q, p, t_n, idx)
+        q_new, p_new = _step_batch(q, p, scores, alpha, temperature, noise, integrator)
+        # a non-finite score row steps to a non-finite pose, and so does a finite score too
+        # large to integrate; a chain that raised keeps that reason
         if not (np.isfinite(q_new).all() and np.isfinite(p_new).all()):
             finite = np.isfinite(q_new).all(axis=1) & np.isfinite(p_new).all(axis=1)
-            for i in np.flatnonzero(alive & ~finite):  # a finite score too large to integrate
-                faults.setdefault(i, "non-finite step")  # a non-finite pose keeps its first reason
+            scored = np.isfinite(scores).all(axis=1)
+            for i in (alive & ~finite).nonzero()[0]:
+                faults.setdefault(i, "non-finite step" if scored[i] else "non-finite score")
         if faults:
             for i, reason in faults.items():
                 alive[i], failed_step[i], error[i] = False, n, reason
-            idx = np.flatnonzero(alive)
+            idx = alive.nonzero()[0]
         if idx.size == chains:
             q, p = q_new, p_new
         else:

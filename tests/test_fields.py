@@ -166,13 +166,15 @@ def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_ch
 
 def _edf_per_slot(xs, pc, params, t):
     """The field pass as one lobe per slot, mixing the radial terms one at a time."""
-    import se3diffuse.fields as fields
     from se3diffuse.irreps import sh_batch
     from se3diffuse.pointcloud import pair_offsets
 
     out = np.zeros((xs.shape[0], params.layout.dim))
-    table = np.einsum("pc,sbcg,g->pbs", fields._color_features(pc), params.channel_weights,
-                      params.gate_values(t))
+    channels = np.zeros((len(pc), 4))  # 1, then the colors
+    channels[:, 0] = 1.0
+    if pc.colors is not None:
+        channels[:, 1:] = pc.colors
+    table = np.einsum("pc,sbcg,g->pbs", channels, params.channel_weights, params.gate_values(t))
     scale = -0.5 / np.asarray(params.radial_widths) ** 2
     for rows, d in pair_offsets(xs, pc.positions):
         d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
@@ -305,6 +307,60 @@ def test_scores_read_an_empty_stack_and_a_single_pose_alike(toy, rng, which):
     q, p = random_rotation(rng).q, rng.standard_normal(3)
     one = score.score_batch(q, p, 0.5)  # a batch of one
     assert one.shape == (1, 6) and np.array_equal(one, score.score_batch(q[None], p[None], 0.5))
+
+
+@pytest.mark.parametrize("which", ["mixture", "brownian", "model"])
+def test_scores_refuse_stacks_with_different_pose_counts(toy, rng, which):
+    score = {"mixture": lambda: MixtureScore(toy.demo_set(), toy.config),
+             "brownian": BrownianScoreFn,
+             "model": lambda: ModelScore(toy.scene, toy.grasp, 1.0,
+                                         build_query_set(toy.grasp, toy.model), toy.model)}[which]()
+    q = np.stack([random_rotation(rng).q for _ in range(3)])
+    # one translation used to be broadcast to all three poses, two to fail inside NumPy
+    for p in (rng.standard_normal((1, 3)), rng.standard_normal((2, 3)), rng.standard_normal(3)):
+        with pytest.raises(ValueError, match=rf"shapes \(3, 4\) and \({p.shape[0]},(?: 3)?\)"):
+            score.score_batch(q, p, 0.5)
+    with pytest.raises(ValueError, match=r"shapes \(4,\) and \(2, 3\)"):
+        score.score_batch(q[0], rng.standard_normal((2, 3)), 0.5)
+
+
+def test_model_scores_of_different_params_keep_their_own_constants(toy, rng):
+    """Two scores in one process, each with its own cloud colors, radial widths, gate
+    centers, layout and query count, called in turn at batch sizes 5 and 1."""
+    from se3diffuse.fields import SyntheticEdfParams
+    from se3diffuse.irreps import cg_paths
+
+    layout = IrrepsLayout(((0, 1), (1, 1), (3, 1)))
+    edf = SyntheticEdfParams(layout, toy.model.scene.cutoff, (0.2, 0.45, 0.9),
+                             0.1 * rng.standard_normal((len(layout.slots()), 3, 4, 3)),
+                             (-4.0, -1.5, 0.5))
+    n_paths = len(cg_paths(toy.model.grasp.layout, layout))
+    other = replace(toy.model, scene=edf, weights_nu=rng.standard_normal(n_paths),
+                    weights_omega=rng.standard_normal(n_paths), query_count=6)
+
+    def colored(pc, colors):
+        return PointCloud(pc.positions, colors=colors)
+
+    # (scene, grasp, model); the world-frame reference takes an uncolored cloud as black
+    cases = [(toy.scene, toy.grasp, toy.model),
+             (colored(toy.scene, rng.random((len(toy.scene), 3))),
+              colored(toy.grasp, rng.random((len(toy.grasp), 3))), other)]
+    scores = [ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
+              for scene, grasp, model in cases]
+    for t in (0.02, 0.4):
+        q, p = _stacks(_poses_near_demos(toy, rng, 5))
+        batches = [score.score_parts(q, p, t) for score in scores]
+        for k in range(5):
+            for score, batch in zip(scores, batches):
+                one = score.score_parts(q[k:k + 1], p[k:k + 1], t)
+                assert all(np.array_equal(a[k], b[0]) for a, b in zip(batch, one))
+        for (scene, grasp, model), score, batch in zip(cases, scores, batches):
+            if scene.colors is None:
+                scene = colored(scene, np.zeros((len(scene), 3)))
+                grasp = colored(grasp, np.zeros((len(grasp), 3)))
+            want = _world_frame_score_parts(scene, grasp, score.query, model, 1.0, q, p, t)
+            for got, ref in zip(batch, want):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_assemble_score_bi_equivariance(toy, rng):

@@ -295,11 +295,14 @@ def test_quaternion_helpers_are_their_kernels_bit_for_bit(rng, batch):
     for _ in range(20):
         q, b, v, x = _stacks(rng, batch)
         fq, fb, fv, fx = _first(q), _first(b), _first(v), _first(x)
+        theta = lie._norm(fv)
+        with np.errstate(invalid="ignore", divide="ignore"):  # sin(0)/0 before the series
+            exp = _quat(*lie._exp(fv, theta, lie._small_angles(theta)))
         for got, ref in [
             (cross(v, x), _last(lie._cross(fv, fx))),
             (quat_mul(q, b), _quat(*lie._mul(fq[0], fq[1:], fb[0], fb[1:]))),
             (quat_rotate(q, x), _last(lie._rotate(fq[0], fq[1:], fx))),
-            (quat_exp(v), _quat(*lie._exp(fv, lie._norm(fv)))),
+            (quat_exp(v), exp),
             (quat_log(q), _last(lie._log(fq[0], fq[1:]))),
             (quat_normalize(q), _last(lie._normalize(fq))),
             (quat_to_matrix(q), np.moveaxis(lie._matrix(fq[0], fq[1:]), (0, 1), (-2, -1))),
@@ -342,3 +345,14 @@ def test_quaternion_kernels_keep_the_bits_of_the_trailing_axis_formulas(rng, bat
             (quat_to_matrix(q), matrix),
         ]:
             assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))
+
+
+def test_quat_exp_takes_the_series_on_small_angles_alone():
+    """A huge angle beside a small one: the series used to run on every row and overflow."""
+    v = np.array([[0.0, 0.0, 0.0], [1e80, 0.0, 0.0], [3e-7, -2e-7, 1e-7], [0.4, 0.0, -1.0]])
+    got = quat_exp(v)  # RuntimeWarning is an error in this suite
+    for k, row in enumerate(v):
+        assert np.array_equal(_bits(got[k]), _bits(quat_exp(row)))  # each row keeps its own bits
+    assert np.array_equal(got[0], [1.0, 0.0, 0.0, 0.0])
+    theta = np.sqrt(np.add.reduce(v[2] * v[2]))
+    assert np.array_equal(got[2, 1:], (0.5 - theta**2 / 48.0 + theta**4 / 3840.0) * v[2])
