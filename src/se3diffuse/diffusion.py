@@ -36,14 +36,13 @@ from .lie import (
     _norm,
     _rotate,
     finite_poses,
-    inverse,
-    quat_conj,
     quat_exp,
-    quat_mul,
     quat_rotate,
     quat_unit,
+    se3_compose,
+    se3_inverse,
 )
-from .pointcloud import PointCloud, pair_offsets, radius_count, transform  # noqa: F401  (perfbench traces radius_count here)
+from .pointcloud import PointCloud, pair_offsets, radius_count  # noqa: F401  (perfbench traces radius_count here)
 
 __all__ = [
     "DiffusionConfig",
@@ -124,8 +123,6 @@ def _ig_params(t: float) -> IgParams:
 
 
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
-# the rotation of inverse(T(p)), signed zeros included
-_IDENTITY_CONJ = quat_conj(_IDENTITY_Q)
 _ZERO = np.zeros(3)
 _UPPER = np.triu_indices(3)
 # vee(X)_i = X_NEXT[i],PREV[i] - X_PREV[i],NEXT[i]
@@ -237,6 +234,14 @@ def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: floa
     return counts / total
 
 
+def _contact_weights(q0inv: np.ndarray, p0inv: np.ndarray, scene: PointCloud, grasp: PointCloud,
+                     cfg: DiffusionConfig) -> np.ndarray:
+    """(D, K) contact weights against each body-frame scene g0^-1 . O_s of the (D, 4)/(D, 3)
+    inverse demo poses: one stacked rotation, then ``contact_origin_weights`` once per demo."""
+    body = quat_rotate(q0inv[:, None], scene.positions) + p0inv[:, None]
+    return np.stack([contact_origin_weights(grasp, PointCloud(x), cfg.r_nd) for x in body])
+
+
 class ForwardDraws(NamedTuple):
     """n forward-diffusion draws as stacks, in draw order."""
 
@@ -273,9 +278,9 @@ def forward_diffuse_batch(
        contact weights of the row's demo (the draw of ``rng.choice(K, p=w)``);
     4. one ``brownian_sample_batch(t, rng)`` call for delta_g.
 
-    The poses are composed on quaternion/translation stacks, renormalized
-    after each product as ``compose`` does, so that row k is bitwise
-    g0 T(p_de) delta_g T(p_de)^-1 composed one ``Pose`` at a time.
+    The poses are composed by three ``se3_compose`` calls on the stacks,
+    so that row k is bitwise g0 T(p_de) delta_g T(p_de)^-1 composed one
+    ``Pose`` at a time.
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
@@ -283,8 +288,8 @@ def forward_diffuse_batch(
         raise ValueError("no demo poses")
     if t_max is not None and not t_max >= cfg.t:
         raise ValueError("t_max must be at least cfg.t")
-    cdf = np.stack([np.cumsum(contact_origin_weights(grasp, transform(scene, inverse(g0)), cfg.r_nd))
-                    for g0 in demo_poses])
+    q0, p0 = np.stack([g0.r.q for g0 in demo_poses]), np.stack([g0.p for g0 in demo_poses])
+    cdf = np.cumsum(_contact_weights(*se3_inverse(q0, p0), scene, grasp, cfg), axis=1)
     cdf /= cdf[:, -1:]
 
     if t_max is None:
@@ -296,13 +301,9 @@ def forward_diffuse_batch(
     p_de = grasp.positions[np.count_nonzero(cdf[demo] <= rng.random(n)[:, None], axis=1)]
     delta_q, delta_p = brownian_sample_batch(t, rng)
 
-    q0 = np.stack([g0.r.q for g0 in demo_poses])[demo]
-    p_t = np.stack([g0.p for g0 in demo_poses])[demo] + quat_rotate(q0, p_de)
-    q_t = quat_unit(quat_mul(q0, _IDENTITY_Q))
-    p_t = p_t + quat_rotate(q_t, delta_p)
-    q_t = quat_unit(quat_mul(q_t, delta_q))
-    p_t = p_t + quat_rotate(q_t, -quat_rotate(_IDENTITY_CONJ, p_de))
-    q_t = quat_unit(quat_mul(q_t, _IDENTITY_CONJ))
+    q_t, p_t = se3_compose(q0[demo], p0[demo], _IDENTITY_Q, p_de)
+    q_t, p_t = se3_compose(q_t, p_t, delta_q, delta_p)
+    q_t, p_t = se3_compose(q_t, p_t, *se3_inverse(_IDENTITY_Q, p_de))
     return ForwardDraws(t, demo, q_t, p_t, p_de, delta_q, delta_p)
 
 
@@ -332,30 +333,22 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     batch of one of the component scores of ``MixtureScore``; raises for
     kernel angles within 1e-6 of pi, where the batch clamps.
     """
-    inv0 = inverse(g0)
-    return _pose_kernel_score(g, inv0.r.q, inv0.p, p_de, t)
-
-
-def _component_log_weights(g0: Pose, scene: PointCloud, grasp: PointCloud, cfg: DiffusionConfig):
-    """Contact weights for one demo, restricted to nonzero entries."""
-    scene_in_body = transform(scene, inverse(g0))
-    w = contact_origin_weights(grasp, scene_in_body, cfg.r_nd)
-    keep = np.nonzero(w > 0.0)[0]
-    return grasp.positions[keep], np.log(w[keep])
+    return _pose_kernel_score(g, *se3_inverse(g0.r.q, g0.p), p_de, t)
 
 
 def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: PointCloud,
                      cfg: DiffusionConfig, log_demo_weight: float = 0.0) -> _Components:
     """Every (demo, grasp point) component with nonzero contact weight."""
-    inv = [inverse(g0) for g0 in demo_poses]
-    parts = [_component_log_weights(g0, scene, grasp, cfg) for g0 in demo_poses]
-    slots = max(len(points) for points, _ in parts)
-    points = np.zeros((len(parts), slots, 3))
-    logw = np.full((len(parts), slots), -np.inf)
-    for d, (pts, lw) in enumerate(parts):
-        points[d, :len(pts)] = pts
-        logw[d, :len(pts)] = lw + log_demo_weight
-    return _components(np.stack([g.r.q for g in inv]), np.stack([g.p for g in inv]), points, logw)
+    q0inv, p0inv = se3_inverse(np.stack([g.r.q for g in demo_poses]), np.stack([g.p for g in demo_poses]))
+    w = _contact_weights(q0inv, p0inv, scene, grasp, cfg)
+    slots = np.count_nonzero(w > 0.0, axis=1).max()
+    points = np.zeros((len(w), slots, 3))
+    logw = np.full((len(w), slots), -np.inf)
+    for d, wd in enumerate(w):
+        keep = (wd > 0.0).nonzero()[0]
+        points[d, :keep.size] = grasp.positions[keep]
+        logw[d, :keep.size] = np.log(wd[keep]) + log_demo_weight
+    return _components(q0inv, p0inv, points, logw)
 
 
 def _frames(q: np.ndarray, p: np.ndarray, comps: _Components):

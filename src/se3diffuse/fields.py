@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 N_COLOR_CHANNELS = 4  # constant term plus r, g, b: the columns of ``PointCloud.channels``
+FIT_RIDGE = 1e-10  # Tikhonov term of ``fit_path_weights``' normal equations
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,8 +398,7 @@ def _design_rows(score: ModelScore, q: np.ndarray, p: np.ndarray, t) -> np.ndarr
 
 def fit_path_weights(q: np.ndarray, p: np.ndarray, t, targets: np.ndarray,
                      scene: PointCloud, grasp: PointCloud, length_unit: float,
-                     query: QuerySet, model: ScoreModelParams,
-                     ridge: float = 1e-10) -> ScoreModelParams:
+                     query: QuerySet, model: ScoreModelParams) -> ScoreModelParams:
     """Least-squares fit of the path weights to (N, 6) target score twists.
 
     Poses are (N, 4)/(N, 3) stacks, t a scalar or (N,), as drawn by
@@ -409,7 +409,7 @@ def fit_path_weights(q: np.ndarray, p: np.ndarray, t, targets: np.ndarray,
     a = _design_rows(ModelScore(scene, grasp, length_unit, query, model), q, p, t)
     a = a.reshape(-1, a.shape[2])
     targets = np.asarray(targets, dtype=np.float64).reshape(a.shape[0])
-    sol = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ targets)
+    sol = np.linalg.solve(a.T @ a + FIT_RIDGE * np.eye(a.shape[1]), a.T @ targets)
     n_nu = model.weights_nu.size
     return replace(model, weights_nu=sol[:n_nu], weights_omega=sol[n_nu:])
 

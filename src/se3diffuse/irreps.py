@@ -386,7 +386,7 @@ def cg_tensor(l1: int, l2: int) -> np.ndarray:
     da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
     system = np.vstack([np.kron(np.eye(3), np.kron(db[k].T, dc[k].T))
                         - np.kron(da[k], np.eye(d1 * d2)) for k in range(3)])
-    _, svals, vt = np.linalg.svd(system)
+    _, svals, vt = np.linalg.svd(system, full_matrices=False)
     null_dim = int(np.sum(svals < 1e-10))
     if null_dim != 1:
         raise RuntimeError(f"CG null space dimension {null_dim} != 1 for ({l1},{l2})")

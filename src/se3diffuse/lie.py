@@ -10,10 +10,10 @@ Conventions used throughout the package:
   ``[0, pi]`` and ``log_se3`` rejects angles within ``1e-6`` of ``pi``.
 
 The module exposes a scalar object API (:class:`Rotation`, :class:`Pose`,
-:class:`Twist`) plus array-level quaternion helpers (``quat_*``) on
-trailing-axis stacks, which adapt the one component-first kernel of each
-quaternion operation (``_mul``, ``_exp``, ...) that the vectorized
-samplers and scores call directly.
+:class:`Twist`; ``exp_se3``, ``compose`` and ``inverse`` are batches of one)
+plus array-level helpers (``quat_*``, ``se3_*``) on trailing-axis stacks over
+the one component-first kernel of each operation (``_mul``, ``_exp_se3``,
+...), which the vectorized samplers and scores call directly.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
     "log_se3",
     "compose",
     "inverse",
+    "se3_compose",
+    "se3_inverse",
     "apply",
     "adjoint",
     "adjoint_inv_transpose",
@@ -46,7 +48,6 @@ __all__ = [
     "quat_exp",
     "quat_log",
     "quat_angle",
-    "quat_canonical",
     "quat_unit",
     "finite_poses",
     "quat_to_matrix",
@@ -112,6 +113,25 @@ def _exp(v: np.ndarray, theta: np.ndarray, small: np.ndarray | None) -> tuple[np
         ts = np.where(small, theta, 0.0)
         coef = np.where(small, 0.5 - ts**2 / 48.0 + ts**4 / 3840.0, coef)
     return np.cos(half), coef * v
+
+
+def _exp_se3(nu: np.ndarray, om: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, v, V nu): the ``_exp`` parts of exp(om) and the left Jacobian V at om applied to nu.
+
+    V nu = nu + a om x nu + b om x (om x nu), with a = (1 - cos theta)/theta^2, b = (theta -
+    sin theta)/theta^3 and their series below SMALL_ANGLE; call under ``np.errstate`` as ``_exp``.
+    """
+    theta = _norm(om)
+    t2 = theta * theta
+    a = (1.0 - np.cos(theta)) / t2
+    b = (theta - np.sin(theta)) / (t2 * theta)
+    small = _small_angles(theta)
+    if small is not None:  # series below SMALL_ANGLE, elementwise
+        a = np.where(small, 0.5 - t2 / 24.0, a)
+        b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
+    wx = _cross(om, nu)
+    w, v = _exp(om, theta, small)
+    return w, v, (nu + a * wx) + b * _cross(om, wx)
 
 
 def _log(w, v: np.ndarray) -> np.ndarray:
@@ -220,27 +240,31 @@ def quat_angle(q: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(s, np.abs(q[..., 0]))
 
 
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Flip stacks onto the w >= 0 hemisphere."""
-    q = np.asarray(q, dtype=np.float64)
-    flip = q[..., :1] < 0.0
-    return np.where(flip, -q, q)
-
-
 def quat_unit(q: np.ndarray) -> np.ndarray:
     """Rows normalized and sign-canonicalized; the ``Rotation`` constructor's rule.
 
     Divides by ``sqrt(q . q)``, which equals ``float(np.linalg.norm(q))``
     of a single row bit for bit (``np.linalg.norm(q, axis=-1)`` does not),
     then flips each row to w >= 0, and for w == 0 to a positive first
-    nonzero vector component.
+    nonzero vector component, on a C-contiguous copy (``np.vecdot`` sums others in another order).
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
     q = q / np.sqrt(np.vecdot(q, q))[..., None]
     v = q[..., 1:]
     first = np.take_along_axis(v, np.argmax(v != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
     flip = (q[..., 0] < 0.0) | ((q[..., 0] == 0.0) & (first < 0.0))
     return np.where(flip[..., None], -q, q)
+
+
+def se3_compose(qa: np.ndarray, pa: np.ndarray, qb: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) of the products a b of pose stacks, the rotations renormalized by ``quat_unit``."""
+    return quat_unit(quat_mul(qa, qb)), pa + quat_rotate(qa, pb)
+
+
+def se3_inverse(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) of the inverses of a pose stack, the rotations renormalized by ``quat_unit``."""
+    qi = quat_unit(quat_conj(q))
+    return qi, -quat_rotate(qi, p)
 
 
 def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -452,15 +476,6 @@ def log_so3(r: Rotation) -> np.ndarray:
     return quat_log(r.q)
 
 
-def _v_coeffs(theta: float) -> tuple[float, float]:
-    """Coefficients a, b of V = I + a [w]^ + b [w]^2 (left Jacobian)."""
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    t2 = theta * theta
-    return (1.0 - math.cos(theta)) / t2, (theta - math.sin(theta)) / (t2 * theta)
-
-
 def _v_inv_coeff(theta: float) -> float:
     """Coefficient c of V^-1 = I - 1/2 [w]^ + c [w]^2."""
     if theta < SMALL_ANGLE:
@@ -470,13 +485,10 @@ def _v_inv_coeff(theta: float) -> float:
 
 
 def exp_se3(xi: Twist) -> Pose:
-    """Group exponential; translation via the closed-form left Jacobian."""
-    w = xi.omega
-    theta = float(np.linalg.norm(w))
-    a, b = _v_coeffs(theta)
-    wx = cross(w, xi.nu)
-    p = xi.nu + a * wx + b * cross(w, wx)
-    return Pose(p, exp_so3(w))
+    """Group exponential; translation via the closed-form left Jacobian (``_exp_se3``)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w, v, p = _exp_se3(xi.nu, xi.omega)
+    return Pose(p, Rotation.from_unit(quat_unit(np.concatenate([np.reshape(w, 1), v]))))
 
 
 def log_se3(g: Pose) -> Twist:
@@ -496,12 +508,13 @@ def log_se3(g: Pose) -> Twist:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    return Pose(a.p + a.r.apply(b.p), a.r.compose(b.r))
+    q, p = se3_compose(a.r.q, a.p, b.r.q, b.p)
+    return Pose(p, Rotation.from_unit(q))
 
 
 def inverse(a: Pose) -> Pose:
-    rinv = a.r.inverse()
-    return Pose(-rinv.apply(a.p), rinv)
+    q, p = se3_inverse(a.r.q, a.p)
+    return Pose(p, Rotation.from_unit(q))
 
 
 def apply(a: Pose, x: np.ndarray) -> np.ndarray:

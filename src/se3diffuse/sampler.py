@@ -34,8 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lie import (Pose, Rotation, Twist, _cross, _exp, _mul, _norm, _normalize, _rotate, _small_angles,
-                  quat_unit)
+from .lie import Pose, Rotation, Twist, _exp_se3, _mul, _normalize, _rotate, quat_unit
 
 __all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
 
@@ -107,12 +106,11 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
     """Vectorized Langevin update on quaternion/translation stacks.
 
     Works on the transposed stacks, (3, N) vector parts and (N,) scalar
-    rows, through the quaternion kernels of ``lie``, so the update is
-    ``quat_mul``, ``quat_exp``, ``quat_normalize`` and ``quat_rotate``
-    bit for bit.  The angle |omega| and its small-angle mask are formed
-    once, for the left-Jacobian coefficients and the exponential.  Floating
-    point errors are ignored throughout: a step too large to integrate
-    gives non-finite rows, which the caller reports.
+    rows, through the kernels of ``lie``, so the update is ``quat_mul``,
+    ``quat_normalize`` and ``quat_rotate`` bit for bit, the exact one of
+    the group exponential ``_exp_se3`` (the kernel of ``exp_se3``).
+    Floating point errors are ignored throughout: a step too large to
+    integrate gives non-finite rows, which the caller reports.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
@@ -121,17 +119,8 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float,
         w, qv = qt[0], qt[1:]
         m = np.empty_like(qt)  # the product before normalization
         if integrator == "exact":
-            theta = _norm(om)
-            t2 = theta * theta
-            a = (1.0 - np.cos(theta)) / t2
-            b = (theta - np.sin(theta)) / (t2 * theta)
-            small = _small_angles(theta)
-            if small is not None:  # series below SMALL_ANGLE, elementwise
-                a = np.where(small, 0.5 - t2 / 24.0, a)
-                b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
-            wx = _cross(om, nu)
-            body = (nu + a * wx) + b * _cross(om, wx)
-            m[0], m[1:] = _mul(w, qv, *_exp(om, theta, small))
+            ew, ev, body = _exp_se3(nu, om)
+            m[0], m[1:] = _mul(w, qv, ew, ev)
         elif integrator == "quat-trans":
             body = nu
             mw, mv = _mul(w, qv, 0.0, om)  # q + quat_mul(q, (0, omega)) / 2

@@ -32,6 +32,10 @@ from se3diffuse.lie import (
     exp_so3,
     inverse,
     quat_angle,
+    quat_conj,
+    quat_mul,
+    quat_rotate,
+    quat_unit,
     random_rotation,
     translation_pose,
 )
@@ -266,22 +270,28 @@ def test_forward_diffuse_conjugation_formula(toy):
 def _sequential_draws(demo_poses, scene, grasp, cfg, rng, n, t_max=None):
     """Reference stream in the documented order: log-uniform t, demos by
     ``rng.choice(D, n)``, origin uniforms looked up as ``rng.choice(K, p=w)``
-    does, then ``brownian_sample_batch``; poses composed one ``Pose`` at a time."""
+    does, then ``brownian_sample_batch``; each pose composed one product at a
+    time with the quaternion helpers, renormalized after each as ``Rotation`` does."""
     t = np.full(n, cfg.t)
     if t_max is not None:
         t = np.exp(math.log(cfg.t) + rng.random(n) * (math.log(t_max) - math.log(cfg.t)))
     demos = rng.choice(len(demo_poses), n)
     u = rng.random(n)
     dq, dp = brownian_sample_batch(t, rng)
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    one_inv = quat_unit(quat_conj(one))  # the rotation of T(p)^-1, signed zeros included
     rows = []
     for k in range(n):
         g0 = demo_poses[demos[k]]
-        w = contact_origin_weights(grasp, transform(scene, inverse(g0)), cfg.r_nd)
-        cdf = np.cumsum(w)
+        q0inv = quat_unit(quat_conj(g0.r.q))
+        p0inv = -quat_rotate(q0inv, g0.p)
+        cdf = np.cumsum(contact_origin_weights(grasp, PointCloud(quat_rotate(q0inv, scene.positions) + p0inv),
+                                               cfg.r_nd))
         p_de = grasp.positions[int(np.searchsorted(cdf / cdf[-1], u[k], side="right"))]
-        dg = Pose(dp[k], Rotation.from_unit(dq[k]))
-        tp = translation_pose(p_de)
-        rows.append((t[k], compose(compose(compose(g0, tp), dg), inverse(tp)), p_de, dg))
+        q, p = quat_unit(quat_mul(g0.r.q, one)), g0.p + quat_rotate(g0.r.q, p_de)
+        q, p = quat_unit(quat_mul(q, dq[k])), p + quat_rotate(q, dp[k])
+        q, p = quat_unit(quat_mul(q, one_inv)), p + quat_rotate(q, -quat_rotate(one_inv, p_de))
+        rows.append((t[k], Pose(p, Rotation.from_unit(q)), p_de, Pose(dp[k], Rotation.from_unit(dq[k]))))
     return rows
 
 
@@ -429,15 +439,22 @@ def test_kernel_reduces_to_brownian_for_single_origin_at_zero(rng):
     assert abs(lhs - rhs) < 1e-12
 
 
+def _kept_contacts(g0, scene, grasp, cfg):
+    """The grasp points with nonzero contact weight for the demo g0, and their log weights."""
+    from se3diffuse.diffusion import _contact_weights
+
+    g0inv = inverse(g0)
+    w = _contact_weights(g0inv.r.q[None], g0inv.p[None], scene, grasp, cfg)[0]
+    return grasp.positions[w > 0.0], np.log(w[w > 0.0])
+
+
 def _kernel_log_density_reference(g, g0, scene, grasp, cfg, log_f=None):
     """Scalar loop: log-sum-exp over components of logw + brownian_log_density.
 
     With ``log_f`` the rotational log density of each kernel argument is
     log_f(theta) instead, added to log N(p_h; 0, tI).
     """
-    from se3diffuse.diffusion import _component_log_weights
-
-    pts, logw = _component_log_weights(g0, scene, grasp, cfg)
+    pts, logw = _kept_contacts(g0, scene, grasp, cfg)
     vals = []
     for k in range(pts.shape[0]):
         tp = translation_pose(pts[k])
@@ -509,12 +526,10 @@ def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
 
 def _uneven_demo_set(toy):
     """Demos whose contact filtering keeps 15, 13 and 4 grasp points."""
-    from se3diffuse.diffusion import _component_log_weights
-
     poses = [compose(toy.demo_poses[0], translation_pose(np.array([dx, 0.0, 0.0])))
              for dx in (0.0, 0.06, 0.1)]
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    kept = [len(_component_log_weights(g, toy.scene, toy.grasp, cfg)[0]) for g in poses]
+    kept = [len(_kept_contacts(g, toy.scene, toy.grasp, cfg)[0]) for g in poses]
     assert len(set(kept)) == 3
     return DemoSet(tuple((g, toy.scene, toy.grasp) for g in poses))
 
@@ -570,7 +585,7 @@ def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
 def _composed_log_terms(comps, q, p, t):
     """Frames and log terms composed through the ``lie`` helpers, with a loop over coordinates."""
     from se3diffuse.igso3 import igso3_log_density
-    from se3diffuse.lie import quat_log, quat_mul, quat_rotate, quat_to_matrix
+    from se3diffuse.lie import quat_log, quat_to_matrix
 
     qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
     pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
@@ -617,16 +632,15 @@ def _score_by_component(demos, cfg, q, p, t, log_f=None):
     + log N(p_h; 0, tI) + log_f(theta_h), where ``log_f`` defaults to
     ``igso3_log_density`` at eps = t/2.
     """
-    from se3diffuse.diffusion import _component_log_weights
     from se3diffuse.igso3 import igso3_log_density, igso3_score_batch
-    from se3diffuse.lie import quat_conj, quat_log, quat_mul, quat_to_matrix
+    from se3diffuse.lie import quat_log, quat_to_matrix
 
     params = IgParams(eps=0.5 * t)
     if log_f is None:
         def log_f(theta):
             return igso3_log_density(min(theta, math.pi), params)
     scene, grasp = demos.shared_clouds()
-    parts = [(g0, *_component_log_weights(g0, scene, grasp, cfg)) for g0, _, _ in demos.demos]
+    parts = [(g0, *_kept_contacts(g0, scene, grasp, cfg)) for g0, _, _ in demos.demos]
     out = np.empty((q.shape[0], 6))
     for n in range(q.shape[0]):
         logs, scores = [], []
@@ -826,8 +840,6 @@ def test_oracle_matches_mixture_finite_differences(toy, rng):
 
 def test_oracle_density_weighted_average_consistency(toy, rng):
     """The oracle equals the manual density-weighted average of targets."""
-    from se3diffuse.diffusion import _component_log_weights
-
     cfg = DiffusionConfig(t=0.4, r=toy.config.r, L=1.0)
     demos = toy.demo_set()
     for _ in range(5):
@@ -835,7 +847,7 @@ def test_oracle_density_weighted_average_consistency(toy, rng):
                     exp_se3(Twist(0.3 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
         logs, scores = [], []
         for g0 in toy.demo_poses:
-            pts, logw = _component_log_weights(g0, toy.scene, toy.grasp, cfg)
+            pts, logw = _kept_contacts(g0, toy.scene, toy.grasp, cfg)
             for k in range(pts.shape[0]):
                 tp = translation_pose(pts[k])
                 h = compose(compose(compose(inverse(tp), inverse(g0)), g), tp)

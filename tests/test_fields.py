@@ -341,7 +341,7 @@ def test_model_scores_of_different_params_keep_their_own_constants(toy, rng):
     def colored(pc, colors):
         return PointCloud(pc.positions, colors=colors)
 
-    # (scene, grasp, model); the world-frame reference takes an uncolored cloud as black
+    # (scene, grasp, model)
     cases = [(toy.scene, toy.grasp, toy.model),
              (colored(toy.scene, rng.random((len(toy.scene), 3))),
               colored(toy.grasp, rng.random((len(toy.grasp), 3))), other)]
@@ -355,9 +355,6 @@ def test_model_scores_of_different_params_keep_their_own_constants(toy, rng):
                 one = score.score_parts(q[k:k + 1], p[k:k + 1], t)
                 assert all(np.array_equal(a[k], b[0]) for a, b in zip(batch, one))
         for (scene, grasp, model), score, batch in zip(cases, scores, batches):
-            if scene.colors is None:
-                scene = colored(scene, np.zeros((len(scene), 3)))
-                grasp = colored(grasp, np.zeros((len(grasp), 3)))
             want = _world_frame_score_parts(scene, grasp, score.query, model, 1.0, q, p, t)
             for got, ref in zip(batch, want):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -573,9 +570,7 @@ def _world_edf(xs, pc, params, t):
     n_slots = len(params.layout.slots())
     weights = np.einsum("sbcg,g->sbc", params.channel_weights,
                         params.gate_values(t)).reshape(n_slots, -1).T
-    colors = np.ones((len(pc), 4))
-    if pc.colors is not None:
-        colors[:, 1:] = pc.colors
+    colors = pc.channels
     widths = np.asarray(params.radial_widths)
     d = pc.positions[None, :, :] - xs[:, None, :]
     dist = np.linalg.norm(d, axis=-1)
@@ -611,20 +606,21 @@ def _world_frame_score_parts(scene, grasp, query, model, length_unit, q, p, t):
 
 @pytest.mark.parametrize("branches", ["shared"])  # both read the same scene and grasp fields
 def test_body_frame_score_matches_the_world_frame_pass(toy, rng, branches):
-    # colored clouds, so the (point, radial, slot) table carries the colors
-    scene = PointCloud(toy.scene.positions, colors=rng.random((len(toy.scene), 3)))
-    grasp = PointCloud(toy.grasp.positions, colors=rng.random((len(toy.grasp), 3)))
+    # with colors the (point, radial, slot) table carries them; without, the channels are (1, 0, 0, 0)
     model = toy.model
-    query = build_query_set(grasp, model)
-    score = ModelScore(scene, grasp, 0.8, query, model)
-    for n in (1, 2, 32, 100):
-        q, p = _stacks(_poses_near_demos(toy, rng, n))
-        for t in (0.01, 0.3, 1.0):
-            got = score.score_parts(q, p, t)
-            want = _world_frame_score_parts(scene, grasp, query, model, 0.8, q, p, t)
-            for a, b in zip(got, want):
-                assert np.max(np.abs(b)) > 0.0
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, t)
+    colored_scene = PointCloud(toy.scene.positions, colors=rng.random((len(toy.scene), 3)))
+    colored_grasp = PointCloud(toy.grasp.positions, colors=rng.random((len(toy.grasp), 3)))
+    for scene, grasp in ((colored_scene, colored_grasp), (toy.scene, toy.grasp), (colored_scene, toy.grasp)):
+        query = build_query_set(grasp, model)
+        score = ModelScore(scene, grasp, 0.8, query, model)
+        for n in (1, 2, 32, 100):
+            q, p = _stacks(_poses_near_demos(toy, rng, n))
+            for t in (0.01, 0.3, 1.0):
+                got = score.score_parts(q, p, t)
+                want = _world_frame_score_parts(scene, grasp, query, model, 0.8, q, p, t)
+                for a, b in zip(got, want):
+                    assert np.max(np.abs(b)) > 0.0
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, t)
 
 
 @pytest.mark.parametrize("kind", ["model", "mixture", "brownian"])

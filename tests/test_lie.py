@@ -27,6 +27,8 @@ from se3diffuse.lie import (
     quat_to_matrix,
     quat_unit,
     random_rotation,
+    se3_compose,
+    se3_inverse,
     skew,
     translation_pose,
 )
@@ -232,6 +234,7 @@ def test_quat_unit_rows_are_the_rotation_constructor_bitwise(rng):
         for got in (rows[k], Rotation(q[k]).q):
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
     assert np.array_equal(Rotation.from_unit(rows[7]).q, rows[7])
+    assert np.array_equal(_bits(quat_unit(np.asfortranarray(q))), _bits(rows))  # any memory layout
     assert quat_unit(q[:7].reshape(7, 1, 4)).shape == (7, 1, 4)
 
 
@@ -345,6 +348,34 @@ def test_quaternion_kernels_keep_the_bits_of_the_trailing_axis_formulas(rng, bat
             (quat_to_matrix(q), matrix),
         ]:
             assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))
+
+
+def test_se3_stack_rows_are_compose_inverse_and_exp_se3_bit_for_bit(rng):
+    """exp_se3, compose and inverse are batches of one of ``_exp_se3``, ``se3_compose``
+    and ``se3_inverse``: the identity, angles below ``SMALL_ANGLE`` and near pi."""
+    axes = rng.standard_normal((60, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([np.zeros(4), 10.0 ** rng.uniform(-10.0, -6.1, 16),
+                             math.pi - 10.0 ** rng.uniform(-12.0, -3.0, 16), rng.uniform(0.0, math.pi, 24)])
+    om = angles[:, None] * axes
+    nu = rng.standard_normal((60, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, (60, 1))
+    om[:4] = nu[:4] = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+    with np.errstate(invalid="ignore", divide="ignore"):  # theta = 0 before the series
+        w, v, p = lie._exp_se3(_first(nu), _first(om))
+    q, p = quat_unit(_quat(w, v)), _last(p)
+    poses = [exp_se3(Twist(nu[k], om[k])) for k in range(60)]
+    # rotations whose w is 0, and signed zeros, for the sign rule of the renormalization
+    for row in ([0.0, 0.0, -0.6, 0.8], [0.0, -1.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0]):
+        poses.append(Pose(rng.standard_normal(3), Rotation.from_unit(np.array(row))))
+    for k in range(60):
+        assert np.array_equal(_bits(poses[k].r.q), _bits(q[k])) and np.array_equal(_bits(poses[k].p), _bits(p[k]))
+    qs, ps = np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+    other = rng.permutation(len(poses))
+    cq, cp = se3_compose(qs, ps, qs[other], ps[other])
+    iq, ip = se3_inverse(qs, ps)
+    for k, g in enumerate(poses):
+        for got, ref in ((compose(g, poses[other[k]]), (cq[k], cp[k])), (inverse(g), (iq[k], ip[k]))):
+            assert np.array_equal(_bits(got.r.q), _bits(ref[0])) and np.array_equal(_bits(got.p), _bits(ref[1]))
 
 
 def test_quat_exp_takes_the_series_on_small_angles_alone():
