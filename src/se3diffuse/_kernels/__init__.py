@@ -8,10 +8,9 @@ resummation, which converges in a handful of images at small eps.
 
 from __future__ import annotations
 
-from .closed_form import closed_f, closed_log_f_ratio, closed_moment, closed_r, closed_ratio
+from .closed_form import closed_log_f_ratio, closed_moment, closed_r
 from .series import series_df, series_f, series_moment
 
 BACKEND = "numpy"
 
-__all__ = ["BACKEND", "series_f", "series_df", "series_moment", "closed_f", "closed_log_f_ratio", "closed_r",
-           "closed_ratio", "closed_moment"]
+__all__ = ["BACKEND", "series_f", "series_df", "series_moment", "closed_log_f_ratio", "closed_r", "closed_moment"]

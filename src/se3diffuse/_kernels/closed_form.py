@@ -122,15 +122,6 @@ def _over_sin(theta: np.ndarray) -> np.ndarray:
     return np.where(pos, ts / np.sin(0.5 * ts), 2.0)
 
 
-def closed_f(theta: np.ndarray, eps: float) -> np.ndarray:
-    """Density at theta in [0, pi] from the image sum."""
-    theta = np.asarray(theta, dtype=np.float64)
-    r = closed_r(theta, eps)
-    with np.errstate(over="ignore"):  # inf where it leaves the double range: e^-inf = 0
-        gauss = theta * theta / (4.0 * eps)
-    return np.exp(_log_prefactor(eps) - gauss) * _over_sin(theta) * r
-
-
 def _h(theta: np.ndarray) -> np.ndarray:
     """1/theta - cot(theta/2)/2 for theta in (0, pi], by its Taylor series below theta = 0.2."""
     x = 0.5 * theta
@@ -185,11 +176,6 @@ def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
     if small.any():
         ratio = np.where(small, -closed_moment(eps) * theta, ratio)
     return log_f, ratio
-
-
-def closed_ratio(theta: np.ndarray, eps: float) -> np.ndarray:
-    """f'/f at 1-D theta in (0, pi], the ratio of ``closed_log_f_ratio`` with no clamp."""
-    return closed_log_f_ratio(theta, eps, 0.0, math.pi)[1]
 
 
 def closed_moment(eps: float) -> float:

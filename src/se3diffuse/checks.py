@@ -164,8 +164,9 @@ def _check_igso3(rng: np.random.Generator) -> list[CheckResult]:
     eps, lmax = igso3.EPS_SERIES, igso3.SERIES_LMAX
     f_series = _kernels.series_f(thetas, eps, lmax)
     ratio_series = _kernels.series_df(thetas, eps, lmax) / f_series
-    err_regimes = max(float(np.max(np.abs(_kernels.closed_f(thetas, eps) / f_series - 1.0))),
-                      float(np.max(np.abs(_kernels.closed_ratio(thetas, eps) / ratio_series - 1.0))))
+    log_f, ratio = _kernels.closed_log_f_ratio(thetas, eps, 0.0, math.pi)
+    err_regimes = max(float(np.max(np.abs(np.exp(log_f) / f_series - 1.0))),
+                      float(np.max(np.abs(ratio / ratio_series - 1.0))))
     err_fd = 0.0
     for _ in range(20):
         r = random_rotation(rng)

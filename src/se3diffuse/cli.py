@@ -12,9 +12,10 @@ output files embed the configuration, seed, and library version in their
 provenance header.  Times and ``--eps`` must be positive and finite,
 counts positive (``diffuse --n`` may be 0), seeds nonnegative, and
 ``--t-max`` at least the diffusion time; anything else exits with status
-2 and a usage message.  Scenario geometry and the model's field cutoffs
-and radial widths are in scene units on disk; the commands divide them by
-the configured length unit on load and scale back on output.
+2 and a usage message, as do unreadable or refused inputs and an unwritable
+``--out``.  Scenario geometry and the model's field cutoffs and radial
+widths are in scene units on disk; the commands divide them by the
+configured length unit on load and scale back on output.
 
 ``diffuse`` makes all its draws in one ``forward_diffuse_batch`` call,
 which takes whole arrays from the seeded stream: ``random(n)`` for
@@ -113,7 +114,10 @@ def _nondimensionalize(scn: Scenario) -> tuple[PointCloud, PointCloud, list[Pose
 
 def cmd_gen_scenario(args: argparse.Namespace) -> int:
     scn = make_toy_scenario(seed=args.seed)
-    path = write_scenario(args.out, scn)
+    try:
+        path = write_scenario(args.out, scn)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {path}")
     return 0
 
@@ -150,7 +154,10 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     lines.extend(_SAMPLE_LINE.format(k, t, *pde, *dq, *dp) for k, (t, pde, dq, dp) in enumerate(
         zip(d.t.tolist(), (d.p_de * length).tolist(), d.delta_q.tolist(), d.delta_p.tolist())))
     out = Path(args.out)
-    sio.write_poses(out, d.p * length, d.q, lines)
+    try:
+        sio.write_poses(out, d.p * length, d.q, lines)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {out} ({args.n} poses)")
     return 0
 
@@ -173,7 +180,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         return _error(f"the model takes {model.query_count} query points from grasp point "
                       f"{model.query_start_index}, but the grasp cloud has {len(grasp)} points")
     else:
-        model = _scale_model(model, 1.0 / scn.config.L)
+        try:
+            model = _scale_model(model, 1.0 / scn.config.L)
+        except ValueError as exc:
+            return _error(f"model lengths divided by length_unit {scn.config.L!r}: {exc}")
         score_fn = ModelScore(scene, grasp, 1.0, build_query_set(grasp, model), model)
 
     rng = np.random.default_rng(seed)
@@ -201,7 +211,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             f"# chain {i}: status = {status}; rot_to_demo_rad = {sio.fmt_float(rots[i, k])}; "
             f"trans_to_demo = {sio.fmt_float(trs[i, k] * scn.config.L)}; "
             f"log_mixture_density = {sio.fmt_float(mixes[i])}")
-    sio.write_poses(args.out, out.p * scn.config.L, out.q, header)
+    try:
+        sio.write_poses(args.out, out.p * scn.config.L, out.q, header)
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {args.out} ({args.chains} chains)")
     return 0
 
@@ -247,7 +260,10 @@ def cmd_sample_igso3(args: argparse.Namespace) -> int:
     header.append("# angle_histogram_edges = ["
                   + ", ".join(sio.fmt_float(e) for e in edges) + "]")
     lines = header + [_QUAT_LINE.format(*q) for q in quats.tolist()]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    try:
+        Path(args.out).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _error(exc)
     print(f"wrote {args.out} (n={args.n}, KS={ks:.5f})")
     return 0
 

@@ -204,12 +204,12 @@ def brownian_sample(t: float, rng: np.random.Generator) -> Pose:
 def brownian_score(h: Pose, t: float) -> Twist:
     """Score of B_t along right perturbations of h.
 
-    Angular part: the IGSO(3) score.  Linear part: -R^T p / t.  A batch
-    of one of ``BrownianScoreFn.score_batch``, except that it raises for
-    rotation angles within 1e-6 of pi.  Verified against finite
-    differences of brownian_log_density.
+    Angular part: the IGSO(3) score.  Linear part: -R^T p / t.  The
+    call of ``BrownianScoreFn``, a batch of one of its ``score_batch``, so
+    rotation angles within 1e-6 of pi clamp as they do there.  Verified
+    against finite differences of brownian_log_density.
     """
-    return _pose_kernel_score(h, _IDENTITY_Q, _ZERO, _ZERO, t)
+    return BrownianScoreFn()(h, t)
 
 
 def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: float) -> np.ndarray:
@@ -330,10 +330,12 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
 
     For a pure translation the inverse-transpose adjoint keeps the linear
     part and adds the lever-arm term p_de x s_nu to the angular part.  A
-    batch of one of the component scores of ``MixtureScore``; raises for
-    kernel angles within 1e-6 of pi, where the batch clamps.
+    batch of one of the component scores of ``MixtureScore``, so kernel
+    angles within 1e-6 of pi clamp as they do there.
     """
-    return _pose_kernel_score(g, *se3_inverse(g0.r.q, g0.p), p_de, t)
+    check_time(t)
+    comps = _single_component(*se3_inverse(g0.r.q, g0.p), p_de)
+    return Twist.from_array(_kernel_score(g.r.q[None, :], g.p[None, :], comps, t)[0])
 
 
 def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: PointCloud,
@@ -415,7 +417,7 @@ def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> 
 
 
 def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
-    """(D, N) kernel angles and (N, 6) density-weighted mixture scores.
+    """(N, 6) density-weighted mixture scores.
 
     Component (d, k) contributes [Ad_{T(k)}]^-T grad log B_t(h):
     s_nu = -R_m^T p_h / t = -(a_d + k - R_m^T k) / t with a_d = R_m^T p_m,
@@ -449,16 +451,7 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     out = np.empty((q.shape[0], 6))
     out[:, :3] = (sums[:3] / (-t * sums[9])).T
     out[:, 3:] = ((sums[3:6] / -t + sums[6:9]) / sums[9]).T
-    return theta, out
-
-
-def _pose_kernel_score(g: Pose, q0inv: np.ndarray, p0inv: np.ndarray, p_de: np.ndarray,
-                       t: float) -> Twist:
-    """``_kernel_score`` for one pose and one origin; raises near pi."""
-    check_time(t)
-    theta, out = _kernel_score(g.r.q[None, :], g.p[None, :], _single_component(q0inv, p0inv, p_de), t)
-    igso3.check_score_angle(float(theta[0, 0]))
-    return Twist.from_array(out[0])
+    return out
 
 
 def kernel_log_density(
@@ -514,7 +507,7 @@ class MixtureScore:
         """
         check_time(t)
         q, p, bad = finite_poses(q, p)
-        out = _kernel_score(q, p, self._components, t)[1]
+        out = _kernel_score(q, p, self._components, t)
         out[bad] = np.nan
         return out
 
@@ -534,23 +527,18 @@ def score_matching_loss(model_score: Twist, g: Pose, g0: Pose, p_de: np.ndarray,
     return 0.5 * float(np.dot(diff, diff))
 
 
-class BrownianScoreFn:
+class BrownianScoreFn(MixtureScore):
     """Score function of the plain Brownian kernel, batch-capable.
 
-    Useful as a stationary-distribution test target for the Langevin
-    sampler: with constant schedule time t the chain should equilibrate
-    to B_t.  The scalar call is a batch of one, so both clamp kernel
-    angles within 1e-6 of pi (``brownian_score`` raises there instead).  A
-    pose with a non-finite entry scores NaN.
+    The ``MixtureScore`` of the one-component set ``_BROWNIAN``: an
+    identity demo with its diffusion origin at 0.  Useful as a
+    stationary-distribution test target for the Langevin sampler: with
+    constant schedule time t the chain should equilibrate to B_t.  Both
+    forms clamp kernel angles within 1e-6 of pi, and a pose with a
+    non-finite entry scores NaN.
     """
 
-    def __call__(self, g: Pose, t: float) -> Twist:
-        return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])
+    _components = _BROWNIAN
 
-    def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-        """(N, 6) scores of B_t at quaternion/translation stacks; angles near pi clamp."""
-        check_time(t)
-        q, p, bad = finite_poses(q, p)
-        out = _kernel_score(q, p, _BROWNIAN, t)[1]
-        out[bad] = np.nan
-        return out
+    def __init__(self) -> None:
+        """No demo set to lay out: the components are the class's ``_BROWNIAN``."""

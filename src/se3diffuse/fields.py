@@ -65,6 +65,12 @@ N_COLOR_CHANNELS = 4  # constant term plus r, g, b: the columns of ``PointCloud.
 FIT_RIDGE = 1e-10  # Tikhonov term of ``fit_path_weights``' normal equations
 
 
+def _square_in_range(x: float) -> bool:
+    """x > 0 and 0 < x^2 < inf, squared as a Python float (which overflows to inf silently)."""
+    x = float(x)
+    return x > 0.0 and 0.0 < x * x < math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticEdfParams:
     """Deterministic descriptor-field parameters.
@@ -81,11 +87,12 @@ class SyntheticEdfParams:
     time_gate_centers: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0.0:
-            raise ValueError("cutoff must be positive")
+        # both are squared on use, so a square of 0 or inf is refused too
+        if not _square_in_range(self.cutoff):
+            raise ValueError(f"cutoff must be positive with a finite nonzero square, got {self.cutoff!r}")
         widths = tuple(float(w) for w in self.radial_widths)
-        if not widths or any(w <= 0.0 for w in widths):
-            raise ValueError("radial widths must be positive")
+        if not widths or not all(_square_in_range(w) for w in widths):
+            raise ValueError(f"radial widths must be positive with finite nonzero squares, got {widths!r}")
         centers = tuple(float(c) for c in self.time_gate_centers)
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise ValueError("time-gate centers must be strictly increasing")

@@ -78,12 +78,6 @@ class IgParams:
             raise ValueError("eps must be positive")
 
 
-def _f(theta: np.ndarray, params: IgParams) -> np.ndarray:
-    if params.eps < EPS_SERIES:
-        return _kernels.closed_f(theta, params.eps)
-    return _kernels.series_f(theta, params.eps, SERIES_LMAX, THETA_SMALL_DENSITY)
-
-
 def _angles(theta) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if np.any(th < -1e-12) or np.any(th > math.pi + 1e-12):
@@ -121,9 +115,10 @@ def igso3_density(theta, params: IgParams):
     """Density at rotation angle theta, relative to normalized Haar.
 
     theta may be a scalar or an array; all values must lie in [0, pi]
-    (a slack of 1e-12 is clamped).
+    (a slack of 1e-12 is clamped).  The exponential of
+    ``igso3_log_density``, so it is 0 where the density underflows.
     """
-    out = _f(_angles(theta), params)
+    out = np.exp(igso3_log_density_and_ratio(theta, params)[0])
     return float(out) if np.isscalar(theta) else out
 
 
@@ -312,20 +307,12 @@ def igso3_score_batch(rotvec: np.ndarray, theta: np.ndarray, params: IgParams) -
     return score_ratio(theta, params)[..., None] * axis
 
 
-def check_score_angle(theta: float) -> None:
-    """Raise for a rotation angle within 1e-6 of pi, where the scalar scores refuse."""
-    if theta > THETA_MAX_SCORE:
-        raise ValueError("rotation angle too close to pi for the score series")
-
-
 def igso3_score(r: Rotation, params: IgParams) -> np.ndarray:
     """Lie-derivative score (f'(theta)/f(theta)) * axis, as a 3-vector.
 
-    A batch of one of ``igso3_score_batch``.  Points back toward the
-    identity since the density decreases in theta.  Raises for rotation
-    angles within 1e-6 of pi, where the batch clamps instead.
+    A batch of one of ``igso3_score_batch``, so angles within 1e-6 of pi
+    clamp as they do there.  Points back toward the identity since the
+    density decreases in theta.
     """
     rotvec = quat_log(r.q)[None, :]
-    theta = np.linalg.norm(rotvec, axis=-1)
-    check_score_angle(float(theta[0]))
-    return igso3_score_batch(rotvec, theta, params)[0]
+    return igso3_score_batch(rotvec, np.linalg.norm(rotvec, axis=-1), params)[0]

@@ -244,6 +244,14 @@ def read_scenario(path: str | Path) -> Scenario:
                                   k2=_number(data, "schedule_k2", 1.0))
         config = DiffusionConfig(t=_number(data, "t"), r=_number(data, "contact_radius"),
                                  L=_number(data, "length_unit", 1.0))
+        # the commands divide lengths by L, then square and sum them: keep those squares far
+        # inside the double range, as a contact radius of at least 1e-150 length units and
+        # coordinates of at most 1e150 do
+        largest = max([config.r] + [float(np.max(np.abs(x))) for x in (scene.positions, grasp.positions)]
+                      + [float(np.max(np.abs(g.p))) for g in demos]) / config.L
+        if not (config.r_nd >= 1e-150 and largest <= 1e150):
+            raise ValueError(f"length_unit = {config.L!r} puts the contact radius at {config.r_nd!r} and "
+                             f"the largest length at {largest!r} length units, outside [1e-150, 1e150]")
     except (TypeError, ValueError) as exc:
         raise sio.ParseError(f"{path}: {exc}") from None
     return Scenario(scene=scene, grasp=grasp, demo_poses=demos, config=config,

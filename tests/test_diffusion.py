@@ -156,19 +156,15 @@ def test_brownian_score_matches_finite_differences(rng):
 
 
 def test_brownian_score_fn_scalar_call_clamps_near_pi_like_batch(rng):
-    """The scalar call is a batch of one; brownian_score itself still raises."""
+    """The scalar call and brownian_score are batches of one, so they clamp as the batch does."""
     fn = BrownianScoreFn()
-    t = 0.5
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    g = Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - 1e-7) * axis))
-    poses = [brownian_sample(t, rng) for _ in range(3)] + [g]
-    batch = fn.score_batch(np.stack([h.r.q for h in poses]), np.stack([h.p for h in poses]), t)
-    one = fn(g, t).as_array()
-    assert np.all(np.isfinite(one))
-    assert np.allclose(one, batch[3], rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError, match="pi"):
-        brownian_score(g, t)
+    for t in (0.01, 0.5, 2.0):
+        poses = [brownian_sample(t, rng) for _ in range(3)] + _near_pi_poses([Pose.identity()], rng)
+        batch = fn.score_batch(np.stack([h.r.q for h in poses]), np.stack([h.p for h in poses]), t)
+        assert np.all(np.isfinite(batch))
+        for h, row in zip(poses, batch):
+            assert np.array_equal(fn(h, t).as_array(), row)
+            assert np.array_equal(brownian_score(h, t).as_array(), row)
 
 
 def test_brownian_score_batch_matches_scalar(rng):
@@ -550,7 +546,7 @@ def _score_by_demo(demos, cfg, q, p, t):
     for g0, _, _ in demos.demos:
         comps = _demo_components((g0,), scene, grasp, cfg, -math.log(len(demos)))
         logs.append(_log_mixture(q, p, comps, t))
-        scores.append(_kernel_score(q, p, comps, t)[1])
+        scores.append(_kernel_score(q, p, comps, t))
     logs = np.stack(logs, axis=1)
     w = np.exp(logs - logs.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
@@ -662,15 +658,15 @@ def _score_by_component(demos, cfg, q, p, t, log_f=None):
     return out
 
 
-def _near_pi_poses(demos, rng, gaps=(5e-7, 1e-7, 0.0)):
-    """Poses whose kernel angle to a demo is within 1e-6 of pi."""
+def _near_pi_poses(bases, rng, gaps=(5e-7, 1e-7, 0.0)):
+    """Poses g_j whose kernel angle to bases[j % len(bases)] is pi - gaps[j]."""
     poses = []
     for j, gap in enumerate(gaps):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        g0 = demos.demos[j % len(demos)][0]
+        g0 = bases[j % len(bases)]
         poses.append(compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - gap) * axis))))
-    return np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
+    return poses
 
 
 @pytest.mark.parametrize("which", ["uneven", "toy", "one-component"])
@@ -685,8 +681,9 @@ def test_mixture_score_matches_a_per_component_reference(toy, rng, which, t):
     demos = {"uneven": _uneven_demo_set(toy), "toy": toy.demo_set(),
              "one-component": DemoSet(((toy.demo_poses[1], toy.scene, PointCloud(p_de[None])),))}[which]
     q, p = _pose_stack(demos, rng, 30)
-    qpi, ppi = _near_pi_poses(demos, rng)
-    q, p = np.concatenate([q, qpi]), np.concatenate([p, ppi])
+    near = _near_pi_poses([g0 for g0, _, _ in demos.demos], rng)
+    q = np.concatenate([q, [g.r.q for g in near]])
+    p = np.concatenate([p, [g.p for g in near]])
     cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
     got = MixtureScore(demos, cfg).score_batch(q, p, t)
     ref = _score_by_component(demos, cfg, q, p, t)
@@ -757,9 +754,7 @@ def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
     origin = PointCloud(np.zeros((1, 3)))
 
     def poses_and_stacks(base):
-        # the scalar calls raise within 1e-6 of pi, so keep a margin there
-        poses = [g for g in _poses_around(base, rng, 15)
-                 if quat_angle(compose(inverse(base), g).r.q) < math.pi - 2e-6]
+        poses = _poses_around(base, rng, 15)
         return poses, np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
 
     for t in (0.01, 0.5, 2.0):
@@ -777,18 +772,18 @@ def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
             assert np.array_equal(target_score(g, g0, p_de, t).as_array(), scores[i])
 
 
-def test_target_score_raises_within_1e6_of_pi(rng):
+def test_target_score_near_pi_is_a_row_of_its_batch(toy, rng):
+    """Within 1e-6 of pi target_score clamps as the one-component MixtureScore does."""
     g0 = random_pose(rng)
     p_de = rng.standard_normal(3)
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    for gap in (1e-7, 5e-7, 2e-6):
-        g = compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - gap) * axis)))
-        if gap < 1e-6:
-            with pytest.raises(ValueError, match="pi"):
-                target_score(g, g0, p_de, 0.5)
-        else:
-            assert np.all(np.isfinite(target_score(g, g0, p_de, 0.5).as_array()))
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        oracle = MixtureScore(DemoSet(((g0, toy.scene, PointCloud(p_de[None])),)), cfg)
+        poses = _near_pi_poses([g0], rng, gaps=(2e-6, 5e-7, 1e-7, 0.0))
+        batch = oracle.score_batch(np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses]), t)
+        assert np.all(np.isfinite(batch))
+        for g, row in zip(poses, batch):
+            assert np.array_equal(target_score(g, g0, p_de, t).as_array(), row)
 
 
 def test_kernel_bi_equivariance(toy, rng):

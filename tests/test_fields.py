@@ -147,6 +147,18 @@ def test_edf_time_gate_centers_must_increase():
                                time_gate_centers=centers)
 
 
+def test_edf_cutoff_and_widths_must_square_to_finite_nonzero_values():
+    layout = IrrepsLayout(((0, 1),))
+    from se3diffuse.fields import SyntheticEdfParams
+
+    # a width squaring to 0 divided by zero, a cutoff squaring to inf overflowed
+    for bad in (0.0, -1.0, 1e-200, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cutoff must be positive with a finite nonzero square"):
+            SyntheticEdfParams(layout, bad, (0.5,), np.ones((1, 1, 4, 1)))
+        with pytest.raises(ValueError, match="radial widths must be positive with finite nonzero squares"):
+            SyntheticEdfParams(layout, 1.0, (0.5, bad), np.ones((1, 2, 4, 1)))
+
+
 @pytest.mark.parametrize("pair_chunk", [None, 100], ids=["one-chunk", "chunked"])
 def test_edf_batch_rows_are_bitwise_single_query_calls(rng, monkeypatch, pair_chunk):
     import se3diffuse.fields as fields

@@ -92,8 +92,9 @@ def test_closed_form_and_series_agree_at_eps_series():
     thetas = np.linspace(0.05, math.pi, 64)
     f_series = _kernels.series_f(thetas, EPS_SERIES, SERIES_LMAX)
     ratio_series = _kernels.series_df(thetas, EPS_SERIES, SERIES_LMAX) / f_series
-    assert np.max(np.abs(_kernels.closed_f(thetas, EPS_SERIES) / f_series - 1.0)) < 1e-12
-    assert np.max(np.abs(_kernels.closed_ratio(thetas, EPS_SERIES) / ratio_series - 1.0)) < 1e-12
+    log_f, ratio = _kernels.closed_log_f_ratio(thetas, EPS_SERIES, 0.0, math.pi)
+    assert np.max(np.abs(np.exp(log_f) / f_series - 1.0)) < 1e-12
+    assert np.max(np.abs(ratio / ratio_series - 1.0)) < 1e-12
 
 
 def test_series_truncation_bound_at_eps_series():
@@ -300,13 +301,6 @@ def test_score_norm_depends_only_on_angle(rng):
     assert np.max(norms) - np.min(norms) < 1e-9
 
 
-def test_score_rejects_angle_near_pi():
-    params = IgParams(eps=0.5)
-    r = exp_so3((math.pi - 1e-9) * np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="pi"):
-        igso3_score(r, params)
-
-
 # ---------------------------------------------------------------------------
 # Accuracy against a direct sum of the series in mpmath
 # ---------------------------------------------------------------------------
@@ -484,7 +478,9 @@ def test_density_batch_of_one_is_bitwise_its_row():
 
 def test_score_is_bitwise_a_row_of_the_batch(rng):
     rots = [random_rotation(rng) for _ in range(20)]
-    rots += [exp_so3(theta * np.array([0.6, 0.0, 0.8])) for theta in (0.0, 1e-5, 2e-3, math.pi - 2e-6)]
+    # within 1e-6 of pi the scalar call clamps as its batch does
+    rots += [exp_so3(theta * np.array([0.6, 0.0, 0.8]))
+             for theta in (0.0, 1e-5, 2e-3, math.pi - 2e-6, math.pi - 5e-7, math.pi - 1e-7, math.pi)]
     rotvecs = np.stack([quat_log(r.q) for r in rots])
     for eps in (0.005, 0.3, EPS_SERIES, 2.0):
         params = IgParams(eps=eps)
@@ -493,7 +489,7 @@ def test_score_is_bitwise_a_row_of_the_batch(rng):
             assert np.array_equal(igso3_score(r, params), batch[i])
 
 
-def test_score_batch_clamps_where_the_scalar_call_raises():
+def test_score_batch_clamps_near_pi():
     rotvec = (math.pi - 1e-7) * np.array([[0.0, 0.6, 0.8]])
     params = IgParams(eps=0.5)
     edge_vec = rotvec / np.linalg.norm(rotvec) * (math.pi - 1e-6)
@@ -501,8 +497,6 @@ def test_score_batch_clamps_where_the_scalar_call_raises():
     edge = igso3_score_batch(edge_vec, np.linalg.norm(edge_vec, axis=-1), params)[0]
     assert np.all(np.isfinite(near))
     assert np.allclose(near, edge, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError, match="pi"):
-        igso3_score(exp_so3(rotvec[0]), params)
 
 
 @settings(max_examples=60, deadline=None)

@@ -400,6 +400,21 @@ def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monk
     assert np.array_equal(scores[1].score_batch(q, p, 0.3), want)
 
 
+def test_cmd_denoise_model_refuses_widths_that_square_to_zero_in_length_units(tmp_path, capsys):
+    base = make_toy_scenario(seed=4)
+    model = base.model
+    tiny = dataclasses.replace(model, scene=dataclasses.replace(
+        model.scene, radial_widths=tuple(1e-100 * w for w in model.scene.radial_widths)))
+    # fine on disk and at L = 1e100, but the widths over L square to 0
+    path = write_scenario(tmp_path / "scn", dataclasses.replace(
+        base, config=dataclasses.replace(base.config, L=1e100), model=tiny))
+    assert main(["denoise", "--scenario", str(path), "--score", "model", "--chains", "1",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model lengths divided by length_unit 1e+100: radial widths")
+    assert err.count("\n") == 1
+
+
 def test_cmd_denoise_missing_model_params_is_usage_error(tmp_path):
     scn = make_toy_scenario(seed=4)
     scn_no_model = type(scn)(scene=scn.scene, grasp=scn.grasp, demo_poses=scn.demo_poses,
@@ -671,6 +686,9 @@ _BAD_SCALARS = {
     "boolean-length-unit": ("scenario.txt", "length_unit", "true", "'length_unit' must be a number"),
     "boolean-schedule-eps": ("scenario.txt", "schedule_eps", "true", "'schedule_eps' must be a number"),
     "boolean-schedule-k1": ("scenario.txt", "schedule_k1", "false", "'schedule_k1' must be a number"),
+    # the non-dimensional lengths would square past the double range: overflow, or widths squaring to 0
+    "tiny-length-unit": ("scenario.txt", "length_unit", "1e-300", "outside [1e-150, 1e150]"),
+    "huge-length-unit": ("scenario.txt", "length_unit", "1e300", "outside [1e-150, 1e150]"),
 }
 
 
@@ -690,6 +708,8 @@ _BAD_SCALARS = {
     *[(["diffuse", "--n", "2"], case) for case in _FILE_CASES],
     *[(["denoise", "--score", "model", "--chains", "1"], case) for case in _BAD_VALUES],
     *[(["diffuse", "--n", "2"], case) for case in _BAD_SCALARS],
+    *[(["denoise", "--score", score, "--chains", "1"], case) for score in ("oracle", "model")
+      for case in ("tiny-length-unit", "huge-length-unit")],
 ])
 def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, capsys, argv, case):
     path, extra, message = _bad_input(scenario_dir, tmp_path, case)
@@ -699,6 +719,23 @@ def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, ca
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-scenario", "diffuse", "denoise", "sample-igso3"])
+def test_cli_unwritable_out_exits_2_without_traceback(scenario_dir, tmp_path, capsys, command):
+    scenario = ["--scenario", str(scenario_dir / "scenario.txt")]
+    argv = {"diffuse": ["diffuse", *scenario, "--n", "2"],
+            "denoise": ["denoise", *scenario, "--chains", "1"],
+            "sample-igso3": ["sample-igso3", "--eps", "0.5", "--n", "2"]}.get(command, [command])
+    if command == "gen-scenario":
+        out = tmp_path / "taken.txt"  # an existing file where the directory should go
+        out.write_text("")
+    else:
+        out = tmp_path / "missing" / "x.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_import_leaves_scipy_out():
