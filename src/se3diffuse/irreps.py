@@ -19,11 +19,11 @@ BLAS, so a row's bits do not depend on the batch it comes in.
 coordinate rows, from a plan cached per degree tuple; ``sh_batch`` is
 its one-degree case in the (N, 3) row layout.
 
-Clebsch-Gordan contraction to type 1 uses coefficient tensors solved
-numerically from the equivariance linear system over random rotations
-(unit Frobenius norm, the last of the largest entries positive); each
-tensor is verified against the equivariance identity before being
-cached.  ``cg_path_batch`` contracts every path into one (rows, paths,
+Clebsch-Gordan contraction to type 1 uses coefficient tensors in closed
+form: the Fischer product of one harmonic with the gradient of the other
+(the cross product of both gradients when l1 = l2), at unit Frobenius
+norm; each tensor is verified against the equivariance identity before
+being cached.  ``cg_path_batch`` contracts every path into one (rows, paths,
 3) tensor; ``cg_contract_batch`` sums it with the path weights.  In
 this normalization the 0 x 1 -> 1 path contracts a scalar a and a
 vector u to ``a * u / sqrt(3)``.
@@ -370,44 +370,44 @@ def sh_batch(l: int, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def cg_tensor(l1: int, l2: int) -> np.ndarray:
-    """Real CG tensor C with shape (3, 2l1+1, 2l2+1) for l1 x l2 -> 1.
+def _grad(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-l harmonic gradients (3, 2l+1, n) over the n monomials x^a y^b z^c of degree l-1, and a! b! c!."""
+    coeffs, lower = _basis_coeffs(l), _monomials(l - 1)
+    index = {m: i for i, m in enumerate(lower)}
+    out = np.zeros((3, 2 * l + 1, len(lower)))
+    for k, mono in enumerate(_monomials(l)):
+        for a in np.flatnonzero(mono):
+            out[a, :, index[tuple(e - (i == a) for i, e in enumerate(mono))]] = mono[a] * coeffs[:, k]
+    return out, np.array([math.prod(map(math.factorial, m)) for m in lower], dtype=np.float64)
 
-    Solved as the one-dimensional common null space of the equivariance
-    constraints over a fixed set of random rotations, normalized to unit
-    Frobenius norm with a deterministic sign.
+
+@lru_cache(maxsize=None)
+def cg_tensor(l1: int, l2: int) -> np.ndarray:
+    """Real CG tensor C with shape (3, 2l1+1, 2l2+1) for l1 x l2 -> 1, in closed form.
+
+    With the rotation-invariant Fischer product <p, q> = sum a! b! c! p_m q_m
+    over the monomials m = x^a y^b z^c, under which d/dx_a is the adjoint of
+    multiplication by x_a, C[:, i, j] for harmonics f_i and g_j of degrees l1
+    and l2 is <f_i, grad g_j> if l2 = l1 + 1, <grad f_i, g_j> if l1 = l2 + 1,
+    and C_a = sum_bc eps_abc <d_b g_j, d_c f_i> if l1 = l2; at unit Frobenius norm.
     """
     if not (abs(l1 - l2) <= 1 <= l1 + l2):
         raise ValueError(f"no type-1 path for l1={l1}, l2={l2}")
-    d1, d2 = 2 * l1 + 1, 2 * l2 + 1
-    dim = 3 * d1 * d2
-    rng = np.random.default_rng(20240331)
-    q = quat_normalize(rng.standard_normal((3, 4)))
-    da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
-    system = np.vstack([np.kron(np.eye(3), np.kron(db[k].T, dc[k].T))
-                        - np.kron(da[k], np.eye(d1 * d2)) for k in range(3)])
-    _, svals, vt = np.linalg.svd(system, full_matrices=False)
-    null_dim = int(np.sum(svals < 1e-10))
-    if null_dim != 1:
-        raise RuntimeError(f"CG null space dimension {null_dim} != 1 for ({l1},{l2})")
-    c = vt[-1].reshape(3, d1, d2)
+    if l2 == l1 + 1:
+        c = np.einsum("im,ajm,m->aij", _basis_coeffs(l1), *_grad(l2))
+    elif l1 == l2 + 1:
+        c = np.einsum("aim,m,jm->aij", *_grad(l1), _basis_coeffs(l2))
+    else:
+        dots = np.einsum("bjm,m,cim->bcij", *_grad(l1), _grad(l1)[0])  # <d_b g_j, d_c f_i>, g = f
+        c = np.stack([dots[b, c] - dots[c, b] for b, c in ((1, 2), (2, 0), (0, 1))])
     c /= np.linalg.norm(c)
-    # l1 = l2 tensors have opposite-signed entries of equal magnitude, so a
-    # plain argmax would let last-bit noise pick the sign; take the last
-    # entry within 1e-9 of the maximum (the next smaller one is at most 0.986
-    # of it up to L_MAX_IRREPS)
-    flat = c.reshape(-1)
-    mag = np.abs(flat)
-    lead = np.nonzero(mag >= (1.0 - 1e-9) * mag.max())[0][-1]
-    if flat[lead] < 0:
-        c = -c
-    _verify_cg(c, l1, l2, rng)
+    _verify_cg(c, l1, l2)
     c.setflags(write=False)
     return c
 
 
-def _verify_cg(c: np.ndarray, l1: int, l2: int, rng: np.random.Generator) -> None:
-    q = quat_normalize(rng.standard_normal((4, 4)))
+def _verify_cg(c: np.ndarray, l1: int, l2: int) -> None:
+    q = quat_normalize(np.random.default_rng(20240331).standard_normal((4, 4)))
     da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
     lhs = np.einsum("aij,nik,njl->nakl", c, db, dc)
     rhs = np.einsum("nab,bij->naij", da, c)

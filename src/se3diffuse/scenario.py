@@ -106,10 +106,10 @@ def make_toy_scenario(seed: int = 7) -> Scenario:
 
 def sample_initial_poses(scenario: Scenario, rng: np.random.Generator,
                          n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Default denoising inits, (n, 4) and (n, 3) stacks: uniform over the scene box
-    padded by 0.2, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
+    """Default denoising inits, (n, 4) and (n, 3) stacks in scene units: uniform over the scene box
+    padded by 0.2 L, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
     lo, hi = bounding_box(scenario.scene)
-    lo, hi = lo - 0.2, hi + 0.2
+    lo, hi = lo - 0.2 * scenario.config.L, hi + 0.2 * scenario.config.L
     q, p = np.empty((n, 4)), np.empty((n, 3))
     for i in range(n):
         p[i] = lo + rng.random(3) * (hi - lo)

@@ -363,9 +363,8 @@ def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, mo
     assert sorted(calls.values()) == [1, 1]
 
 
-def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monkeypatch):
-    import se3diffuse.cli as cli
-
+def _toy_in_two_length_units():
+    """The toy scenario at seed 4, and the same geometry written with L = 2."""
     base = make_toy_scenario(seed=4)
 
     def scaled(edf):
@@ -380,6 +379,13 @@ def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monk
         config=dataclasses.replace(base.config, r=2.0 * base.config.r, L=2.0),
         model=dataclasses.replace(model, scene=scaled(model.scene), grasp=scaled(model.grasp),
                                   weight_field=scaled(model.weight_field)))
+    return base, doubled
+
+
+def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monkeypatch):
+    import se3diffuse.cli as cli
+
+    base, doubled = _toy_in_two_length_units()
     scores = []
     real = cli.run_denoising
 
@@ -398,6 +404,25 @@ def test_cmd_denoise_model_lengths_are_divided_by_the_length_unit(tmp_path, monk
     want = scores[0].score_batch(q, p, 0.3)
     assert np.max(np.abs(want)) > 0.0
     assert np.array_equal(scores[1].score_batch(q, p, 0.3), want)
+
+
+def test_cmd_denoise_initial_poses_scale_with_the_length_unit(tmp_path):
+    # the scene box is padded by 0.2 L, so both units start from the same
+    # non-dimensional poses and every length in the output doubles exactly
+    runs = []
+    for name, scn in zip(("base", "doubled"), _toy_in_two_length_units()):
+        path = write_scenario(tmp_path / name, scn)
+        out = tmp_path / f"{name}.txt"
+        assert main(["denoise", "--scenario", str(path), "--score", "oracle", "--chains", "6",
+                     "--out", str(out), "--seed", "1"]) == 0
+        chains = [dict((k, float(v)) for k, v in re.findall(r"(\w+) = ([-+.\de]+)", line))
+                  for line in out.read_text().splitlines() if line.startswith("# chain ")]
+        runs.append((chains, read_poses(out)))
+    (base_chains, base_poses), (chains, poses) = runs
+    assert len(chains) == len(poses) == 6
+    assert chains == [dict(c, trans_to_demo=2.0 * c["trans_to_demo"]) for c in base_chains]
+    for g, g2 in zip(base_poses, poses):
+        assert np.array_equal(g2.p, 2.0 * g.p) and np.array_equal(g2.r.q, g.r.q)
 
 
 def test_cmd_denoise_model_refuses_widths_that_square_to_zero_in_length_units(tmp_path, capsys):

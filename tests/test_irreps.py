@@ -21,7 +21,7 @@ from se3diffuse.irreps import (
     spherical_harmonics,
     wigner_d,
 )
-from se3diffuse.lie import Rotation, exp_so3, random_rotation
+from se3diffuse.lie import Rotation, exp_so3, quat_normalize, random_rotation
 
 
 def test_wigner_d_degree_zero_and_one(rng):
@@ -279,7 +279,8 @@ def test_cg_vector_vector_path_sign():
     u = np.array([0.3, -0.2, 0.9])
     v = np.array([-0.5, 0.4, 0.1])
     out = cg_contract_to1(IrrepsVector(l1, u), IrrepsVector(l1, v), [1.0])
-    # the tensor is -epsilon / sqrt(6): the last of its tied largest entries is positive
+    # C_a = sum_bc eps_abc <d_b g_j, d_c f_i> = eps_aji for f = g = (x, y, z), so u (index
+    # i) and v (index j) contract to v x u, over sqrt(6) at unit Frobenius norm
     assert np.allclose(out, np.cross(v, u) / math.sqrt(6.0), atol=1e-12)
 
 
@@ -288,30 +289,44 @@ def test_cg_tensor_rejects_forbidden_pairs():
         cg_tensor(0, 0)
     with pytest.raises(ValueError):
         cg_tensor(0, 2)
+    for pair in ((7, 6), (6, 7)):
+        with pytest.raises(ValueError):
+            cg_tensor(*pair)
 
 
-def test_cg_tensors_are_stable_under_last_bit_noise(monkeypatch):
-    # l1 = l2 tensors have opposite-signed entries of equal magnitude; noise of
-    # 1e-14 in the Wigner-D matrices must not decide the sign
+def _cg_by_svd(l1, l2):
+    """The CG tensor as the null space of the equivariance constraints at three seeded rotations."""
+    d1, d2 = 2 * l1 + 1, 2 * l2 + 1
+    q = quat_normalize(np.random.default_rng(20240331).standard_normal((3, 4)))
+    da, db, dc = wigner_d(1, q), wigner_d(l1, q), wigner_d(l2, q)
+    system = np.vstack([np.kron(np.eye(3), np.kron(db[k].T, dc[k].T))
+                        - np.kron(da[k], np.eye(d1 * d2)) for k in range(3)])
+    _, svals, vt = np.linalg.svd(system, full_matrices=False)
+    assert np.sum(svals < 1e-10) == 1, (l1, l2)
+    c = vt[-1].reshape(3, d1, d2) / np.linalg.norm(vt[-1])
+    # l1 = l2 tensors have opposite-signed entries of equal magnitude, so a
+    # plain argmax would let last-bit noise pick the sign; the last entry
+    # within 1e-9 of the largest magnitude is made positive
+    flat = c.reshape(-1)
+    mag = np.abs(flat)
+    return -c if flat[np.nonzero(mag >= (1.0 - 1e-9) * mag.max())[0][-1]] < 0 else c
+
+
+def test_cg_tensor_is_the_svd_null_space_with_its_sign():
     pairs = [(l1, l2) for l1 in range(L_MAX_IRREPS + 1) for l2 in range(L_MAX_IRREPS + 1)
              if abs(l1 - l2) <= 1 <= l1 + l2]
-    ref = {pair: cg_tensor(*pair).copy() for pair in pairs}
-    exact = irreps.wigner_d
-    for seed in range(3):
-        noise = np.random.default_rng(seed)
+    assert len(pairs) == 18
+    for pair in pairs:
+        ref = _cg_by_svd(*pair)
+        # the SVD reference itself is up to 4.7e-15 of its largest entry off the exact tensor
+        assert np.max(np.abs(cg_tensor(*pair) - ref)) < 1e-14 * np.max(np.abs(ref)), pair
 
-        def perturbed(l, r):
-            d = exact(l, r)
-            return d + 1e-14 * noise.standard_normal(d.shape)
 
-        monkeypatch.setattr(irreps, "wigner_d", perturbed)
-        cg_tensor.cache_clear()
-        try:
-            for pair in pairs:
-                assert np.max(np.abs(cg_tensor(*pair) - ref[pair])) < 1e-12, (seed, pair)
-        finally:
-            monkeypatch.setattr(irreps, "wigner_d", exact)
-            cg_tensor.cache_clear()
+@pytest.mark.parametrize("l", range(2, L_MAX_IRREPS + 1))
+def test_steering_directions_keep_the_harmonics_well_conditioned(l):
+    # wigner_d solves for D_l through pinv(Y_l(U)) over these directions
+    u, _ = irreps._steering(l)
+    assert np.linalg.cond(sh_batch(l, u)) < 2.0
 
 
 def test_cg_equivariance(rng):
