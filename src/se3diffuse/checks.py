@@ -210,7 +210,7 @@ def _check_equivariance(rng: np.random.Generator,
     base_pose = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3),
                                           0.3 * rng.standard_normal(3))))
     oracle = MixtureScore(demos, cfg)
-    base_kernel = kernel_log_density(base_pose.r.q[None], base_pose.p[None], g0,
+    base_kernel = kernel_log_density(base_pose.r.q[None], base_pose.p[None], (g0,),
                                      scn.scene, scn.grasp, cfg)[0]
     base_oracle = oracle(base_pose, cfg.t).as_array()
 
@@ -220,12 +220,12 @@ def _check_equivariance(rng: np.random.Generator,
     for _ in range(10):
         dg = _random_pose(rng, scale=0.7)
         g_left = compose(dg, base_pose)
-        lhs = kernel_log_density(g_left.r.q[None], g_left.p[None], compose(dg, g0),
+        lhs = kernel_log_density(g_left.r.q[None], g_left.p[None], (compose(dg, g0),),
                                  transform(scn.scene, dg), scn.grasp, cfg)[0]
         err_left = max(err_left, abs(lhs - base_kernel))
         dgi = inverse(dg)
         g_right = compose(base_pose, dgi)
-        rhs = kernel_log_density(g_right.r.q[None], g_right.p[None], compose(g0, dgi),
+        rhs = kernel_log_density(g_right.r.q[None], g_right.p[None], (compose(g0, dgi),),
                                  scn.scene, transform(scn.grasp, dg), cfg)[0]
         err_right = max(err_right, abs(rhs - base_kernel))
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as sio
-# forward_diffuse and assemble_score are unused here; perfbench/ traces and calls them through cli
+# DiffusionConfig, forward_diffuse and assemble_score: unused here, perfbench and its tests use them via cli
 from .diffusion import (  # noqa: F401
     DemoSet,
     DiffusionConfig,
@@ -144,7 +144,7 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
     if args.t_max is not None and args.t_max < t_lo:
         return _error(f"--t-max {args.t_max!r} is below the diffusion time {t_lo!r}")
     try:
-        cfg = DiffusionConfig(t=t_lo, r=scn.config.r, L=scn.config.L)
+        cfg = replace(scn.config, t=t_lo)
     except ValueError as exc:
         return _error(f"--t: {exc}")
     lines = sio.provenance_lines(seed=seed, scenario=str(args.scenario), t=t_lo,
@@ -170,9 +170,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
     scene, grasp, demos = _nondimensionalize(scn)
-    cfg = DiffusionConfig(t=scn.config.t, r=scn.config.r, L=scn.config.L)
     if args.score == "oracle":
-        score_fn = MixtureScore(DemoSet(tuple((g, scene, grasp) for g in demos)), cfg)
+        score_fn = MixtureScore(DemoSet(tuple((g, scene, grasp) for g in demos)), scn.config)
     elif model is None:
         return _error("--score model requires model parameters "
                       "(scenario model_params or --params)")
@@ -193,12 +192,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     header = sio.provenance_lines(seed=seed, scenario=str(args.scenario),
                                   score=args.score, chains=args.chains,
                                   integrator=args.integrator)
-    cfg_final = DiffusionConfig(t=float(scn.schedule.t[-1]), r=scn.config.r, L=scn.config.L)
-    # (chains, demos) kernel log densities, one call per demo over all chains
-    logdens = np.stack([kernel_log_density(out.q, out.p, g0, scene, grasp, cfg_final)
-                        for g0 in demos], axis=1)
-    m = np.max(logdens, axis=1)
-    mixes = m + np.log(np.sum(np.exp(logdens - m[:, None]), axis=1) / len(demos))
+    mixes = kernel_log_density(out.q, out.p, demos, scene, grasp,
+                               replace(scn.config, t=float(scn.schedule.t[-1])))
     # (chains, demos) distances to every demo; the first nearest by rot + tr is reported
     q_demo = np.stack([g0.r.q for g0 in demos])
     rots = quat_angle(quat_mul(quat_conj(q_demo), out.q[:, None]))

@@ -454,25 +454,22 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     return out
 
 
-def kernel_log_density(
-    q: np.ndarray,
-    p: np.ndarray,
-    g0: Pose,
-    scene: PointCloud,
-    grasp: PointCloud,
-    cfg: DiffusionConfig,
-) -> np.ndarray:
-    """log sum_p w_p B_t((g0 <| p)^-1 (g <| p)) for a stack of poses g.
+def kernel_log_density(q: np.ndarray, p: np.ndarray, demo_poses: Sequence[Pose], scene: PointCloud,
+                       grasp: PointCloud, cfg: DiffusionConfig) -> np.ndarray:
+    """(N,) log (1/D) sum_g0 sum_p w_p B_t((g0 <| p)^-1 (g <| p)) of (N, 4)/(N, 3) pose stacks g.
 
-    ``q`` is an (N, 4) quaternion stack and ``p`` the (N, 3) translations;
-    returns the (N,) log densities.  ``<|`` is right multiplication by the
-    pure translation T(p); the sum runs over grasp points with nonzero
-    contact weight and is taken by log-sum-exp.  The demo's contact
-    weights are computed once per call, so pass every pose at once.
+    The mixture over the D ``demo_poses`` g0 whose score ``MixtureScore``
+    takes; ``(g0,)`` gives one demo's kernel.  ``<|`` is right
+    multiplication by the pure translation T(p); the sum is one log-sum-exp
+    over the (demo, grasp point) components with nonzero contact weight,
+    whose weights are computed once per call, so pass every pose at once.
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
-    return _log_mixture(q, p, _demo_components((g0,), scene, grasp, cfg), cfg.t)
+    if len(demo_poses) == 0:
+        raise ValueError("no demo poses")
+    comps = _demo_components(demo_poses, scene, grasp, cfg, -math.log(len(demo_poses)))
+    return _log_mixture(q, p, comps, cfg.t)
 
 
 class MixtureScore:
@@ -489,7 +486,6 @@ class MixtureScore:
 
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
         scene, grasp = demos.shared_clouds()
-        self.cfg = cfg
         self._components = _demo_components([g0 for g0, _, _ in demos.demos], scene, grasp,
                                             cfg, -math.log(len(demos)))
 

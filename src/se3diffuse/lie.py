@@ -40,6 +40,7 @@ __all__ = [
     "adjoint_inv_transpose",
     "translation_pose",
     "random_rotation",
+    "random_quats",
     "skew",
     "cross",
     "quat_mul",
@@ -547,11 +548,17 @@ def adjoint_inv_transpose(g: Pose) -> np.ndarray:
     return out
 
 
+def random_quats(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) Haar-uniform rotations, ``quat_unit`` of normalized ``standard_normal((n, 4))`` rows; the
+    first k rows are k one-row draws, bit for bit.  A row of norm below 1e-12 is redrawn after the others."""
+    z = rng.standard_normal((n, 4))
+    norm2 = np.vecdot(z, z)
+    while (small := norm2 < 1e-24).any():  # pragma: no cover - no seed is known to give one
+        z[small] = rng.standard_normal((np.count_nonzero(small), 4))
+        norm2 = np.vecdot(z, z)
+    return quat_unit(z / np.sqrt(norm2)[:, None])
+
+
 def random_rotation(rng: np.random.Generator) -> Rotation:
-    """Haar-uniform rotation from a normalized 4D Gaussian."""
-    q = rng.standard_normal(4)
-    n = np.linalg.norm(q)
-    while n < 1e-12:  # pragma: no cover - essentially impossible
-        q = rng.standard_normal(4)
-        n = np.linalg.norm(q)
-    return Rotation(q / n)
+    """Haar-uniform rotation, a one-row ``random_quats`` draw."""
+    return Rotation.from_unit(random_quats(rng, 1)[0])

@@ -26,7 +26,7 @@ from . import io as sio
 from .diffusion import DemoSet, DiffusionConfig
 from .fields import ScoreModelParams, random_model_params
 from .irreps import IrrepsLayout
-from .lie import Pose, exp_so3, random_rotation
+from .lie import Pose, exp_so3, random_quats
 from .pointcloud import PointCloud, bounding_box
 from .sampler import AnnealSchedule, build_schedule
 
@@ -107,13 +107,13 @@ def make_toy_scenario(seed: int = 7) -> Scenario:
 def sample_initial_poses(scenario: Scenario, rng: np.random.Generator,
                          n: int) -> tuple[np.ndarray, np.ndarray]:
     """Default denoising inits, (n, 4) and (n, 3) stacks in scene units: uniform over the scene box
-    padded by 0.2 L, Haar rotation; each chain draws ``random(3)``, then ``random_rotation``."""
+    padded by 0.2 L, Haar rotation; each chain draws ``random(3)``, then a one-row ``random_quats``."""
     lo, hi = bounding_box(scenario.scene)
     lo, hi = lo - 0.2 * scenario.config.L, hi + 0.2 * scenario.config.L
     q, p = np.empty((n, 4)), np.empty((n, 3))
     for i in range(n):
         p[i] = lo + rng.random(3) * (hi - lo)
-        q[i] = random_rotation(rng).q
+        q[i] = random_quats(rng, 1)[0]
     return q, p
 
 

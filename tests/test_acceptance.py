@@ -210,17 +210,17 @@ def test_criterion_07_kernel_bi_equivariance(toy):
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
     g0 = toy.demo_poses[0]
     g = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
-    base = kernel_log_density(g.r.q[None], g.p[None], g0, toy.scene, toy.grasp, cfg)[0]
+    base = kernel_log_density(g.r.q[None], g.p[None], (g0,), toy.scene, toy.grasp, cfg)[0]
     err = 0.0
     for _ in range(100):
         dg = random_pose(rng, scale=0.7)
         g_left = compose(dg, g)
-        left = kernel_log_density(g_left.r.q[None], g_left.p[None], compose(dg, g0),
+        left = kernel_log_density(g_left.r.q[None], g_left.p[None], (compose(dg, g0),),
                                   transform(toy.scene, dg), toy.grasp, cfg)[0]
         err = max(err, abs(left - base))
         dgi = inverse(dg)
         g_right = compose(g, dgi)
-        right = kernel_log_density(g_right.r.q[None], g_right.p[None], compose(g0, dgi),
+        right = kernel_log_density(g_right.r.q[None], g_right.p[None], (compose(g0, dgi),),
                                    toy.scene, transform(toy.grasp, dg), cfg)[0]
         err = max(err, abs(right - base))
     report(7, "kernel bi-equivariance (left and right)", err < 1e-9,

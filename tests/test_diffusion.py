@@ -430,7 +430,7 @@ def test_kernel_reduces_to_brownian_for_single_origin_at_zero(rng):
     g0 = Pose.identity()
     cfg = DiffusionConfig(t=0.5, r=1.0, L=1.0)
     g = random_pose(rng, scale=0.3)
-    lhs = kernel_log_density(g.r.q[None], g.p[None], g0, scene, grasp, cfg)[0]
+    lhs = kernel_log_density(g.r.q[None], g.p[None], (g0,), scene, grasp, cfg)[0]
     rhs = brownian_log_density(compose(inverse(g0), g), cfg.t)
     assert abs(lhs - rhs) < 1e-12
 
@@ -484,7 +484,7 @@ def test_kernel_log_density_batch_matches_scalar_reference(toy, rng):
             poses = _poses_around(g0, rng, 60)
             q = np.stack([g.r.q for g in poses])
             p = np.stack([g.p for g in poses])
-            batch = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+            batch = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
             assert batch.shape == (60,)
             ref = np.array([_kernel_log_density_reference(g, g0, toy.scene, toy.grasp, cfg)
                             for g in poses])
@@ -497,12 +497,46 @@ def test_kernel_log_density_batch_of_one_matches_row(toy, rng):
     poses = _poses_around(g0, rng, 30)
     q = np.stack([g.r.q for g in poses])
     p = np.stack([g.p for g in poses])
-    full = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+    full = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
     for i in range(len(poses)):
-        one = kernel_log_density(q[i:i + 1], p[i:i + 1], g0, toy.scene, toy.grasp, cfg)
+        one = kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)
         # not bitwise: the series' matrix-vector product rounds differently
         # for one row than for many (about 1e-14 relative)
         assert one.shape == (1,) and abs(one[0] - full[i]) < 1e-12
+
+
+def test_kernel_log_density_of_one_demo_is_its_component_mixture(toy, rng):
+    from se3diffuse.diffusion import _demo_components, _log_mixture
+
+    g0 = toy.demo_poses[2]
+    poses = _poses_around(g0, rng, 30)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        want = _log_mixture(q, p, _demo_components((g0,), toy.scene, toy.grasp, cfg), t)
+        assert np.array_equal(kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg), want)
+
+
+def test_kernel_log_density_of_several_demos_is_their_uniform_mixture(toy, rng):
+    poses = [g for g0 in toy.demo_poses for g in _poses_around(g0, rng, 12)]
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        per_demo = np.stack([kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
+                             for g0 in toy.demo_poses])
+        m = per_demo.max(axis=0)
+        want = m + np.log(np.exp(per_demo - m).sum(axis=0) / len(per_demo))
+        got = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_kernel_log_density_refuses_no_demos(toy):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    with pytest.raises(ValueError, match="no demo poses"):
+        kernel_log_density(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros((1, 3)), (), toy.scene,
+                           toy.grasp, cfg)
 
 
 def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
@@ -513,10 +547,10 @@ def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
     for t in (0.01, 0.5, 2.0):
         cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
         oracle = MixtureScore(toy.demo_set(), cfg)
-        dens = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)
+        dens = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
         scores = oracle.score_batch(q, p, t)
         for i in range(len(poses)):
-            assert kernel_log_density(q[i:i + 1], p[i:i + 1], g0, toy.scene, toy.grasp, cfg)[0] == dens[i]
+            assert kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)[0] == dens[i]
             assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
 
 
@@ -734,7 +768,7 @@ def test_mixture_weights_rotational_densities_below_the_double_range(toy):
 
     q, p = g.r.q[None], g.p[None]
     for g0 in g0s:
-        got = kernel_log_density(q, p, g0, toy.scene, toy.grasp, cfg)[0]
+        got = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)[0]
         ref = _kernel_log_density_reference(g, g0, toy.scene, toy.grasp, cfg, mp_log_f)
         assert abs(got - ref) < 1e-12 * abs(ref), (got, ref)
     got = MixtureScore(demos, cfg).score_batch(q, p, t)
@@ -760,7 +794,7 @@ def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
     for t in (0.01, 0.5, 2.0):
         cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
         hs, q, p = poses_and_stacks(Pose.identity())
-        dens = kernel_log_density(q, p, Pose.identity(), toy.scene, origin, cfg)
+        dens = kernel_log_density(q, p, (Pose.identity(),), toy.scene, origin, cfg)
         scores = BrownianScoreFn().score_batch(q, p, t)
         for i, h in enumerate(hs):
             assert brownian_log_density(h, t) == dens[i]
@@ -790,16 +824,16 @@ def test_kernel_bi_equivariance(toy, rng):
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
     g0 = toy.demo_poses[0]
     g = compose(g0, exp_se3(Twist(0.2 * rng.standard_normal(3), 0.3 * rng.standard_normal(3))))
-    base = kernel_log_density(g.r.q[None], g.p[None], g0, toy.scene, toy.grasp, cfg)[0]
+    base = kernel_log_density(g.r.q[None], g.p[None], (g0,), toy.scene, toy.grasp, cfg)[0]
     for _ in range(100):
         dg = random_pose(rng, scale=0.7)
         g_left = compose(dg, g)
-        left = kernel_log_density(g_left.r.q[None], g_left.p[None], compose(dg, g0),
+        left = kernel_log_density(g_left.r.q[None], g_left.p[None], (compose(dg, g0),),
                                   transform(toy.scene, dg), toy.grasp, cfg)[0]
         assert abs(left - base) < 1e-9
         dgi = inverse(dg)
         g_right = compose(g, dgi)
-        right = kernel_log_density(g_right.r.q[None], g_right.p[None], compose(g0, dgi),
+        right = kernel_log_density(g_right.r.q[None], g_right.p[None], (compose(g0, dgi),),
                                    toy.scene, transform(toy.grasp, dg), cfg)[0]
         assert abs(right - base) < 1e-9
 
@@ -823,7 +857,7 @@ def test_oracle_matches_mixture_finite_differences(toy, rng):
                 exp_se3(Twist(0.2 * rng.standard_normal(3), 0.2 * rng.standard_normal(3))))
 
     def mixture_log_density(gg):
-        vals = [kernel_log_density(gg.r.q[None], gg.p[None], g0, toy.scene, toy.grasp, cfg)[0]
+        vals = [kernel_log_density(gg.r.q[None], gg.p[None], (g0,), toy.scene, toy.grasp, cfg)[0]
                 for g0 in toy.demo_poses]
         m = max(vals)
         return m + math.log(sum(math.exp(v - m) for v in vals) / len(vals))

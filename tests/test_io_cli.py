@@ -334,6 +334,30 @@ def test_cmd_denoise_deterministic(scenario_dir, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cmd_denoise_reports_the_oracle_mixture_density(scenario_dir, tmp_path, monkeypatch):
+    """The report's log_mixture_density is the log density whose score the oracle takes, bitwise."""
+    import se3diffuse.cli as cli
+    from se3diffuse.diffusion import DemoSet, MixtureScore, _log_mixture
+
+    finals = []
+    real = cli.run_denoising
+
+    def capture(*args, **kwargs):
+        finals.append(real(*args, **kwargs))
+        return finals[-1]
+
+    monkeypatch.setattr(cli, "run_denoising", capture)
+    out = tmp_path / "o.txt"
+    assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"), "--score", "oracle",
+                 "--chains", "6", "--out", str(out), "--seed", "4"]) == 0
+    reported = [float(v) for v in re.findall(r"log_mixture_density = (\S+)", out.read_text())]
+    scn = read_scenario(scenario_dir / "scenario.txt")
+    scene, grasp, demos = cli._nondimensionalize(scn)
+    comps = MixtureScore(DemoSet(tuple((g, scene, grasp) for g in demos)), scn.config)._components
+    want = _log_mixture(finals[0].q, finals[0].p, comps, float(scn.schedule.t[-1]))
+    assert len(reported) == 6 and reported == want.tolist()
+
+
 def test_cmd_denoise_model_source_runs(scenario_dir, tmp_path):
     out = tmp_path / "model.txt"
     assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),

@@ -26,6 +26,7 @@ from se3diffuse.lie import (
     quat_rotate,
     quat_to_matrix,
     quat_unit,
+    random_quats,
     random_rotation,
     se3_compose,
     se3_inverse,
@@ -179,17 +180,20 @@ def test_random_rotation_deterministic():
 def test_random_rotation_haar_mean_and_angle_marginal():
     rng = np.random.default_rng(0)
     n = 100_000
-    acc = np.zeros((3, 3))
-    angles = np.empty(n)
-    for i in range(n):
-        r = random_rotation(rng)
-        acc += r.matrix()
-        angles[i] = r.angle
-    assert np.max(np.abs(acc / n)) < 0.02
-    angles.sort()
+    q = random_quats(rng, n)
+    assert np.max(np.abs(quat_to_matrix(q).sum(axis=0) / n)) < 0.02
+    angles = np.sort(quat_angle(q))
     cdf = (angles - np.sin(angles)) / math.pi  # integral of (1 - cos)/pi
     ks = np.max(np.maximum(np.arange(1, n + 1) / n - cdf, cdf - np.arange(n) / n))
     assert ks < 0.01
+
+
+def test_random_rotation_draws_are_rows_of_one_stack_draw():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        scalar = np.stack([random_rotation(rng).q for _ in range(50)])
+        assert np.array_equal(scalar, random_quats(np.random.default_rng(seed), 50))
+        assert np.array_equal(scalar[:7], random_quats(np.random.default_rng(seed), 7))
 
 
 def test_twist_ordering_linear_first():

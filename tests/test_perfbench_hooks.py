@@ -7,10 +7,15 @@ the program calls.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from se3diffuse import cli, fields, igso3, irreps
 from se3diffuse.diffusion import MixtureScore
@@ -18,7 +23,9 @@ from se3diffuse.fields import ModelScore, build_query_set
 from se3diffuse.irreps import IrrepsVector
 from se3diffuse.lie import Pose
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load_layers():
@@ -108,3 +115,22 @@ def test_model_denoise_hooks_count_fields_and_wigner_d_per_step(tmp_path):
     # both branches share one per-path read-out tensor, one CG contraction when the score is built
     assert stats["fields.contract"].calls == 1
     assert stats["io.write_poses"].calls == 1
+
+
+@pytest.fixture(scope="module")
+def probe_scenario(tmp_path_factory):
+    out = tmp_path_factory.mktemp("probe") / "scn"
+    assert cli.main(["gen-scenario", "--out", str(out), "--seed", "7"]) == 0
+    return out / "scenario.txt"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_setup_probe_readies_each_workload(probe_scenario, workload):
+    # perfbench/probe.py calls the program by name in a fresh interpreter, as perfbench/run.py spawns it
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "probe.py"), workload, str(probe_scenario)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert {"import_s", "read_s", "build_s", "factor"} <= json.loads(line).keys()
