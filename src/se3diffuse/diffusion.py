@@ -34,7 +34,6 @@ from .lie import (
     _matrix,
     _mul,
     _norm,
-    _rotate,
     finite_poses,
     quat_exp,
     quat_rotate,
@@ -124,44 +123,42 @@ def _ig_params(t: float) -> IgParams:
 
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 _ZERO = np.zeros(3)
-_UPPER = np.triu_indices(3)
-# vee(X)_i = X_NEXT[i],PREV[i] - X_PREV[i],NEXT[i]
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-# the feature columns of rows m = 0..2 of k k^T at entries NEXT and PREV: upper(k k^T) follows [1, k]
-_OUTER_COLUMN = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-_OUTER_NEXT = _OUTER_COLUMN[:, _NEXT]
-_OUTER_PREV = _OUTER_COLUMN[:, _PREV]
 
 
 class _Components(NamedTuple):
     """Kernel components: (demo, grasp point) pairs, each demo's padded to K slots.
 
-    ``q0inv`` (D, 4) and ``p0inv`` (D, 3) are the inverse demo poses,
-    ``points`` (D, 3, K) the coordinates of the grasp point k of each
-    component, ``logw`` (D, K) its log weight, -inf in the unused slots,
-    and ``features`` (D, K, 10) its row [1, k, upper(k k^T)], whose
-    weighted sums are the per-demo moments of ``_kernel_score``.
+    ``q0inv`` (D, 4) are the inverse demo rotations and ``logw`` (D, K) the
+    log weights, -inf in the unused slots.  World lengths are taken about
+    ``origin``, the mean demo translation o, and component (d, k) has the
+    grasp point k and its world point c = p0_d + R0_d k - o.  ``rows``
+    (17, D K) holds each component's column [1, 2k, -2c, |k|^2 + |c|^2,
+    -2 vec(c k^T)] of |p_h|^2, and ``moments`` (D K, 15) its row
+    [k, c, vec(c k^T)], whose weighted sums are the moments of
+    ``_kernel_score``.
     """
 
     q0inv: np.ndarray
-    p0inv: np.ndarray
-    points: np.ndarray
+    origin: np.ndarray
     logw: np.ndarray
-    features: np.ndarray
+    rows: np.ndarray
+    moments: np.ndarray
 
 
-def _components(q0inv: np.ndarray, p0inv: np.ndarray, points: np.ndarray,
-                logw: np.ndarray) -> _Components:
-    """Components of (D, K, 3) grasp points with (D, K) log weights."""
-    outer = points[..., :, None] * points[..., None, :]
-    features = np.concatenate([np.ones(logw.shape + (1,)), points, outer[..., _UPPER[0], _UPPER[1]]],
-                              axis=-1)
-    return _Components(q0inv, p0inv, np.ascontiguousarray(np.swapaxes(points, -1, -2)), logw, features)
+def _components(q0: np.ndarray, p0: np.ndarray, points: np.ndarray, logw: np.ndarray) -> _Components:
+    """Components of the (D, 4)/(D, 3) demo poses' (D, K, 3) grasp points with (D, K) log weights."""
+    origin = np.mean(p0, axis=0)
+    c = quat_rotate(q0[:, None], points) + (p0 - origin)[:, None]
+    ck = (c[..., :, None] * points[..., None, :]).reshape(logw.shape + (9,))
+    rows = np.concatenate([np.ones(logw.shape + (1,)), 2.0 * points, -2.0 * c,
+                           np.sum(points * points, axis=-1, keepdims=True)
+                           + np.sum(c * c, axis=-1, keepdims=True), -2.0 * ck], axis=-1)
+    return _Components(se3_inverse(q0, p0)[0], origin, logw, np.ascontiguousarray(rows.reshape(-1, 17).T),
+                       np.concatenate([points, c, ck], axis=-1).reshape(-1, 15))
 
 
-def _single_component(q0inv: np.ndarray, p0inv: np.ndarray, point: np.ndarray) -> _Components:
-    return _components(q0inv[None, :], p0inv[None, :],
+def _single_component(q0: np.ndarray, p0: np.ndarray, point: np.ndarray) -> _Components:
+    return _components(q0[None, :], p0[None, :],
                        np.asarray(point, dtype=np.float64).reshape(1, 1, 3), np.zeros((1, 1)))
 
 
@@ -334,15 +331,15 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     angles within 1e-6 of pi clamp as they do there.
     """
     check_time(t)
-    comps = _single_component(*se3_inverse(g0.r.q, g0.p), p_de)
+    comps = _single_component(g0.r.q, g0.p, p_de)
     return Twist.from_array(_kernel_score(g.r.q[None, :], g.p[None, :], comps, t)[0])
 
 
 def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: PointCloud,
                      cfg: DiffusionConfig, log_demo_weight: float = 0.0) -> _Components:
     """Every (demo, grasp point) component with nonzero contact weight."""
-    q0inv, p0inv = se3_inverse(np.stack([g.r.q for g in demo_poses]), np.stack([g.p for g in demo_poses]))
-    w = _contact_weights(q0inv, p0inv, scene, grasp, cfg)
+    q0, p0 = np.stack([g.r.q for g in demo_poses]), np.stack([g.p for g in demo_poses])
+    w = _contact_weights(*se3_inverse(q0, p0), scene, grasp, cfg)
     slots = np.count_nonzero(w > 0.0, axis=1).max()
     points = np.zeros((len(w), slots, 3))
     logw = np.full((len(w), slots), -np.inf)
@@ -350,68 +347,48 @@ def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: Point
         keep = (wd > 0.0).nonzero()[0]
         points[d, :keep.size] = grasp.positions[keep]
         logw[d, :keep.size] = np.log(wd[keep]) + log_demo_weight
-    return _components(q0inv, p0inv, points, logw)
-
-
-def _frames(q: np.ndarray, p: np.ndarray, comps: _Components):
-    """Kernel frames g_m = g0_d^-1 g per demo and pose, demo-major.
-
-    Returns R_m (D, 3, 3, N), p_m (D, 3, N), and the rotation vectors
-    (D, 3, N) and angles (D, N) of R_m: the ``lie`` kernels of
-    ``quat_to_matrix``, ``quat_rotate(q0inv, p) + p0inv``, ``quat_log`` and
-    the norm, of ``quat_mul(q0inv, q)``, over (D, 1) by (N,) broadcasts.
-    """
-    # contiguous component-first operands, so that every product is laid out (3, D, N)
-    a = np.ascontiguousarray(comps.q0inv.T)[:, :, None]  # (4, D, 1)
-    qt = np.ascontiguousarray(q.T)[:, None]  # (4, 1, N)
-    w, v = _mul(a[0], a[1:], qt[0], qt[1:])  # (D, N), (3, D, N)
-    rotvec = _log(w, v)
-    pm = (_rotate(a[0], a[1:], np.ascontiguousarray(p.T)[:, None])
-          + np.ascontiguousarray(comps.p0inv.T)[:, :, None])
-    return (_matrix(w, v).transpose(2, 0, 1, 3), pm.transpose(1, 0, 2), rotvec.transpose(1, 0, 2),
-            _norm(rotvec))
+    return _components(q0, p0, points, logw)
 
 
 def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
-    """Kernel frames per demo and pose, and log terms per component, demo-major.
+    """Per-pose world terms, kernel frames per pose and demo, and log terms per component.
 
     The kernel argument of component (d, k) is h = T(-k) g0_d^-1 g T(k),
-    with rotation R_m of g_m = g0_d^-1 g and translation
-    p_h = p_m + R_m k - k.  Returns the frames of ``_frames``, the (D, N)
-    IGSO(3) score ratios f'/f of the angles, and the (D, K, N) log terms
-    log w_k + log N(p_h; 0, tI) + log f(theta): the rotational density and
-    its ratio are taken once per demo and pose
-    (``igso3.igso3_log_density_and_ratio``), and |p_h|^2 one coordinate at
-    a time over every component and pose, into reused buffers, as
-    sum_i ((R_i0 k_0 + R_i1 k_1 + R_i2 k_2) + p_m,i - k_i)^2 in that order,
-    which fixes the bits of ``kernel_log_density``.
+    with rotation R_m = R0_d^T R and translation p_h, and R0_d p_h =
+    p' + R k - c with p' = p - o (see ``_Components``).  So |p_h|^2 is the
+    dot product of the pose's row [|p'|^2, R^T p', p', 1, vec R] with the
+    component's column of ``rows``: one ``np.matmul`` with the pose on the
+    batch axis, which keeps each row's bits in any batch.  R_m is the
+    ``lie`` product q0inv_d q, whose rotation vector and angle, and their
+    IGSO(3) log density and score ratio f'/f, are taken once per pose and
+    demo (``igso3.igso3_log_density_and_ratio``).
+
+    Returns R (3, 3, N), R^T p' (3, N), the rotation vectors (3, N, D),
+    angles (N, D) and ratios (N, D), and the (N, D, K) log terms
+    log w_k + log N(p_h; 0, tI) + log f(theta).
     """
-    rm, pm, rotvec, theta = _frames(q, p, comps)
-    k = comps.points[:, :, :, None]  # (D, 3, K, 1)
-    ph, term, p2 = (np.empty(k.shape[:1] + k.shape[2:3] + q.shape[:1]) for _ in range(3))
-    for i in range(3):
-        r = rm[:, i, :, None]  # row i of R_m, (D, 3, 1, N)
-        np.multiply(r[:, 0], k[:, 0], out=ph)
-        ph += np.multiply(r[:, 1], k[:, 1], out=term)
-        ph += np.multiply(r[:, 2], k[:, 2], out=term)
-        ph += pm[:, i, None]
-        ph -= k[:, i]
-        if i == 0:
-            np.multiply(ph, ph, out=p2)
-        else:
-            p2 += np.multiply(ph, ph, out=ph)
+    n = q.shape[0]
+    qt = np.ascontiguousarray(q.T)
+    pt = (p - comps.origin).T
+    r = _matrix(qt[0], qt[1:])
+    rtp = np.add.reduce(r * pt[:, None], axis=0)
+    pose = np.concatenate([np.add.reduce(pt * pt, axis=0)[None], rtp, pt, np.ones((1, n)), r.reshape(9, n)])
+    p2 = np.matmul(np.ascontiguousarray(pose.T)[:, None], comps.rows).reshape((n,) + comps.logw.shape)
+    a = np.ascontiguousarray(comps.q0inv.T)[:, None]  # (4, 1, D)
+    rotvec = _log(*_mul(a[0], a[1:], qt[0][:, None], qt[1:, :, None]))
+    theta = _norm(rotvec)
     log_f, ratio = igso3.igso3_log_density_and_ratio(np.minimum(theta, math.pi), _ig_params(t))
     # logw + (-1.5 log(2 pi t) - p2 / (2t)) + log_f, formed in p2
     p2 /= 2.0 * t
     np.subtract(-1.5 * math.log(2.0 * math.pi * t), p2, out=p2)
-    p2 += comps.logw[:, :, None]
-    p2 += log_f[:, None]
-    return rm, pm, rotvec, theta, ratio, p2
+    p2 += comps.logw
+    p2 += log_f[:, :, None]
+    return r, rtp, rotvec, theta, ratio, p2
 
 
 def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> np.ndarray:
     """(N,) log sum over components of w_k B_t(h), by log-sum-exp over each pose's (D, K) terms."""
-    logs = np.ascontiguousarray(np.moveaxis(_kernel_terms(q, p, comps, t)[-1], -1, 0))
+    logs = _kernel_terms(q, p, comps, t)[-1]
     m = np.max(logs, axis=(1, 2))
     return m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2)))
 
@@ -420,37 +397,34 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     """(N, 6) density-weighted mixture scores.
 
     Component (d, k) contributes [Ad_{T(k)}]^-T grad log B_t(h):
-    s_nu = -R_m^T p_h / t = -(a_d + k - R_m^T k) / t with a_d = R_m^T p_m,
-    and s_om = k x s_nu + s_rot,d, the IGSO(3) score of R_m.  Their
-    weighted sums therefore need only the per-demo moments W = sum w,
-    K = sum w k and M = sum w k k^T, one ``einsum`` over the components
-    (not BLAS, so that a row keeps its bits in any batch):
+    s_nu = -R_m^T p_h / t = -(R^T p' + k - R^T c) / t and
+    s_om = k x s_nu + s_rot,d, the IGSO(3) score of R_m.  Their weighted
+    sums therefore need only the per-demo weight sums W_d and three moments
+    over every component, K = sum w k, C = sum w c and N = sum w k c^T,
+    one ``np.matmul`` with the pose on the batch axis:
 
-        sum w s_nu = -(1/t) sum_d (W a + K - R^T K)
-        sum w s_om = sum_d (-(1/t) (K x a - vee(M R)) + W s_rot)
+        sum w s_nu = -(W R^T p' + K - R^T C) / t
+        sum w s_om = -(K x R^T p' - vee(N R)) / t + sum_d W_d s_rot,d
 
-    with vee(X) = (X12 - X21, X20 - X02, X01 - X10) = sum_m M_m x R_m over
-    matching rows.  The demo sums are one reduction over the first axis of
-    the stacked (D, 10, N) terms, which adds each pose's terms in the same
-    order in any batch.  Kernel angles within 1e-6 of pi are clamped
-    (``igso3.score_ratio``).
+    with W = sum_d W_d and vee(N R) = sum_m N[:, m] x R[m, :].  Every other
+    step is elementwise or a reduction along a pose's own axis, so a row
+    keeps its bits in any batch.  Kernel angles within 1e-6 of pi are
+    clamped (``igso3.score_ratio``).
     """
-    rm, pm, rotvec, theta, ratio, logs = _kernel_terms(q, p, comps, t)
-    logs -= np.max(logs, axis=(0, 1))
-    moments = np.einsum("dkf,dkn->dfn", comps.features, np.exp(logs, out=logs))
-    w, k = moments[:, :1], moments[:, 1:4]
-    a = (rm[:, 0] * pm[:, :1] + rm[:, 1] * pm[:, 1:2]) + rm[:, 2] * pm[:, 2:]
-    rt_k = (rm[:, 0] * k[:, :1] + rm[:, 1] * k[:, 1:2]) + rm[:, 2] * k[:, 2:]
-    terms = np.empty((w.shape[0], 10, w.shape[2]))
-    np.subtract(w * a + k, rt_k, out=terms[:, :3])
-    vee = np.sum(moments[:, _OUTER_NEXT] * rm[:, :, _PREV] - moments[:, _OUTER_PREV] * rm[:, :, _NEXT], axis=1)
-    np.subtract(_cross(k.swapaxes(0, 1), a.swapaxes(0, 1)).swapaxes(0, 1), vee, out=terms[:, 3:6])
-    np.multiply((w[:, 0] * ratio / np.where(theta < 1e-12, 1.0, theta))[:, None], rotvec, out=terms[:, 6:9])
-    terms[:, 9] = w[:, 0]
-    sums = np.sum(terms, axis=0)
-    out = np.empty((q.shape[0], 6))
-    out[:, :3] = (sums[:3] / (-t * sums[9])).T
-    out[:, 3:] = ((sums[3:6] / -t + sums[6:9]) / sums[9]).T
+    r, rtp, rotvec, theta, ratio, logs = _kernel_terms(q, p, comps, t)
+    n = q.shape[0]
+    logs -= np.max(logs, axis=(1, 2), keepdims=True)
+    w = np.exp(logs, out=logs)
+    wd = np.sum(w, axis=2)
+    total = np.sum(wd, axis=1)
+    moments = np.matmul(w.reshape(n, 1, len(comps.moments)), comps.moments)[:, 0].T  # (15, N)
+    k, c = moments[:3], moments[3:6]
+    # N[:, m] x R[m, :] summed over m, with N = sum w k c^T read from the rows vec(c k^T)
+    vee = np.add.reduce(_cross(moments[6:].reshape(3, 3, n).swapaxes(0, 1), r.swapaxes(0, 1)), axis=1)
+    s_rot = np.add.reduce(wd * ratio / np.where(theta < 1e-12, 1.0, theta) * rotvec, axis=-1)
+    out = np.empty((n, 6))
+    out[:, :3] = ((total * rtp + k - np.add.reduce(r * c[:, None], axis=0)) / (-t * total)).T
+    out[:, 3:] = (((_cross(k, rtp) - vee) / -t + s_rot) / total).T
     return out
 
 
@@ -463,13 +437,19 @@ def kernel_log_density(q: np.ndarray, p: np.ndarray, demo_poses: Sequence[Pose],
     multiplication by the pure translation T(p); the sum is one log-sum-exp
     over the (demo, grasp point) components with nonzero contact weight,
     whose weights are computed once per call, so pass every pose at once.
+    The stacks are read as the scores read them (``finite_poses``): a
+    single (4,)/(3,) pose is a batch of one, and a pose with a non-finite
+    entry or a quaternion off unit norm by more than 1e-3 reads NaN.
     """
     if len(scene) == 0 or len(grasp) == 0:
         raise ValueError("empty point cloud")
     if len(demo_poses) == 0:
         raise ValueError("no demo poses")
+    q, p, bad = finite_poses(q, p)
     comps = _demo_components(demo_poses, scene, grasp, cfg, -math.log(len(demo_poses)))
-    return _log_mixture(q, p, comps, cfg.t)
+    out = _log_mixture(q, p, comps, cfg.t)
+    out[bad] = np.nan
+    return out
 
 
 class MixtureScore:
@@ -479,9 +459,9 @@ class MixtureScore:
     weights times contact weights; the score is the density-weighted
     average of the adjoint-transported kernel scores, with weights taken
     in log space.  Every demo's components are laid out once, at
-    construction, padded to the largest count, and ``score_batch``
-    evaluates them all in one pass over a pose batch (used by the
-    annealed sampler).
+    construction, padded to the largest count, with lengths about the mean
+    demo translation, and ``score_batch`` evaluates them all in one pass
+    over a pose batch (used by the annealed sampler).
     """
 
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
@@ -492,11 +472,12 @@ class MixtureScore:
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores for quaternion/translation stacks at time t.
 
-        One pass over every component: the frames g0^-1 g and the IGSO(3)
-        log density and score are formed once per pose and demo, each
-        component adds only its kernel translation and log weight, and the
-        weighted score sums come from three per-demo moments of the weights
-        (``_kernel_score``).  Kernel angles within 1e-6 of pi are clamped
+        One pass over every component: the rotation g0^-1 g and its IGSO(3)
+        log density and score are formed once per pose and demo, the kernel
+        translations of every component come from one product of per-pose
+        and per-component rows, and the weighted score sums from three
+        moments of the weights, a second product (``_kernel_score``).
+        Kernel angles within 1e-6 of pi are clamped
         to that boundary (see ``igso3.score_ratio``), where the rotational
         score vanishes smoothly.  Each row depends on its pose
         only, bitwise; a pose with a non-finite entry scores NaN.

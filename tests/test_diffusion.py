@@ -539,6 +539,35 @@ def test_kernel_log_density_refuses_no_demos(toy):
                            toy.grasp, cfg)
 
 
+def test_kernel_log_density_reads_a_single_pose_as_a_batch_of_one(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    g = _poses_around(toy.demo_poses[0], rng, 3)[2]
+    one = kernel_log_density(g.r.q, g.p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+    assert one.shape == (1,)
+    assert one[0] == kernel_log_density(g.r.q[None], g.p[None], toy.demo_poses, toy.scene, toy.grasp, cfg)[0]
+
+
+def test_kernel_log_density_of_non_finite_or_non_unit_poses_is_nan(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    poses = _poses_around(toy.demo_poses[1], rng, 6)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    healthy = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+    q[1] *= 2.0  # norm 2: off 1 by more than the Rotation rule's 1e-3
+    q[2, 3], p[3, 0], p[4, 2] = np.inf, np.nan, -np.inf
+    out = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+    bad = np.array([False, True, True, True, True, False])
+    assert np.all(np.isnan(out[bad]))
+    assert np.array_equal(out[~bad], healthy[~bad])
+
+
+def test_kernel_log_density_refuses_stacks_with_different_pose_counts(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    q = np.stack([random_rotation(rng).q for _ in range(3)])
+    with pytest.raises(ValueError, match="need one translation per quaternion"):
+        kernel_log_density(q, rng.standard_normal((2, 3)), toy.demo_poses, toy.scene, toy.grasp, cfg)
+
+
 def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
     g0 = toy.demo_poses[0]
     poses = _poses_around(g0, rng, 12)
@@ -612,45 +641,77 @@ def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
                 assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
 
 
-def _composed_log_terms(comps, q, p, t):
-    """Frames and log terms composed through the ``lie`` helpers, with a loop over coordinates."""
+def _composed_log_terms(demos, cfg, q, p, t):
+    """Rotation vectors (N, D, 3), angles (N, D) and -inf-padded (N, D, K) log terms of the
+    mixture, composed one demo at a time through the ``lie`` helpers from the demo poses and
+    their kept contacts, with |p_h|^2 from a loop over coordinates of p_h = p_m + R_m k - k."""
     from se3diffuse.igso3 import igso3_log_density
-    from se3diffuse.lie import quat_log, quat_to_matrix
+    from se3diffuse.lie import quat_log, quat_to_matrix, se3_inverse
 
-    qm = quat_mul(comps.q0inv[None, :, :], q[:, None, :])
-    pm = quat_rotate(comps.q0inv[None, :, :], p[:, None, :]) + comps.p0inv[None, :, :]
-    rotvec = quat_log(qm)
-    theta = np.linalg.norm(rotvec, axis=-1)
-    r = quat_to_matrix(qm)[..., None]
-    k = np.moveaxis(comps.points, 1, 0)  # (3, D, K)
-    p2 = 0.0
-    for i in range(3):
-        ph = pm[:, :, i, None] + (r[:, :, i, 0] * k[0] + r[:, :, i, 1] * k[1] + r[:, :, i, 2] * k[2]) - k[i]
-        p2 = p2 + ph * ph
-    log_f = igso3_log_density(np.minimum(theta, math.pi), IgParams(eps=0.5 * t))
-    logs = comps.logw + (-1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)) + log_f[:, :, None]
-    return quat_to_matrix(qm), pm, rotvec, theta, logs
+    scene, grasp = demos.shared_clouds()
+    kept = [_kept_contacts(g0, scene, grasp, cfg) for g0, _, _ in demos.demos]
+    q0inv, p0inv = se3_inverse(np.stack([g0.r.q for g0, _, _ in demos.demos]),
+                               np.stack([g0.p for g0, _, _ in demos.demos]))
+    logs = np.full((q.shape[0], len(kept), max(len(pts) for pts, _ in kept)), -np.inf)
+    rotvecs, thetas = [], []
+    for d, (pts, logw) in enumerate(kept):
+        qm = quat_mul(q0inv[d], q)
+        pm = quat_rotate(q0inv[d], p) + p0inv[d]
+        rotvecs.append(quat_log(qm))
+        thetas.append(np.linalg.norm(rotvecs[-1], axis=-1))
+        r = quat_to_matrix(qm)[..., None]
+        k = pts.T
+        p2 = 0.0
+        for i in range(3):
+            ph = pm[:, i, None] + (r[:, i, 0] * k[0] + r[:, i, 1] * k[1] + r[:, i, 2] * k[2]) - k[i]
+            p2 = p2 + ph * ph
+        log_f = igso3_log_density(np.minimum(thetas[-1], math.pi), IgParams(eps=0.5 * t))
+        logs[:, d, :len(pts)] = ((logw - math.log(len(kept))) + (-1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t))
+                                 + log_f[:, None])
+    return np.stack(rotvecs, axis=1), np.stack(thetas, axis=1), logs
 
 
 @pytest.mark.parametrize("n", [1, 7, 60])
-def test_kernel_frames_and_log_terms_are_the_composed_loop_bit_for_bit(toy, rng, n):
-    """The density path keeps the bits of the helper-by-helper evaluation it replaced."""
+def test_kernel_rotations_are_the_composed_helpers_and_log_terms_the_composed_loop(toy, rng, n):
+    """The rotational frame keeps the bits of the ``lie`` helpers; the log terms, whose
+    |p_h|^2 is a product of per-pose and per-component rows, stay at the coordinate loop."""
     from se3diffuse.diffusion import _kernel_terms, _log_mixture
 
     demos = _uneven_demo_set(toy)
     q, p = _pose_stack(demos, rng, n)
     q[::2] = -q[::2]  # quaternions on both hemispheres
     for t in (0.01, 0.5, 2.0):
-        comps = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))._components
-        rm, pm, rotvec, theta, _, logs = _kernel_terms(q, p, comps, t)
-        ref = _composed_log_terms(comps, q, p, t)
-        got = (np.moveaxis(rm, -1, 0), np.moveaxis(pm, -1, 0), np.moveaxis(rotvec, -1, 0), theta.T,
-               np.moveaxis(logs, -1, 0))
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape and np.array_equal(a, b)
-        m = np.max(ref[-1], axis=(1, 2))
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        comps = MixtureScore(demos, cfg)._components
+        _, _, rotvec, theta, _, logs = _kernel_terms(q, p, comps, t)
+        ref_rotvec, ref_theta, ref_logs = _composed_log_terms(demos, cfg, q, p, t)
+        assert np.array_equal(np.moveaxis(rotvec, 0, -1), ref_rotvec)
+        assert np.array_equal(theta, ref_theta)
+        assert logs.shape == ref_logs.shape
+        pad = np.isneginf(ref_logs)
+        assert pad.any() and np.array_equal(np.isneginf(logs), pad)
+        assert np.all(np.abs(logs[~pad] - ref_logs[~pad]) <= 1e-13 * np.maximum(1.0, np.abs(ref_logs[~pad])))
+        m = np.max(logs, axis=(1, 2))
         assert np.array_equal(_log_mixture(q, p, comps, t),
-                              m + np.log(np.sum(np.exp(ref[-1] - m[:, None, None]), axis=(1, 2))))
+                              m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2))))
+
+
+def test_oracle_keeps_its_accuracy_far_from_the_world_origin(toy, rng):
+    """Lengths are taken about the mean demo translation, so moving the scene, the demos and
+    the poses 100 length units away changes the score and the density only by rounding."""
+    shift = 100.0 * np.array([0.6, -0.48, 0.64])
+    far = PointCloud(toy.scene.positions + shift, toy.scene.colors)
+    far_demos = [Pose(g0.p + shift, g0.r) for g0 in toy.demo_poses]
+    q, p = _pose_stack(toy.demo_set(), rng, 60)
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        near = MixtureScore(toy.demo_set(), cfg).score_batch(q, p, t)
+        moved = MixtureScore(DemoSet(tuple((g0, far, toy.grasp) for g0 in far_demos)), cfg).score_batch(
+            q, p + shift, t)
+        assert np.all(np.linalg.norm(moved - near, axis=1) <= 1e-10 * np.linalg.norm(near, axis=1)), t
+        dens = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+        moved = kernel_log_density(q, p + shift, far_demos, far, toy.grasp, cfg)
+        assert np.all(np.abs(moved - dens) <= 1e-12 * np.abs(dens)), t
 
 
 def _score_by_component(demos, cfg, q, p, t, log_f=None):

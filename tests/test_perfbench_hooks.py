@@ -3,7 +3,8 @@
 ``perfbench/layers.py`` replaces functions by name under ``--trace 1``;
 a renamed or deleted function would break the traced run, so install and
 uninstall the hooks here and check that the wrapped names are the ones
-the program calls.
+the program calls.  The oracle denoise output also passes the benchmark's
+own correctness check (``perfbench/verify.py``).
 """
 
 import importlib.util
@@ -24,19 +25,18 @@ from se3diffuse.irreps import IrrepsVector
 from se3diffuse.lie import Pose
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ROOT / "perfbench" / "layers.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracing_hooks_install_wrap_the_called_functions_and_uninstall(toy):
-    layers = _load_layers()
+    layers = _load("layers")
     originals = (cli.run_denoising, fields._contract_batch, irreps.wigner_d,
                  MixtureScore.score_batch)
     tracer = layers.Tracer(time.perf_counter)
@@ -78,7 +78,7 @@ def test_diffuse_hooks_still_find_their_names_and_count_weights_per_demo(tmp_pat
     # perfbench/layers.py counts quadrature-CDF builds from the cache statistics
     assert callable(igso3._cdf_table.cache_info)
 
-    layers = _load_layers()
+    layers = _load("layers")
     tracer = layers.Tracer(time.perf_counter)
     layers.install(tracer)
     try:
@@ -98,7 +98,7 @@ def test_model_denoise_hooks_count_fields_and_wigner_d_per_step(tmp_path):
     # fill the CG-tensor cache, whose first builds call wigner_d
     ModelScore(scene, grasp, 1.0, build_query_set(grasp, scn.model), scn.model)
 
-    layers = _load_layers()
+    layers = _load("layers")
     tracer = layers.Tracer(time.perf_counter)
     layers.install(tracer)
     try:
@@ -134,3 +134,14 @@ def test_setup_probe_readies_each_workload(probe_scenario, workload):
     assert proc.returncode == 0, proc.stderr
     [line] = proc.stdout.splitlines()
     assert {"import_s", "read_s", "build_s", "factor"} <= json.loads(line).keys()
+
+
+def test_oracle_denoise_passes_the_benchmark_correctness_check(probe_scenario, tmp_path, monkeypatch):
+    # demo hits, and the reported density against the direct sum of perfbench/refs.py at 1e-8
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # verify.py imports refs by name
+    refs, verify = _load("refs"), _load("verify")
+    files = [tmp_path / f"oracle_{seed}.txt" for seed in (1, 2)]
+    for seed, out in zip((1, 2), files):
+        assert cli.main(["denoise", "--scenario", str(probe_scenario), "--score", "oracle",
+                         "--chains", "30", "--out", str(out), "--seed", str(seed)]) == 0
+    assert verify.denoise_oracle(files, refs.read_scene(probe_scenario), np.random.default_rng(0)) == (0, [])
