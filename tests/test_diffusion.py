@@ -696,6 +696,51 @@ def test_kernel_rotations_are_the_composed_helpers_and_log_terms_the_composed_lo
                               m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2))))
 
 
+def _pose_by_pose_kernel_terms(comps, q, p, t):
+    """Frames and log terms of ``_kernel_terms``, composed one pose at a time through the
+    ``lie`` helpers, with R^T p' and |p'|^2 from loops over coordinates and |p_h|^2 from the
+    pose's row [|p'|^2, R^T p', p', 1, vec R] times the component columns."""
+    from se3diffuse.igso3 import igso3_log_density
+    from se3diffuse.lie import quat_log, quat_to_matrix
+
+    out = []
+    for qn, pn in zip(q, p):
+        r = quat_to_matrix(qn)
+        pp = pn - comps.origin
+        rtp, pp2 = 0.0, 0.0
+        for i in range(3):
+            rtp = rtp + r[i] * pp[i]
+            pp2 = pp2 + pp[i] * pp[i]
+        row = np.concatenate([[pp2], rtp, pp, [1.0], r.reshape(9)])
+        p2 = np.matmul(row[None], comps.rows).reshape(comps.logw.shape)
+        rotvec = quat_log(quat_mul(comps.q0inv, qn))
+        theta = np.linalg.norm(rotvec, axis=-1)
+        log_f = igso3_log_density(np.minimum(theta, math.pi), IgParams(eps=0.5 * t))
+        logs = (-1.5 * math.log(2.0 * math.pi * t) - p2 / (2.0 * t)) + comps.logw + log_f[:, None]
+        out.append((r, rtp, rotvec, theta, logs))
+    return [np.stack(a) for a in zip(*out)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_kernel_frames_and_log_terms_are_the_composed_loop_bit_for_bit(toy, rng, n):
+    """The density path keeps the bits of the helper-by-helper evaluation, one pose at a time."""
+    from se3diffuse.diffusion import _kernel_terms, _log_mixture
+
+    demos = _uneven_demo_set(toy)
+    q, p = _pose_stack(demos, rng, n)
+    q[::2] = -q[::2]  # quaternions on both hemispheres
+    for t in (0.01, 0.5, 2.0):
+        comps = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))._components
+        r, rtp, rotvec, theta, _, logs = _kernel_terms(q, p, comps, t)
+        ref = _pose_by_pose_kernel_terms(comps, q, p, t)
+        got = (np.moveaxis(r, -1, 0), rtp.T, np.moveaxis(rotvec, 0, -1), theta, logs)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        m = np.max(ref[-1], axis=(1, 2))
+        assert np.array_equal(_log_mixture(q, p, comps, t),
+                              m + np.log(np.sum(np.exp(ref[-1] - m[:, None, None]), axis=(1, 2))))
+
+
 def test_oracle_keeps_its_accuracy_far_from_the_world_origin(toy, rng):
     """Lengths are taken about the mean demo translation, so moving the scene, the demos and
     the poses 100 length units away changes the score and the density only by rounding."""
