@@ -9,8 +9,8 @@ resummation, which converges in a handful of images at small eps.
 from __future__ import annotations
 
 from .closed_form import closed_log_f_ratio, closed_moment, closed_r
-from .series import series_df, series_f, series_moment
+from .series import series_df, series_f
 
 BACKEND = "numpy"
 
-__all__ = ["BACKEND", "series_f", "series_df", "series_moment", "closed_log_f_ratio", "closed_r", "closed_moment"]
+__all__ = ["BACKEND", "series_f", "series_df", "closed_log_f_ratio", "closed_r", "closed_moment"]

@@ -116,8 +116,8 @@ def closed_r(theta: np.ndarray, eps) -> np.ndarray:
 
 
 def _over_sin(theta: np.ndarray) -> np.ndarray:
-    """theta / sin(theta/2), 2 at theta = 0."""
-    pos = theta > 0.0
+    """theta / sin(theta/2), 2 up to 1e-8: there sin(theta/2) rounds to theta/2, or, subnormal, to 0."""
+    pos = theta > 1e-8
     ts = np.where(pos, theta, 1.0)
     return np.where(pos, ts / np.sin(0.5 * ts), 2.0)
 

@@ -44,17 +44,15 @@ def _reflected(theta: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return far[..., None], x[..., None], np.where(m % 2.0 == 0.0, 1.0, -1.0)
 
 
-def series_f(theta: np.ndarray, eps, lmax: int, theta_small: float = 0.0) -> np.ndarray:
+def series_f(theta: np.ndarray, eps, lmax: int) -> np.ndarray:
     """Density series at theta in [0, pi].
 
     eps is a scalar or, for a 1-D theta, a column of one value per angle.
-    Below ``theta_small`` the value at theta = 0, sum_m c_m, is returned.
     """
     theta = np.asarray(theta, dtype=np.float64)
     m, c = _coefficients(eps, lmax)
     far, x, alt = _reflected(theta, m)
-    vals = np.sum(np.where(far, c * alt, c) * np.cos(m * x), axis=-1)
-    return np.where(theta < theta_small, np.sum(c, axis=-1), vals)
+    return np.sum(np.where(far, c * alt, c) * np.cos(m * x), axis=-1)
 
 
 def series_df(theta: np.ndarray, eps: float, lmax: int) -> np.ndarray:
@@ -65,11 +63,3 @@ def series_df(theta: np.ndarray, eps: float, lmax: int) -> np.ndarray:
     mc = m * c
     return np.sum(np.where(far, mc * alt, -mc) * np.sin(m * x), axis=-1)
 
-
-def series_moment(eps: float, lmax: int) -> float:
-    """c(eps) = sum_m m^2 c_m / sum_m c_m.
-
-    Small-angle score slope: score -> -c(eps) * rotvec as theta -> 0.
-    """
-    m, c = _coefficients(eps, lmax)
-    return float(np.sum(m * m * c) / np.sum(c))

@@ -13,9 +13,12 @@ provenance header.  Times and ``--eps`` must be positive and finite,
 counts positive (``diffuse --n`` may be 0), seeds nonnegative, and
 ``--t-max`` at least the diffusion time; anything else exits with status
 2 and a usage message, as do unreadable or refused inputs and an unwritable
-``--out``.  Scenario geometry and the model's field cutoffs and radial
-widths are in scene units on disk; the commands divide them by the
-configured length unit on load and scale back on output.
+``--out``.  Like ``sample-igso3 --eps``, a scenario's schedule times must
+be at least the smallest normal double, below which the scores' 1/t terms
+overflow, and a segment takes at most ``sampler.MAX_SEGMENT_STEPS`` steps.
+Scenario geometry and the model's field cutoffs and radial widths are in
+scene units on disk; the commands divide them by the configured length
+unit on load and scale back on output.
 
 ``diffuse`` makes all its draws in one ``forward_diffuse_batch`` call,
 which takes whole arrays from the seeded stream: ``random(n)`` for

@@ -18,6 +18,7 @@ produce.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -112,9 +113,10 @@ class DemoSet:
 
 
 def check_time(t: float) -> None:
-    """Refuse a diffusion time that is not positive and finite."""
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
+    """Refuse a time that is not finite or is below the smallest normal double, where 1/t terms overflow."""
+    if not sys.float_info.min <= t < math.inf:
+        raise ValueError(f"t must be positive and finite, and at least the smallest normal double "
+                         f"{sys.float_info.min!r}, got {t!r}")
 
 
 def _ig_params(t: float) -> IgParams:
@@ -365,21 +367,24 @@ def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
 
     Returns R (3, 3, N), R^T p' (3, N), the rotation vectors (3, N, D),
     angles (N, D) and ratios (N, D), and the (N, D, K) log terms
-    log w_k + log N(p_h; 0, tI) + log f(theta).
+    log w_k + log N(p_h; 0, tI) + log f(theta); a term whose |p_h|^2 or
+    |p_h|^2 / (2t) overflows is -inf.
     """
     n = q.shape[0]
     qt = np.ascontiguousarray(q.T)
-    pt = (p - comps.origin).T
     r = _matrix(qt[0], qt[1:])
-    rtp = np.add.reduce(r * pt[:, None], axis=0)
-    pose = np.concatenate([np.add.reduce(pt * pt, axis=0)[None], rtp, pt, np.ones((1, n)), r.reshape(9, n)])
-    p2 = np.matmul(np.ascontiguousarray(pose.T)[:, None], comps.rows).reshape((n,) + comps.logw.shape)
     a = np.ascontiguousarray(comps.q0inv.T)[:, None]  # (4, 1, D)
     rotvec = _log(*_mul(a[0], a[1:], qt[0][:, None], qt[1:, :, None]))
     theta = _norm(rotvec)
     log_f, ratio = igso3.igso3_log_density_and_ratio(np.minimum(theta, math.pi), _ig_params(t))
-    # logw + (-1.5 log(2 pi t) - p2 / (2t)) + log_f, formed in p2
-    p2 /= 2.0 * t
+    # logw + (-1.5 log(2 pi t) - p2 / (2t)) + log_f, formed in p2; where p2 or p2 / (2t) overflows the
+    # term is -inf, the kernel below the double range
+    with np.errstate(over="ignore"):
+        pt = (p - comps.origin).T
+        rtp = np.add.reduce(r * pt[:, None], axis=0)
+        pose = np.concatenate([np.add.reduce(pt * pt, axis=0)[None], rtp, pt, np.ones((1, n)), r.reshape(9, n)])
+        p2 = np.matmul(np.ascontiguousarray(pose.T)[:, None], comps.rows).reshape((n,) + comps.logw.shape)
+        p2 /= 2.0 * t
     np.subtract(-1.5 * math.log(2.0 * math.pi * t), p2, out=p2)
     p2 += comps.logw
     p2 += log_f[:, :, None]
@@ -387,10 +392,11 @@ def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
 
 
 def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> np.ndarray:
-    """(N,) log sum over components of w_k B_t(h), by log-sum-exp over each pose's (D, K) terms."""
+    """(N,) log sum over components of w_k B_t(h), by log-sum-exp over each pose's (D, K) terms; -inf if all are."""
     logs = _kernel_terms(q, p, comps, t)[-1]
-    m = np.max(logs, axis=(1, 2))
-    return m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2)))
+    m = np.maximum(np.max(logs, axis=(1, 2)), -sys.float_info.max)  # finite: -inf - m is -inf, not NaN
+    with np.errstate(divide="ignore"):  # log 0 = -inf where every term is -inf
+        return m + np.log(np.sum(np.exp(logs - m[:, None, None]), axis=(1, 2)))
 
 
 def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
@@ -413,7 +419,8 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     """
     r, rtp, rotvec, theta, ratio, logs = _kernel_terms(q, p, comps, t)
     n = q.shape[0]
-    logs -= np.max(logs, axis=(1, 2), keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - -inf: a pose whose every term is -inf scores NaN
+        logs -= np.max(logs, axis=(1, 2), keepdims=True)
     w = np.exp(logs, out=logs)
     wd = np.sum(w, axis=2)
     total = np.sum(wd, axis=1)
@@ -445,6 +452,7 @@ def kernel_log_density(q: np.ndarray, p: np.ndarray, demo_poses: Sequence[Pose],
         raise ValueError("empty point cloud")
     if len(demo_poses) == 0:
         raise ValueError("no demo poses")
+    check_time(cfg.t)
     q, p, bad = finite_poses(q, p)
     comps = _demo_components(demo_poses, scene, grasp, cfg, -math.log(len(demo_poses)))
     out = _log_mixture(q, p, comps, cfg.t)

@@ -12,17 +12,18 @@ Two regimes, split at the fixed concentration EPS_SERIES:
 
 - eps >= EPS_SERIES: the series itself, truncated at the fixed order
   SERIES_LMAX = 9.  The first term left out, (2l+1)^2 e^{-eps l(l+1)} at
-  l = 10, is 5.7e-22 at EPS_SERIES and only shrinks as eps grows.  Below
-  THETA_SMALL_DENSITY the density takes its theta = 0 value, a relative
-  error below 1e-8 there.
+  l = 10, is 5.7e-22 at EPS_SERIES and only shrinks as eps grows.  The
+  cosine form needs no small-angle special case: it holds the density and
+  f'/f to about 1e-16 relative down to theta = 0.
 - eps < EPS_SERIES: the exact Poisson resummation of the series over the
   images theta + 2 pi k, |k| <= 3 (Nikolayev & Savyolova 1997; Leach et
   al. 2022), whose cost does not grow as eps shrinks and which keeps its
   relative accuracy far into the tail, where a direct sum of the series
   would leave only cancellation noise.
 
-Both regimes give the density to about 1e-13 relative and f'/f to about
-1e-14 relative (see ``_kernels``).
+The images give the density to about 1e-13 relative and f'/f to about
+1e-14 relative, except below THETA_SMALL_SCORE, where f'/f is the slope
+-c(eps) theta, good to about 1e-9 relative (see ``_kernels``).
 
 Sampling (``igso3_sample_rotvecs``) draws rotation vectors by rejection
 from a Gaussian (eps <= EPS_BALL) or a uniform ball (eps > EPS_BALL)
@@ -56,7 +57,6 @@ __all__ = [
     "angle_cdf_quadrature",
 ]
 
-THETA_SMALL_DENSITY = 1e-4
 THETA_SMALL_SCORE = 1e-3
 THETA_MAX_SCORE = math.pi - 1e-6
 EPS_SERIES = 0.5
@@ -89,24 +89,21 @@ def igso3_log_density_and_ratio(theta, params: IgParams) -> tuple[np.ndarray, np
     """log f(theta) and f'/f at angles theta in [0, pi], from one evaluation.
 
     The first is ``igso3_log_density``, the second ``score_ratio``: angles
-    at or beyond THETA_MAX_SCORE take the ratio at that angle, and below
-    THETA_SMALL_SCORE it is the small-angle slope -c(eps) theta.  Below
+    at or beyond THETA_MAX_SCORE take the ratio at that angle.  Below
     EPS_SERIES both come from one pass over the images of the Poisson
-    resummation; at and above it, from one ``series_f`` evaluation, which
-    also takes the density at THETA_MAX_SCORE, and one ``series_df``.
+    resummation, with the slope -c(eps) theta below THETA_SMALL_SCORE; at
+    and above it, from one ``series_f`` evaluation, which also takes the
+    density at THETA_MAX_SCORE, and one ``series_df``.
     """
     th = _angles(theta)
     eps = params.eps
     if eps < EPS_SERIES:
         log_f, ratio = _kernels.closed_log_f_ratio(th.reshape(-1), eps, THETA_SMALL_SCORE, THETA_MAX_SCORE)
         return log_f.reshape(th.shape), ratio.reshape(th.shape)
-    f = _kernels.series_f(np.append(th, THETA_MAX_SCORE), eps, SERIES_LMAX, THETA_SMALL_DENSITY)
+    f = _kernels.series_f(np.append(th, THETA_MAX_SCORE), eps, SERIES_LMAX)
     f_th = f[:-1].reshape(th.shape)
     ratio = (_kernels.series_df(np.minimum(th, THETA_MAX_SCORE), eps, SERIES_LMAX)
              / np.where(th > THETA_MAX_SCORE, f[-1], f_th))
-    small = th < THETA_SMALL_SCORE
-    if small.any():
-        ratio = np.where(small, -_kernels.series_moment(eps, SERIES_LMAX) * th, ratio)
     # at eps >= EPS_SERIES the density is above 0.12 on all of [0, pi]
     return np.log(f_th), ratio
 
@@ -194,7 +191,7 @@ def _accept_ball(v: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Acceptance probabilities f(theta) sinc^2(theta/2) / f(0) of ball proposals v."""
     theta = np.linalg.norm(v, axis=-1)
     col = eps[:, None]
-    f = _kernels.series_f(theta, col, SERIES_LMAX, THETA_SMALL_DENSITY)
+    f = _kernels.series_f(theta, col, SERIES_LMAX)
     f0 = _kernels.series_f(np.zeros_like(theta), col, SERIES_LMAX)
     return f / f0 * (2.0 * _half_sin_over(theta)) ** 2
 
@@ -287,7 +284,7 @@ def igso3_sample(params: IgParams, rng: np.random.Generator) -> Rotation:
 
 
 def score_ratio(theta: np.ndarray, params: IgParams) -> np.ndarray:
-    """f'(theta)/f(theta) with the small-angle slope below 1e-3 rad.
+    """f'(theta)/f(theta), the small-angle slope below 1e-3 rad when eps < EPS_SERIES.
 
     Angles at or beyond THETA_MAX_SCORE = pi - 1e-6 are pulled back to
     that boundary, where the derivative vanishes smoothly.  The ratio of

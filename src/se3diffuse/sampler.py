@@ -34,11 +34,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .diffusion import check_time
 from .lie import Pose, Rotation, Twist, _exp_se3, _mul, _normalize, _rotate, quat_unit
 
 __all__ = ["AnnealSchedule", "build_schedule", "langevin_step", "run_denoising", "Denoised"]
 
 NOISE_BLOCK = 32
+MAX_SEGMENT_STEPS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +66,9 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
 
     Each (start, end, steps) segment contributes ``steps`` values
     interpolated linearly from start to end inclusive; a fractional or
-    boolean step count is refused, and so is any time, ``eps``, ``k1`` or
-    ``k2`` that is not finite.  Defaults k1=0.5, k2=1.0.
+    boolean step count, or one outside 1 to MAX_SEGMENT_STEPS, is refused,
+    and so is any ``eps``, ``k1`` or ``k2`` that is not finite and any time
+    that the scores refuse (``check_time``).  Defaults k1=0.5, k2=1.0.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("base step scale eps must be positive and finite")
@@ -81,10 +84,10 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
         t0, t1, steps = float(seg[0]), float(seg[1]), int(seg[2])
         if steps != seg[2]:
             raise ValueError(f"a segment's step count must be a whole number, got {seg[2]!r}")
-        if not (0.0 < t0 < math.inf and 0.0 < t1 < math.inf):
-            raise ValueError("diffusion times must be positive and finite")
-        if steps < 1:
-            raise ValueError("each segment needs at least one step")
+        check_time(t0)
+        check_time(t1)
+        if not 1 <= steps <= MAX_SEGMENT_STEPS:
+            raise ValueError(f"a segment takes 1 to {MAX_SEGMENT_STEPS} steps, got {steps}")
         parts.append(np.linspace(t0, t1, steps))
         segs.append((t0, t1, steps))
     if not parts:

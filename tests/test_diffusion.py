@@ -40,6 +40,7 @@ from se3diffuse.lie import (
     translation_pose,
 )
 from se3diffuse.pointcloud import PointCloud, radius_count, transform
+from se3diffuse.sampler import build_schedule, run_denoising
 
 
 def random_pose(rng, scale=1.0):
@@ -153,29 +154,6 @@ def test_brownian_score_matches_finite_differences(rng):
             fd = fd_score(lambda g: brownian_log_density(g, t), h)
             assert np.linalg.norm(s - fd) / np.linalg.norm(fd) < 1e-4
             checked += 1
-
-
-def test_brownian_score_fn_scalar_call_clamps_near_pi_like_batch(rng):
-    """The scalar call and brownian_score are batches of one, so they clamp as the batch does."""
-    fn = BrownianScoreFn()
-    for t in (0.01, 0.5, 2.0):
-        poses = [brownian_sample(t, rng) for _ in range(3)] + _near_pi_poses([Pose.identity()], rng)
-        batch = fn.score_batch(np.stack([h.r.q for h in poses]), np.stack([h.p for h in poses]), t)
-        assert np.all(np.isfinite(batch))
-        for h, row in zip(poses, batch):
-            assert np.array_equal(fn(h, t).as_array(), row)
-            assert np.array_equal(brownian_score(h, t).as_array(), row)
-
-
-def test_brownian_score_batch_matches_scalar(rng):
-    fn = BrownianScoreFn()
-    t = 0.4
-    poses = [brownian_sample(t, rng) for _ in range(20)]
-    q = np.stack([g.r.q for g in poses])
-    p = np.stack([g.p for g in poses])
-    batch = fn.score_batch(q, p, t)
-    for i, g in enumerate(poses):
-        assert np.allclose(batch[i], fn(g, t).as_array(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +469,6 @@ def test_kernel_log_density_batch_matches_scalar_reference(toy, rng):
             assert np.max(np.abs(batch - ref)) < 1e-12
 
 
-def test_kernel_log_density_batch_of_one_matches_row(toy, rng):
-    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    g0 = toy.demo_poses[1]
-    poses = _poses_around(g0, rng, 30)
-    q = np.stack([g.r.q for g in poses])
-    p = np.stack([g.p for g in poses])
-    full = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
-    for i in range(len(poses)):
-        one = kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)
-        # not bitwise: the series' matrix-vector product rounds differently
-        # for one row than for many (about 1e-14 relative)
-        assert one.shape == (1,) and abs(one[0] - full[i]) < 1e-12
-
-
 def test_kernel_log_density_of_one_demo_is_its_component_mixture(toy, rng):
     from se3diffuse.diffusion import _demo_components, _log_mixture
 
@@ -537,50 +501,6 @@ def test_kernel_log_density_refuses_no_demos(toy):
     with pytest.raises(ValueError, match="no demo poses"):
         kernel_log_density(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros((1, 3)), (), toy.scene,
                            toy.grasp, cfg)
-
-
-def test_kernel_log_density_reads_a_single_pose_as_a_batch_of_one(toy, rng):
-    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    g = _poses_around(toy.demo_poses[0], rng, 3)[2]
-    one = kernel_log_density(g.r.q, g.p, toy.demo_poses, toy.scene, toy.grasp, cfg)
-    assert one.shape == (1,)
-    assert one[0] == kernel_log_density(g.r.q[None], g.p[None], toy.demo_poses, toy.scene, toy.grasp, cfg)[0]
-
-
-def test_kernel_log_density_of_non_finite_or_non_unit_poses_is_nan(toy, rng):
-    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    poses = _poses_around(toy.demo_poses[1], rng, 6)
-    q = np.stack([g.r.q for g in poses])
-    p = np.stack([g.p for g in poses])
-    healthy = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
-    q[1] *= 2.0  # norm 2: off 1 by more than the Rotation rule's 1e-3
-    q[2, 3], p[3, 0], p[4, 2] = np.inf, np.nan, -np.inf
-    out = kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, cfg)
-    bad = np.array([False, True, True, True, True, False])
-    assert np.all(np.isnan(out[bad]))
-    assert np.array_equal(out[~bad], healthy[~bad])
-
-
-def test_kernel_log_density_refuses_stacks_with_different_pose_counts(toy, rng):
-    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    q = np.stack([random_rotation(rng).q for _ in range(3)])
-    with pytest.raises(ValueError, match="need one translation per quaternion"):
-        kernel_log_density(q, rng.standard_normal((2, 3)), toy.demo_poses, toy.scene, toy.grasp, cfg)
-
-
-def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
-    g0 = toy.demo_poses[0]
-    poses = _poses_around(g0, rng, 12)
-    q = np.stack([g.r.q for g in poses])
-    p = np.stack([g.p for g in poses])
-    for t in (0.01, 0.5, 2.0):
-        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
-        oracle = MixtureScore(toy.demo_set(), cfg)
-        dens = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
-        scores = oracle.score_batch(q, p, t)
-        for i in range(len(poses)):
-            assert kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)[0] == dens[i]
-            assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
 
 
 def _uneven_demo_set(toy):
@@ -627,18 +547,6 @@ def test_fused_oracle_matches_a_loop_over_demos(toy, rng, which):
         ref = _score_by_demo(demos, cfg, q, p, t)
         rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert np.max(rel) < 1e-14, (t, np.max(rel))
-
-
-@pytest.mark.parametrize("n", [1, 7, 100])
-def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
-    for demos in (_uneven_demo_set(toy), DemoSet(((toy.demo_poses[1], toy.scene, toy.grasp),))):
-        q, p = _pose_stack(demos, rng, n)
-        for t in (0.01, 1.0):
-            oracle = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))
-            full = oracle.score_batch(q, p, t)
-            assert full.shape == (n, 6) and np.all(np.isfinite(full))
-            for i in range(n):
-                assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
 
 
 def _composed_log_terms(demos, cfg, q, p, t):
@@ -882,50 +790,6 @@ def test_mixture_weights_rotational_densities_below_the_double_range(toy):
     assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref), (got, ref)
 
 
-def test_pose_level_kernel_calls_are_bitwise_rows_of_their_batches(toy, rng):
-    """brownian_log_density, brownian_score and target_score are batches of one.
-
-    Their stack forms: kernel_log_density of an identity demo with one grasp
-    point at the origin, BrownianScoreFn.score_batch, and MixtureScore with
-    a single grasp point (one component of weight 1).
-    """
-    g0 = toy.demo_poses[0]
-    p_de = toy.grasp.positions[5]
-    origin = PointCloud(np.zeros((1, 3)))
-
-    def poses_and_stacks(base):
-        poses = _poses_around(base, rng, 15)
-        return poses, np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses])
-
-    for t in (0.01, 0.5, 2.0):
-        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
-        hs, q, p = poses_and_stacks(Pose.identity())
-        dens = kernel_log_density(q, p, (Pose.identity(),), toy.scene, origin, cfg)
-        scores = BrownianScoreFn().score_batch(q, p, t)
-        for i, h in enumerate(hs):
-            assert brownian_log_density(h, t) == dens[i]
-            assert np.array_equal(brownian_score(h, t).as_array(), scores[i])
-        gs, q, p = poses_and_stacks(g0)
-        oracle = MixtureScore(DemoSet(((g0, toy.scene, PointCloud(p_de[None])),)), cfg)
-        scores = oracle.score_batch(q, p, t)
-        for i, g in enumerate(gs):
-            assert np.array_equal(target_score(g, g0, p_de, t).as_array(), scores[i])
-
-
-def test_target_score_near_pi_is_a_row_of_its_batch(toy, rng):
-    """Within 1e-6 of pi target_score clamps as the one-component MixtureScore does."""
-    g0 = random_pose(rng)
-    p_de = rng.standard_normal(3)
-    for t in (0.01, 0.5, 2.0):
-        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
-        oracle = MixtureScore(DemoSet(((g0, toy.scene, PointCloud(p_de[None])),)), cfg)
-        poses = _near_pi_poses([g0], rng, gaps=(2e-6, 5e-7, 1e-7, 0.0))
-        batch = oracle.score_batch(np.stack([g.r.q for g in poses]), np.stack([g.p for g in poses]), t)
-        assert np.all(np.isfinite(batch))
-        for g, row in zip(poses, batch):
-            assert np.array_equal(target_score(g, g0, p_de, t).as_array(), row)
-
-
 def test_kernel_bi_equivariance(toy, rng):
     cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
     g0 = toy.demo_poses[0]
@@ -1065,7 +929,7 @@ def test_config_refuses_non_finite_values(field, value):
         DiffusionConfig(**kwargs)
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0, 1e-310])  # below the smallest normal too
 def test_scores_refuse_a_time_that_is_not_positive_and_finite(toy, t):
     q = np.stack([g.r.q for g in toy.demo_poses])
     p = np.stack([g.p for g in toy.demo_poses])
@@ -1077,20 +941,18 @@ def test_scores_refuse_a_time_that_is_not_positive_and_finite(toy, t):
         oracle(toy.demo_poses[0], t)
 
 
-def test_mixture_score_scalar_call_clamps_near_pi_like_batch(toy, rng):
-    """The scalar call is a batch of one, so both clamp kernel angles near pi."""
-    demos = DemoSet(toy.demo_set().demos[:1])
-    g0 = demos.demos[0][0]
-    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
-    oracle = MixtureScore(demos, cfg)
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    g = compose(g0, Pose(0.1 * rng.standard_normal(3), exp_so3((math.pi - 1e-7) * axis)))
-    assert quat_angle(compose(inverse(g0), g).r.q) > math.pi - 1e-6
-    others = _poses_around(g0, rng, 6)
-    poses = others[:3] + [g] + others[3:]
-    batch = oracle.score_batch(np.stack([h.r.q for h in poses]),
-                               np.stack([h.p for h in poses]), cfg.t)
-    one = oracle(g, cfg.t).as_array()
-    assert np.all(np.isfinite(one))
-    assert np.allclose(one, batch[3], rtol=1e-12, atol=1e-12)
+def test_kernel_terms_overflow_to_minus_inf_at_tiny_times_and_subnormal_times_are_refused(toy):
+    """At t = 1e-200 every |p_h|^2 / (2t) of a pose 1e95 from the demos overflows, at 1e160 |p_h|^2 itself."""
+    t, cfg = 1e-200, DiffusionConfig(t=1e-200, r=toy.config.r, L=1.0)
+    q, p = np.stack([g.r.q for g in toy.demo_poses]), np.stack([g.p for g in toy.demo_poses])
+    with pytest.raises(ValueError, match="smallest normal double"):  # DiffusionConfig admits 1e-310
+        kernel_log_density(q, p, toy.demo_poses, toy.scene, toy.grasp, DiffusionConfig(1e-310, toy.config.r))
+    far = p + [[0.0, 0.0, 0.0], [1e95, 0.0, 0.0], [0.0, -1e160, 0.0]]
+    density = [kernel_log_density(q, x, toy.demo_poses, toy.scene, toy.grasp, cfg) for x in (far, p)]
+    assert np.all(density[0][1:] == -math.inf) and density[0][0] == density[1][0]
+    oracle = MixtureScore(toy.demo_set(), cfg)
+    for score in (oracle, BrownianScoreFn()):  # with no RuntimeWarning either: the suite makes them errors
+        got = score.score_batch(q, far, t)
+        assert np.all(np.isnan(got[1:])) and np.array_equal(got[0], score.score_batch(q, p, t)[0])
+    frozen = run_denoising(oracle, q, far, build_schedule([(t, t, 1)], eps=0.05), np.random.default_rng(0))
+    assert np.all(frozen.error[1:] == "non-finite score") and np.all(frozen.failed_step[1:] == 0)

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from se3diffuse.fields import (
     score_field,
     synthetic_edf,
 )
-from se3diffuse.diffusion import BrownianScoreFn, DiffusionConfig, MixtureScore
+from se3diffuse.diffusion import BrownianScoreFn, MixtureScore
 from se3diffuse.irreps import IrrepsLayout, cg_contract_batch, rep_apply, rep_apply_batch, sh_batch
 from se3diffuse.lie import (
     Pose,
@@ -455,19 +454,6 @@ def test_model_score_batch_matches_assembled_score(toy, rng, branches):
             assert np.max(np.abs(block @ stacked - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_model_score_batch_of_one_equals_row(toy, rng):
-    query = build_query_set(toy.grasp, toy.model)
-    score = ModelScore(toy.scene, toy.grasp, 1.0, query, toy.model)
-    for n in (1, 5, 7, 32, 100):
-        poses = _poses_near_demos(toy, rng, n)
-        batch = score.score_batch(*_stacks(poses), 0.3)
-        for g, row in zip(poses, batch):
-            one = score.score_batch(g.r.q[None], g.p[None], 0.3)
-            assert one.shape == (1, 6)
-            assert np.array_equal(one[0], row)
-            assert np.array_equal(score(g, 0.3).as_array(), row)
-
-
 @pytest.mark.parametrize("pair_chunk", [100, 1000], ids=["rows-of-a-frame", "whole-frames"])
 def test_model_score_is_bitwise_the_same_in_pair_chunks(toy, rng, monkeypatch, pair_chunk):
     import se3diffuse.pointcloud as pointcloud
@@ -633,27 +619,6 @@ def test_body_frame_score_matches_the_world_frame_pass(toy, rng, branches):
                 for a, b in zip(got, want):
                     assert np.max(np.abs(b)) > 0.0
                     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, t)
-
-
-@pytest.mark.parametrize("kind", ["model", "mixture", "brownian"])
-def test_score_rows_of_non_finite_poses_are_nan(toy, rng, kind):
-    if kind == "model":
-        score = ModelScore(toy.scene, toy.grasp, 1.0, build_query_set(toy.grasp, toy.model),
-                           toy.model)
-    elif kind == "mixture":
-        score = MixtureScore(toy.demo_set(), DiffusionConfig(t=1.0, r=toy.config.r, L=1.0))
-    else:
-        score = BrownianScoreFn()
-    q, p = _stacks(_poses_near_demos(toy, rng, 7))
-    healthy = score.score_batch(q, p, 0.3)
-    q[1, 2], q[2, 0], p[3, 0], p[4, 1] = np.nan, np.inf, np.nan, -np.inf
-    q[5] = [1.0, 0.2, -0.1, 0.3]  # norm 1.07: off 1 by more than the Rotation rule's 1e-3
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a bad pose costs no floating-point warning
-        out = score.score_batch(q, p, 0.3)
-    bad = np.array([False, True, True, True, True, True, False])
-    assert np.all(np.isnan(out[bad]))
-    assert np.array_equal(out[~bad], healthy[~bad])  # the other rows keep their bits
 
 
 def test_sampler_freezes_a_nan_model_chain_and_keeps_the_others(toy, rng):

@@ -14,7 +14,6 @@ from se3diffuse.igso3 import (
     EPS_SERIES,
     SERIES_LMAX,
     THETA_MAX_SCORE,
-    THETA_SMALL_DENSITY,
     THETA_SMALL_SCORE,
     IgParams,
     angle_cdf_quadrature,
@@ -29,7 +28,7 @@ from se3diffuse.igso3 import (
     igso3_score_batch,
     score_ratio,
 )
-from se3diffuse.lie import exp_so3, log_so3, quat_angle, quat_log, random_rotation
+from se3diffuse.lie import exp_so3, log_so3, quat_angle, random_rotation
 
 
 def series_limit_at_zero(eps, lmax=60):
@@ -59,7 +58,6 @@ def test_density_zero_angle_limit():
     expected = series_limit_at_zero(0.5)
     assert abs(expected - 5.680765073188685) < 1e-12
     assert abs(igso3_density(0.0, IgParams(eps=0.5)) - expected) < 1e-10
-    assert abs(igso3_density(5e-5, IgParams(eps=0.5)) - expected) < 1e-10
 
 
 def test_density_domain_errors():
@@ -224,9 +222,9 @@ def test_rejection_sampler_is_deterministic_and_draws_nothing_for_no_rows():
 def test_series_coefficients_broadcast_over_an_eps_column():
     theta = np.linspace(0.0, math.pi, 41)
     eps = np.geomspace(EPS_SERIES, 40.0, 41)
-    col = _kernels.series_f(theta, eps[:, None], SERIES_LMAX, THETA_SMALL_DENSITY)
+    col = _kernels.series_f(theta, eps[:, None], SERIES_LMAX)
     for i in range(theta.size):
-        assert col[i] == _kernels.series_f(theta[i:i + 1], eps[i], SERIES_LMAX, THETA_SMALL_DENSITY)[0]
+        assert col[i] == _kernels.series_f(theta[i:i + 1], eps[i], SERIES_LMAX)[0]
 
 
 def test_angle_pdf_is_positive_at_tiny_angles():
@@ -331,15 +329,11 @@ def mp_series(theta, eps, log=False):
 
 # eps on both sides of the regime switch at EPS_SERIES = 0.5, and at it
 ACCURACY_EPS = (1e-4, 0.005, 0.1, 0.49, 0.5, 1.0, 3.0)
-ACCURACY_THETAS = (1e-7, 1e-4, 1e-3, 0.05, 0.3, 1.0, 1.35, 2.0, 3.1, math.pi - 1e-6, math.pi)
+ACCURACY_THETAS = (1e-7, 5e-5, 9e-5, 1e-4, 1e-3, 0.05, 0.3, 1.0, 1.35, 2.0, 3.1, math.pi - 1e-6, math.pi)
 
 
 def test_density_matches_mpmath_series():
-    """Relative 1e-12 wherever the true density exceeds 1e-300.
-
-    The series regime returns its theta = 0 value below
-    THETA_SMALL_DENSITY; there the bound is the documented c(eps) theta^2/2.
-    """
+    """Relative 1e-12 wherever the true density exceeds 1e-300, small angles included."""
     for eps in ACCURACY_EPS:
         params = IgParams(eps=eps)
         for theta in ACCURACY_THETAS:
@@ -349,10 +343,7 @@ def test_density_matches_mpmath_series():
             if true < 1e-300:
                 continue
             rel = abs(igso3_density(theta, params) / true - 1.0)
-            if eps >= EPS_SERIES and theta < THETA_SMALL_DENSITY:
-                assert rel < 1e-8, (eps, theta, rel)
-            else:
-                assert rel < 1e-12, (eps, theta, rel)
+            assert rel < 1e-12, (eps, theta, rel)
 
 
 def test_density_far_tail_is_the_true_value():
@@ -428,14 +419,16 @@ def mp_images(theta, eps, k_max=10):
 
 
 def test_score_ratio_matches_mpmath_series():
-    """Relative 1e-12 on [1e-3, pi - 1e-6].
+    """Relative 1e-12 on [1e-3, pi - 1e-6], and from 1e-7 up in the series regime.
 
     Where the density is above 1e-300 the oracle is the direct series sum;
     further out the series would need thousands of digits, and the image
     sum, which the series equals, is the oracle.
     """
-    thetas = np.array([1e-3, 0.01, 0.3, 1.0, 1.5, 2.0, 3.1, math.pi - 1e-5, math.pi - 1e-6])
     for eps in ACCURACY_EPS:
+        thetas = np.array([1e-3, 0.01, 0.3, 1.0, 1.5, 2.0, 3.1, math.pi - 1e-5, math.pi - 1e-6])
+        if eps >= EPS_SERIES:
+            thetas = np.concatenate([[1e-7, 1e-5, 9e-5, 5e-4, 9e-4], thetas])
         ratio = score_ratio(thetas, IgParams(eps=eps))
         assert np.all(np.isfinite(ratio))
         for theta, r in zip(thetas, ratio):
@@ -465,44 +458,6 @@ def test_small_angle_slope_matches_mpmath_series():
         assert abs(got / true - 1.0) < 1e-10, (eps, got, true)
 
 
-def test_density_batch_of_one_is_bitwise_its_row():
-    thetas = np.linspace(0.0, math.pi, 37)
-    for eps in (0.005, 0.5, 2.0):
-        params = IgParams(eps=eps)
-        batch = igso3_density(thetas, params)
-        ratio = score_ratio(thetas, params)
-        for i, theta in enumerate(thetas):
-            assert igso3_density(np.array([theta]), params)[0] == batch[i]
-            assert score_ratio(np.array([theta]), params)[0] == ratio[i]
-
-
-def test_score_is_bitwise_a_row_of_the_batch(rng):
-    rots = [random_rotation(rng) for _ in range(20)]
-    rots += [exp_so3(theta * np.array([0.6, 0.0, 0.8])) for theta in (0.0, 1e-5, 2e-3, math.pi - 2e-6)]
-    rotvecs = np.stack([quat_log(r.q) for r in rots])
-    for eps in (0.005, 0.3, EPS_SERIES, 2.0):
-        params = IgParams(eps=eps)
-        batch = igso3_score_batch(rotvecs, np.linalg.norm(rotvecs, axis=-1), params)
-        for i, r in enumerate(rots):
-            assert np.array_equal(igso3_score(r, params), batch[i])
-
-
-def test_score_near_pi_is_a_row_of_its_batch(rng):
-    """Within 1e-6 of pi the scalar call clamps exactly as its batch does."""
-    rots = []
-    for gap in (5e-7, 1e-7, 0.0):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        rots += [exp_so3((math.pi - gap) * axis), exp_so3((math.pi - gap) * np.array([0.6, 0.0, 0.8]))]
-    rotvecs = np.stack([quat_log(r.q) for r in rots])
-    for eps in (0.005, 0.5, 2.0):
-        params = IgParams(eps=eps)
-        batch = igso3_score_batch(rotvecs, np.linalg.norm(rotvecs, axis=-1), params)
-        assert np.all(np.isfinite(batch))
-        for i, r in enumerate(rots):
-            assert np.array_equal(igso3_score(r, params), batch[i])
-
-
 def test_score_batch_clamps_near_pi():
     rotvec = (math.pi - 1e-7) * np.array([[0.0, 0.6, 0.8]])
     params = IgParams(eps=0.5)
@@ -529,28 +484,27 @@ def test_score_ratio_matches_log_density_finite_differences(log_eps, u):
 def _two_pass(theta, eps):
     """log f and f'/f in two separate passes, the evaluation the fused kernel replaced.
 
-    The density takes one image pass at theta; the ratio takes another at
-    the clamped angles, with the far image sums at every angle, picked by
-    np.where; the series regime calls series_f twice.
+    The series regime calls series_f twice.  Below EPS_SERIES the density
+    takes one image pass at theta; the ratio takes another at the clamped
+    angles, with the far image sums at every angle, picked by np.where,
+    and the small-angle slope below THETA_SMALL_SCORE.
     """
+    if eps >= EPS_SERIES:
+        th = np.minimum(theta, THETA_MAX_SCORE)
+        log_f = np.log(_kernels.series_f(theta, eps, SERIES_LMAX))
+        return log_f, _kernels.series_df(th, eps, SERIES_LMAX) / _kernels.series_f(th, eps, SERIES_LMAX)
     small = theta < THETA_SMALL_SCORE
     th = np.where(small, 1.0, np.minimum(theta, THETA_MAX_SCORE))
-    if eps >= EPS_SERIES:
-        log_f = np.log(_kernels.series_f(theta, eps, SERIES_LMAX, THETA_SMALL_DENSITY))
-        ratio = _kernels.series_df(th, eps, SERIES_LMAX) / _kernels.series_f(th, eps, SERIES_LMAX)
-        slope = _kernels.series_moment(eps, SERIES_LMAX)
-    else:
-        cf = _kernels.closed_form
-        log_f = (cf._log_prefactor(eps) - theta * theta / (4.0 * eps)
-                 + np.log(cf._over_sin(theta) * cf._near_r(*cf._near_images(theta, eps))))
-        ep, em, lever = cf._near_images(th, eps)
-        quad = ((th + 2.0 * cf._PK) ** 2 * ep + (th - 2.0 * cf._PK) ** 2 * em) / (2.0 * eps)
-        d = -th * th / (2.0 * eps) + np.sum(cf._SIGN * (lever - quad), axis=0)
-        s, ds = cf._far_sums(th, eps)
-        far = ds / s - 0.5 * np.tan(0.5 * ((math.pi - th) + PI_LO))
-        ratio = np.where(th > 0.5 * math.pi, far, d / (th * cf._near_r(ep, em, lever)) + cf._h(th))
-        slope = _kernels.closed_moment(eps)
-    return log_f, np.where(small, -slope * theta, ratio)
+    cf = _kernels.closed_form
+    log_f = (cf._log_prefactor(eps) - theta * theta / (4.0 * eps)
+             + np.log(cf._over_sin(theta) * cf._near_r(*cf._near_images(theta, eps))))
+    ep, em, lever = cf._near_images(th, eps)
+    quad = ((th + 2.0 * cf._PK) ** 2 * ep + (th - 2.0 * cf._PK) ** 2 * em) / (2.0 * eps)
+    d = -th * th / (2.0 * eps) + np.sum(cf._SIGN * (lever - quad), axis=0)
+    s, ds = cf._far_sums(th, eps)
+    far = ds / s - 0.5 * np.tan(0.5 * ((math.pi - th) + PI_LO))
+    ratio = np.where(th > 0.5 * math.pi, far, d / (th * cf._near_r(ep, em, lever)) + cf._h(th))
+    return log_f, np.where(small, -_kernels.closed_moment(eps) * theta, ratio)
 
 
 def _ulps(x):

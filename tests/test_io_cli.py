@@ -697,8 +697,8 @@ def _bad_input(scenario_dir, tmp_path, case):
         return path, [], "strictly increasing"
     if case == "missing-params":
         return path, ["--params", str(scn / "absent.txt")], "absent.txt"
-    if case in _BAD_VALUES or case in _BAD_SCALARS:
-        name, key, value, message = {**_BAD_VALUES, **_BAD_SCALARS}[case]
+    if case in (bad := {**_BAD_VALUES, **_BAD_SCALARS, **_BAD_SCHEDULES}):
+        name, key, value, message = bad[case]
         _drop_key(scn / name, key)
         (scn / name).write_text((scn / name).read_text() + f"{key} = {value}\n")
         return path, [], message
@@ -739,6 +739,11 @@ _BAD_SCALARS = {
     "tiny-length-unit": ("scenario.txt", "length_unit", "1e-300", "outside [1e-150, 1e150]"),
     "huge-length-unit": ("scenario.txt", "length_unit", "1e300", "outside [1e-150, 1e150]"),
 }
+# refused before they run: the scores' 1/t terms overflow at subnormal times; a huge step count would allocate
+_BAD_SCHEDULES = {
+    "subnormal-time": ("scenario.txt", "schedule_segments", "[[1.0, 0.1, 150], [0.1, 1e-310, 150]]", "normal double"),
+    "too-many-steps": ("scenario.txt", "schedule_segments", "[[1.0, 0.1, 100001]]", "1 to 100000 steps, got 100001"),
+}
 
 
 @pytest.mark.parametrize("argv, case", [
@@ -759,6 +764,8 @@ _BAD_SCALARS = {
     *[(["diffuse", "--n", "2"], case) for case in _BAD_SCALARS],
     *[(["denoise", "--score", score, "--chains", "1"], case) for score in ("oracle", "model")
       for case in ("tiny-length-unit", "huge-length-unit")],
+    *[(["diffuse", "--n", "2"], case) for case in _BAD_SCHEDULES],
+    *[(["denoise", "--score", score, "--chains", "1"], "subnormal-time") for score in ("oracle", "model")],
 ])
 def test_cli_bad_input_files_exit_2_without_traceback(scenario_dir, tmp_path, capsys, argv, case):
     path, extra, message = _bad_input(scenario_dir, tmp_path, case)

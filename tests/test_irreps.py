@@ -10,7 +10,6 @@ from se3diffuse.irreps import (
     L_MAX_IRREPS,
     IrrepsLayout,
     IrrepsVector,
-    cg_contract_batch,
     cg_contract_to1,
     cg_paths,
     cg_tensor,
@@ -67,17 +66,6 @@ def test_wigner_d_full_turn_periodicity(rng):
     full = exp_so3(2.0 * math.pi * axis)
     for l in range(7):
         assert np.max(np.abs(wigner_d(l, full) - np.eye(2 * l + 1))) < 1e-9
-
-
-def test_wigner_d_of_a_quaternion_stack_is_bitwise_per_rotation(rng):
-    rots = [random_rotation(rng) for _ in range(25)]
-    q = np.stack([r.q for r in rots])
-    for l in range(L_MAX_IRREPS + 1):
-        stack = wigner_d(l, q)
-        assert stack.shape == (25, 2 * l + 1, 2 * l + 1)
-        assert wigner_d(l, q.reshape(5, 5, 4)).shape == (5, 5, 2 * l + 1, 2 * l + 1)
-        for i, r in enumerate(rots):
-            assert np.array_equal(stack[i], wigner_d(l, r)), (l, i)
 
 
 def test_rep_apply_batch_on_stacks_matches_rep_apply(rng):
@@ -163,17 +151,6 @@ def test_sh_batch_matches_scalar(rng):
             assert np.allclose(batch[i], spherical_harmonics(l, u), atol=1e-13)
 
 
-def test_spherical_harmonics_is_a_batch_of_one(rng):
-    us = rng.standard_normal((20, 3))
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-    for l in range(L_MAX_IRREPS + 1):
-        batch = sh_batch(l, us)
-        for i, u in enumerate(us):
-            one = spherical_harmonics(l, u)
-            assert np.array_equal(one, sh_batch(l, us[i:i + 1])[0])
-            assert np.array_equal(one, batch[i])
-
-
 def _power(x, k):
     """x ** k up to 2, a running product above."""
     out = x ** min(k, 2)
@@ -228,20 +205,6 @@ def test_sh_stack_is_bitwise_the_per_degree_passes_side_by_side(rng, degrees):
         assert np.array_equal(sh_batch(l, us).view(np.int64), _sh_per_degree(l, us).view(np.int64))
     # a row's bits do not depend on the batch
     assert np.array_equal(sh_stack(degrees, us[7:8].T).T, got[7:8])
-
-
-def test_cg_contract_to1_is_bitwise_a_row_of_the_batch(rng):
-    lay_a = IrrepsLayout(((0, 2), (1, 2), (2, 1)))
-    lay_b = IrrepsLayout(((1, 1), (2, 1), (3, 1)))
-    a = rng.standard_normal((30, lay_a.dim))
-    b = rng.standard_normal((30, lay_b.dim))
-    weights = rng.standard_normal(len(cg_paths(lay_a, lay_b)))
-    weights[3] = 0.0
-    batch = cg_contract_batch(lay_a, a, lay_b, b, weights)
-    assert batch.shape == (30, 3)
-    for i in range(30):
-        one = cg_contract_to1(IrrepsVector(lay_a, a[i]), IrrepsVector(lay_b, b[i]), weights)
-        assert np.array_equal(one, batch[i])
 
 
 def test_cg_selection_rule_and_zero_weights(rng):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from se3diffuse.lie import (
 )
 from se3diffuse.pointcloud import bounding_box, transform
 from se3diffuse.sampler import (
+    MAX_SEGMENT_STEPS,
     NOISE_BLOCK,
     AnnealSchedule,
     _step_batch,
@@ -53,9 +55,13 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         build_schedule([(1.0, 0.5, 10)], eps=-1.0)
     # non-finite times, step scales and exponents used to give NaN or inf schedules
-    for seg in ((1.0, math.nan, 3), (math.inf, 0.5, 3), (1.0, math.inf, 3), (math.nan, 0.1, 3)):
+    for seg in ((1.0, math.nan, 3), (math.inf, 0.5, 3), (1.0, math.inf, 3), (math.nan, 0.1, 3), (0.1, 1e-310, 3)):
         with pytest.raises(ValueError, match="positive and finite"):
             build_schedule([seg], eps=0.05)
+    assert build_schedule([(1.0, sys.float_info.min, 2)], eps=0.05).t[-1] == sys.float_info.min
+    with pytest.raises(ValueError, match=f"1 to {MAX_SEGMENT_STEPS} steps"):
+        build_schedule([(1.0, 0.5, MAX_SEGMENT_STEPS + 1)], eps=0.05)
+    assert build_schedule([(1.0, 0.5, MAX_SEGMENT_STEPS)], eps=0.05).steps == MAX_SEGMENT_STEPS
     for eps in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             build_schedule([(1.0, 0.5, 10)], eps=eps)
