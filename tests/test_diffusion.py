@@ -156,6 +156,29 @@ def test_brownian_score_matches_finite_differences(rng):
             checked += 1
 
 
+def test_brownian_score_fn_scalar_call_clamps_near_pi_like_batch(rng):
+    """The scalar call and brownian_score are batches of one, so they clamp as the batch does."""
+    fn = BrownianScoreFn()
+    for t in (0.01, 0.5, 2.0):
+        poses = [brownian_sample(t, rng) for _ in range(3)] + _near_pi_poses([Pose.identity()], rng)
+        batch = fn.score_batch(np.stack([h.r.q for h in poses]), np.stack([h.p for h in poses]), t)
+        assert np.all(np.isfinite(batch))
+        for h, row in zip(poses, batch):
+            assert np.array_equal(fn(h, t).as_array(), row)
+            assert np.array_equal(brownian_score(h, t).as_array(), row)
+
+
+def test_brownian_score_batch_matches_scalar(rng):
+    fn = BrownianScoreFn()
+    t = 0.4
+    poses = [brownian_sample(t, rng) for _ in range(20)]
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    batch = fn.score_batch(q, p, t)
+    for i, g in enumerate(poses):
+        assert np.array_equal(batch[i], fn(g, t).as_array())
+
+
 # ---------------------------------------------------------------------------
 # Contact origin selection and forward diffusion
 # ---------------------------------------------------------------------------
@@ -469,6 +492,18 @@ def test_kernel_log_density_batch_matches_scalar_reference(toy, rng):
             assert np.max(np.abs(batch - ref)) < 1e-12
 
 
+def test_kernel_log_density_batch_of_one_matches_row(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    g0 = toy.demo_poses[1]
+    poses = _poses_around(g0, rng, 30)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    full = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
+    for i in range(len(poses)):
+        one = kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)
+        assert one.shape == (1,) and one[0] == full[i]
+
+
 def test_kernel_log_density_of_one_demo_is_its_component_mixture(toy, rng):
     from se3diffuse.diffusion import _demo_components, _log_mixture
 
@@ -501,6 +536,36 @@ def test_kernel_log_density_refuses_no_demos(toy):
     with pytest.raises(ValueError, match="no demo poses"):
         kernel_log_density(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros((1, 3)), (), toy.scene,
                            toy.grasp, cfg)
+
+
+def test_kernel_log_density_reads_a_single_pose_as_a_batch_of_one(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    g = _poses_around(toy.demo_poses[0], rng, 3)[2]
+    one = kernel_log_density(g.r.q, g.p, toy.demo_poses, toy.scene, toy.grasp, cfg)
+    assert one.shape == (1,)
+    assert one[0] == kernel_log_density(g.r.q[None], g.p[None], toy.demo_poses, toy.scene, toy.grasp, cfg)[0]
+
+
+def test_kernel_log_density_refuses_stacks_with_different_pose_counts(toy, rng):
+    cfg = DiffusionConfig(t=0.5, r=toy.config.r, L=1.0)
+    q = np.stack([random_rotation(rng).q for _ in range(3)])
+    with pytest.raises(ValueError, match="need one translation per quaternion"):
+        kernel_log_density(q, rng.standard_normal((2, 3)), toy.demo_poses, toy.scene, toy.grasp, cfg)
+
+
+def test_density_and_score_batch_of_one_are_bitwise_their_rows(toy, rng):
+    g0 = toy.demo_poses[0]
+    poses = _poses_around(g0, rng, 12)
+    q = np.stack([g.r.q for g in poses])
+    p = np.stack([g.p for g in poses])
+    for t in (0.01, 0.5, 2.0):
+        cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
+        oracle = MixtureScore(toy.demo_set(), cfg)
+        dens = kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg)
+        scores = oracle.score_batch(q, p, t)
+        for i in range(len(poses)):
+            assert kernel_log_density(q[i:i + 1], p[i:i + 1], (g0,), toy.scene, toy.grasp, cfg)[0] == dens[i]
+            assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], scores[i])
 
 
 def _uneven_demo_set(toy):
@@ -547,6 +612,18 @@ def test_fused_oracle_matches_a_loop_over_demos(toy, rng, which):
         ref = _score_by_demo(demos, cfg, q, p, t)
         rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert np.max(rel) < 1e-14, (t, np.max(rel))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
+    for demos in (_uneven_demo_set(toy), DemoSet(((toy.demo_poses[1], toy.scene, toy.grasp),))):
+        q, p = _pose_stack(demos, rng, n)
+        for t in (0.01, 1.0):
+            oracle = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))
+            full = oracle.score_batch(q, p, t)
+            assert full.shape == (n, 6) and np.all(np.isfinite(full))
+            for i in range(n):
+                assert np.array_equal(oracle.score_batch(q[i:i + 1], p[i:i + 1], t)[0], full[i])
 
 
 def _composed_log_terms(demos, cfg, q, p, t):

@@ -28,7 +28,7 @@ from se3diffuse.igso3 import (
     igso3_score_batch,
     score_ratio,
 )
-from se3diffuse.lie import exp_so3, log_so3, quat_angle, random_rotation
+from se3diffuse.lie import exp_so3, log_so3, quat_angle, quat_log, random_rotation
 
 
 def series_limit_at_zero(eps, lmax=60):
@@ -456,6 +456,33 @@ def test_small_angle_slope_matches_mpmath_series():
         _, true = mp_series(theta, eps)
         got = score_ratio(np.array([theta]), IgParams(eps=eps))[0]
         assert abs(got / true - 1.0) < 1e-10, (eps, got, true)
+
+
+def test_score_is_bitwise_a_row_of_the_batch(rng):
+    rots = [random_rotation(rng) for _ in range(20)]
+    rots += [exp_so3(theta * np.array([0.6, 0.0, 0.8])) for theta in (0.0, 1e-5, 2e-3, math.pi - 2e-6)]
+    rotvecs = np.stack([quat_log(r.q) for r in rots])
+    for eps in (0.005, 0.3, EPS_SERIES, 2.0):
+        params = IgParams(eps=eps)
+        batch = igso3_score_batch(rotvecs, np.linalg.norm(rotvecs, axis=-1), params)
+        for i, r in enumerate(rots):
+            assert np.array_equal(igso3_score(r, params), batch[i])
+
+
+def test_score_near_pi_is_a_row_of_its_batch(rng):
+    """Within 1e-6 of pi the scalar call clamps exactly as its batch does."""
+    rots = []
+    for gap in (5e-7, 1e-7, 0.0):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        rots += [exp_so3((math.pi - gap) * axis), exp_so3((math.pi - gap) * np.array([0.6, 0.0, 0.8]))]
+    rotvecs = np.stack([quat_log(r.q) for r in rots])
+    for eps in (0.005, 0.5, 2.0):
+        params = IgParams(eps=eps)
+        batch = igso3_score_batch(rotvecs, np.linalg.norm(rotvecs, axis=-1), params)
+        assert np.all(np.isfinite(batch))
+        for i, r in enumerate(rots):
+            assert np.array_equal(igso3_score(r, params), batch[i])
 
 
 def test_score_batch_clamps_near_pi():
