@@ -20,6 +20,7 @@ near theta = 0, and k with -1-k near theta = pi.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -30,12 +31,13 @@ K_IMAGES = 3
 EPS_FLOOR = 1e-300
 
 # Image constants are columns: an image sum over M angles is a (K_IMAGES, M)
-# array, summed over its first axis.
+# array, summed over its first axis; _PM stacks the images k and -k on a leading axis.
 _K = np.arange(1, K_IMAGES + 1, dtype=np.float64)[:, None]
 _SIGN = np.where(_K % 2.0 == 0.0, 1.0, -1.0)  # (-1)^k
 _PK = math.pi * _K
 _NEG_PK = -_PK
-_TWO_PK = 2.0 * _PK
+_PM = np.array([1.0, -1.0])[:, None, None]
+_TWO_PK = _PM * (2.0 * _PK)  # 2 pi k and -2 pi k
 _LEVER = 4.0 * _PK * _PK
 _J = np.arange(K_IMAGES, dtype=np.float64)[:, None]
 _JSIGN = np.where(_J % 2.0 == 0.0, 1.0, -1.0)  # (-1)^j
@@ -43,42 +45,42 @@ _CJ = (2.0 * _J + 1.0) * math.pi
 
 
 def _image_exp(x: np.ndarray) -> np.ndarray:
-    """e^x for an image weight x <= 0, floored at e^-700.
+    """e^x in place for an image weight x <= 0, floored at e^-700.
 
     The floor is far below rounding against the k = 0 image and keeps
     exp out of its slow underflow path (about 13x slower to produce 0).
     """
-    return np.exp(np.maximum(x, -700.0))
+    return np.exp(np.maximum(x, -700.0, out=x), out=x)
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """(1 - e^{-x}) / x for x >= 0, 1 at x = 0."""
-    pos = x > 0.0
-    return np.where(pos, -np.expm1(-x) / np.where(pos, x, 1.0), 1.0)
+def _phi(nx: np.ndarray) -> np.ndarray:
+    """(1 - e^{-x}) / x for x >= 0, 1 at x = 0, from nx = -x; the first row is the greatest."""
+    neg = None if np.fmax.reduce(nx[0], initial=-1.0) < 0.0 else nx < 0.0  # a mask only if some x is 0
+    return np.expm1(nx) / nx if neg is None else np.where(neg, np.expm1(nx) / np.where(neg, nx, -1.0), 1.0)
 
 
-def _near_images(theta: np.ndarray, eps) -> tuple[np.ndarray, ...]:
-    """E_k, E_{-k} and (2 pi k / theta)(E_{-k} - E_k), k = 1..K_IMAGES, at 1-D theta.
+def _near_images(theta: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
+    """E_k over E_{-k}, k = 1..K_IMAGES, as one (2, K_IMAGES, M) stack, and the levers
+    (2 pi k / theta)(E_{-k} - E_k), at 1-D theta.
 
     The last is formed without dividing by theta, so it stays accurate
     down to theta = 0.
     """
-    ep = _image_exp(_NEG_PK * (_PK + theta) / eps)
-    xm = _NEG_PK * (_PK - theta) / eps
-    em = _image_exp(xm)
+    x = _NEG_PK * (_PK + _PM * theta) / eps
+    floored = x[1] < -700.0
+    e = _image_exp(x)
     # Where E_{-k} is floored the true lever is below 24 * 700 e^-700, but the
     # floor times the prefactor 4 pi^2 k^2 / eps is not below eps ~ 1e-290.
-    lever = np.where(xm < -700.0, 0.0, (_LEVER / eps) * em * _phi(_TWO_PK * theta / eps))
-    return ep, em, lever
+    return e, np.where(floored, 0.0, (_LEVER / eps) * e[1] * _phi(_TWO_PK[1] * theta / eps))
 
 
-def _near_r(ep: np.ndarray, em: np.ndarray, lever: np.ndarray) -> np.ndarray:
+def _near_r(e: np.ndarray, lever: np.ndarray) -> np.ndarray:
     """R = S/theta, images k and -k paired.
 
     S = sum_k (-1)^k u_k E_k is the image sum with e^{-theta^2/(4 eps)}
     factored out.
     """
-    return 1.0 + np.sum(_SIGN * (ep + em - lever), axis=0)
+    return 1.0 + np.add.reduce(_SIGN * (e[0] + e[1] - lever), axis=0)
 
 
 def _far_sums(th: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +94,9 @@ def _far_sums(th: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     a = _image_exp(-math.pi * _J * (th + math.pi * _J) / eps)  # E_j
     x = _CJ * psi / eps
     b = _image_exp(-x)  # E_{-1-j} / E_j
-    s = np.sum(_JSIGN * a * ((th + 2.0 * math.pi * _J) + (_CJ + psi) * b), axis=0)
-    ds = np.sum(_JSIGN * a * (-(1.0 - (_CJ * _CJ + psi * psi) / (2.0 * eps)) * np.expm1(-x)
-                              + x * (1.0 + b)), axis=0)
+    s = np.add.reduce(_JSIGN * a * ((th + 2.0 * math.pi * _J) + (_CJ + psi) * b), axis=0)
+    ds = np.add.reduce(_JSIGN * a * (-(1.0 - (_CJ * _CJ + psi * psi) / (2.0 * eps)) * np.expm1(-x)
+                                     + x * (1.0 + b)), axis=0)
     return s, ds
 
 
@@ -115,21 +117,22 @@ def closed_r(theta: np.ndarray, eps) -> np.ndarray:
     return _near_r(*_near_images(theta.reshape(-1), np.maximum(eps, EPS_FLOOR))).reshape(theta.shape)
 
 
-def _over_sin(theta: np.ndarray) -> np.ndarray:
+def _over_sin(theta: np.ndarray, lo: float) -> np.ndarray:
     """theta / sin(theta/2), 2 up to 1e-8: there sin(theta/2) rounds to theta/2, or, subnormal, to 0."""
-    pos = theta > 1e-8
-    ts = np.where(pos, theta, 1.0)
-    return np.where(pos, ts / np.sin(0.5 * ts), 2.0)
+    pos = None if lo > 1e-8 else theta > 1e-8  # lo is the least theta
+    ts = theta if pos is None else np.where(pos, theta, 1.0)
+    return ts / np.sin(0.5 * ts) if pos is None else np.where(pos, ts / np.sin(0.5 * ts), 2.0)
 
 
-def _h(theta: np.ndarray) -> np.ndarray:
+def _h(theta: np.ndarray, lo: float) -> np.ndarray:
     """1/theta - cot(theta/2)/2 for theta in (0, pi], by its Taylor series below theta = 0.2."""
     x = 0.5 * theta
-    x2 = x * x
-    taylor = x2 * (1 / 3 + x2 * (1 / 45 + x2 * (2 / 945 + x2 * (1 / 4725 + x2 * (2 / 93555)))))
-    small = x < 0.1
-    xs = np.where(small, 1.0, x)
-    return np.where(small, taylor, 1.0 - xs / np.tan(xs)) / theta
+    y = 1.0 - x / np.tan(x)
+    if 0.5 * lo < 0.1:  # lo is the least theta
+        x2 = x * x
+        np.copyto(y, x2 * (1 / 3 + x2 * (1 / 45 + x2 * (2 / 945 + x2 * (1 / 4725 + x2 * (2 / 93555))))),
+                  where=x < 0.1)
+    return y / theta
 
 
 def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
@@ -151,29 +154,32 @@ def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
     -1/theta would.  Below EPS_FLOOR, where every image but k = 0 is below
     e^-700 of it on [theta_small, theta_max] and the far sums' 1/eps
     factors would overflow, it is the k = 0 image's -theta/(2 eps) + 1/theta
-    - cot(theta/2)/2.
+    - cot(theta/2)/2.  A branch's mask is formed only if the least angle lo
+    (or the greatest) says some angle needs it.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    ep, em, lever = _near_images(theta, max(eps, EPS_FLOOR))
-    r = _near_r(ep, em, lever)
-    with np.errstate(over="ignore"):
-        gauss = theta * theta / (4.0 * eps)
-    log_f = _log_prefactor(eps) - gauss + np.log(_over_sin(theta) * r)
-    small = theta < theta_small
-    ts = np.where(small, 1.0, theta)
+    lo = float(np.fmin.reduce(theta, initial=math.inf))  # a NaN angle is NaN on every branch
+    e, lever = _near_images(theta, max(eps, EPS_FLOOR))
+    r = _near_r(e, lever)
+    tt = theta * theta
+    with np.errstate(over="ignore") if eps < EPS_FLOOR else contextlib.nullcontext():  # else no overflow
+        gauss = tt / (4.0 * eps)
+    log_f = _log_prefactor(eps) - gauss + np.log(_over_sin(theta, lo) * r)
+    small = theta < theta_small if lo < theta_small else None
+    ts = theta if small is None else np.where(small, 1.0, theta)
     if eps < EPS_FLOOR:
         tc = np.minimum(ts, theta_max)
-        ratio = -tc / (2.0 * eps) + _h(tc)
+        ratio = -tc / (2.0 * eps) + _h(tc, lo)
     else:
-        quad = ((theta + _TWO_PK) ** 2 * ep + (theta - _TWO_PK) ** 2 * em) / (2.0 * eps)
-        d = -theta * theta / (2.0 * eps) + np.sum(_SIGN * (lever - quad), axis=0)
-        ratio = d / (ts * r) + _h(ts)
-        far = theta > 0.5 * math.pi
-        if far.any():
+        quad = np.add.reduce(np.square(theta + _TWO_PK) * e, axis=0) / (2.0 * eps)
+        d = -tt / (2.0 * eps) + np.add.reduce(_SIGN * (lever - quad), axis=0)
+        ratio = d / (ts * r) + _h(ts, lo)
+        if np.fmax.reduce(theta, initial=0.0) > 0.5 * math.pi:
+            far = theta > 0.5 * math.pi
             tf = np.minimum(theta[far], theta_max)
             s, ds = _far_sums(tf, eps)
             ratio[far] = ds / s - 0.5 * np.tan(0.5 * ((math.pi - tf) + PI_LO))
-    if small.any():
+    if small is not None:
         ratio = np.where(small, -closed_moment(eps) * theta, ratio)
     return log_f, ratio
 

@@ -25,7 +25,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import igso3
-from .igso3 import IgParams
 from .lie import (
     Pose,
     Rotation,
@@ -119,12 +118,10 @@ def check_time(t: float) -> None:
                          f"{sys.float_info.min!r}, got {t!r}")
 
 
-def _ig_params(t: float) -> IgParams:
-    return IgParams(eps=0.5 * t)
-
-
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 _ZERO = np.zeros(3)
+# rows 3 m + i % 3, i < 5, of vec(c k^T) and vec R: N[:, m] and R[m, :], entries 0, 1 repeated as in ``_cross``
+_CYCLIC = np.arange(5)[:, None] % 3 + 3 * np.arange(3)
 
 
 class _Components(NamedTuple):
@@ -361,9 +358,9 @@ def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     dot product of the pose's row [|p'|^2, R^T p', p', 1, vec R] with the
     component's column of ``rows``: one ``np.matmul`` with the pose on the
     batch axis, which keeps each row's bits in any batch.  R_m is the
-    ``lie`` product q0inv_d q, whose rotation vector and angle, and their
-    IGSO(3) log density and score ratio f'/f, are taken once per pose and
-    demo (``igso3.igso3_log_density_and_ratio``).
+    ``lie`` product q0inv_d q, whose rotation vector and angle, and their IGSO(3) log
+    density and score ratio f'/f (``igso3._log_density_and_ratio``: no range checks),
+    are taken once per pose and demo, demo-major (D, N), and returned as (N, D) views.
 
     Returns R (3, 3, N), R^T p' (3, N), the rotation vectors (3, N, D),
     angles (N, D) and ratios (N, D), and the (N, D, K) log terms
@@ -373,10 +370,10 @@ def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     n = q.shape[0]
     qt = np.ascontiguousarray(q.T)
     r = _matrix(qt[0], qt[1:])
-    a = np.ascontiguousarray(comps.q0inv.T)[:, None]  # (4, 1, D)
-    rotvec = _log(*_mul(a[0], a[1:], qt[0][:, None], qt[1:, :, None]))
+    a = comps.q0inv.T[:, :, None]  # (4, D, 1)
+    rotvec = _log(*_mul(a[0], a[1:], qt[0], qt[1:, None]))  # (3, D, N)
     theta = _norm(rotvec)
-    log_f, ratio = igso3.igso3_log_density_and_ratio(np.minimum(theta, math.pi), _ig_params(t))
+    log_f, ratio = igso3._log_density_and_ratio(np.minimum(theta, math.pi), 0.5 * t)
     # logw + (-1.5 log(2 pi t) - p2 / (2t)) + log_f, formed in p2; where p2 or p2 / (2t) overflows the
     # term is -inf, the kernel below the double range
     with np.errstate(over="ignore"):
@@ -387,8 +384,8 @@ def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
         p2 /= 2.0 * t
     np.subtract(-1.5 * math.log(2.0 * math.pi * t), p2, out=p2)
     p2 += comps.logw
-    p2 += log_f[:, :, None]
-    return r, rtp, rotvec, theta, ratio, p2
+    p2 += log_f.T[:, :, None]
+    return r, rtp, rotvec.transpose(0, 2, 1), theta.T, ratio.T, p2
 
 
 def _log_mixture(q: np.ndarray, p: np.ndarray, comps: _Components, t: float) -> np.ndarray:
@@ -420,19 +417,23 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     r, rtp, rotvec, theta, ratio, logs = _kernel_terms(q, p, comps, t)
     n = q.shape[0]
     with np.errstate(invalid="ignore"):  # -inf - -inf: a pose whose every term is -inf scores NaN
-        logs -= np.max(logs, axis=(1, 2), keepdims=True)
+        logs -= np.maximum.reduce(logs, axis=(1, 2), keepdims=True)
     w = np.exp(logs, out=logs)
-    wd = np.sum(w, axis=2)
-    total = np.sum(wd, axis=1)
+    wd = np.add.reduce(w, axis=2)
+    total = np.add.reduce(wd, axis=1)
     moments = np.matmul(w.reshape(n, 1, len(comps.moments)), comps.moments)[:, 0].T  # (15, N)
     k, c = moments[:3], moments[3:6]
-    # N[:, m] x R[m, :] summed over m, with N = sum w k c^T read from the rows vec(c k^T)
-    vee = np.add.reduce(_cross(moments[6:].reshape(3, 3, n).swapaxes(0, 1), r.swapaxes(0, 1)), axis=1)
-    s_rot = np.add.reduce(wd * ratio / np.where(theta < 1e-12, 1.0, theta) * rotvec, axis=-1)
-    out = np.empty((n, 6))
-    out[:, :3] = ((total * rtp + k - np.add.reduce(r * c[:, None], axis=0)) / (-t * total)).T
-    out[:, 3:] = (((_cross(k, rtp) - vee) / -t + s_rot) / total).T
-    return out
+    # N[:, m] x R[m, :] summed over m, with N = sum w k c^T, by the products of ``_cross``
+    a, b = moments[6:][_CYCLIC], r.reshape(9, n)[_CYCLIC]
+    vee = np.add.reduce(a[1:4] * b[2:5] - a[2:5] * b[1:4], axis=1)
+    theta = theta.T  # demo-major, as ``_kernel_terms`` forms the rotations; a zero rotation vector scores 0
+    if np.fmin.reduce(theta, axis=None, initial=math.inf) < 1e-12:
+        theta = np.where(theta < 1e-12, 1.0, theta)
+    s_rot = np.add.reduce(wd.T * ratio.T / theta * rotvec.transpose(0, 2, 1), axis=1)
+    out = np.empty((6, n))  # handed back as its (N, 6) transpose
+    np.divide(total * rtp + k - np.add.reduce(r * c[:, None], axis=0), -t * total, out=out[:3])
+    np.divide((_cross(k, rtp) - vee) / -t + s_rot, total, out=out[3:])
+    return out.T
 
 
 def kernel_log_density(q: np.ndarray, p: np.ndarray, demo_poses: Sequence[Pose], scene: PointCloud,

@@ -95,8 +95,11 @@ def igso3_log_density_and_ratio(theta, params: IgParams) -> tuple[np.ndarray, np
     and above it, from one ``series_f`` evaluation, which also takes the
     density at THETA_MAX_SCORE, and one ``series_df``.
     """
-    th = _angles(theta)
-    eps = params.eps
+    return _log_density_and_ratio(_angles(theta), params.eps)
+
+
+def _log_density_and_ratio(th: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``igso3_log_density_and_ratio`` at an array of angles already in [0, pi] and a concentration eps > 0."""
     if eps < EPS_SERIES:
         log_f, ratio = _kernels.closed_log_f_ratio(th.reshape(-1), eps, THETA_SMALL_SCORE, THETA_MAX_SCORE)
         return log_f.reshape(th.shape), ratio.reshape(th.shape)
@@ -112,10 +115,11 @@ def igso3_density(theta, params: IgParams):
     """Density at rotation angle theta, relative to normalized Haar.
 
     theta may be a scalar or an array; all values must lie in [0, pi]
-    (a slack of 1e-12 is clamped).  The exponential of
-    ``igso3_log_density``, so it is 0 where the density underflows.
+    (a slack of 1e-12 is clamped).  The exponential of ``igso3_log_density``:
+    0 where the density underflows, inf where it overflows.
     """
-    out = np.exp(igso3_log_density_and_ratio(theta, params)[0])
+    with np.errstate(over="ignore"):  # f(0) ~ eps^{-3/2} is beyond the double range below eps ~ 1e-206
+        out = np.exp(igso3_log_density_and_ratio(theta, params)[0])
     return float(out) if np.isscalar(theta) else out
 
 

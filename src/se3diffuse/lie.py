@@ -96,8 +96,7 @@ def _rotate(w, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _small_angles(theta: np.ndarray) -> np.ndarray | None:
     """The mask theta < SMALL_ANGLE, or None when no angle is that small."""
-    small = theta < SMALL_ANGLE
-    return small if small.any() else None
+    return theta < SMALL_ANGLE if np.fmin.reduce(theta, axis=None, initial=math.inf) < SMALL_ANGLE else None
 
 
 def _exp(v: np.ndarray, theta: np.ndarray, small: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +140,8 @@ def _log(w, v: np.ndarray) -> np.ndarray:
     w = np.where(flip, -w, w)
     v = np.where(flip, -v, v)
     s = _norm(v)
+    if np.fmin.reduce(s, axis=None, initial=math.inf) >= 1e-9:  # no small angle, so no mask and no 1/0
+        return 2.0 * np.arctan2(s, w) / s * v
     small = s < 1e-9
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(small, 2.0 / np.where(w == 0.0, 1.0, w),
@@ -148,9 +149,9 @@ def _log(w, v: np.ndarray) -> np.ndarray:
     return coef * v
 
 
-def _normalize(q: np.ndarray) -> np.ndarray:
-    """A (4, ...) quaternion stack over its norms."""
-    return q / _norm(q)
+def _normalize(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A (4, ...) quaternion stack over its norms, into ``out`` if given."""
+    return np.divide(q, _norm(q), out=out)
 
 
 def _matrix(w, v: np.ndarray) -> np.ndarray:
@@ -281,9 +282,9 @@ def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if qs.shape[0] != ps.shape[0]:
         raise ValueError(f"need one translation per quaternion, got shapes {np.shape(q)} and {np.shape(p)}")
     q, p = qs, ps
-    with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
-        norm = np.sqrt(np.einsum("...j,...j->...", q, q))
-    bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.isfinite(p).all(axis=-1))
+    finite = np.isfinite(p)  # a NaN, inf or overflowing norm fails the test; einsum raises no warning
+    bad = ~((np.abs(np.sqrt(np.einsum("...j,...j->...", q, q)) - 1.0) <= 1e-3) & finite[:, 0] & finite[:, 1]
+            & finite[:, 2])
     if not bad.any():
         return q, p, bad
     return np.where(bad[:, None], [1.0, 0.0, 0.0, 0.0], q), np.where(bad[:, None], 0.0, p), bad

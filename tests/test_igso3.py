@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -400,6 +402,12 @@ def test_angle_pdf_is_finite_where_the_density_at_zero_overflows(eps):
     assert abs(angle_pdf(mode, params) / chi3_peak - 1.0) < 1e-12
 
 
+def test_density_is_inf_without_a_warning_where_it_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert igso3_density(0.0, IgParams(1e-305)) == math.inf
+
+
 def mp_images(theta, eps, k_max=10):
     """f'/f from the Poisson-resummed image sum in mpmath.
 
@@ -508,6 +516,58 @@ def test_score_ratio_matches_log_density_finite_differences(log_eps, u):
     assert abs(r - fd) <= 1e-6 * abs(fd) + 1e-9, (eps, theta, r, fd)
 
 
+# The image helpers as the two-pass evaluation had them, elementwise over (K, M) arrays with
+# np.where masks; the kernel's own helpers now share passes and skip masks no angle needs.
+def _ref_image_exp(x):
+    return np.exp(np.maximum(x, -700.0))
+
+
+def _ref_phi(x):
+    pos = x > 0.0
+    return np.where(pos, -np.expm1(-x) / np.where(pos, x, 1.0), 1.0)
+
+
+def _ref_near_images(theta, eps):
+    cf = _kernels.closed_form
+    ep = _ref_image_exp(-cf._PK * (cf._PK + theta) / eps)
+    xm = -cf._PK * (cf._PK - theta) / eps
+    em = _ref_image_exp(xm)
+    lever = np.where(xm < -700.0, 0.0, (4.0 * cf._PK * cf._PK / eps) * em * _ref_phi(2.0 * cf._PK * theta / eps))
+    return ep, em, lever
+
+
+def _ref_near_r(ep, em, lever):
+    return 1.0 + np.sum(_kernels.closed_form._SIGN * (ep + em - lever), axis=0)
+
+
+def _ref_far_sums(th, eps):
+    j = np.arange(_kernels.closed_form.K_IMAGES, dtype=np.float64)[:, None]
+    jsign = np.where(j % 2.0 == 0.0, 1.0, -1.0)
+    cj = (2.0 * j + 1.0) * math.pi
+    psi = (math.pi - th) + PI_LO
+    a = _ref_image_exp(-math.pi * j * (th + math.pi * j) / eps)
+    x = cj * psi / eps
+    b = _ref_image_exp(-x)
+    s = np.sum(jsign * a * ((th + 2.0 * math.pi * j) + (cj + psi) * b), axis=0)
+    ds = np.sum(jsign * a * (-(1.0 - (cj * cj + psi * psi) / (2.0 * eps)) * np.expm1(-x) + x * (1.0 + b)), axis=0)
+    return s, ds
+
+
+def _ref_over_sin(theta):
+    pos = theta > 1e-8
+    ts = np.where(pos, theta, 1.0)
+    return np.where(pos, ts / np.sin(0.5 * ts), 2.0)
+
+
+def _ref_h(theta):
+    x = 0.5 * theta
+    x2 = x * x
+    taylor = x2 * (1 / 3 + x2 * (1 / 45 + x2 * (2 / 945 + x2 * (1 / 4725 + x2 * (2 / 93555)))))
+    small = x < 0.1
+    xs = np.where(small, 1.0, x)
+    return np.where(small, taylor, 1.0 - xs / np.tan(xs)) / theta
+
+
 def _two_pass(theta, eps):
     """log f and f'/f in two separate passes, the evaluation the fused kernel replaced.
 
@@ -524,13 +584,13 @@ def _two_pass(theta, eps):
     th = np.where(small, 1.0, np.minimum(theta, THETA_MAX_SCORE))
     cf = _kernels.closed_form
     log_f = (cf._log_prefactor(eps) - theta * theta / (4.0 * eps)
-             + np.log(cf._over_sin(theta) * cf._near_r(*cf._near_images(theta, eps))))
-    ep, em, lever = cf._near_images(th, eps)
+             + np.log(_ref_over_sin(theta) * _ref_near_r(*_ref_near_images(theta, eps))))
+    ep, em, lever = _ref_near_images(th, eps)
     quad = ((th + 2.0 * cf._PK) ** 2 * ep + (th - 2.0 * cf._PK) ** 2 * em) / (2.0 * eps)
     d = -th * th / (2.0 * eps) + np.sum(cf._SIGN * (lever - quad), axis=0)
-    s, ds = cf._far_sums(th, eps)
+    s, ds = _ref_far_sums(th, eps)
     far = ds / s - 0.5 * np.tan(0.5 * ((math.pi - th) + PI_LO))
-    ratio = np.where(th > 0.5 * math.pi, far, d / (th * cf._near_r(ep, em, lever)) + cf._h(th))
+    ratio = np.where(th > 0.5 * math.pi, far, d / (th * _ref_near_r(ep, em, lever)) + _ref_h(th))
     return log_f, np.where(small, -_kernels.closed_moment(eps) * theta, ratio)
 
 
@@ -557,6 +617,29 @@ def test_fused_kernel_is_the_two_pass_evaluation_bit_for_bit(eps):
     for i, theta in enumerate(FUSED_THETAS):
         one = igso3_log_density_and_ratio(np.array([theta]), params)
         assert one[0][0] == log_f[i] and one[1][0] == ratio[i]
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_image_kernel_keeps_its_golden_bits():
+    """``closed_log_f_ratio`` (both outputs) and ``closed_r`` against a ``float.hex`` table.
+
+    The table, ``closed_form_golden.json``, was written by the two-output image
+    kernel before E_k and E_-k shared one exponential pass: FUSED_THETAS and 40
+    spread angles, 16 of them beyond pi/2, at six scalar eps from 1e-305 (below
+    EPS_FLOOR) to just below EPS_SERIES, and ``closed_r`` also at one eps per angle.
+    """
+    golden = json.loads((Path(__file__).parent / "closed_form_golden.json").read_text())
+    theta = np.array([float.fromhex(h) for h in golden["thetas"]])
+    assert np.array_equal(theta[:FUSED_THETAS.size], FUSED_THETAS)
+    for i, eps in enumerate(float.fromhex(h) for h in golden["eps"]):
+        log_f, ratio = _kernels.closed_log_f_ratio(theta, eps, THETA_SMALL_SCORE, THETA_MAX_SCORE)
+        assert _hex(log_f) == golden["log_f"][i] and _hex(ratio) == golden["ratio"][i], eps
+        assert _hex(_kernels.closed_r(theta, eps)) == golden["r"][i], eps
+    eps_stack = np.array([float.fromhex(h) for h in golden["eps_stack"]])
+    assert _hex(_kernels.closed_r(theta, eps_stack)) == golden["r_stack"]
 
 
 @pytest.mark.parametrize("eps", [1e-308, 1e-306, 1e-301, 1e-300, 1e-250, 1e-160, 1e-110, 1e-100])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,3 +392,14 @@ def test_quat_exp_takes_the_series_on_small_angles_alone():
     assert np.array_equal(got[0], [1.0, 0.0, 0.0, 0.0])
     theta = np.sqrt(np.add.reduce(v[2] * v[2]))
     assert np.array_equal(got[2, 1:], (0.5 - theta**2 / 48.0 + theta**4 / 3840.0) * v[2])
+
+
+def test_finite_poses_reads_an_overflowing_quaternion_norm_as_bad_with_no_warning():
+    """Entries of 1e200 square to inf in the norm, which no errstate guards: einsum raises no warning."""
+    q = np.array([[1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    p = np.array([[0.0, 0.0, 0.0], [1e308, -1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qs, ps, bad = lie.finite_poses(q, p)
+    assert bad.tolist() == [True, False]
+    assert np.array_equal(qs, [[1.0, 0.0, 0.0, 0.0], q[1]]) and np.array_equal(ps, p)

@@ -134,6 +134,10 @@ KERNEL_ENTRIES = [
           lambda ps, th: np.stack([*ig.igso3_log_density_and_ratio(th, ps), ig.igso3_density(th, ps)], axis=-1),
           lambda ps, th: [[ig.igso3_log_density(float(th), ps), float(ig.score_ratio(float(th), ps)),
                            ig.igso3_density(float(th), ps)]]),
+    # the oracle's entry, on angles already in [0, pi]; its one-row call is the public entry's
+    Entry("_log_density_and_ratio", batch(EPS, st.tuples(ANGLES.map(np.float64))),
+          lambda eps, th: np.stack(ig._log_density_and_ratio(th, eps), axis=-1),
+          lambda eps, th: [np.stack(ig.igso3_log_density_and_ratio(th, ig.IgParams(eps)), axis=-1)]),
     Entry("igso3_score_batch", batch(st.builds(ig.IgParams, EPS), st.tuples(QUATS)),
           lambda ps, q: ig.igso3_score_batch(lie.quat_log(q), np.linalg.norm(lie.quat_log(q), axis=-1), ps),
           lambda ps, q: [ig.igso3_score(Rotation.from_unit(q), ps)]),
@@ -229,6 +233,15 @@ def test_single_pose_and_mismatched_stacks(entry, data):
     k = data.draw(st.integers(0, 2 * len(rows)).filter(lambda k: k != len(rows)))
     with pytest.raises(ValueError, match="one translation per quaternion"):
         entry.call(ctx, q, np.concatenate([p, p])[:k])
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-4, 0.025, np.nextafter(ig.EPS_SERIES, 0.0), ig.EPS_SERIES, 2.0])
+def test_private_igso3_entry_is_the_public_one_on_angles_in_range(eps):
+    """``igso3._log_density_and_ratio`` skips the public entry's range checks and clip, and keeps its bits
+    on [0, pi], at eps on both sides of EPS_SERIES."""
+    theta = np.concatenate([[0.0, 1e-300, 1e-9, 1e-3, math.pi - 1e-6, math.pi], np.linspace(0.0, math.pi, 301)])
+    for got, ref in zip(ig._log_density_and_ratio(theta, eps), ig.igso3_log_density_and_ratio(theta, ig.IgParams(eps))):
+        assert _same(got, ref)
 
 
 def test_the_harness_fails_a_score_whose_rows_depend_on_the_batch():

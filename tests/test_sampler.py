@@ -1,4 +1,5 @@
 import math
+import warnings
 import sys
 
 import numpy as np
@@ -380,6 +381,28 @@ def test_run_denoising_bisects_to_one_raising_chain_among_100():
     # 1 + 2 ceil(log2 100) calls at the failing step, one call at every other step
     assert score.calls[float(sched.t[step])] <= 15
     assert all(c == 1 for t, c in score.calls.items() if t != float(sched.t[step]))
+    keep = np.arange(chains) != far
+    assert np.array_equal(res.trajectory[keep], ref.trajectory[keep])
+    assert np.array_equal(res.q[keep], ref.q[keep]) and np.array_equal(res.p[keep], ref.p[keep])
+
+
+def test_run_denoising_never_silences_a_warning_of_the_score():
+    """A warning raised as an error in the score's own arithmetic (pytest's error::RuntimeWarning,
+    set here as well) freezes the chain that causes it, with the warning as its reason: no
+    floating-point state is changed around the score call.  The other chains keep their bits."""
+    class OverflowsForFarChain(BrownianScoreFn):
+        def score_batch(self, q, p, t):
+            np.exp(100.0 * p[:, 0])  # overflows, and warns, only for the chain at x = 10
+            return super().score_batch(q, p, t)
+
+    chains, far = 8, 5
+    sched = build_schedule([(1.0, 0.5, 40)], eps=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_denoising(OverflowsForFarChain(), *_far_chain_inits(chains, far), sched, np.random.default_rng(5))
+    ref = run_denoising(BrownianScoreFn(), *_far_chain_inits(chains, far), sched, np.random.default_rng(5))
+    assert np.flatnonzero(res.failed_step >= 0).tolist() == [far] and res.failed_step[far] == 0
+    assert res.error[far] == "RuntimeWarning: overflow encountered in exp"
     keep = np.arange(chains) != far
     assert np.array_equal(res.trajectory[keep], ref.trajectory[keep])
     assert np.array_equal(res.q[keep], ref.q[keep]) and np.array_equal(res.p[keep], ref.p[keep])
