@@ -20,7 +20,6 @@ near theta = 0, and k with -1-k near theta = pi.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -60,8 +59,7 @@ def _phi(nx: np.ndarray) -> np.ndarray:
 
 
 def _near_images(theta: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
-    """E_k over E_{-k}, k = 1..K_IMAGES, as one (2, K_IMAGES, M) stack, and the levers
-    (2 pi k / theta)(E_{-k} - E_k), at 1-D theta.
+    """E_k over E_{-k}, one (2, K_IMAGES, M) stack, and (2 pi k / theta)(E_{-k} - E_k), k = 1..K_IMAGES, at theta.
 
     The last is formed without dividing by theta, so it stays accurate
     down to theta = 0.
@@ -154,16 +152,14 @@ def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
     -1/theta would.  Below EPS_FLOOR, where every image but k = 0 is below
     e^-700 of it on [theta_small, theta_max] and the far sums' 1/eps
     factors would overflow, it is the k = 0 image's -theta/(2 eps) + 1/theta
-    - cot(theta/2)/2.  A branch's mask is formed only if the least angle lo
-    (or the greatest) says some angle needs it.
+    - cot(theta/2)/2.  A branch's mask is formed only if the least (or greatest) angle says an angle needs it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     lo = float(np.fmin.reduce(theta, initial=math.inf))  # a NaN angle is NaN on every branch
     e, lever = _near_images(theta, max(eps, EPS_FLOOR))
     r = _near_r(e, lever)
-    tt = theta * theta
-    with np.errstate(over="ignore") if eps < EPS_FLOOR else contextlib.nullcontext():  # else no overflow
-        gauss = tt / (4.0 * eps)
+    with np.errstate(over="ignore"):
+        gauss = theta * theta / (4.0 * eps)
     log_f = _log_prefactor(eps) - gauss + np.log(_over_sin(theta, lo) * r)
     small = theta < theta_small if lo < theta_small else None
     ts = theta if small is None else np.where(small, 1.0, theta)
@@ -172,7 +168,7 @@ def closed_log_f_ratio(theta: np.ndarray, eps: float, theta_small: float,
         ratio = -tc / (2.0 * eps) + _h(tc, lo)
     else:
         quad = np.add.reduce(np.square(theta + _TWO_PK) * e, axis=0) / (2.0 * eps)
-        d = -tt / (2.0 * eps) + np.add.reduce(_SIGN * (lever - quad), axis=0)
+        d = -theta * theta / (2.0 * eps) + np.add.reduce(_SIGN * (lever - quad), axis=0)
         ratio = d / (ts * r) + _h(ts, lo)
         if np.fmax.reduce(theta, initial=0.0) > 0.5 * math.pi:
             far = theta > 0.5 * math.pi

@@ -120,8 +120,6 @@ def check_time(t: float) -> None:
 
 _IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 _ZERO = np.zeros(3)
-# rows 3 m + i % 3, i < 5, of vec(c k^T) and vec R: N[:, m] and R[m, :], entries 0, 1 repeated as in ``_cross``
-_CYCLIC = np.arange(5)[:, None] % 3 + 3 * np.arange(3)
 
 
 class _Components(NamedTuple):
@@ -423,13 +421,12 @@ def _kernel_score(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
     total = np.add.reduce(wd, axis=1)
     moments = np.matmul(w.reshape(n, 1, len(comps.moments)), comps.moments)[:, 0].T  # (15, N)
     k, c = moments[:3], moments[3:6]
-    # N[:, m] x R[m, :] summed over m, with N = sum w k c^T, by the products of ``_cross``
-    a, b = moments[6:][_CYCLIC], r.reshape(9, n)[_CYCLIC]
-    vee = np.add.reduce(a[1:4] * b[2:5] - a[2:5] * b[1:4], axis=1)
-    theta = theta.T  # demo-major, as ``_kernel_terms`` forms the rotations; a zero rotation vector scores 0
-    if np.fmin.reduce(theta, axis=None, initial=math.inf) < 1e-12:
+    # N[:, m] x R[m, :] summed over m, with N = sum w k c^T read from the rows vec(c k^T)
+    vee = np.add.reduce(_cross(moments[6:].reshape(3, 3, n).swapaxes(0, 1), r.swapaxes(0, 1)), axis=1)
+    if np.fmin.reduce(theta, axis=None, initial=math.inf) < 1e-12:  # a zero rotation vector scores 0
         theta = np.where(theta < 1e-12, 1.0, theta)
-    s_rot = np.add.reduce(wd.T * ratio.T / theta * rotvec.transpose(0, 2, 1), axis=1)
+    # summed along the last axis of a C-ordered (3, N, D) array, so in one order at any N
+    s_rot = np.add.reduce(np.multiply(wd * ratio / theta, rotvec, out=np.empty(rotvec.shape)), axis=-1)
     out = np.empty((6, n))  # handed back as its (N, 6) transpose
     np.divide(total * rtp + k - np.add.reduce(r * c[:, None], axis=0), -t * total, out=out[:3])
     np.divide((_cross(k, rtp) - vee) / -t + s_rot, total, out=out[3:])

@@ -282,9 +282,8 @@ def finite_poses(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if qs.shape[0] != ps.shape[0]:
         raise ValueError(f"need one translation per quaternion, got shapes {np.shape(q)} and {np.shape(p)}")
     q, p = qs, ps
-    finite = np.isfinite(p)  # a NaN, inf or overflowing norm fails the test; einsum raises no warning
-    bad = ~((np.abs(np.sqrt(np.einsum("...j,...j->...", q, q)) - 1.0) <= 1e-3) & finite[:, 0] & finite[:, 1]
-            & finite[:, 2])
+    norm = np.sqrt(np.einsum("...j,...j->...", q, q))  # no overflow warning: a NaN, inf or overflowing norm fails
+    bad = ~((np.abs(norm - 1.0) <= 1e-3) & np.logical_and.reduce(np.isfinite(p), axis=-1))
     if not bad.any():
         return q, p, bad
     return np.where(bad[:, None], [1.0, 0.0, 0.0, 0.0], q), np.where(bad[:, None], 0.0, p), bad

@@ -104,17 +104,14 @@ def build_schedule(segments: Sequence[tuple[float, float, int]], eps: float,
 
 
 def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float, temperature: float,
-                noise: np.ndarray, integrator: str, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                noise: np.ndarray, integrator: str) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Langevin update on quaternion/translation stacks.
 
-    Works on the transposed stacks, (3, N) vector parts and (N,) scalar
-    rows, through the kernels of ``lie``, so the update is ``quat_mul``,
-    ``quat_normalize`` and ``quat_rotate`` bit for bit, the exact one of
-    the group exponential ``_exp_se3`` (the kernel of ``exp_se3``), written to
-    ``out``, (7, N) quaternion and translation components (new by default),
-    and returned as its (N, 4) and (N, 3) transposed views.
-    Floating point errors are ignored throughout: a step too large to
-    integrate gives non-finite rows, which the caller reports.
+    Works on the transposed stacks, (3, N) vector parts and (N,) scalar rows, through the kernels
+    of ``lie``, so the update is ``quat_mul``, ``quat_normalize`` and ``quat_rotate`` bit for bit,
+    the exact one of the group exponential ``_exp_se3`` (the kernel of ``exp_se3``).  The new q
+    and p are the (N, 4) and (N, 3) transposed views of one (7, N) array.  Floating point errors
+    are ignored throughout: a step too large to integrate gives non-finite rows, which the caller reports.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi = np.ascontiguousarray((0.5 * alpha * scores + math.sqrt(alpha * max(temperature, 0.0)) * noise).T)
@@ -131,10 +128,9 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float, 
             m[0], m[1:] = w + 0.5 * mw, qv + 0.5 * mv
         else:
             raise ValueError(f"unknown integrator {integrator!r}")
-        out = np.empty((7, q.shape[0])) if out is None else out
-        _normalize(m, out[:4])
+        out = np.empty((7, q.shape[0]))
         np.add(p.T, _rotate(w, qv, body), out=out[4:])
-        return out[:4].T, out[4:].T
+        return _normalize(m, out[:4]).T, out[4:].T
 
 
 def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
@@ -230,11 +226,10 @@ def run_denoising(score, q0: np.ndarray, p0: np.ndarray, schedule: AnnealSchedul
             scores, faults = np.zeros((chains, 6)), {}
             if idx.size:
                 scores[idx], faults = _score_rows(score, q, p, t_n, idx)
-        stepped = np.empty((7, chains))
-        q_new, p_new = _step_batch(q, p, scores, alpha, temperature, noise, integrator, stepped)
+        q_new, p_new = _step_batch(q, p, scores, alpha, temperature, noise, integrator)
         # a non-finite score row steps to a non-finite pose, and so does a finite score too
         # large to integrate; a chain that raised keeps that reason
-        if not np.isfinite(stepped).all():
+        if not np.isfinite(q_new.base).all():  # q_new and p_new are views of one (7, N) array
             finite = np.isfinite(q_new).all(axis=1) & np.isfinite(p_new).all(axis=1)
             scored = np.isfinite(scores).all(axis=1)
             for i in (alive & ~finite).nonzero()[0]:

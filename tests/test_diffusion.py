@@ -614,9 +614,18 @@ def test_fused_oracle_matches_a_loop_over_demos(toy, rng, which):
         assert np.max(rel) < 1e-14, (t, np.max(rel))
 
 
+def _many_demo_set(toy, count=12):
+    """Demos near the toy's, enough that a sum over demos runs NumPy's pairwise (8-wide) summation."""
+    rng = np.random.default_rng(5)
+    return DemoSet(tuple((compose(toy.demo_poses[k % len(toy.demo_poses)],
+                                  exp_se3(Twist(0.2 * rng.standard_normal(3), 0.05 * rng.standard_normal(3)))),
+                          toy.scene, toy.grasp) for k in range(count)))
+
+
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_fused_oracle_rows_are_bitwise_one_pose_calls(toy, rng, n):
-    for demos in (_uneven_demo_set(toy), DemoSet(((toy.demo_poses[1], toy.scene, toy.grasp),))):
+    one = DemoSet(((toy.demo_poses[1], toy.scene, toy.grasp),))
+    for demos in (_uneven_demo_set(toy), one, _many_demo_set(toy)):
         q, p = _pose_stack(demos, rng, n)
         for t in (0.01, 1.0):
             oracle = MixtureScore(demos, DiffusionConfig(t=t, r=toy.config.r, L=1.0))
