@@ -172,9 +172,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     except (sio.ParseError, OSError) as exc:
         return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
-    scene, grasp, demos = _nondimensionalize(scn)
+    scene, grasp, demo_poses = _nondimensionalize(scn)
+    demos = DemoSet(tuple((g, scene, grasp) for g in demo_poses))
     if args.score == "oracle":
-        score_fn = MixtureScore(DemoSet(tuple((g, scene, grasp) for g in demos)), scn.config)
+        score_fn = MixtureScore(demos, scn.config)
     elif model is None:
         return _error("--score model requires model parameters "
                       "(scenario model_params or --params)")
@@ -195,12 +196,11 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     header = sio.provenance_lines(seed=seed, scenario=str(args.scenario),
                                   score=args.score, chains=args.chains,
                                   integrator=args.integrator)
-    mixes = kernel_log_density(out.q, out.p, demos, scene, grasp,
+    mixes = kernel_log_density(out.q, out.p, demo_poses, scene, grasp,
                                replace(scn.config, t=float(scn.schedule.t[-1])))
     # (chains, demos) distances to every demo; the first nearest by rot + tr is reported
-    q_demo = np.stack([g0.r.q for g0 in demos])
-    rots = quat_angle(quat_mul(quat_conj(q_demo), out.q[:, None]))
-    d = out.p[:, None] - np.stack([g0.p for g0 in demos])
+    rots = quat_angle(quat_mul(quat_conj(demos.q), out.q[:, None]))
+    d = out.p[:, None] - demos.p
     trs = np.sqrt(np.vecdot(d, d))
     for i, (k, step, err) in enumerate(zip(np.argmin(rots + trs, axis=1), out.failed_step,
                                            out.error)):

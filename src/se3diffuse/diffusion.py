@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,30 +85,36 @@ class DiffusionConfig:
 
 @dataclass(frozen=True)
 class DemoSet:
-    """Demonstration tuples (target pose, scene cloud, grasp cloud)."""
+    """Demonstrations (target pose, scene cloud, grasp cloud) over one shared scene and grasp cloud.
+
+    Refuses an empty set, an empty cloud, and demos whose scene or grasp
+    positions differ (equal clouds in separate objects are one cloud).  Keeps
+    the poses as read-only (D, 4)/(D, 3) stacks ``q``/``p`` beside ``scene`` and ``grasp``.
+    """
 
     demos: tuple[tuple[Pose, PointCloud, PointCloud], ...]
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    scene: PointCloud = field(init=False, repr=False, compare=False)
+    grasp: PointCloud = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.demos) == 0:
-            raise ValueError("demo set must be nonempty")
-        for _, scene, grasp in self.demos:
-            if len(scene) == 0 or len(grasp) == 0:
-                raise ValueError("demo point clouds must be nonempty")
-        object.__setattr__(self, "demos", tuple(self.demos))
+        demos = tuple(self.demos)
+        if not demos:
+            raise ValueError("no demo poses")
+        _, scene, grasp = demos[0]
+        if len(scene) == 0 or len(grasp) == 0:
+            raise ValueError("empty point cloud")
+        for name, k, cloud in (("scene", 1, scene), ("grasp", 2, grasp)):
+            if any(d[k] is not cloud and not np.array_equal(d[k].positions, cloud.positions) for d in demos):
+                raise ValueError(f"demo set mixes different {name} clouds")
+        q, p = np.stack([g0.r.q for g0, _, _ in demos]), np.stack([g0.p for g0, _, _ in demos])
+        q.flags.writeable = p.flags.writeable = False
+        for name, value in (("demos", demos), ("q", q), ("p", p), ("scene", scene), ("grasp", grasp)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.demos)
-
-    def shared_clouds(self) -> tuple[PointCloud, PointCloud]:
-        """The single (scene, grasp) pair; raises if demos disagree."""
-        _, scene, grasp = self.demos[0]
-        for _, s, g in self.demos[1:]:
-            if s is not scene and not np.array_equal(s.positions, scene.positions):
-                raise ValueError("demo set mixes different scene clouds")
-            if g is not grasp and not np.array_equal(g.positions, grasp.positions):
-                raise ValueError("demo set mixes different grasp clouds")
-        return scene, grasp
 
 
 def check_time(t: float) -> None:
@@ -228,12 +234,12 @@ def contact_origin_weights(grasp: PointCloud, scene_in_body: PointCloud, r: floa
     return counts / total
 
 
-def _contact_weights(q0inv: np.ndarray, p0inv: np.ndarray, scene: PointCloud, grasp: PointCloud,
-                     cfg: DiffusionConfig) -> np.ndarray:
-    """(D, K) contact weights against each body-frame scene g0^-1 . O_s of the (D, 4)/(D, 3)
-    inverse demo poses: one stacked rotation, then ``contact_origin_weights`` once per demo."""
-    body = quat_rotate(q0inv[:, None], scene.positions) + p0inv[:, None]
-    return np.stack([contact_origin_weights(grasp, PointCloud(x), cfg.r_nd) for x in body])
+def _contact_weights(demos: DemoSet, cfg: DiffusionConfig) -> np.ndarray:
+    """(D, K) contact weights of the grasp points against each demo's body-frame scene g0^-1 . O_s:
+    one stacked rotation, then ``contact_origin_weights`` once per demo."""
+    q0inv, p0inv = se3_inverse(demos.q, demos.p)
+    body = quat_rotate(q0inv[:, None], demos.scene.positions) + p0inv[:, None]
+    return np.stack([contact_origin_weights(demos.grasp, PointCloud(x), cfg.r_nd) for x in body])
 
 
 class ForwardDraws(NamedTuple):
@@ -259,9 +265,9 @@ def forward_diffuse_batch(
 ) -> ForwardDraws:
     """n forward-diffusion draws g_t = g0 T(p_de) delta_g T(p_de)^-1.
 
-    Each demo's contact weights against its body-frame scene g0^-1 . O_s
-    are computed once per call.  The draws are whole arrays from ``rng``,
-    in this order:
+    An adapter over one ``DemoSet`` of the poses and clouds.  Each demo's
+    contact weights against its body-frame scene g0^-1 . O_s are computed
+    once per call.  The draws are whole arrays from ``rng``, in this order:
 
     1. ``rng.random(n)`` for t, only when ``t_max`` is set: t is
        log-uniform on [cfg.t, t_max], else t = cfg.t;
@@ -276,14 +282,10 @@ def forward_diffuse_batch(
     so that row k is bitwise g0 T(p_de) delta_g T(p_de)^-1 composed one
     ``Pose`` at a time.
     """
-    if len(scene) == 0 or len(grasp) == 0:
-        raise ValueError("empty point cloud")
-    if len(demo_poses) == 0:
-        raise ValueError("no demo poses")
+    demos = DemoSet(tuple((g0, scene, grasp) for g0 in demo_poses))
     if t_max is not None and not t_max >= cfg.t:
         raise ValueError("t_max must be at least cfg.t")
-    q0, p0 = np.stack([g0.r.q for g0 in demo_poses]), np.stack([g0.p for g0 in demo_poses])
-    cdf = np.cumsum(_contact_weights(*se3_inverse(q0, p0), scene, grasp, cfg), axis=1)
+    cdf = np.cumsum(_contact_weights(demos, cfg), axis=1)
     cdf /= cdf[:, -1:]
 
     if t_max is None:
@@ -291,11 +293,11 @@ def forward_diffuse_batch(
     else:
         log_lo = math.log(cfg.t)
         t = np.exp(log_lo + rng.random(n) * (math.log(t_max) - log_lo))
-    demo = rng.integers(0, len(demo_poses), n)
+    demo = rng.integers(0, len(demos), n)
     p_de = grasp.positions[np.count_nonzero(cdf[demo] <= rng.random(n)[:, None], axis=1)]
     delta_q, delta_p = brownian_sample_batch(t, rng)
 
-    q_t, p_t = se3_compose(q0[demo], p0[demo], _IDENTITY_Q, p_de)
+    q_t, p_t = se3_compose(demos.q[demo], demos.p[demo], _IDENTITY_Q, p_de)
     q_t, p_t = se3_compose(q_t, p_t, delta_q, delta_p)
     q_t, p_t = se3_compose(q_t, p_t, *se3_inverse(_IDENTITY_Q, p_de))
     return ForwardDraws(t, demo, q_t, p_t, p_de, delta_q, delta_p)
@@ -332,19 +334,17 @@ def target_score(g: Pose, g0: Pose, p_de: np.ndarray, t: float) -> Twist:
     return Twist.from_array(_kernel_score(g.r.q[None, :], g.p[None, :], comps, t)[0])
 
 
-def _demo_components(demo_poses: Sequence[Pose], scene: PointCloud, grasp: PointCloud,
-                     cfg: DiffusionConfig, log_demo_weight: float = 0.0) -> _Components:
-    """Every (demo, grasp point) component with nonzero contact weight."""
-    q0, p0 = np.stack([g.r.q for g in demo_poses]), np.stack([g.p for g in demo_poses])
-    w = _contact_weights(*se3_inverse(q0, p0), scene, grasp, cfg)
+def _demo_components(demos: DemoSet, cfg: DiffusionConfig) -> _Components:
+    """Every (demo, grasp point) component with nonzero contact weight, each demo weighted 1/D."""
+    w = _contact_weights(demos, cfg)
     slots = np.count_nonzero(w > 0.0, axis=1).max()
     points = np.zeros((len(w), slots, 3))
     logw = np.full((len(w), slots), -np.inf)
     for d, wd in enumerate(w):
         keep = (wd > 0.0).nonzero()[0]
-        points[d, :keep.size] = grasp.positions[keep]
-        logw[d, :keep.size] = np.log(wd[keep]) + log_demo_weight
-    return _components(q0, p0, points, logw)
+        points[d, :keep.size] = demos.grasp.positions[keep]
+        logw[d, :keep.size] = np.log(wd[keep]) - math.log(len(w))
+    return _components(demos.q, demos.p, points, logw)
 
 
 def _kernel_terms(q: np.ndarray, p: np.ndarray, comps: _Components, t: float):
@@ -438,22 +438,18 @@ def kernel_log_density(q: np.ndarray, p: np.ndarray, demo_poses: Sequence[Pose],
     """(N,) log (1/D) sum_g0 sum_p w_p B_t((g0 <| p)^-1 (g <| p)) of (N, 4)/(N, 3) pose stacks g.
 
     The mixture over the D ``demo_poses`` g0 whose score ``MixtureScore``
-    takes; ``(g0,)`` gives one demo's kernel.  ``<|`` is right
-    multiplication by the pure translation T(p); the sum is one log-sum-exp
+    takes, an adapter over one ``DemoSet``; ``(g0,)`` gives one demo's kernel.
+    ``<|`` is right multiplication by the pure translation T(p); the sum is one log-sum-exp
     over the (demo, grasp point) components with nonzero contact weight,
     whose weights are computed once per call, so pass every pose at once.
     The stacks are read as the scores read them (``finite_poses``): a
     single (4,)/(3,) pose is a batch of one, and a pose with a non-finite
     entry or a quaternion off unit norm by more than 1e-3 reads NaN.
     """
-    if len(scene) == 0 or len(grasp) == 0:
-        raise ValueError("empty point cloud")
-    if len(demo_poses) == 0:
-        raise ValueError("no demo poses")
+    demos = DemoSet(tuple((g0, scene, grasp) for g0 in demo_poses))
     check_time(cfg.t)
     q, p, bad = finite_poses(q, p)
-    comps = _demo_components(demo_poses, scene, grasp, cfg, -math.log(len(demo_poses)))
-    out = _log_mixture(q, p, comps, cfg.t)
+    out = _log_mixture(q, p, _demo_components(demos, cfg), cfg.t)
     out[bad] = np.nan
     return out
 
@@ -471,9 +467,7 @@ class MixtureScore:
     """
 
     def __init__(self, demos: DemoSet, cfg: DiffusionConfig):
-        scene, grasp = demos.shared_clouds()
-        self._components = _demo_components([g0 for g0, _, _ in demos.demos], scene, grasp,
-                                            cfg, -math.log(len(demos)))
+        self._components = _demo_components(demos, cfg)
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores for quaternion/translation stacks at time t.

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .lie import Pose, Rotation
+from .lie import quat_unit
 from .pointcloud import PointCloud
 
 __all__ = [
@@ -157,11 +157,14 @@ def write_point_cloud(path: str | Path, pc: PointCloud, header: Sequence[str] = 
 # Pose lists: repeated "pos: [...]" / "quat: [w,x,y,z]" records
 # ---------------------------------------------------------------------------
 
-def read_poses(path: str | Path) -> list[Pose]:
+def read_poses(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) translations and (N, 4) quaternions, the mirror of ``write_poses``; a norm off 1 by more than
+    1e-8 warns, by more than 1e-3 is refused.  ``quat_unit`` twice gives each row the bits of the
+    ``Rotation`` of its record over its norm."""
     path = Path(path)
     pending_pos: np.ndarray | None = None
     pos_line = 0
-    poses: list[Pose] = []
+    p, q = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -190,13 +193,14 @@ def read_poses(path: str | Path) -> list[Pose]:
                     warnings.warn(
                         f"{path}:{lineno}: renormalizing quaternion with norm drift {abs(norm - 1.0):.3g}",
                         RuntimeWarning, stacklevel=2)
-                poses.append(Pose(pending_pos, Rotation(quat / norm)))
+                p.append(pending_pos)
+                q.append(quat)
                 pending_pos = None
             else:
                 raise ParseError(f"{path}:{lineno}: expected 'pos:' or 'quat:' record")
     if pending_pos is not None:
         raise ParseError(f"{path}:{pos_line}: trailing 'pos:' record without a 'quat:'")
-    return poses
+    return np.array(p).reshape(-1, 3), quat_unit(quat_unit(np.array(q).reshape(-1, 4)))
 
 
 _POSE_RECORD = "pos: [{:.16e}, {:.16e}, {:.16e}]\nquat: [{:.16e}, {:.16e}, {:.16e}, {:.16e}]"

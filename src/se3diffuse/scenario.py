@@ -26,7 +26,7 @@ from . import io as sio
 from .diffusion import DemoSet, DiffusionConfig
 from .fields import ScoreModelParams, random_model_params
 from .irreps import IrrepsLayout
-from .lie import Pose, exp_so3, random_quats
+from .lie import Pose, Rotation, exp_so3, random_quats
 from .pointcloud import PointCloud, bounding_box
 from .sampler import AnnealSchedule, build_schedule
 
@@ -231,8 +231,8 @@ def read_scenario(path: str | Path) -> Scenario:
         raise sio.ParseError(f"{path}: seed must be an integer >= 0, got {seed!r}")
     scene = sio.read_point_cloud(base / data["scene"])
     grasp = sio.read_point_cloud(base / data["grasp"])
-    demos = tuple(sio.read_poses(base / data["demos"]))
-    if not demos:
+    demo_p, demo_q = sio.read_poses(base / data["demos"])
+    if not len(demo_p):
         raise sio.ParseError(f"{path}: demo pose file is empty")
     model = None
     if "model_params" in data:
@@ -247,12 +247,13 @@ def read_scenario(path: str | Path) -> Scenario:
         # the commands divide lengths by L, then square and sum them: keep those squares far
         # inside the double range, as a contact radius of at least 1e-150 length units and
         # coordinates of at most 1e150 do
-        largest = max([config.r] + [float(np.max(np.abs(x))) for x in (scene.positions, grasp.positions)]
-                      + [float(np.max(np.abs(g.p))) for g in demos]) / config.L
+        largest = max([config.r] + [float(np.max(np.abs(x)))
+                                    for x in (scene.positions, grasp.positions, demo_p)]) / config.L
         if not (config.r_nd >= 1e-150 and largest <= 1e150):
             raise ValueError(f"length_unit = {config.L!r} puts the contact radius at {config.r_nd!r} and "
                              f"the largest length at {largest!r} length units, outside [1e-150, 1e150]")
     except (TypeError, ValueError) as exc:
         raise sio.ParseError(f"{path}: {exc}") from None
+    demos = tuple(Pose(p, Rotation.from_unit(q)) for p, q in zip(demo_p, demo_q))
     return Scenario(scene=scene, grasp=grasp, demo_poses=demos, config=config,
                     schedule=schedule, seed=seed, model=model)

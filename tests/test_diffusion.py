@@ -440,8 +440,7 @@ def _kept_contacts(g0, scene, grasp, cfg):
     """The grasp points with nonzero contact weight for the demo g0, and their log weights."""
     from se3diffuse.diffusion import _contact_weights
 
-    g0inv = inverse(g0)
-    w = _contact_weights(g0inv.r.q[None], g0inv.p[None], scene, grasp, cfg)[0]
+    w = _contact_weights(DemoSet(((g0, scene, grasp),)), cfg)[0]
     return grasp.positions[w > 0.0], np.log(w[w > 0.0])
 
 
@@ -513,7 +512,7 @@ def test_kernel_log_density_of_one_demo_is_its_component_mixture(toy, rng):
     p = np.stack([g.p for g in poses])
     for t in (0.01, 0.5, 2.0):
         cfg = DiffusionConfig(t=t, r=toy.config.r, L=1.0)
-        want = _log_mixture(q, p, _demo_components((g0,), toy.scene, toy.grasp, cfg), t)
+        want = _log_mixture(q, p, _demo_components(DemoSet(((g0, toy.scene, toy.grasp),)), cfg), t)
         assert np.array_equal(kernel_log_density(q, p, (g0,), toy.scene, toy.grasp, cfg), want)
 
 
@@ -589,10 +588,10 @@ def _score_by_demo(demos, cfg, q, p, t):
     """Reference: the mixture of one-demo scores, weighted by their log densities."""
     from se3diffuse.diffusion import _demo_components, _kernel_score, _log_mixture
 
-    scene, grasp = demos.shared_clouds()
     logs, scores = [], []
-    for g0, _, _ in demos.demos:
-        comps = _demo_components((g0,), scene, grasp, cfg, -math.log(len(demos)))
+    for demo in demos.demos:
+        comps = _demo_components(DemoSet((demo,)), cfg)
+        comps = comps._replace(logw=comps.logw - math.log(len(demos)))
         logs.append(_log_mixture(q, p, comps, t))
         scores.append(_kernel_score(q, p, comps, t))
     logs = np.stack(logs, axis=1)
@@ -642,10 +641,8 @@ def _composed_log_terms(demos, cfg, q, p, t):
     from se3diffuse.igso3 import igso3_log_density
     from se3diffuse.lie import quat_log, quat_to_matrix, se3_inverse
 
-    scene, grasp = demos.shared_clouds()
-    kept = [_kept_contacts(g0, scene, grasp, cfg) for g0, _, _ in demos.demos]
-    q0inv, p0inv = se3_inverse(np.stack([g0.r.q for g0, _, _ in demos.demos]),
-                               np.stack([g0.p for g0, _, _ in demos.demos]))
+    kept = [_kept_contacts(g0, demos.scene, demos.grasp, cfg) for g0, _, _ in demos.demos]
+    q0inv, p0inv = se3_inverse(demos.q, demos.p)
     logs = np.full((q.shape[0], len(kept), max(len(pts) for pts, _ in kept)), -np.inf)
     rotvecs, thetas = [], []
     for d, (pts, logw) in enumerate(kept):
@@ -769,8 +766,7 @@ def _score_by_component(demos, cfg, q, p, t, log_f=None):
     if log_f is None:
         def log_f(theta):
             return igso3_log_density(min(theta, math.pi), params)
-    scene, grasp = demos.shared_clouds()
-    parts = [(g0, *_kept_contacts(g0, scene, grasp, cfg)) for g0, _, _ in demos.demos]
+    parts = [(g0, *_kept_contacts(g0, demos.scene, demos.grasp, cfg)) for g0, _, _ in demos.demos]
     out = np.empty((q.shape[0], 6))
     for n in range(q.shape[0]):
         logs, scores = [], []
@@ -987,13 +983,30 @@ def test_oracle_symmetric_two_mode_fixed_point():
 
 
 def test_demo_set_validation(toy):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no demo poses"):
         DemoSet(())
-    other_scene = PointCloud(np.random.default_rng(0).standard_normal((5, 3)))
-    mixed = DemoSet(((toy.demo_poses[0], toy.scene, toy.grasp),
-                     (toy.demo_poses[1], other_scene, toy.grasp)))
-    with pytest.raises(ValueError):
-        mixed.shared_clouds()
+    empty = PointCloud(np.zeros((0, 3)))
+    for scene, grasp in ((empty, toy.grasp), (toy.scene, empty)):
+        with pytest.raises(ValueError, match="empty point cloud"):
+            DemoSet(((toy.demo_poses[0], scene, grasp),))
+    other = PointCloud(np.random.default_rng(0).standard_normal((5, 3)))
+    with pytest.raises(ValueError, match="mixes different scene clouds"):
+        DemoSet(((toy.demo_poses[0], toy.scene, toy.grasp), (toy.demo_poses[1], other, toy.grasp)))
+    with pytest.raises(ValueError, match="mixes different grasp clouds"):
+        DemoSet(((toy.demo_poses[0], toy.scene, toy.grasp), (toy.demo_poses[1], toy.scene, other)))
+
+
+def test_demo_set_accepts_equal_clouds_in_separate_objects_and_stacks_the_poses(toy):
+    """One cloud copied per demo, as a transformed set builds it, is the shared cloud."""
+    demos = DemoSet(tuple((g0, PointCloud(toy.scene.positions.copy()), PointCloud(toy.grasp.positions.copy()))
+                          for g0 in toy.demo_poses))
+    assert len(demos) == len(toy.demo_poses)
+    assert demos.scene is demos.demos[0][1] and demos.grasp is demos.demos[0][2]
+    assert np.array_equal(demos.q, np.stack([g0.r.q for g0 in toy.demo_poses]))
+    assert np.array_equal(demos.p, np.stack([g0.p for g0 in toy.demo_poses]))
+    for stack in (demos.q, demos.p):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0.0
 
 
 def test_config_validation():

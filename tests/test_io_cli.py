@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from se3diffuse.cli import main
 from se3diffuse.io import ParseError, read_keyvalue, read_point_cloud, read_poses, write_point_cloud, write_poses
-from se3diffuse.lie import Pose, random_rotation
+from se3diffuse.lie import Pose, Rotation, random_rotation
 from se3diffuse.pointcloud import PointCloud
 from se3diffuse.scenario import (
     make_toy_scenario,
@@ -75,18 +75,36 @@ def test_pose_round_trip(tmp_path, rng):
     poses = [Pose(rng.standard_normal(3), random_rotation(rng)) for _ in range(5)]
     path = tmp_path / "poses.txt"
     write_poses(path, np.stack([g.p for g in poses]), np.stack([g.r.q for g in poses]))
-    back = read_poses(path)
-    assert len(back) == 5
-    for a, b in zip(poses, back):
-        assert np.array_equal(a.p, b.p)
-        assert np.array_equal(a.r.q, b.r.q)
+    p, q = read_poses(path)
+    assert p.shape == (5, 3) and q.shape == (5, 4)
+    assert np.array_equal(p, np.stack([g.p for g in poses]))
+    assert np.array_equal(q, np.stack([g.r.q for g in poses]))
 
 
 def test_pose_identity_round_trip(tmp_path):
     path = tmp_path / "poses.txt"
     write_poses(path, Pose.identity().p, Pose.identity().r.q)
-    back = read_poses(path)
-    assert back[0].allclose(Pose.identity())
+    p, q = read_poses(path)
+    assert np.array_equal(p, [Pose.identity().p]) and np.array_equal(q, [Pose.identity().r.q])
+
+
+def test_pose_rows_are_the_rotation_rule_bit_for_bit(tmp_path):
+    """Each quaternion row is ``Rotation(q / norm).q`` of its record, as when the reader built one
+    ``Rotation`` per record: drifted norms, w < 0 rows, and w = 0 rows of either vector sign."""
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((1000, 4))
+    q[::7, 0] = 0.0
+    q[::21, 1] = 0.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q *= 1.0 + rng.uniform(-9e-4, 9e-4, (1000, 1))
+    q[::3] *= -1.0
+    path = tmp_path / "poses.txt"
+    write_poses(path, rng.standard_normal((1000, 3)), q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # every record renormalizes
+        _, got = read_poses(path)
+    for raw, row in zip(q, got):
+        assert np.array_equal(row, Rotation(raw / float(np.linalg.norm(raw))).q)
 
 
 def test_pose_slightly_off_norm_warns(tmp_path):
@@ -94,8 +112,8 @@ def test_pose_slightly_off_norm_warns(tmp_path):
     w = float(1.0 + 1e-7)
     path.write_text(f"pos: [0.0, 0.0, 0.0]\nquat: [{w!r}, 0.0, 0.0, 0.0]\n")
     with pytest.warns(RuntimeWarning, match="renormalizing"):
-        back = read_poses(path)
-    assert abs(np.linalg.norm(back[0].r.q) - 1.0) < 1e-12
+        _, q = read_poses(path)
+    assert abs(np.linalg.norm(q[0]) - 1.0) < 1e-12
 
 
 def test_pose_bad_norm_rejected(tmp_path):
@@ -239,10 +257,10 @@ def test_cmd_diffuse_deterministic_and_small_t(scenario_dir, tmp_path):
                      "--n", "6", "--out", str(out), "--seed", "5"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     scn = read_scenario(scn_path)
-    poses = read_poses(out1)
-    assert len(poses) == 6
-    for g in poses:
-        dists = [np.linalg.norm(g.p - g0.p) for g0 in scn.demo_poses]
+    p, _ = read_poses(out1)
+    assert len(p) == 6
+    for x in p:
+        dists = [np.linalg.norm(x - g0.p) for g0 in scn.demo_poses]
         assert min(dists) < 1e-3
 
 
@@ -252,7 +270,8 @@ def test_cmd_diffuse_empty_output_has_header(scenario_dir, tmp_path):
                  "--n", "0", "--out", str(out), "--seed", "1"]) == 0
     text = out.read_text()
     assert text.startswith("# se3diffuse version")
-    assert read_poses(out) == []
+    p, q = read_poses(out)
+    assert p.shape == (0, 3) and q.shape == (0, 4)
 
 
 @pytest.mark.parametrize("times", [["--t", "0.5"], ["--t", "1e-4", "--t-max", "1"], ["--t", "8"]])
@@ -269,14 +288,14 @@ def test_cmd_diffuse_same_seed_same_bytes_and_valid_records(scenario_dir, tmp_pa
     t_lo = float(times[1])
     t_hi = float(times[3]) if len(times) > 2 else t_lo
     records = _sample_records(runs[0])
-    poses = read_poses(runs[0])
-    assert len(records) == len(poses) == 5
+    _, q = read_poses(runs[0])
+    assert len(records) == len(q) == 5
     for k, rec in enumerate(records):
         assert rec["sample"] == k and t_lo <= rec["t"] <= t_hi
         assert np.all(np.isfinite(rec["delta_pos"]))
         dq = np.array(rec["delta_quat"])
         assert abs(np.linalg.norm(dq) - 1.0) < 1e-12 and dq[0] >= 0.0
-        assert abs(np.linalg.norm(poses[k].r.q) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(q[k]) - 1.0) < 1e-12
 
 
 def test_cmd_diffuse_at_the_smallest_times_draws_nonzero_angles(scenario_dir, tmp_path):
@@ -288,7 +307,7 @@ def test_cmd_diffuse_at_the_smallest_times_draws_nonzero_angles(scenario_dir, tm
     angles = 2.0 * np.arctan2(np.linalg.norm(dq[:, 1:], axis=1), dq[:, 0])
     assert len(records) == 20 and np.all(np.isfinite(angles)) and np.all(angles > 0.0)
     assert np.all(angles < 1e-148)  # rotation vectors are about sqrt(t) = 1e-150 long
-    assert len(read_poses(out)) == 20
+    assert len(read_poses(out)[0]) == 20
 
 
 def test_cmd_diffuse_refuses_a_time_whose_half_rounds_to_zero(scenario_dir, tmp_path, capsys):
@@ -363,7 +382,7 @@ def test_cmd_denoise_model_source_runs(scenario_dir, tmp_path):
     assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),
                  "--score", "model", "--chains", "1", "--out", str(out),
                  "--seed", "2"]) == 0
-    assert len(read_poses(out)) == 1
+    assert len(read_poses(out)[0]) == 1
 
 
 def test_cmd_denoise_model_evaluates_grasp_field_once(scenario_dir, tmp_path, monkeypatch):
@@ -442,11 +461,10 @@ def test_cmd_denoise_initial_poses_scale_with_the_length_unit(tmp_path):
         chains = [dict((k, float(v)) for k, v in re.findall(r"(\w+) = ([-+.\de]+)", line))
                   for line in out.read_text().splitlines() if line.startswith("# chain ")]
         runs.append((chains, read_poses(out)))
-    (base_chains, base_poses), (chains, poses) = runs
-    assert len(chains) == len(poses) == 6
+    (base_chains, (base_p, base_q)), (chains, (p, q)) = runs
+    assert len(chains) == len(p) == 6
     assert chains == [dict(c, trans_to_demo=2.0 * c["trans_to_demo"]) for c in base_chains]
-    for g, g2 in zip(base_poses, poses):
-        assert np.array_equal(g2.p, 2.0 * g.p) and np.array_equal(g2.r.q, g.r.q)
+    assert np.array_equal(p, 2.0 * base_p) and np.array_equal(q, base_q)
 
 
 def test_cmd_denoise_model_refuses_widths_that_square_to_zero_in_length_units(tmp_path, capsys):
@@ -479,7 +497,7 @@ def test_cmd_denoise_quat_trans_integrator(scenario_dir, tmp_path):
     assert main(["denoise", "--scenario", str(scenario_dir / "scenario.txt"),
                  "--score", "oracle", "--chains", "2", "--out", str(out),
                  "--seed", "6", "--integrator", "quat-trans"]) == 0
-    assert len(read_poses(out)) == 2
+    assert len(read_poses(out)[0]) == 2
 
 
 def test_cmd_check_passes_and_reports_numbers(capsys):
@@ -627,7 +645,8 @@ def test_cmd_diffuse_exits_0_with_finite_draws_or_2_with_one_error_line(scenario
     err = err.getvalue().splitlines()
     if code == 0:
         records = _sample_records(out)
-        assert err == [] and len(records) == len(read_poses(out)) == 5  # a Pose refuses non-finite entries
+        p, q = read_poses(out)  # the reader refuses non-finite entries
+        assert err == [] and len(records) == len(p) == 5 and np.all(np.isfinite(p)) and np.all(np.isfinite(q))
         for rec in records:
             assert all(np.all(np.isfinite(rec[key])) for key in ("t", "p_de", "delta_quat", "delta_pos"))
     else:
