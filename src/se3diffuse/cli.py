@@ -27,11 +27,15 @@ demos, ``random(n)`` for the contact-weighted diffusion origins, then the
 IGSO(3) rejection blocks and ``standard_normal((n, 3))`` for the Brownian
 displacements.  The same seed and ``--n`` give the same bytes; a smaller
 ``--n`` is not a prefix of a larger one.
+
+The argument parser is built once per process, on the first ``main`` call, and
+reused by later calls in the same process; importing the module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,7 +47,6 @@ import numpy as np
 from . import __version__, io as sio
 # DiffusionConfig, forward_diffuse and assemble_score: unused here, perfbench and its tests use them via cli
 from .diffusion import (  # noqa: F401
-    DemoSet,
     DiffusionConfig,
     MixtureScore,
     forward_diffuse,
@@ -52,8 +55,7 @@ from .diffusion import (  # noqa: F401
 )
 from .fields import ModelScore, ScoreModelParams, assemble_score, build_query_set  # noqa: F401
 from .igso3 import IgParams, angle_cdf_quadrature, igso3_sample_quats
-from .lie import Pose, quat_angle, quat_conj, quat_mul
-from .pointcloud import PointCloud
+from .lie import quat_angle, quat_conj, quat_mul
 from .sampler import run_denoising
 from .scenario import (
     Scenario,
@@ -94,10 +96,6 @@ _count = _int_at_least(1)
 _seed = _int_at_least(0)
 
 
-def _scale_cloud(pc: PointCloud, factor: float) -> PointCloud:
-    return PointCloud(pc.positions * factor, pc.colors)
-
-
 def _scale_model(model: ScoreModelParams, factor: float) -> ScoreModelParams:
     """The model with every field's cutoff and radial widths times ``factor``."""
     def scale(edf):
@@ -107,12 +105,7 @@ def _scale_model(model: ScoreModelParams, factor: float) -> ScoreModelParams:
                    weight_field=scale(model.weight_field))
 
 
-def _nondimensionalize(scn: Scenario) -> tuple[PointCloud, PointCloud, list[Pose]]:
-    inv_l = 1.0 / scn.config.L
-    scene = _scale_cloud(scn.scene, inv_l)
-    grasp = _scale_cloud(scn.grasp, inv_l)
-    demos = [Pose(g.p * inv_l, g.r) for g in scn.demo_poses]
-    return scene, grasp, demos
+_nondimensionalize = Scenario.nondimensional  # the name perfbench and its tests call
 
 
 def cmd_gen_scenario(args: argparse.Namespace) -> int:
@@ -142,7 +135,7 @@ def cmd_diffuse(args: argparse.Namespace) -> int:
         return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
     rng = np.random.default_rng(seed)
-    scene, grasp, demos = _nondimensionalize(scn)
+    scene, grasp, demos = scn.nondimensional()
     t_lo = args.t if args.t is not None else scn.config.t
     if args.t_max is not None and args.t_max < t_lo:
         return _error(f"--t-max {args.t_max!r} is below the diffusion time {t_lo!r}")
@@ -172,8 +165,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     except (sio.ParseError, OSError) as exc:
         return _error(exc)
     seed = args.seed if args.seed is not None else scn.seed
-    scene, grasp, demo_poses = _nondimensionalize(scn)
-    demos = DemoSet(tuple((g, scene, grasp) for g in demo_poses))
+    demos = scn.demo_set()
+    scene, grasp = demos.scene, demos.grasp
     if args.score == "oracle":
         score_fn = MixtureScore(demos, scn.config)
     elif model is None:
@@ -196,7 +189,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     header = sio.provenance_lines(seed=seed, scenario=str(args.scenario),
                                   score=args.score, chains=args.chains,
                                   integrator=args.integrator)
-    mixes = kernel_log_density(out.q, out.p, demo_poses, scene, grasp,
+    mixes = kernel_log_density(out.q, out.p, [g for g, _, _ in demos.demos], scene, grasp,
                                replace(scn.config, t=float(scn.schedule.t[-1])))
     # (chains, demos) distances to every demo; the first nearest by rot + tr is reported
     rots = quat_angle(quat_mul(quat_conj(demos.q), out.q[:, None]))
@@ -266,7 +259,9 @@ def cmd_sample_igso3(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later one (``main`` included)."""
     parser = argparse.ArgumentParser(prog="se3-diffuse",
                                      description="Bi-equivariant SE(3) diffusion toolkit")
     parser.add_argument("--version", action="version", version=f"se3-diffuse {__version__}")

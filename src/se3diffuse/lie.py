@@ -548,15 +548,22 @@ def adjoint_inv_transpose(g: Pose) -> np.ndarray:
     return out
 
 
-def random_quats(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 4) Haar-uniform rotations, ``quat_unit`` of normalized ``standard_normal((n, 4))`` rows; the
-    first k rows are k one-row draws, bit for bit.  A row of norm below 1e-12 is redrawn after the others."""
+def gaussian_quat_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The raw (n, 4) ``standard_normal((n, 4))`` rows ``random_quats`` normalizes; a row of norm below
+    1e-12 is redrawn after the others."""
     z = rng.standard_normal((n, 4))
     norm2 = np.vecdot(z, z)
     while (small := norm2 < 1e-24).any():  # pragma: no cover - no seed is known to give one
         z[small] = rng.standard_normal((np.count_nonzero(small), 4))
         norm2 = np.vecdot(z, z)
-    return quat_unit(z / np.sqrt(norm2)[:, None])
+    return z
+
+
+def random_quats(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) Haar-uniform rotations, ``quat_unit`` of the ``gaussian_quat_rows`` over their norms; the
+    first k rows are k one-row draws, bit for bit."""
+    z = gaussian_quat_rows(rng, n)
+    return quat_unit(z / np.sqrt(np.vecdot(z, z))[:, None])
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:

@@ -26,7 +26,7 @@ from . import io as sio
 from .diffusion import DemoSet, DiffusionConfig
 from .fields import ScoreModelParams, random_model_params
 from .irreps import IrrepsLayout
-from .lie import Pose, Rotation, exp_so3, random_quats
+from .lie import Pose, Rotation, exp_so3, gaussian_quat_rows, quat_unit
 from .pointcloud import PointCloud, bounding_box
 from .sampler import AnnealSchedule, build_schedule
 
@@ -51,8 +51,16 @@ class Scenario:
     seed: int
     model: ScoreModelParams | None = None
 
+    def nondimensional(self) -> tuple[PointCloud, PointCloud, list[Pose]]:
+        """Scene, grasp and demo poses with every length divided by L, as ``diffusion`` takes them."""
+        inv_l = 1.0 / self.config.L
+        scene, grasp = (PointCloud(pc.positions * inv_l, pc.colors) for pc in (self.scene, self.grasp))
+        return scene, grasp, [Pose(g.p * inv_l, g.r) for g in self.demo_poses]
+
     def demo_set(self) -> DemoSet:
-        return DemoSet(tuple((g, self.scene, self.grasp) for g in self.demo_poses))
+        """The ``nondimensional`` demos over their shared clouds."""
+        scene, grasp, demos = self.nondimensional()
+        return DemoSet(tuple((g, scene, grasp) for g in demos))
 
 
 def _ring(radius: float, z: float, n: int) -> np.ndarray:
@@ -106,15 +114,15 @@ def make_toy_scenario(seed: int = 7) -> Scenario:
 
 def sample_initial_poses(scenario: Scenario, rng: np.random.Generator,
                          n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Default denoising inits, (n, 4) and (n, 3) stacks in scene units: uniform over the scene box
-    padded by 0.2 L, Haar rotation; each chain draws ``random(3)``, then a one-row ``random_quats``."""
+    """Default denoising inits, (n, 4) and (n, 3) stacks in scene units: uniform over the scene box padded by
+    0.2 L, Haar rotation; each chain draws ``random(3)``, then the raw row of a one-row ``random_quats``."""
     lo, hi = bounding_box(scenario.scene)
     lo, hi = lo - 0.2 * scenario.config.L, hi + 0.2 * scenario.config.L
-    q, p = np.empty((n, 4)), np.empty((n, 3))
+    u, z = np.empty((n, 3)), np.empty((n, 4))
     for i in range(n):
-        p[i] = lo + rng.random(3) * (hi - lo)
-        q[i] = random_quats(rng, 1)[0]
-    return q, p
+        u[i] = rng.random(3)
+        z[i] = gaussian_quat_rows(rng, 1)
+    return quat_unit(z / np.sqrt(np.vecdot(z, z))[:, None]), lo + u * (hi - lo)
 
 
 # ---------------------------------------------------------------------------

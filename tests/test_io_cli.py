@@ -467,6 +467,19 @@ def test_cmd_denoise_initial_poses_scale_with_the_length_unit(tmp_path):
     assert np.array_equal(p, 2.0 * base_p) and np.array_equal(q, base_q)
 
 
+def test_scenario_demo_set_divides_lengths_by_the_length_unit():
+    from se3diffuse.diffusion import MixtureScore
+
+    base, doubled = _toy_in_two_length_units()
+    rng = np.random.default_rng(5)
+    q = np.stack([g.r.q for g in base.demo_poses] * 4)
+    p = np.stack([g.p for g in base.demo_poses] * 4) + 0.1 * rng.standard_normal((12, 3))
+    for t in (0.01, 0.1, 1.0):
+        want = MixtureScore(base.demo_set(), base.config).score_batch(q, p, t)
+        assert np.max(np.abs(want)) > 0.0
+        assert np.array_equal(MixtureScore(doubled.demo_set(), doubled.config).score_batch(q, p, t), want)
+
+
 def test_cmd_denoise_model_refuses_widths_that_square_to_zero_in_length_units(tmp_path, capsys):
     base = make_toy_scenario(seed=4)
     model = base.model
@@ -811,6 +824,78 @@ def test_cli_unwritable_out_exits_2_without_traceback(scenario_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(scenario_dir, tmp_path, capsys):
+    import se3diffuse
+    import se3diffuse.cli as cli
+
+    def fresh(argv):  # exit status and output of a parser built for this call alone
+        try:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+
+    good = ["diffuse", "--scenario", str(scenario_dir / "scenario.txt"), "--t", "1e-3", "--t-max", "1",
+            "--n", "20", "--seed", "3", "--out"]
+    cli.build_parser.cache_clear()
+    assert main(good + [str(tmp_path / "first.txt")]) == 0
+    capsys.readouterr()
+    usage = ["diffuse", "--scenario", "s.txt", "--n", "-3", "--out", "x.txt"]
+    for argv, code in ((usage, 2), (["--version"], 0), (["--help"], 0), (["diffuse", "--help"], 0)):
+        assert main(argv) == code
+        got = capsys.readouterr()
+        assert (code, got) == fresh(argv)
+    assert "--n: must be an integer >= 0" in fresh(usage)[1].err
+    assert fresh(["--version"])[1].out == f"se3-diffuse {se3diffuse.__version__}\n"
+    assert fresh(["--help"])[1].out.startswith("usage: se3-diffuse")
+    assert main(good + [str(tmp_path / "again.txt")]) == 0
+    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "first.txt").read_bytes()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_patched_command_global_takes_effect_after_the_parser_exists(scenario_dir, tmp_path,
+                                                                        monkeypatch):
+    import se3diffuse.cli as cli
+
+    argv = ["denoise", "--scenario", str(scenario_dir / "scenario.txt"), "--chains", "2",
+            "--seed", "6", "--out"]
+    assert main(argv + [str(tmp_path / "a.txt")]) == 0
+    assert cli.build_parser.cache_info().currsize == 1
+    calls = []
+    real = cli.run_denoising
+
+    def capture(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_denoising", capture)
+    assert main(argv + [str(tmp_path / "b.txt")]) == 0
+    assert calls == [(2, 4)]
+    assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
+
+
+def test_cli_import_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import se3diffuse
+
+    # counts every ArgumentParser made, so an import-time build outside the cache is seen too
+    script = ("import argparse\n"
+              "made = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+              "import se3diffuse.cli as cli\n"
+              "print(len(made), cli.build_parser.cache_info().currsize)\n"
+              "cli.main(['--version'])\n"
+              "print(len(made) > 0, cli.build_parser.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(se3diffuse.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 0", f"se3-diffuse {se3diffuse.__version__}", "True 1"]
 
 
 def test_cli_import_leaves_scipy_out():
