@@ -9,10 +9,11 @@ Fields are evaluated in one pairwise pass over query-by-cloud pairs,
 chunked under a measured pair budget (``pointcloud._PAIR_CHUNK``)
 and laid out coordinate-major, one row per coordinate or field column
 over the kept pairs.  A per-call (radial, slot, point) table of colors
-times gated channel weights is gathered once per kept pair, one harmonic
-pass over the slot degrees (``irreps.sh_stack``) gives every field column,
-and each slot's radial sum scales its columns.  Each query row is summed
-on its own, so a scalar call is bitwise a batch of one.
+times gated channel weights, written in that order by one ``einsum``, is
+gathered once per kept pair; one harmonic pass (``irreps.sh_stack``, each
+distinct slot degree once) gives every field column, and each slot's
+radial sum scales its columns.  Each query row is summed on its own, so
+a scalar call is bitwise a batch of one.
 
 The assembled score follows the weighted-query-point summation: the
 linear part averages the per-query score field, and the angular part is
@@ -99,20 +100,18 @@ class SyntheticEdfParams:
         n_slots = len(self.layout.slots())
         cw = np.asarray(self.channel_weights, dtype=np.float64).reshape(
             n_slots, len(widths), N_COLOR_CHANNELS, len(centers)).copy()
-        # what every field pass reads, formed here once: the gate centers and
-        # 2 width^2, the radial exponent scales -1/(2 w^2) as a (B, 1) column,
+        # what every field pass reads, formed here once: the gates' 2 width^2,
+        # the radial exponent scales -1/(2 w^2) as a (B, 1) column,
         # each slot's degree and each field column's slot
-        gate_centers = np.asarray(centers)
-        width = gate_centers[1] - gate_centers[0] if gate_centers.size > 1 else 1.0
+        width = centers[1] - centers[0] if len(centers) > 1 else 1.0
         degrees = tuple(self.layout.slots())
         slot = np.repeat(np.arange(n_slots), [2 * l + 1 for l in degrees])
         scale = (-0.5 / np.asarray(widths) ** 2)[:, None]
-        for a in (cw, gate_centers, slot, scale):
+        for a in (cw, slot, scale):
             a.setflags(write=False)
         object.__setattr__(self, "radial_widths", widths)
         object.__setattr__(self, "time_gate_centers", centers)
         object.__setattr__(self, "channel_weights", cw)
-        object.__setattr__(self, "_gate_centers", gate_centers)
         object.__setattr__(self, "_gate_den", 2.0 * width**2)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_slot", slot)
@@ -121,8 +120,9 @@ class SyntheticEdfParams:
     def gate_values(self, t: float | None) -> np.ndarray:
         """Gaussian bumps over log t; all ones when t is None (no gating)."""
         if t is None:
-            return np.ones(self._gate_centers.size)
-        return np.exp(-((math.log(t) - self._gate_centers) ** 2) / self._gate_den)
+            return np.ones(len(self.time_gate_centers))
+        lt = math.log(t)  # exponents in Python floats, rounded as array arithmetic rounds them
+        return np.exp([-((lt - c) * (lt - c)) / self._gate_den for c in self.time_gate_centers])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +187,7 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
         cloud = (cloud[None, :, :] - frames[1][:, None, :]) @ rot
     slot = params._slot
     # (radial, slot, points) table of the colors times the gated channel weights
-    table = np.einsum("pc,sbcg,g->bps", pc.channels, params.channel_weights, gates)
-    table = np.ascontiguousarray(table.transpose(0, 2, 1))
+    table = np.einsum("pc,sbcg,g->bsp", pc.channels, params.channel_weights, gates)
     cut2 = params.cutoff ** 2
     n_cloud = cloud.shape[-2]
     out = np.zeros((xs.size // 3, slot.size))
@@ -206,7 +205,7 @@ def _edf_batch(xs: np.ndarray, pc: PointCloud, params: SyntheticEdfParams,
         for b in range(1, terms.shape[0]):  # elementwise, radial basis by radial basis
             scal = scal + terms[b]
         lobes = sh_stack(params._degrees, dirs)
-        lobes *= scal[slot]
+        lobes *= scal.take(slot, axis=0)
         hit = np.bincount(row, minlength=d.shape[0]).nonzero()[0]
         out[rows][hit] = np.add.reduceat(lobes, row.searchsorted(hit), axis=1).T
     return out.reshape(xs.shape[:-1] + (slot.size,))
@@ -367,10 +366,9 @@ class ModelScore:
 
     def score_batch(self, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
         """(N, 6) scores, linear part first, for quaternion/translation stacks."""
-        parts = self._readout(q, p, t)
-        out = parts[:, :6].copy()
-        out[:, 3:] += parts[:, 6:]  # orbital + spin
-        return out
+        out = self._readout(q, p, t)
+        out[:, 3:6] += out[:, 6:]  # orbital + spin
+        return out[:, :6]
 
     def __call__(self, g: Pose, t: float) -> Twist:
         return Twist.from_array(self.score_batch(g.r.q[None, :], g.p[None, :], t)[0])

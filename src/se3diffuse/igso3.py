@@ -98,15 +98,17 @@ def igso3_log_density_and_ratio(theta, params: IgParams) -> tuple[np.ndarray, np
     return _log_density_and_ratio(_angles(theta), params.eps)
 
 
-def _log_density_and_ratio(th: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``igso3_log_density_and_ratio`` at an array of angles already in [0, pi] and a concentration eps > 0."""
+def _log_density_and_ratio(th: np.ndarray, eps: float,
+                           with_ratio: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """``igso3_log_density_and_ratio`` at an array of angles already in [0, pi] and a concentration eps > 0;
+    without ``with_ratio``, at eps >= EPS_SERIES, log f alone (``series_f`` sums each angle alone) and None."""
     if eps < EPS_SERIES:
         log_f, ratio = _kernels.closed_log_f_ratio(th.reshape(-1), eps, THETA_SMALL_SCORE, THETA_MAX_SCORE)
         return log_f.reshape(th.shape), ratio.reshape(th.shape)
-    f = _kernels.series_f(np.append(th, THETA_MAX_SCORE), eps, SERIES_LMAX)
-    f_th = f[:-1].reshape(th.shape)
+    f = _kernels.series_f(np.append(th, THETA_MAX_SCORE) if with_ratio else th.reshape(-1), eps, SERIES_LMAX)
+    f_th = f[:th.size].reshape(th.shape)
     ratio = (_kernels.series_df(np.minimum(th, THETA_MAX_SCORE), eps, SERIES_LMAX)
-             / np.where(th > THETA_MAX_SCORE, f[-1], f_th))
+             / np.where(th > THETA_MAX_SCORE, f[-1], f_th)) if with_ratio else None
     # at eps >= EPS_SERIES the density is above 0.12 on all of [0, pi]
     return np.log(f_th), ratio
 
@@ -119,7 +121,7 @@ def igso3_density(theta, params: IgParams):
     0 where the density underflows, inf where it overflows.
     """
     with np.errstate(over="ignore"):  # f(0) ~ eps^{-3/2} is beyond the double range below eps ~ 1e-206
-        out = np.exp(igso3_log_density_and_ratio(theta, params)[0])
+        out = np.exp(_log_density_and_ratio(_angles(theta), params.eps, with_ratio=False)[0])
     return float(out) if np.isscalar(theta) else out
 
 
@@ -130,7 +132,7 @@ def igso3_log_density(theta, params: IgParams):
     -774.09 at theta = 2.8 and eps = 0.0025.  Same domain as
     ``igso3_density``.
     """
-    out = igso3_log_density_and_ratio(theta, params)[0]
+    out = _log_density_and_ratio(_angles(theta), params.eps, with_ratio=False)[0]
     return float(out) if np.isscalar(theta) else out
 
 

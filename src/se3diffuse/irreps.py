@@ -282,7 +282,7 @@ def _sh_plan(degrees: tuple[int, ...]) -> tuple:
     terms, position-major with the harmonics sorted by term count (most
     first), so term position k adds rows ``offset:offset + count``, its
     entry in ``sums``, into rows ``:count``; ``order`` puts the harmonics back in
-    the requested order.
+    the requested order, a repeated degree's (evaluated once) again.
 
     A monomial x^a y^b z^c is ``(X_a * Y_b) * Z_c`` over its nonzero
     factors, with X_1 = x and X_e = X_(e-1) * x, and degrees share the
@@ -303,8 +303,9 @@ def _sh_plan(degrees: tuple[int, ...]) -> tuple:
     def power(axis: str, e: int) -> int:
         return rows[axis] if e == 1 else product(power(axis, e - 1), rows[axis])
 
-    columns = []
-    for l in degrees:
+    columns, first = [], {}
+    for l in dict.fromkeys(degrees):  # each distinct degree once, in order of appearance
+        first[l] = len(columns)
         monos = []
         for exps in _monomials(l):
             mono = [power(axis, e) for axis, e in zip("xyz", exps) if e] or [rows["one"]]
@@ -329,7 +330,8 @@ def _sh_plan(degrees: tuple[int, ...]) -> tuple:
         take.extend(new[columns[c][pos][0]] for c in cols)
         coef.extend(columns[c][pos][1] for c in cols)
     coef = np.array(coef).reshape(-1, 1)
-    take, order = np.array(take, dtype=np.intp), np.argsort(by_count)
+    take = np.array(take, dtype=np.intp)
+    order = np.argsort(by_count)[[first[l] + m for l in degrees for m in range(2 * l + 1)]]
     for arr in (take, coef, order, *(ix for _, i, j in steps for ix in (i, j))):
         arr.setflags(write=False)
     return len(gen), tuple(steps), take, coef, tuple(sums), order
@@ -339,7 +341,7 @@ def sh_stack(degrees: tuple[int, ...], ut: np.ndarray) -> np.ndarray:
     """Harmonics of every degree in ``degrees``, for (3, N) coordinate rows of unit directions.
 
     Returns (sum(2l+1), N), one row per harmonic, degree blocks in the
-    order given; a degree may repeat.  Monomials come from coordinate
+    order given; a degree may repeat, and is evaluated once.  Monomials come from coordinate
     products, one generation at a time, each product rounded exactly as in
     a per-degree evaluation (so ``**`` and its per-element ``pow`` never
     run), and every harmonic adds its nonzero coefficient-times-monomial
@@ -351,13 +353,13 @@ def sh_stack(degrees: tuple[int, ...], ut: np.ndarray) -> np.ndarray:
     ent[:3] = ut
     ent[3] = 1.0
     for dst, i, j in steps:
-        np.multiply(ent[i], ent[j], out=ent[dst])
-    terms = ent[take]
+        np.multiply(ent.take(i, axis=0), ent.take(j, axis=0), out=ent[dst])
+    terms = ent.take(take, axis=0)
     del ent  # freed before the final gather, so at most two of the pass's arrays are alive at once
     terms *= coef
     for offset, count in sums:
         terms[:count] += terms[offset:offset + count]
-    return terms[order]
+    return terms.take(order, axis=0)
 
 
 def sh_batch(l: int, u: np.ndarray) -> np.ndarray:

@@ -69,12 +69,13 @@ PI_BRANCH_TOL = 1e-6
 
 # row-major entries of a rotation matrix from [diagonal, 2 (c - w v), 2 (c + w v)] rows
 _MATRIX_ORDER = np.array([0, 5, 7, 8, 1, 3, 4, 6, 2])
+_CYCLIC = np.array([0, 1, 2, 0, 1])  # components 0, 1, 2, 0, 1: every cyclic shift is a slice
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the first axis in ``np.cross``'s order, the cyclic shifts as slices."""
-    a = np.concatenate([a, a[:2]])
-    b = np.concatenate([b, b[:2]])
+    """a x b over the first axis in ``np.cross``'s order; an operand may come as its ``_CYCLIC`` take."""
+    a = a if len(a) == 5 else a.take(_CYCLIC, axis=0)
+    b = b if len(b) == 5 else b.take(_CYCLIC, axis=0)
     return a[1:4] * b[2:5] - a[2:5] * b[1:4]
 
 
@@ -90,6 +91,7 @@ def _mul(aw, av: np.ndarray, bw, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _rotate(w, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x rotated by the unit quaternion (w, v): x + w t + v x t with t = 2 v x x."""
+    v = v.take(_CYCLIC, axis=0)  # crossed twice, extended once
     t = 2.0 * _cross(v, x)
     return (x + w * t) + _cross(v, t)
 
@@ -129,8 +131,9 @@ def _exp_se3(nu: np.ndarray, om: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     if small is not None:  # series below SMALL_ANGLE, elementwise
         a = np.where(small, 0.5 - t2 / 24.0, a)
         b = np.where(small, 1.0 / 6.0 - t2 / 120.0, b)
-    wx = _cross(om, nu)
     w, v = _exp(om, theta, small)
+    om = om.take(_CYCLIC, axis=0)  # crossed twice, extended once
+    wx = _cross(om, nu)
     return w, v, (nu + a * wx) + b * _cross(om, wx)
 
 
@@ -156,12 +159,12 @@ def _normalize(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _matrix(w, v: np.ndarray) -> np.ndarray:
     """(3, 3, ...) rotation matrices of (w, v), entry by entry; the sign of the quaternion cancels."""
-    v5 = np.concatenate([v, v[:2]])
+    v5 = v.take(_CYCLIC, axis=0)
     vv = v5 * v5
     c = v5[1:4] * v5[2:5]  # (v1 v2, v2 v0, v0 v1)
     wv = w * v
     rows = np.concatenate([1.0 - 2.0 * (vv[1:4] + vv[2:5]), 2.0 * (c - wv), 2.0 * (c + wv)])
-    return rows[_MATRIX_ORDER].reshape((3, 3) + rows.shape[1:])
+    return rows.take(_MATRIX_ORDER, axis=0).reshape((3, 3) + rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,11 @@ def _step_batch(q: np.ndarray, p: np.ndarray, scores: np.ndarray, alpha: float, 
 
 def langevin_step(g: Pose, s: Twist, alpha: float, temperature: float,
                   rng: np.random.Generator, integrator: str = "exact") -> Pose:
-    """Single Langevin update of one pose."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if temperature < 0.0:
-        raise ValueError("temperature must be nonnegative")
+    """Single Langevin update of one pose; a NaN or infinite ``alpha`` or ``temperature`` is refused."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be nonnegative and finite, got {temperature!r}")
     noise = rng.standard_normal(6)[None, :]
     q, p = _step_batch(g.r.q[None, :], g.p[None, :], s.as_array()[None, :],
                        alpha, temperature, noise, integrator)

@@ -619,6 +619,23 @@ def test_fused_kernel_is_the_two_pass_evaluation_bit_for_bit(eps):
         assert one[0][0] == log_f[i] and one[1][0] == ratio[i]
 
 
+def test_cdf_table_reads_log_f_without_the_derivative_series(monkeypatch):
+    """At eps >= EPS_SERIES the angle pdf takes log f alone: building a table calls
+    series_f and never series_df, and its log f has the bits of the fused evaluation."""
+    calls = {"series_f": 0, "series_df": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(_kernels, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(_kernels, name, counted)
+    params = IgParams(eps=2.0)
+    grid, cdf = igso3._cdf_table.__wrapped__(params)  # built afresh, past the cache
+    assert calls["series_f"] >= 1 and calls["series_df"] == 0
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    monkeypatch.undo()
+    assert np.array_equal(igso3_log_density(grid, params), igso3_log_density_and_ratio(grid, params)[0])
+
+
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 

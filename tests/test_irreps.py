@@ -207,6 +207,15 @@ def test_sh_stack_is_bitwise_the_per_degree_passes_side_by_side(rng, degrees):
     assert np.array_equal(sh_stack(degrees, us[7:8].T).T, got[7:8])
 
 
+def test_sh_plan_evaluates_a_repeated_degree_once():
+    """The toy slot degrees (0, 0, 1, 1, 2) take no more term rows than (0, 1, 2): the final
+    gather repeats the rows of a repeated degree."""
+    n_dup, _, take_dup, _, _, order_dup = irreps._sh_plan((0, 0, 1, 1, 2))
+    n_once, _, take_once, _, _, order_once = irreps._sh_plan((0, 1, 2))
+    assert take_dup.size <= take_once.size and n_dup == n_once
+    assert order_dup.size == 13 and order_once.size == 9
+
+
 def test_cg_selection_rule_and_zero_weights(rng):
     scalar = IrrepsLayout(((0, 1),))
     a = IrrepsVector(scalar, [2.0])

@@ -224,6 +224,33 @@ def test_cross_matches_numpy_bitwise_on_broadcast_stacks(rng):
         assert np.array_equal(out, ref)
 
 
+def test_cross_kernel_is_np_cross_bitwise_on_the_operands_its_callers_pass(rng):
+    """``lie._cross`` over the first axis, with either operand also passed as its (5, ...)
+    ``_CYCLIC`` take, against ``np.cross(..., axis=0)``: swapaxes views (the vee of the oracle's kernel
+    score), (3, D, 1) x (3, 1, N) broadcasts, one vector, (3,) or as a (3, 1) column,
+    against another or a (3, N) stack, and entries that are signed zeros, infinities or NaN."""
+    n, d = 7, 3
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+    moments = rng.standard_normal((n, 15)).T  # a transposed view, as the moments are
+    pairs = [
+        (moments[6:].reshape(3, 3, n).swapaxes(0, 1), rng.standard_normal((3, 3, n)).swapaxes(0, 1)),
+        (rng.standard_normal((3, d, 1)), rng.standard_normal((3, 1, n))),
+        (rng.standard_normal(3), rng.standard_normal(3)),
+        (rng.standard_normal((3, 1)), rng.standard_normal((3, n))),
+        (rng.standard_normal((3, n)), rng.standard_normal((3, 1))),
+        (rng.standard_normal((3, n)).T.copy().T, rng.standard_normal((n, 3)).T),
+        (special[rng.integers(0, special.size, (3, 60))], special[rng.integers(0, special.size, (3, 60))]),
+        (special[rng.integers(0, special.size, (3, 4, 1))], special[rng.integers(0, special.size, (3, 1, 9))]),
+    ]
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+        for a, b in pairs:
+            ref = np.cross(a, b, axis=0)
+            a5, b5 = a.take(lie._CYCLIC, axis=0), b.take(lie._CYCLIC, axis=0)
+            for got in (lie._cross(a, b), lie._cross(a5, b), lie._cross(a, b5), lie._cross(a5, b5)):
+                assert got.shape == ref.shape
+                assert np.array_equal(_bits(got), _bits(ref))  # signed zeros and NaN bits included
+
+
 def test_quat_unit_rows_are_the_rotation_constructor_bitwise(rng):
     q = rng.standard_normal((3000, 4))
     q *= (1.0 + 1e-4 * rng.standard_normal((3000, 1))) / np.linalg.norm(q, axis=1, keepdims=True)

@@ -109,6 +109,12 @@ def test_langevin_step_validation(rng):
     with pytest.raises(ValueError):
         langevin_step(g, Twist.zero(), alpha=0.1, temperature=1.0, rng=rng,
                       integrator="verlet")
+    # NaN fails every comparison, so a bare alpha <= 0 test would let it through
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            langevin_step(g, Twist.zero(), alpha=bad, temperature=1.0, rng=rng)
+        with pytest.raises(ValueError, match="temperature"):
+            langevin_step(g, Twist.zero(), alpha=0.1, temperature=bad, rng=rng)
 
 
 def _composed_step(q, p, scores, alpha, temperature, noise, integrator):
